@@ -5,20 +5,26 @@ The operator D_K acts on W-invariant Laurent polynomials by
     D_K = sum_j phi_j^+ (T_{q,j} - Id) + phi_j^- (T_{q^{-1},j} - Id)
 
 with the rational coefficients phi_j^+- below.  D_K is triangular along BC
-dominance in the orbit-sum basis, so the monic eigenpolynomial P_lambda is
-obtained by a back-substitution over the dominance downset of lambda once
-the eigenvalues E_mu along the downset are pairwise distinct; a
-Gram-Schmidt fallback against the orthogonality measure covers collisions.
+dominance in the orbit-sum basis, with the eigenvalues E_mu on the
+diagonal, so the monic eigenpolynomial P_lambda is obtained by a
+back-substitution over the dominance downset of lambda once the E_mu along
+the downset are pairwise distinct; a Gram-Schmidt fallback against the
+orthogonality measure covers collisions.
 
-D_K itself is evaluated by interpolation: the image of an invariant
-polynomial is known to be supported on the dominance downset of its leading
-orbits, so evaluating at generic points and solving the square orbit-sum
-collocation system recovers it.  With rational parameters and rational
-points this is exact.
+D_K is computed by collocation, with one engine per (parameters, downset).
+The images D_K m~_mu of the orbit sums of a dominance downset lie in its
+span, so |downset| generic pole-free points, shared by every column, fix
+all of them in one solve with a block right-hand side; two more points
+check the result.  At each point the orbit sums and their images come from
+per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per
+coordinate, summed over the distinct permutations of each weight (at most
+l! terms, where the orbit has up to 2^l l!).  With rational parameters and
+rational points this is exact, and the diagonal is checked against E_mu.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,10 +155,10 @@ def _pole_free(x, params: KoornwinderParams) -> bool:
 
 def _candidate_points(l: int, count: int, exact: bool, seed: int):
     """Deterministic generic evaluation points away from operator poles and
-    from each other's W-orbits."""
+    from each other's W-orbits, generated lazily up to count."""
     rng = random.Random(seed)
-    pts = []
-    while len(pts) < count:
+    made = 0
+    while made < count:
         if exact:
             x = tuple(
                 Fraction(rng.randrange(23, 400), rng.choice([7, 11, 13, 17, 19]))
@@ -162,74 +168,119 @@ def _candidate_points(l: int, count: int, exact: bool, seed: int):
             x = tuple(1.1 + 2.3 * rng.random() for _ in range(l))
         if len(set(abs(v) for v in x)) < l:
             continue
-        pts.append(x)
-    return pts
+        made += 1
+        yield x
 
 
-def dk_support(p: LaurentPoly) -> list:
-    """Dominance downset bounding the support of D_K p in the m~ basis."""
+def _orbit_rows(x, perms, degree, params: KoornwinderParams):
+    """m~_nu(x) and (D_K m~_nu)(x) for every nu; perms holds, per nu, its
+    distinct permutations as (coordinate, nonzero exponent) pairs.
+
+    With y_{i,k} = x_i^k + x_i^{-k} (y_{i,0} = 1), m~_nu(x) is the sum over
+    distinct permutations pi of nu of prod_i y_{i,pi_i}.  A shift in x_j
+    changes only the factor of coordinate j, so D_K m~_nu(x) is the same
+    sum with one factor at a time replaced by
+    g_{j,k} = phi_j^+ (y_{j,k}(q x_j) - y_{j,k}) + phi_j^- (y_{j,k}(x_j/q) - y_{j,k}).
+    """
+    q = params.q
+    y = []
+    g = []
+    for j, xj in enumerate(x):
+        plus, minus = _phi_pair(x, j, params)
+        here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
+        up = xj * q
+        down = xj / q
+        y.append(here)
+        g.append(
+            [0]
+            + [
+                plus * (up**k + up**-k - here[k])
+                + minus * (down**k + down**-k - here[k])
+                for k in range(1, degree + 1)
+            ]
+        )
+    values = []
+    images = []
+    for nu_perms in perms:
+        value = 0
+        image = 0
+        for perm in nu_perms:
+            prod = 1
+            shifted = 0
+            for i, k in perm:
+                shifted = shifted * y[i][k] + prod * g[i][k]
+                prod = prod * y[i][k]
+            value += prod
+            image += shifted
+        values.append(value)
+        images.append(image)
+    return values, images
+
+
+def _agrees(fit, target, exact: bool) -> bool:
+    err = abs(fit - target)
+    return err == 0 if exact else err <= 1e-7 * (1 + abs(target))
+
+
+def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: bool):
+    """D_K of each column sum_mu c_mu m~_mu (a dict {mu: c_mu} over a
+    dominance downset), as a dict {nu: coefficient} over the same downset.
+
+    One collocation system serves every column: |downset| points fix the
+    coefficients, two held-out points verify that the images lie in the
+    downset (exactly in rational mode).  Up to 25 seeds of points are tried.
+    """
+    n = len(downset)
+    l = len(downset[0])
+    perms = []
+    for nu in downset:
+        distinct = sorted(set(itertools.permutations(nu)))
+        perms.append([[(i, k) for i, k in enumerate(pi) if k] for pi in distinct])
+    degree = max(nu[0] for nu in downset)
+    where = {nu: i for i, nu in enumerate(downset)}
+    for attempt in range(25):
+        candidates = _candidate_points(l, 3 * (n + 2), exact, seed=911 + attempt)
+        pole_free = (x for x in candidates if _pole_free(x, params))
+        pts = list(itertools.islice(pole_free, n + 2))
+        if len(pts) < n + 2:
+            continue
+        rows = []
+        rhs = []
+        for x in pts:
+            values, images = _orbit_rows(x, perms, degree, params)
+            rows.append(values)
+            rhs.append(
+                [sum(c * images[where[mu]] for mu, c in col.items()) for col in columns]
+            )
+        try:
+            sol = solve_linear(rows[:n], rhs[:n])
+        except ZeroDivisionError:
+            continue
+        if all(
+            _agrees(sum(v * s[k] for v, s in zip(row, sol)), target, exact)
+            for row, targets in zip(rows[n:], rhs[n:])
+            for k, target in enumerate(targets)
+        ):
+            return [
+                {nu: s[k] for nu, s in zip(downset, sol) if s[k] != 0}
+                for k in range(len(columns))
+            ]
+    raise ArithmeticError("D_K interpolation failed: inconsistent support")
+
+
+def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
+    """D_K p as a W-invariant Laurent polynomial, interpolated on the union
+    of the dominance downsets of p's orbits."""
+    if p.is_zero:
+        return p
     coeffs = expand_in_basis(p, "W")
     support = set()
     for rep in coeffs:
         support.update(dominant_downset(rep))
-    return sorted(support, key=lambda v: (sum(v), v))
-
-
-def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
-    """D_K p as a W-invariant Laurent polynomial.
-
-    Interpolates on the dominance downset of p's support; two held-out
-    points verify the support bound (exactly in rational mode).
-    """
-    if p.is_zero:
-        return p
-    support = dk_support(p)
-    l = p.nvars
+    support = sorted(support, key=lambda v: (sum(v), v))
     exact = params.is_exact and p.domain == "rational"
-    n_pts = len(support) + 2
-    for attempt in range(25):
-        pts = [
-            x
-            for x in _candidate_points(l, 3 * n_pts, exact, seed=911 + attempt)
-            if _pole_free(x, params)
-        ][:n_pts]
-        if len(pts) < n_pts:
-            continue
-        basis_polys = [orbit_sum_W(rep, l) for rep in support]
-        rows = [[bp.evaluate(x) for bp in basis_polys] for x in pts]
-        rhs = [dk_evaluate(p, x, params) for x in pts]
-        try:
-            sol = solve_linear(
-                [row for row in rows[: len(support)]], rhs[: len(support)]
-            )
-        except ZeroDivisionError:
-            continue
-        ok = True
-        for row, target in zip(rows[len(support) :], rhs[len(support) :]):
-            fit = sum(c * v for c, v in zip(sol, row))
-            err = abs(fit - target)
-            scale = 1 + abs(target)
-            if (err != 0) if exact else (err > 1e-7 * scale):
-                ok = False
-                break
-        if ok:
-            coeffs = {rep: c for rep, c in zip(support, sol) if c != 0}
-            return rebuild_from_basis(coeffs, "W", l)
-    raise ArithmeticError("dk_apply interpolation failed: inconsistent support")
-
-
-def dk_matrix(downset: list, params: KoornwinderParams, l: int) -> dict:
-    """M[nu][mu] = coefficient of m~_nu in D_K m~_mu, over a downset."""
-    index = {rep: i for i, rep in enumerate(downset)}
-    matrix = {}
-    for mu in downset:
-        image = dk_apply(orbit_sum_W(mu, l), params)
-        col = expand_in_basis(image, "W") if not image.is_zero else {}
-        for nu, c in col.items():
-            if nu not in index:
-                raise ArithmeticError("D_K image escaped the dominance downset")
-        matrix[mu] = col
-    return matrix
+    (image,) = _dk_columns(support, [coeffs], params, exact)
+    return rebuild_from_basis(image, "W", p.nvars)
 
 
 def eigenvalue(lam, params: KoornwinderParams):
@@ -264,17 +315,22 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
         raise ValueError("mode must be 'triangular' or 'gram'")
     downset = dominant_downset(lam)
     exact = params.is_exact
-    e_lam = eigenvalue(lam, params)
+    energy = {mu: eigenvalue(mu, params) for mu in downset}
+    e_lam = energy[lam]
     for mu in downset:
         if mu == lam:
             continue
-        e_mu = eigenvalue(mu, params)
-        gap = abs(e_lam - e_mu)
+        gap = abs(e_lam - energy[mu])
         if gap == 0 or (not exact and gap < _COLLISION_TOL * (1 + abs(e_lam))):
             raise EigenvalueCollisionError(
                 f"E_{lam} collides with E_{mu}; use mode='gram'"
             )
-    matrix = dk_matrix(downset, params, l)
+    # matrix[mu][nu]: coefficient of m~_nu in D_K m~_mu
+    matrix = dict(
+        zip(downset, _dk_columns(downset, [{mu: 1} for mu in downset], params, exact))
+    )
+    if exact and any(matrix[mu].get(mu, 0) != energy[mu] for mu in downset):
+        raise ArithmeticError("D_K diagonal differs from the eigenvalues E_mu")
     coeffs = {lam: 1}
     for mu in reversed(downset):
         if mu == lam:

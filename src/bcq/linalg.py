@@ -73,44 +73,22 @@ def mat_transpose(a):
 
 def mat_inverse(a):
     """Inverse by Gauss-Jordan; exact when entries are rational."""
-    n = len(a)
-    exact = all(_is_exact(x) for row in a for x in row)
-    work = [
-        [Fraction(x) if exact else complex(x) for x in row] + [
-            Fraction(int(i == j)) if exact else complex(i == j) for j in range(n)
-        ]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        pivot = None
-        if exact:
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            pivot = max(range(col, n), key=lambda r: abs(work[r][col]))
-            if abs(work[pivot][col]) == 0:
-                pivot = None
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = work[col][col]
-        work[col] = [x / inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    if not all(_is_exact(x) for row in a for x in row):
+        a = [[complex(x) for x in row] for row in a]
+    return solve_linear(a, mat_identity(len(a)))
 
 
 def solve_linear(a, b):
-    """Solve A x = b for a single right-hand side vector."""
+    """Solve A X = B by Gauss-Jordan elimination.
+
+    ``b`` is one right-hand-side vector (the solution is a vector) or a
+    block given as rows, one per equation (the solution is a block, one row
+    per unknown).  Raises ``ZeroDivisionError`` on a singular ``a``.
+    """
     n = len(a)
-    exact = all(_is_exact(x) for row in a for x in row) and all(
-        _is_exact(x) for x in b
-    )
-    work = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    block = n > 0 and isinstance(b[0], (list, tuple))
+    work = [list(row) + (list(rhs) if block else [rhs]) for row, rhs in zip(a, b)]
+    exact = all(_is_exact(x) for row in work for x in row)
     if exact:
         work = [[Fraction(x) for x in row] for row in work]
     for col in range(n):
@@ -129,7 +107,7 @@ def solve_linear(a, b):
             if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [work[i][n] for i in range(n)]
+    return [row[n:] for row in work] if block else [row[n] for row in work]
 
 
 def flip_matrix(n: int):

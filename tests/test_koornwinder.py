@@ -6,6 +6,7 @@ import pytest
 
 from bcq.koornwinder import (
     KoornwinderParams,
+    _dk_columns,
     check_symmetries,
     dk_apply,
     dk_evaluate,
@@ -55,6 +56,24 @@ def test_eigenvalue_frozen():
     assert eigenvalue((0, 0), PARAMS2) == 0
 
 
+def test_eigen_identity_exact_direct_evaluation():
+    # dk_evaluate evaluates the operator directly, apart from the collocation
+    # engine; the denominators 23..43 are never those of collocation points
+    points = {
+        2: [(F(5, 23), F(31, 29)), (F(44, 37), F(9, 41))],
+        3: [(F(5, 23), F(31, 29), F(7, 43)), (F(44, 37), F(9, 41), F(50, 31))],
+        4: [
+            (F(5, 23), F(31, 29), F(7, 43), F(40, 41)),
+            (F(44, 37), F(9, 41), F(50, 31), F(3, 23)),
+        ],
+    }
+    for lam in ((2, 1), (2, 1, 1), (2, 1, 1, 0)):
+        poly = koornwinder_poly(lam, PARAMS2)
+        e_lam = eigenvalue(lam, PARAMS2)
+        for x in points[len(lam)]:
+            assert dk_evaluate(poly, x, PARAMS2) == e_lam * poly.evaluate(x), (lam, x)
+
+
 def test_monic_and_triangular():
     lam = (2, 1)
     poly = koornwinder_poly(lam, PARAMS2)
@@ -90,6 +109,13 @@ def test_dk_evaluate_matches_dk_apply():
     image = dk_apply(p, PARAMS2)
     x = (F(3, 5), F(7, 11))
     assert dk_evaluate(p, x, PARAMS2) == image.evaluate(x)
+
+
+def test_inconsistent_support_raises():
+    # D_K m~_(2,0) has m~_(1,0) and m~_(1,1) terms, which this support lacks,
+    # so the held-out points reject every seed
+    with pytest.raises(ArithmeticError):
+        _dk_columns([(0, 0), (2, 0)], [{(2, 0): 1}], PARAMS2, True)
 
 
 def test_constant_is_eigenvector_with_zero_eigenvalue():

@@ -34,7 +34,7 @@ def test_inverse_roundtrip_exact():
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ZeroDivisionError):
         mat_inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
@@ -43,6 +43,16 @@ def test_solve_linear():
     b = [F(5), F(10)]
     x = solve_linear(a, b)
     assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == b
+
+
+def test_solve_linear_block():
+    a = [[F(2), F(1)], [F(1), F(3)]]
+    b = [[F(5), F(1)], [F(10), F(0)]]
+    x = solve_linear(a, b)
+    assert mat_mul(a, x) == b
+    assert x == [[F(1), F(3, 5)], [F(3), F(-1, 5)]]
+    with pytest.raises(ZeroDivisionError):
+        solve_linear([[F(1), F(2)], [F(2), F(4)]], [[F(1)], [F(2)]])
 
 
 def test_kron_shape_and_values():
