@@ -114,6 +114,22 @@ def _koornwinder_params(args) -> KoornwinderParams:
     return KoornwinderParams(ts[0], ts[1], ts[2], ts[3], parse_scalar(args.q), args.k)
 
 
+def _jacobi_params(args, family: str):
+    """Big (--a --b --c --d) or little (--a --b) q-Jacobi parameters."""
+    if family == "big":
+        return BigJacobiParams(
+            parse_scalar(args.a),
+            parse_scalar(args.b),
+            parse_scalar(args.c),
+            parse_scalar(args.d),
+            parse_scalar(args.q),
+            args.k,
+        )
+    return LittleJacobiParams(
+        parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
+    )
+
+
 def cmd_poly(args) -> int:
     lam = parse_weight(getattr(args, "lam"))
     l = len(lam)
@@ -131,14 +147,7 @@ def cmd_poly(args) -> int:
             "k": params.k,
         }
     elif args.family == "big":
-        params = BigJacobiParams(
-            parse_scalar(args.a),
-            parse_scalar(args.b),
-            parse_scalar(args.c),
-            parse_scalar(args.d),
-            parse_scalar(args.q),
-            args.k,
-        )
+        params = _jacobi_params(args, "big")
         poly = big_jacobi_poly(lam, params, l, trunc)
         basis = "monomial-symmetric"
         params_doc = {
@@ -150,9 +159,7 @@ def cmd_poly(args) -> int:
             "k": params.k,
         }
     else:
-        params = LittleJacobiParams(
-            parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
-        )
+        params = _jacobi_params(args, "little")
         poly = little_jacobi_poly(lam, params, l, trunc)
         basis = "monomial-symmetric"
         params_doc = {
@@ -198,49 +205,16 @@ def _verify_reports(args) -> list:
     if suite == "orthogonality":
         return [koornwinder_normalization_check(args.l, _koornwinder_params(args), grid)]
     if suite == "selberg-constants":
-        if args.family == "big":
-            params = BigJacobiParams(
-                parse_scalar(args.a),
-                parse_scalar(args.b),
-                parse_scalar(args.c),
-                parse_scalar(args.d),
-                parse_scalar(args.q),
-                args.k,
-            )
-        else:
-            params = LittleJacobiParams(
-                parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
-            )
+        params = _jacobi_params(args, args.family)
         return [jacobi_normalization_check(params, args.l, trunc)]
     if suite == "limit-big":
-        params = BigJacobiParams(
-            parse_scalar(args.a),
-            parse_scalar(args.b),
-            parse_scalar(args.c),
-            parse_scalar(args.d),
-            parse_scalar(args.q),
-            args.k,
-        )
+        params = _jacobi_params(args, "big")
         return [limit_check_big(parse_weight(args.lam), params)]
     if suite == "limit-little":
-        params = LittleJacobiParams(
-            parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
-        )
+        params = _jacobi_params(args, "little")
         return [limit_check_little(parse_weight(args.lam), params)]
     if suite == "norm-limit":
-        if args.family == "big":
-            params = BigJacobiParams(
-                parse_scalar(args.a),
-                parse_scalar(args.b),
-                parse_scalar(args.c),
-                parse_scalar(args.d),
-                parse_scalar(args.q),
-                args.k,
-            )
-        else:
-            params = LittleJacobiParams(
-                parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
-            )
+        params = _jacobi_params(args, args.family)
         return [norm_limit_check(parse_weight(args.lam), params)]
     if suite == "symmetry":
         return [check_symmetries(parse_weight(args.lam), _koornwinder_params(args))]
@@ -306,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_poly = sub.add_parser("poly", help="construct a polynomial")
+    # no option abbreviations: "--l" must not be read as "--lambda"
+    p_poly = sub.add_parser("poly", help="construct a polynomial", allow_abbrev=False)
     p_poly.add_argument(
         "--family", required=True, choices=("koornwinder", "big", "little")
     )
     p_poly.add_argument("--lambda", dest="lam", required=True, help="e.g. 2,1")
-    p_poly.add_argument("--l", type=int, default=None)
     p_poly.add_argument("--q", required=True)
     p_poly.add_argument("--k", type=int, default=1)
     p_poly.add_argument("--t", help="t0,t1,t2,t3 (koornwinder)")
@@ -337,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d")
     p_verify.add_argument("--family", choices=("big", "little"), default="little")
     p_verify.add_argument("--lambda", dest="lam", default="1")
-    p_verify.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=cmd_verify)
 
     p_grass = sub.add_parser("grassmann", help="parameter table for a shape")

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import solve_linear
+from .linalg import _inv, _is_exact, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from .report import Timer, VerificationReport
 from .weights import dominant_downset
@@ -40,10 +40,6 @@ _COLLISION_TOL = 1e-10
 
 class EigenvalueCollisionError(ArithmeticError):
     """Triangular solve is unavailable; caller should use the fallback mode."""
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -292,7 +288,7 @@ def eigenvalue(lam, params: KoornwinderParams):
     t = params.t
     t4 = params.t0 * params.t1 * params.t2 * params.t3
     total = 0
-    qinv = (Fraction(1, 1) / q) if _is_exact(q) else 1 / q
+    qinv = _inv(q)
     for j in range(1, l + 1):
         lj = lam[j - 1]
         total += qinv * t4 * t ** (2 * l - j - 1) * (q**lj - 1)

@@ -15,6 +15,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _inv(x):
+    """1/x, exact (a ``Fraction``) when x is rational."""
+    return Fraction(1, 1) / x if _is_exact(x) else 1 / x
+
+
 def mat_identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -34,21 +39,6 @@ def mat_mul(a, b):
                 if bt[j] != 0:
                     oi[j] += c * bt[j]
     return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_max_abs_diff(a, b):
-    return max(
-        (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-        default=0,
-    )
 
 
 def mat_kron(a, b):

@@ -16,6 +16,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import _inv, _is_exact
 from .weights import (
     WeightVector,
     dominant_representative,
@@ -23,10 +24,6 @@ from .weights import (
 )
 
 MAX_VARS = 8
-
-
-def _is_exact_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction))
 
 
 class LaurentPoly:
@@ -74,7 +71,7 @@ class LaurentPoly:
     def domain(self) -> str:
         return (
             "rational"
-            if all(_is_exact_scalar(c) for c in self.terms.values())
+            if all(_is_exact(c) for c in self.terms.values())
             else "complex"
         )
 
@@ -162,7 +159,7 @@ class LaurentPoly:
                 if e >= 0:
                     val *= x**e
                 else:
-                    val *= (1 / x) ** (-e) if not _is_exact_scalar(x) else Fraction(1, 1) / x**(-e)
+                    val *= (1 / x) ** (-e) if not _is_exact(x) else Fraction(1, 1) / x**(-e)
             total += val
         return total
 
@@ -177,7 +174,7 @@ class LaurentPoly:
                 if e >= 0:
                     c *= f**e
                 else:
-                    c *= (Fraction(1, 1) / f) ** (-e) if _is_exact_scalar(f) else (1 / f) ** (-e)
+                    c *= _inv(f) ** (-e)
             out[exp] = out.get(exp, 0) + c
         return LaurentPoly(self.nvars, out)
 

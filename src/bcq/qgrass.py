@@ -4,10 +4,12 @@ Matrix side: the standard GL_n R-matrix
 
     R = sum_{ij} q^{delta_ij} e_ii(x)e_jj + (q-q^{-1}) sum_{i>j} e_ij(x)e_ji,
 
-its closed-form inverse R^- and flip conjugate R^+ = PRP, the quantum
-Yang-Baxter equation, the reflection equation
-R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by the J-matrices, and the
-transposed linear equation solved by the tilde J-matrix.
+its inverse R^- = R^{-1}, which is R at q^{-1} (R^-(q) = R(q^{-1})), the
+flip conjugates R^+ = PRP = R^T and (R21)^{-1} = P R^{-1} P = (R^-)^T
+(transposes in the basis e_i (x) e_j), the quantum Yang-Baxter equation,
+the reflection equation R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by
+the J-matrices, and the transposed linear equation solved by the tilde
+J-matrix.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 beta: V*(x)V -> V(x)V*, the intertwiners Psi_hat_r and Theta_hat_r built
@@ -26,16 +28,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
-    mat_equal,
+    _inv,
+    _is_exact,
+    flip_matrix,
     mat_identity,
     mat_inverse,
     mat_kron,
-    mat_max_abs_diff,
     mat_mul,
+    mat_transpose,
     partial_transpose_first,
 )
 from .polyring import LaurentPoly, _schur_partition, schur
@@ -49,25 +52,44 @@ from .weights import (
 )
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+def _compare_report(identity: str, params: dict, exact: bool, differences):
+    """Time ``differences()``, an iterable of lhs - rhs entries, and report
+    it: exact mode passes iff every difference is zero, float mode iff the
+    largest |difference| (the residual) is below 1e-10."""
+    with Timer() as timer:
+        diffs = differences()
+        if exact:
+            passed = all(d == 0 for d in diffs)
+            residual = None
+        else:
+            residual = max((abs(d) for d in diffs), default=0.0)
+            passed = residual < 1e-10
+    return VerificationReport(
+        identity=identity,
+        params=params,
+        exact=exact,
+        residual=residual,
+        runtime_ms=timer.ms,
+        passed=passed,
+    )
 
 
-def _qinv(q):
-    return Fraction(1, 1) / q if _is_exact(q) else 1 / q
+def _matrix_diffs(a, b):
+    """Entrywise a - b of two equal-shape matrices, row by row."""
+    return (x - y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- R-matrices and matrix equations --------------------------------------
 
-def r_matrix(n: int, q):
-    """R on C^n (x) C^n in the basis e_i (x) e_j, index i*n+j."""
+def _r(n: int, d, c):
+    """d on the e_i (x) e_i diagonal, 1 on the rest of the diagonal, and c at
+    (e_i (x) e_j, e_j (x) e_i) for i > j; index i*n+j."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    c = q - _qinv(q)
     out = [[0] * (n * n) for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
-            out[i * n + j][i * n + j] = q if i == j else 1
+            out[i * n + j][i * n + j] = d if i == j else 1
     for i in range(n):
         for j in range(i):
             # (e_ij (x) e_ji)(e_j (x) e_i) = e_i (x) e_j for i > j
@@ -75,92 +97,51 @@ def r_matrix(n: int, q):
     return out
 
 
+def r_matrix(n: int, q):
+    """R on C^n (x) C^n in the basis e_i (x) e_j, index i*n+j."""
+    return _r(n, q, q - _inv(q))
+
+
 def r_minus(n: int, q):
-    """R^- = R^{-1}, in closed form."""
-    qi = _qinv(q)
-    c = q - qi
-    out = [[0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i * n + j][i * n + j] = qi if i == j else 1
-    for i in range(n):
-        for j in range(i):
-            out[i * n + j][j * n + i] = -c
-    return out
+    """R^- = R^{-1} = R(q^{-1}), in closed form."""
+    qi = _inv(q)
+    return _r(n, qi, qi - q)
 
 
 def r_plus(n: int, q):
-    """R^+ = P R P: the off-diagonal entries move to i < j."""
-    c = q - _qinv(q)
-    out = [[0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i * n + j][i * n + j] = q if i == j else 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i * n + j][j * n + i] = c
-    return out
+    """R^+ = P R P = R^T: the off-diagonal entries move to i < j."""
+    return mat_transpose(r_matrix(n, q))
 
 
 def r21_minus(n: int, q):
-    """(R21)^{-1} = P R^{-1} P."""
-    qi = _qinv(q)
-    c = q - qi
-    out = [[0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i * n + j][i * n + j] = qi if i == j else 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i * n + j][j * n + i] = -c
-    return out
+    """(R21)^{-1} = P R^{-1} P = (R^-)^T."""
+    return mat_transpose(r_minus(n, q))
 
 
-def _embed_pair(m, n: int, a: int, b: int):
-    """Embed an n^2 x n^2 matrix acting on tensor slots (a,b) of C^n(x)3."""
-    size = n**3
-    out = [[0] * size for _ in range(size)]
-    slots = (0, 1, 2)
-    rest = next(s for s in slots if s not in (a, b))
-    for idx in itertools.product(range(n), repeat=3):
-        row = idx[0] * n * n + idx[1] * n + idx[2]
-        for ca in range(n):
-            for cb in range(n):
-                val = m[idx[a] * n + idx[b]][ca * n + cb]
-                if val == 0:
-                    continue
-                col_idx = [0, 0, 0]
-                col_idx[a] = ca
-                col_idx[b] = cb
-                col_idx[rest] = idx[rest]
-                col = col_idx[0] * n * n + col_idx[1] * n + col_idx[2]
-                out[row][col] = val
-    return out
+def _x1(x, n: int):
+    return mat_kron(x, mat_identity(n))
+
+
+def _x2(x, n: int):
+    return mat_kron(mat_identity(n), x)
 
 
 def qybe_check(n: int, q) -> VerificationReport:
-    """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n."""
-    with Timer() as timer:
+    """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n, with R12 = R (x) 1,
+    R23 = 1 (x) R and R13 = P23 R12 P23."""
+
+    def differences():
         r = r_matrix(n, q)
-        r12 = _embed_pair(r, n, 0, 1)
-        r13 = _embed_pair(r, n, 0, 2)
-        r23 = _embed_pair(r, n, 1, 2)
+        r12 = _x1(r, n)
+        r23 = _x2(r, n)
+        p23 = _x2(flip_matrix(n), n)
+        r13 = mat_mul(mat_mul(p23, r12), p23)
         lhs = mat_mul(mat_mul(r12, r13), r23)
         rhs = mat_mul(mat_mul(r23, r13), r12)
-        exact = _is_exact(q)
-        if exact:
-            passed = mat_equal(lhs, rhs)
-            residual = None
-        else:
-            residual = mat_max_abs_diff(lhs, rhs)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity="quantum-yang-baxter",
-        params={"n": n, "q": str(q)},
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
+        return _matrix_diffs(lhs, rhs)
+
+    return _compare_report(
+        "quantum-yang-baxter", {"n": n, "q": str(q)}, _is_exact(q), differences
     )
 
 
@@ -208,17 +189,10 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
     return out
 
 
-def _x1(x, n: int):
-    return mat_kron(x, mat_identity(n))
-
-
-def _x2(x, n: int):
-    return mat_kron(mat_identity(n), x)
-
-
 def reflection_check(x, n: int, q) -> VerificationReport:
     """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n matrix X."""
-    with Timer() as timer:
+
+    def differences():
         r = r_matrix(n, q)
         rm = r_minus(n, q)
         rp = r_plus(n, q)
@@ -227,52 +201,25 @@ def reflection_check(x, n: int, q) -> VerificationReport:
         x2 = _x2(x, n)
         lhs = mat_mul(mat_mul(mat_mul(r, x1), rm), x2)
         rhs = mat_mul(mat_mul(mat_mul(x2, r21m), x1), rp)
-        exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row)
-        if exact:
-            passed = mat_equal(lhs, rhs)
-            residual = None
-        else:
-            residual = mat_max_abs_diff(lhs, rhs)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity="reflection-equation",
-        params={"n": n, "q": str(q)},
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
+        return _matrix_diffs(lhs, rhs)
+
+    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row)
+    return _compare_report(
+        "reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
 
 
 def _partial_transpose_inverse(m, n: int):
     """Inverse of an n^2 x n^2 matrix that is diagonal away from the span of
-    the e_i (x) e_i basis vectors (the shape of the partially transposed
-    R-matrices); falls back to dense elimination otherwise."""
+    the e_i (x) e_i basis vectors, the shape of every partial transpose of
+    an R-type matrix: an n x n block inverse plus reciprocals."""
     size = n * n
     diag = [i * n + i for i in range(n)]
     dset = set(diag)
-    structured = True
-    for col in range(size):
-        for row in range(size):
-            if m[row][col] == 0:
-                continue
-            if col in dset:
-                if row not in dset:
-                    structured = False
-                    break
-            elif row != col:
-                structured = False
-                break
-        if not structured:
-            break
-    if not structured:
-        return mat_inverse(m)
     out = [[0] * size for _ in range(size)]
-    exact = all(_is_exact(v) for row in m for v in row)
     for col in range(size):
         if col not in dset:
-            d = m[col][col]
-            out[col][col] = Fraction(1, 1) / d if exact else 1 / d
+            out[col][col] = _inv(m[col][col])
     block = [[m[r][c] for c in diag] for r in diag]
     binv = mat_inverse(block)
     for a, r in enumerate(diag):
@@ -284,7 +231,8 @@ def _partial_transpose_inverse(m, n: int):
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
     = R^{t1} Jt_2 (R^{t1})^{-1} Js_1."""
-    with Timer() as timer:
+
+    def differences():
         a = partial_transpose_first(r21_minus(n, q), n)
         b = partial_transpose_first(r_matrix(n, q), n)
         a_inv = _partial_transpose_inverse(a, n)
@@ -293,22 +241,13 @@ def refalt_check(jt, js, n: int, q) -> VerificationReport:
         jt2 = _x2(jt, n)
         lhs = mat_mul(mat_mul(mat_mul(js1, a), jt2), a_inv)
         rhs = mat_mul(mat_mul(mat_mul(b, jt2), b_inv), js1)
-        exact = _is_exact(q) and all(
-            _is_exact(v) for mat in (jt, js) for row in mat for v in row
-        )
-        if exact:
-            passed = mat_equal(lhs, rhs)
-            residual = None
-        else:
-            residual = mat_max_abs_diff(lhs, rhs)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity="transposed-reflection-equation",
-        params={"n": n, "q": str(q)},
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
+        return _matrix_diffs(lhs, rhs)
+
+    exact = _is_exact(q) and all(
+        _is_exact(v) for mat in (jt, js) for row in mat for v in row
+    )
+    return _compare_report(
+        "transposed-reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
 
 
@@ -333,31 +272,17 @@ def wedge(i_tuple, j_tuple, q):
 
 
 def wedge_dual(i_tuple, j_tuple, q):
-    """v*_I ^ v*_J = sgn(J;I) v*_{I u J}."""
-    s = qsgn(j_tuple, i_tuple, q)
-    if s == 0:
-        return 0, None
-    return s, tuple(sorted(set(i_tuple) | set(j_tuple)))
+    """v*_I ^ v*_J = sgn(J;I) v*_{I u J}, i.e. ``wedge(J, I)``."""
+    return wedge(j_tuple, i_tuple, q)
 
 
-def _project_word(word, q):
-    """Wedge a word v_{a_1} (x) ... (x) v_{a_r} to (sign, subset)."""
+def _project_word(word, q, product):
+    """Wedge a word w_{a_1} (x) ... (x) w_{a_r} to (sign, subset), with
+    ``product`` = ``wedge`` for vectors or ``wedge_dual`` for dual vectors."""
     coeff = 1
     acc = ()
     for a in word:
-        coeff2, acc = wedge(acc, (a,), q)
-        if coeff2 == 0:
-            return 0, None
-        coeff *= coeff2
-    return coeff, acc
-
-
-def _project_word_dual(word, q):
-    """Wedge a dual word v*_{a_1} (x) ... (x) v*_{a_r} to (sign, subset)."""
-    coeff = 1
-    acc = ()
-    for a in word:
-        coeff2, acc = wedge_dual(acc, (a,), q)
+        coeff2, acc = product(acc, (a,), q)
         if coeff2 == 0:
             return 0, None
         coeff *= coeff2
@@ -456,7 +381,7 @@ def u_tilde_vector(shape: GrassmannShape, r: int, q) -> QExtVector:
 def beta_map(key_pair, q):
     """beta(v*_i (x) v_j) as a list of ((vector_index, dual_index), coeff)."""
     i, j = key_pair
-    qi = _qinv(q)
+    qi = _inv(q)
     if i != j:
         return [((j, i), 1)]
     out = [((j, i), qi)]
@@ -498,10 +423,10 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
         raise AssertionError("braiding did not sort the tensor factors")
     out = {}
     for key, c in coeffs.items():
-        sv, i_set = _project_word(key[:r], q)
+        sv, i_set = _project_word(key[:r], q, wedge)
         if sv == 0:
             continue
-        sd, j_set = _project_word_dual(key[r:], q)
+        sd, j_set = _project_word(key[r:], q, wedge_dual)
         if sd == 0:
             continue
         k2 = (i_set, j_set)
@@ -513,7 +438,7 @@ def phi_hat_r(i_set, j: int, q):
     """The braiding Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*):
     list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j."""
     i_set = tuple(sorted(i_set))
-    qi = _qinv(q)
+    qi = _inv(q)
     if j not in i_set:
         return [((j, i_set), 1)]
     rest = tuple(x for x in i_set if x != j)
@@ -571,11 +496,15 @@ def principal_term(v: QExtVector, shape: GrassmannShape, r: int) -> QExtVector:
     return QExtVector(v.space, out)
 
 
+def _constant_base(sigma: int, l: int, q, tilde: bool):
+    """q^sigma, or q^{sigma-1} q^{2(1-l)} for the tilde vectors."""
+    return q ** (sigma - 1) * q ** (2 * (1 - l)) if tilde else q**sigma
+
+
 def psi_constant(r: int, sigma: int, l: int, q, tilde: bool = False):
     """The exact principal-term constants of the composed intertwiner on the
     r-th tensor power of w^sigma (or w~^sigma)."""
-    base = q ** (sigma - 1) * q ** (2 * (1 - l)) if tilde else q**sigma
-    prefactor = (base / (q * q - 1)) ** r
+    prefactor = (_constant_base(sigma, l, q, tilde) / (q * q - 1)) ** r
     prod = 1
     for i in range(1, r + 1):
         prod *= 1 - (q * q) ** i
@@ -583,8 +512,25 @@ def psi_constant(r: int, sigma: int, l: int, q, tilde: bool = False):
 
 
 def theta_constant(r: int, sigma: int, l: int, q, tilde: bool = False):
-    base = q ** (sigma - 1) * q ** (2 * (1 - l)) if tilde else q**sigma
+    """-q^sigma (1-q^{2r})/(1-q^2), or its tilde analog."""
+    base = _constant_base(sigma, l, q, tilde)
     return -base * (1 - q ** (2 * r)) / (1 - q * q)
+
+
+def _u(shape: GrassmannShape, r: int, q, tilde: bool) -> QExtVector:
+    """u~_r for the tilde vectors, u_r otherwise."""
+    return u_tilde_vector(shape, r, q) if tilde else u_vector(shape, r)
+
+
+def _intertwiner_params(shape: GrassmannShape, r, sigma, q, tilde) -> dict:
+    return {
+        "n": shape.n,
+        "l": shape.l,
+        "r": r,
+        "sigma": sigma,
+        "q": str(q),
+        "tilde": tilde,
+    }
 
 
 def intertwiner_check(
@@ -592,35 +538,19 @@ def intertwiner_check(
 ) -> VerificationReport:
     """Principal term of the composed intertwiner applied to the r-th tensor
     power of the fixed vector equals the closed-form constant times u_r."""
-    with Timer() as timer:
-        w_s, w_t, _ = w_vectors(shape, sigma, q)
-        w = w_t if tilde else w_s
-        target = (
-            u_tilde_vector(shape, r, q) if tilde else u_vector(shape, r)
-        ).scale(psi_constant(r, sigma, shape.l, q, tilde))
+
+    def differences():
+        w = w_vectors(shape, sigma, q)[1 if tilde else 0]
+        constant = psi_constant(r, sigma, shape.l, q, tilde)
+        target = _u(shape, r, q, tilde).scale(constant)
         got = principal_term(psi_hat_r(tensor_power(w, r), shape, r, q), shape, r)
-        diff = got - target
-        exact = _is_exact(q)
-        if exact:
-            passed = diff.is_zero
-            residual = None
-        else:
-            residual = max((abs(v) for v in diff.coeffs.values()), default=0.0)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity="intertwiner-principal-constant",
-        params={
-            "n": shape.n,
-            "l": shape.l,
-            "r": r,
-            "sigma": sigma,
-            "q": str(q),
-            "tilde": tilde,
-        },
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
+        return (got - target).coeffs.values()
+
+    return _compare_report(
+        "intertwiner-principal-constant",
+        _intertwiner_params(shape, r, sigma, q, tilde),
+        _is_exact(q),
+        differences,
     )
 
 
@@ -629,39 +559,20 @@ def theta_constant_check(
 ) -> VerificationReport:
     """Principal term of Theta_hat_r(u_{r-1} (x) w^sigma) equals
     -q^sigma (1-q^{2r})/(1-q^2) u_r (and the tilde analog)."""
-    with Timer() as timer:
-        w_s, w_t, _ = w_vectors(shape, sigma, q)
-        if tilde:
-            u_in = u_tilde_vector(shape, r - 1, q)
-            target = u_tilde_vector(shape, r, q)
-            w = w_t
-        else:
-            u_in = u_vector(shape, r - 1)
-            target = u_vector(shape, r)
-            w = w_s
+
+    def differences():
+        w = w_vectors(shape, sigma, q)[1 if tilde else 0]
+        u_in = _u(shape, r - 1, q, tilde)
+        constant = theta_constant(r, sigma, shape.l, q, tilde)
+        target = _u(shape, r, q, tilde).scale(constant)
         got = principal_term(theta_hat_r(u_in, w, shape, q), shape, r)
-        diff = got - target.scale(theta_constant(r, sigma, shape.l, q, tilde))
-        exact = _is_exact(q)
-        if exact:
-            passed = diff.is_zero
-            residual = None
-        else:
-            residual = max((abs(v) for v in diff.coeffs.values()), default=0.0)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity="theta-principal-constant",
-        params={
-            "n": shape.n,
-            "l": shape.l,
-            "r": r,
-            "sigma": sigma,
-            "q": str(q),
-            "tilde": tilde,
-        },
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
+        return (got - target).coeffs.values()
+
+    return _compare_report(
+        "theta-principal-constant",
+        _intertwiner_params(shape, r, sigma, q, tilde),
+        _is_exact(q),
+        differences,
     )
 
 

@@ -91,26 +91,6 @@ def qpochhammer_multi(a_list, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
     return prod
 
 
-def log_qpochhammer_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """log (a;q)_infty for real a with all factors positive.
-
-    Computed as a sum of log(1 - q^j a); used where the direct product would
-    underflow (q close to 1).
-    """
-    total = 0.0
-    term = float(a)
-    qv = float(_as_qbase(q).q)
-    for _ in range(policy.max_terms):
-        if abs(term) < policy.abs_tol:
-            return total
-        f = 1 - term
-        if f <= 0:
-            raise ValueError("log_qpochhammer_inf needs positive factors")
-        total += math.log(f)
-        term *= qv
-    raise NonConvergenceError("log_qpochhammer_inf: max_terms hit")
-
-
 def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """log Gamma_q(a) = (1-a) log(1-q) + sum_j log((1-q^{j+1})/(1-q^{j+a})).
 

@@ -226,3 +226,20 @@ def test_float_output_independent_of_hash_seed():
         proc = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # poly --l was parsed and never read; it must not become --lambda either
+        ("poly", "--family", "little", "--lambda", "2", "--a", "1/2", "--b", "1/3",
+         "--q", "1/4", "--l", "1"),
+        # --format pretty was accepted and printed json
+        ("verify", "qybe", "--n", "2", "--format", "pretty"),
+    ],
+)
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err

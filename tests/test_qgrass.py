@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bcq.linalg import mat_identity, mat_mul
+from bcq.linalg import flip_matrix, mat_identity, mat_mul, mat_transpose
 from bcq.qgrass import (
     QExtVector,
     beta_map,
@@ -23,6 +23,7 @@ from bcq.qgrass import (
     qybe_check,
     r_matrix,
     r_minus,
+    r21_minus,
     r_plus,
     refalt_check,
     reflection_check,
@@ -55,6 +56,54 @@ def test_r_inverses():
     for n in (2, 3):
         assert mat_mul(r_matrix(n, Q), r_minus(n, Q)) == mat_identity(n * n)
         assert mat_mul(r_plus(n, Q), r_minus(n, Q)) != mat_identity(n * n)
+
+
+def _assert_matrices_match(a, b, exact):
+    if exact:
+        assert a == b
+    else:
+        diffs = (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        assert max(diffs) < 1e-12
+
+
+@pytest.mark.parametrize("q", [F(1, 2), 0.3])
+def test_r_matrix_identities(q):
+    exact = isinstance(q, F)
+    for n in (2, 3, 4, 5):
+        p = flip_matrix(n)
+        identity = mat_identity(n * n)
+        r, rm = r_matrix(n, q), r_minus(n, q)
+        # R^+ = P R P = R^T
+        assert r_plus(n, q) == mat_mul(mat_mul(p, r), p) == mat_transpose(r)
+        # (R21)^{-1} = P R^{-1} P = (R^-)^T, the inverse of R21 = R^+
+        assert r21_minus(n, q) == mat_mul(mat_mul(p, rm), p) == mat_transpose(rm)
+        _assert_matrices_match(mat_mul(r_plus(n, q), r21_minus(n, q)), identity, exact)
+        # R^-(q) = R(q^{-1}) and R R^- = I
+        _assert_matrices_match(rm, r_matrix(n, 1 / q), exact)
+        _assert_matrices_match(mat_mul(r, rm), identity, exact)
+
+
+def test_checks_float_mode():
+    q = 0.3
+    shape = GrassmannShape(4, 2)
+    js, jt = j_sigma(4, 2, 1, q), j_tilde_sigma(4, 2, 1, q)
+    reports = [
+        qybe_check(3, q),
+        reflection_check(js, 4, q),
+        refalt_check(jt, js, 4, q),
+        intertwiner_check(shape, 2, 1, q, tilde=False),
+        intertwiner_check(shape, 2, 1, q, tilde=True),
+        theta_constant_check(shape, 2, 1, q, tilde=False),
+        theta_constant_check(shape, 2, 1, q, tilde=True),
+    ]
+    for report in reports:
+        assert report.exact is False, report.identity
+        assert report.residual < 1e-10 and report.passed, report.identity
+    perturbed = [row[:] for row in js]
+    perturbed[0][1] += 1e-3
+    report = reflection_check(perturbed, 4, q)
+    assert report.exact is False
+    assert report.residual > 1e-10 and not report.passed
 
 
 def test_qybe_exact():
