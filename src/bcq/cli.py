@@ -59,25 +59,28 @@ from .qjacobi import (
     LittleJacobiParams,
     SumTruncation,
     big_jacobi_poly,
+    jacobi_params_doc,
     little_jacobi_poly,
 )
 from .qjacobi import normalization_check as jacobi_normalization_check
 from .qseries import NonConvergenceError
 from .weights import GrassmannShape, fundamental_spherical
 
-SUITES = (
-    "orthogonality",
-    "selberg-constants",
-    "reflection",
-    "intertwiner",
-    "branching",
-    "limit-big",
-    "limit-little",
-    "norm-limit",
-    "symmetry",
-    "qybe",
-    "classical",
-)
+# each suite with the options it cannot run without; --family big adds
+# --c and --d to selberg-constants and norm-limit
+SUITES = {
+    "orthogonality": ("l", "t"),
+    "selberg-constants": ("l", "a", "b"),
+    "reflection": ("n", "l"),
+    "intertwiner": ("n", "l"),
+    "branching": ("n", "l"),
+    "limit-big": ("a", "b", "c", "d"),
+    "limit-little": ("a", "b"),
+    "norm-limit": ("a", "b"),
+    "symmetry": ("t",),
+    "qybe": ("n",),
+    "classical": (),
+}
 
 
 def parse_scalar(text: str):
@@ -146,28 +149,12 @@ def cmd_poly(args) -> int:
             "q": str(params.q),
             "k": params.k,
         }
-    elif args.family == "big":
-        params = _jacobi_params(args, "big")
-        poly = big_jacobi_poly(lam, params, l, trunc)
-        basis = "monomial-symmetric"
-        params_doc = {
-            "a": str(params.a),
-            "b": str(params.b),
-            "c": str(params.c),
-            "d": str(params.d),
-            "q": str(params.q),
-            "k": params.k,
-        }
     else:
-        params = _jacobi_params(args, "little")
-        poly = little_jacobi_poly(lam, params, l, trunc)
+        params = _jacobi_params(args, args.family)
+        jacobi_poly = big_jacobi_poly if args.family == "big" else little_jacobi_poly
+        poly = jacobi_poly(lam, params, l, trunc)
         basis = "monomial-symmetric"
-        params_doc = {
-            "a": str(params.a),
-            "b": str(params.b),
-            "q": str(params.q),
-            "k": params.k,
-        }
+        params_doc = jacobi_params_doc(params)
     doc = {
         "family": args.family,
         "lambda": list(lam),
@@ -181,6 +168,12 @@ def cmd_poly(args) -> int:
 
 def _verify_reports(args) -> list:
     suite = args.suite
+    required = SUITES[suite]
+    if args.family == "big" and suite in ("selberg-constants", "norm-limit"):
+        required += ("c", "d")
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"verify {suite} needs {' '.join(missing)}")
     grid, trunc = _precision()
     if suite == "qybe":
         return [qybe_check(args.n, parse_scalar(args.q))]

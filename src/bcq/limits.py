@@ -22,17 +22,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .awmeasure import norm_K
-from .koornwinder import EigenvalueCollisionError, KoornwinderParams, koornwinder_poly
+from .koornwinder import KoornwinderParams, koornwinder_poly
+from .linalg import _inv
 from .polyring import LaurentPoly, to_generator_coords
 from .qjacobi import (
     BigJacobiParams,
     LittleJacobiParams,
     big_jacobi_poly,
+    closed_form_little_constant,
+    jacobi_params_doc,
     little_jacobi_poly,
     norm_big,
     norm_little,
 )
-from .qseries import TruncationPolicy, log_qgamma
+from .qseries import TruncationPolicy, qgamma
 from .report import Timer, VerificationReport
 from .weights import GrassmannShape
 
@@ -104,11 +107,7 @@ def rescaled_generator_coeffs(lam, params: KoornwinderParams, s_eps) -> LaurentP
     phat = to_generator_coords(poly, "W")
     factors = [s_eps**i for i in range(1, l + 1)]
     scaled = phat.substitute_scaling(factors)
-    if isinstance(s_eps, (int, Fraction)):
-        inv = Fraction(1, 1) / Fraction(s_eps)
-    else:
-        inv = 1.0 / s_eps
-    return scaled.scale(inv ** sum(lam))
+    return scaled.scale(_inv(s_eps) ** sum(lam))
 
 
 def _coeff_error(left: LaurentPoly, right: LaurentPoly) -> float:
@@ -121,84 +120,81 @@ def _coeff_error(left: LaurentPoly, right: LaurentPoly) -> float:
     return err
 
 
-def _limit_check(lam, target_phat, make_params, s_of_eps, sweep, identity, params_doc):
-    lam = tuple(lam)
-    errors = []
-    constructed = []
+def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
+    """Run ``measure(eps) -> (value, error)`` along the sweep.  A point whose
+    construction raises ``ArithmeticError`` records NaN and counts as not
+    constructed.  The check passes when every point was constructed, the
+    errors strictly decrease (vacuous at lambda = 0) and the last error is at
+    most ``tol``.  A norm target adds the values and the target to the
+    detail."""
+    errors, values, constructed = [], [], []
     with Timer() as timer:
         for eps in sweep.values:
             try:
-                approx = rescaled_generator_coeffs(lam, make_params(eps), s_of_eps(eps))
-                errors.append(_coeff_error(approx, target_phat))
+                value, error = measure(eps)
                 constructed.append(True)
-            except (EigenvalueCollisionError, ArithmeticError):
-                errors.append(float("nan"))
+            except ArithmeticError:
+                value = error = float("nan")
                 constructed.append(False)
+            values.append(value)
+            errors.append(error)
     finite = [e for e in errors if not math.isnan(e)]
     decreasing = all(a > b for a, b in zip(finite, finite[1:])) or sum(lam) == 0
     final_err = finite[-1] if finite else float("inf")
-    passed = all(constructed) and decreasing and final_err <= 1e-3
+    detail = {
+        "epsilon": [float(e) for e in sweep.values],
+        "values": values,
+        "errors": errors,
+        "target": target,
+        "constructed": constructed,
+    }
+    if target is None:
+        del detail["values"], detail["target"]
     return VerificationReport(
         identity=identity,
         params=params_doc,
         exact=False,
         residual=final_err,
         runtime_ms=timer.ms,
-        passed=passed,
-        detail={
-            "epsilon": [float(e) for e in sweep.values],
-            "errors": errors,
-            "constructed": constructed,
-        },
+        passed=all(constructed) and decreasing and final_err <= tol,
+        detail=detail,
     )
+
+
+def _family(params):
+    """(name, t(eps), s_eps, c d) of the q-Jacobi family of ``params``; the
+    norm rescaling is (eps^2 c d / q)^{|lambda|}, with c d = 1 for little."""
+    if isinstance(params, BigJacobiParams):
+        return "big", t_B, s_eps_big, float(params.c * params.d)
+    return "little", t_L, s_eps_little, 1
+
+
+def _limit_check(lam, params, target_poly, sweep) -> VerificationReport:
+    lam = tuple(lam)
+    name, t_map, s_map, _ = _family(params)
+    target = to_generator_coords(target_poly, "S")
+
+    def measure(eps):
+        approx = rescaled_generator_coeffs(lam, t_map(eps, params), s_map(eps, params))
+        return None, _coeff_error(approx, target)
+
+    identity = f"limit-koornwinder-to-{name}"
+    params_doc = {"lambda": list(lam), **jacobi_params_doc(params)}
+    return _sweep_report(identity, params_doc, lam, sweep, measure, 1e-3)
 
 
 def limit_check_big(
     lam, big: BigJacobiParams, sweep: EpsilonSweep = DEFAULT_SWEEP
 ) -> VerificationReport:
     """Coefficient convergence of rescaled Koornwinder to big q-Jacobi."""
-    l = len(lam)
-    target = to_generator_coords(big_jacobi_poly(lam, big, l), "S")
-    return _limit_check(
-        lam,
-        target,
-        lambda eps: t_B(eps, big),
-        lambda eps: s_eps_big(eps, big),
-        sweep,
-        "limit-koornwinder-to-big",
-        {
-            "lambda": list(lam),
-            "a": str(big.a),
-            "b": str(big.b),
-            "c": str(big.c),
-            "d": str(big.d),
-            "q": str(big.q),
-            "k": big.k,
-        },
-    )
+    return _limit_check(lam, big, big_jacobi_poly(lam, big, len(lam)), sweep)
 
 
 def limit_check_little(
     lam, little: LittleJacobiParams, sweep: EpsilonSweep = DEFAULT_SWEEP
 ) -> VerificationReport:
     """Coefficient convergence of rescaled Koornwinder to little q-Jacobi."""
-    l = len(lam)
-    target = to_generator_coords(little_jacobi_poly(lam, little, l), "S")
-    return _limit_check(
-        lam,
-        target,
-        lambda eps: t_L(eps, little),
-        lambda eps: s_eps_little(eps, little),
-        sweep,
-        "limit-koornwinder-to-little",
-        {
-            "lambda": list(lam),
-            "a": str(little.a),
-            "b": str(little.b),
-            "q": str(little.q),
-            "k": little.k,
-        },
-    )
+    return _limit_check(lam, little, little_jacobi_poly(lam, little, len(lam)), sweep)
 
 
 def norm_limit_check(
@@ -206,53 +202,17 @@ def norm_limit_check(
 ) -> VerificationReport:
     """Rescaled N_K along t_B(eps) or t_L(eps) against N_B or N_L."""
     lam = tuple(lam)
-    big = isinstance(params, BigJacobiParams)
-    if big:
-        target = norm_big(lam, params)
-        rescale = lambda eps: float(eps) ** 2 * float(params.c * params.d) / float(
-            params.q
-        )
-        make = lambda eps: t_B(eps, params)
-        identity = "norm-limit-koornwinder-to-big"
-    else:
-        target = norm_little(lam, params)
-        rescale = lambda eps: float(eps) ** 2 / float(params.q)
-        make = lambda eps: t_L(eps, params)
-        identity = "norm-limit-koornwinder-to-little"
-    errors = []
-    values = []
-    constructed = []
-    with Timer() as timer:
-        for eps in sweep.values:
-            try:
-                nk = norm_K(lam, make(eps))
-                value = rescale(eps) ** sum(lam) * nk
-                values.append(value)
-                errors.append(abs(value - target) / abs(target))
-                constructed.append(True)
-            except ArithmeticError:
-                values.append(float("nan"))
-                errors.append(float("nan"))
-                constructed.append(False)
-    finite = [e for e in errors if not math.isnan(e)]
-    decreasing = all(a > b for a, b in zip(finite, finite[1:])) or sum(lam) == 0
-    final_err = finite[-1] if finite else float("inf")
-    passed = all(constructed) and decreasing and final_err <= final_tol
-    return VerificationReport(
-        identity=identity,
-        params={"lambda": list(lam), "q": str(params.q), "k": params.k},
-        exact=False,
-        residual=final_err,
-        runtime_ms=timer.ms,
-        passed=passed,
-        detail={
-            "epsilon": [float(e) for e in sweep.values],
-            "values": values,
-            "errors": errors,
-            "target": target,
-            "constructed": constructed,
-        },
-    )
+    name, t_map, _, cd = _family(params)
+    target = (norm_big if name == "big" else norm_little)(lam, params)
+
+    def measure(eps):
+        value = (float(eps) ** 2 * cd / float(params.q)) ** sum(lam)
+        value *= norm_K(lam, t_map(eps, params))
+        return value, abs(value - target) / abs(target)
+
+    identity = f"norm-limit-koornwinder-to-{name}"
+    params_doc = {"lambda": list(lam), "q": str(params.q), "k": params.k}
+    return _sweep_report(identity, params_doc, lam, sweep, measure, final_tol, target)
 
 
 def sweep_csv(report: VerificationReport) -> str:
@@ -260,14 +220,10 @@ def sweep_csv(report: VerificationReport) -> str:
     constructed_ok."""
     lines = ["epsilon,max_coeff_err,norm_err,constructed_ok"]
     detail = report.detail
-    eps = detail["epsilon"]
-    coeff = detail.get("errors") if "values" not in detail else [""] * len(eps)
-    norm = detail.get("errors") if "values" in detail else [""] * len(eps)
-    ok = detail["constructed"]
-    for i, e in enumerate(eps):
-        lines.append(
-            f"{e!r},{coeff[i] if coeff else ''},{norm[i] if norm else ''},{ok[i]}"
-        )
+    errors, blank = detail["errors"], [""] * len(detail["epsilon"])
+    coeff, norm = (blank, errors) if "values" in detail else (errors, blank)
+    for row in zip(detail["epsilon"], coeff, norm, detail["constructed"]):
+        lines.append("{!r},{},{},{}".format(*row))
     return "\n".join(lines) + "\n"
 
 
@@ -327,22 +283,6 @@ def selberg_classical(alpha: float, beta: float, tau: float, l: int) -> float:
     return math.exp(total)
 
 
-def little_gamma_portion(alpha: float, beta: float, k: int, l: int, q: float) -> float:
-    """l! q^{k(alpha+1)C(l,2)+2k^2 C(l,3)} prod_i Gamma_q ratios: the full
-    little q-Jacobi mass, whose q->1 limit is the Selberg Gamma product."""
-    total = math.log(math.factorial(l))
-    total += (
-        k * (alpha + 1) * math.comb(l, 2) + 2 * k**2 * math.comb(l, 3)
-    ) * math.log(q)
-    for i in range(1, l + 1):
-        total += log_qgamma(alpha + 1 + (i - 1) * k, q, _NEAR_ONE_POLICY)
-        total += log_qgamma(beta + 1 + (i - 1) * k, q, _NEAR_ONE_POLICY)
-        total += log_qgamma(i * k, q, _NEAR_ONE_POLICY)
-        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q, _NEAR_ONE_POLICY)
-        total -= log_qgamma(k, q, _NEAR_ONE_POLICY)
-    return math.exp(total)
-
-
 def q_to_1_check(
     alpha: float, beta: float, k: int, l: int, q_list=(0.9, 0.99, 0.999)
 ) -> VerificationReport:
@@ -352,12 +292,12 @@ def q_to_1_check(
     with Timer() as timer:
         errors = []
         for q in q_list:
-            value = little_gamma_portion(alpha, beta, k, l, q)
+            value = closed_form_little_constant(alpha, beta, k, l, q, _NEAR_ONE_POLICY)
             errors.append(abs(value - target) / abs(target))
         gamma_errors = []
         for a in (1.5, 2.5):
             for q in q_list:
-                ga = math.exp(log_qgamma(a, q, _NEAR_ONE_POLICY))
+                ga = qgamma(a, q, _NEAR_ONE_POLICY)
                 gamma_errors.append(abs(ga - math.gamma(a)) / math.gamma(a))
     final = max(errors[-1], gamma_errors[-1])
     passed = final < 0.01 and all(a >= b for a, b in zip(errors, errors[1:]))

@@ -62,9 +62,8 @@ def mat_transpose(a):
 
 
 def mat_inverse(a):
-    """Inverse by Gauss-Jordan; exact when entries are rational."""
-    if not all(_is_exact(x) for row in a for x in row):
-        a = [[complex(x) for x in row] for row in a]
+    """Inverse by Gauss-Jordan; exact when entries are rational, real when
+    they are real."""
     return solve_linear(a, mat_identity(len(a)))
 
 

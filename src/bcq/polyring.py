@@ -186,9 +186,6 @@ class LaurentPoly:
             out[exp] = sign * coef
         return LaurentPoly(self.nvars, out)
 
-    def map_coefficients(self, fn):
-        return LaurentPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
         domain = self.domain

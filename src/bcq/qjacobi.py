@@ -1,7 +1,9 @@
 """Multivariable big and little q-Jacobi polynomials.
 
-The inner products are l-fold truncated Jackson sums: little over [0,1]^l
-(points q^j), big over [-d,c]^l (points c q^j and -d q^j).  The weight is
+The inner products are l-fold Jackson sums over ``qseries.jackson_nodes``
+up to n = ``SumTruncation.effective_n(q)``, fixed before summing like the
+N = inf cutoff of ``qseries``: little over [0,1]^l, big over [-d,c]^l, where
+the nodes of [0,-d] enter with negated masses.  The weight is
 the Vandermonde times a one-variable weight per coordinate times the
 coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
 built by Gram-Schmidt over the dominance downset; q-difference operators
@@ -20,7 +22,7 @@ from itertools import product as iproduct
 
 from .linalg import solve_linear
 from .polyring import LaurentPoly, monomial_symmetric, rebuild_from_basis
-from .qseries import DEFAULT_POLICY, log_qgamma, qpochhammer
+from .qseries import DEFAULT_POLICY, jackson_nodes, log_qgamma, qpochhammer
 from .weights import dominant_downset
 
 
@@ -75,6 +77,13 @@ class LittleJacobiParams:
             raise ValueError("a outside (0,1/q)")
         if not self.b < 1 / self.q:
             raise ValueError("b outside (-inf,1/q)")
+
+
+def jacobi_params_doc(params) -> dict:
+    """Report fields in declaration order: the scalars as strings, k an int."""
+    doc = {name: str(value) for name, value in vars(params).items()}
+    doc["k"] = params.k
+    return doc
 
 
 @dataclass(frozen=True)
@@ -135,52 +144,28 @@ def _cross_weight(xs, q: float, k: int):
     return val
 
 
-def big_weight(xs, params: BigJacobiParams, policy=DEFAULT_POLICY):
-    """Delta_B at a point of (R \\ {0})^l."""
-    val = _cross_weight(xs, float(params.q), params.k)
-    for x in xs:
-        val *= big_weight_1d(x, params, policy)
-    return val
-
-
-def little_weight(xs, params: LittleJacobiParams, policy=DEFAULT_POLICY):
-    """Delta_L at a point of (0,1]^l."""
-    val = _cross_weight(xs, float(params.q), params.k)
-    for x in xs:
-        val *= little_weight_1d(x, params, policy)
-    return val
-
-
 @lru_cache(maxsize=32)
 def _grid_1d(params, trunc: SumTruncation):
     """1-D Jackson points with masses (point, mass*w_1d) for one coordinate.
 
-    Little: x = q^j with mass (1-q) q^j.  Big: x = c q^j with mass
-    (1-q) c q^j plus x = -d q^j with mass (1-q) d q^j.
+    Little: the nodes of [0,1], x = q^j with x^alpha = a^j.  Big: the nodes
+    of [0,c] and of [0,-d], the latter with masses negated, since
+    int_{-d}^c = int_0^c - int_0^{-d}.
     """
     q = float(params.q)
     n = trunc.effective_n(q)
-    out = []
     if isinstance(params, LittleJacobiParams):
-        for j in range(n + 1):
-            x = q**j
-            mass = (1 - q) * q**j
-            alpha_pow = float(params.a) ** j
-            w = (
-                qpochhammer(q * x, q, math.inf)
-                / qpochhammer(q * float(params.b) * x, q, math.inf)
-                * alpha_pow
-            )
-            out.append((x, mass * w))
-    else:
-        c, d = float(params.c), float(params.d)
-        for j in range(n + 1):
-            x = c * q**j
-            out.append((x, (1 - q) * c * q**j * big_weight_1d(x, params)))
-        for j in range(n + 1):
-            x = -d * q**j
-            out.append((x, (1 - q) * d * q**j * big_weight_1d(x, params)))
-    return tuple(out)
+        a, b, inf = float(params.a), float(params.b), math.inf
+
+        def w(j, x):  # w_L(x) at x = q^j, where x^alpha = a^j
+            return qpochhammer(q * x, q, inf) / qpochhammer(q * b * x, q, inf) * a**j
+
+        nodes = enumerate(jackson_nodes(1, n, q))
+        return tuple((x, m * w(j, x)) for j, (x, m) in nodes)
+    c, d = float(params.c), float(params.d)
+    upper = [(x, m * big_weight_1d(x, params)) for x, m in jackson_nodes(c, n, q)]
+    lower = [(x, -m * big_weight_1d(x, params)) for x, m in jackson_nodes(-d, n, q)]
+    return tuple(upper + lower)
 
 
 def _gram_sums(polys, params, l: int, trunc: SumTruncation):
@@ -226,8 +211,9 @@ def little_inner(
     return _inner(P, Q, params, trunc)
 
 
-def _jacobi_poly(lam, params, l: int, trunc: SumTruncation) -> LaurentPoly:
+def _jacobi_poly(lam, params, l, trunc: SumTruncation) -> LaurentPoly:
     lam = tuple(lam)
+    l = len(lam) if l is None else l
     downset = dominant_downset(lam)
     lower = [mu for mu in downset if mu != lam]
     if not lower:
@@ -250,7 +236,6 @@ def big_jacobi_poly(
     lam, params: BigJacobiParams, l: int = None, trunc: SumTruncation = DEFAULT_TRUNCATION
 ) -> LaurentPoly:
     """Monic P^B_lambda, orthogonal to all m_mu with mu < lambda."""
-    l = len(lam) if l is None else l
     return _jacobi_poly(lam, params, l, trunc)
 
 
@@ -261,33 +246,41 @@ def little_jacobi_poly(
     trunc: SumTruncation = DEFAULT_TRUNCATION,
 ) -> LaurentPoly:
     """Monic P^L_lambda, orthogonal to all m_mu with mu < lambda."""
-    l = len(lam) if l is None else l
     return _jacobi_poly(lam, params, l, trunc)
 
 
-def _gamma_ratio_product(alpha: float, beta: float, k: int, l: int, q: float) -> float:
-    """prod_i Gamma_q(alpha+1+(i-1)k) Gamma_q(beta+1+(i-1)k) Gamma_q(ik)
-    / (Gamma_q(alpha+beta+2+(l+i-2)k) Gamma_q(k)), in log space."""
-    total = 0.0
+def _gamma_ratio_product(
+    alpha: float, beta: float, k: int, l: int, q: float,
+    policy=DEFAULT_POLICY, log_start: float = 0.0,
+) -> float:
+    """exp(log_start) prod_i Gamma_q(alpha+1+(i-1)k) Gamma_q(beta+1+(i-1)k)
+    Gamma_q(ik) / (Gamma_q(alpha+beta+2+(l+i-2)k) Gamma_q(k)), in log space."""
+    total = log_start
     for i in range(1, l + 1):
-        total += log_qgamma(alpha + 1 + (i - 1) * k, q)
-        total += log_qgamma(beta + 1 + (i - 1) * k, q)
-        total += log_qgamma(i * k, q)
-        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q)
-        total -= log_qgamma(k, q)
+        total += log_qgamma(alpha + 1 + (i - 1) * k, q, policy)
+        total += log_qgamma(beta + 1 + (i - 1) * k, q, policy)
+        total += log_qgamma(i * k, q, policy)
+        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q, policy)
+        total -= log_qgamma(k, q, policy)
     return math.exp(total)
 
 
-def closed_form_little_constant(params: LittleJacobiParams, l: int) -> float:
-    """<1,1>_L = l! q^{k(alpha+1) C(l,2) + 2 k^2 C(l,3)} * Gamma_q product."""
-    q = float(params.q)
+def _alpha_beta(params):
+    """(alpha, beta) with a = q^alpha, b = q^beta, as the closed forms need."""
     if not params.a > 0 or not params.b > 0:
         raise ValueError("closed form needs a = q^alpha, b = q^beta with a,b > 0")
-    alpha = math.log(float(params.a)) / math.log(q)
-    beta = math.log(float(params.b)) / math.log(q)
-    k = params.k
-    prefactor = q ** (k * (alpha + 1) * math.comb(l, 2) + 2 * k**2 * math.comb(l, 3))
-    return math.factorial(l) * prefactor * _gamma_ratio_product(alpha, beta, k, l, q)
+    log_q = math.log(float(params.q))
+    return math.log(float(params.a)) / log_q, math.log(float(params.b)) / log_q
+
+
+def closed_form_little_constant(
+    alpha: float, beta: float, k: int, l: int, q: float, policy=DEFAULT_POLICY
+) -> float:
+    """<1,1>_L = l! q^{k(alpha+1) C(l,2) + 2 k^2 C(l,3)} * Gamma_q product,
+    for a = q^alpha, b = q^beta; its q->1 limit is Selberg's Gamma product."""
+    e = k * (alpha + 1) * math.comb(l, 2) + 2 * k**2 * math.comb(l, 3)
+    log_start = math.log(math.factorial(l)) + e * math.log(q)
+    return _gamma_ratio_product(alpha, beta, k, l, q, policy, log_start)
 
 
 def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:
@@ -295,10 +288,7 @@ def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:
     prod_i (-d/c, -c/d; q)_inf (cd)^{1+(i-1)k} /
     ((-q^{alpha+1+(i-1)k} d/c, -q^{beta+1+(i-1)k} c/d; q)_inf (c+d))."""
     q = float(params.q)
-    if not params.a > 0 or not params.b > 0:
-        raise ValueError("closed form needs a = q^alpha, b = q^beta with a,b > 0")
-    alpha = math.log(float(params.a)) / math.log(q)
-    beta = math.log(float(params.b)) / math.log(q)
+    alpha, beta = _alpha_beta(params)
     c, d = float(params.c), float(params.d)
     k = params.k
     prefactor = q ** (k**2 * math.comb(l, 3) - math.comb(k, 2) * math.comb(l, 2))
@@ -332,7 +322,9 @@ def normalization_check(
         if big:
             target = closed_form_big_constant(params, l)
         else:
-            target = closed_form_little_constant(params, l)
+            alpha, beta = _alpha_beta(params)
+            q = float(params.q)
+            target = closed_form_little_constant(alpha, beta, params.k, l, q)
         residual = abs(measured - target) / abs(target)
     return VerificationReport(
         identity="big-jacobi-normalization" if big else "little-jacobi-normalization",
@@ -345,21 +337,22 @@ def normalization_check(
     )
 
 
+def _norm(lam, params, trunc: SumTruncation, jacobi_poly) -> float:
+    l = len(lam)
+    poly = jacobi_poly(lam, params, l, trunc)
+    one = LaurentPoly.const(l, 1)
+    return _inner(poly, poly, params, trunc) / _inner(one, one, params, trunc)
+
+
 def norm_big(
     lam, params: BigJacobiParams, trunc: SumTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """N_B(lambda) = <P_lambda, P_lambda>_B / <1,1>_B."""
-    l = len(lam)
-    poly = big_jacobi_poly(lam, params, l, trunc)
-    one = LaurentPoly.const(l, 1)
-    return _inner(poly, poly, params, trunc) / _inner(one, one, params, trunc)
+    return _norm(lam, params, trunc, big_jacobi_poly)
 
 
 def norm_little(
     lam, params: LittleJacobiParams, trunc: SumTruncation = DEFAULT_TRUNCATION
 ) -> float:
     """N_L(lambda) = <P_lambda, P_lambda>_L / <1,1>_L."""
-    l = len(lam)
-    poly = little_jacobi_poly(lam, params, l, trunc)
-    one = LaurentPoly.const(l, 1)
-    return _inner(poly, poly, params, trunc) / _inner(one, one, params, trunc)
+    return _norm(lam, params, trunc, little_jacobi_poly)

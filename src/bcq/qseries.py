@@ -6,6 +6,10 @@ scalar domains are supported throughout the package: exact rationals
 product is finite) and complex doubles.  Infinite products are truncated once
 the deviation of the remaining factors from 1 falls below a tolerance; the
 decay is geometric in q, so this is both tight and cheap.
+
+Every Jackson sum is a sum over one node rule, ``jackson_nodes``: points
+beta q^j with masses (1-q) beta q^j (Gasper & Rahman, section 1.11).  For
+N = inf the cutoff is set before summing: the first n with |beta| q^n < abs_tol.
 """
 
 from __future__ import annotations
@@ -83,14 +87,6 @@ def qpochhammer(a, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
     return prod
 
 
-def qpochhammer_multi(a_list, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Product of qpochhammer over a list of arguments."""
-    prod = 1
-    for a in a_list:
-        prod *= qpochhammer(a, q, i, policy)
-    return prod
-
-
 def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """log Gamma_q(a) = (1-a) log(1-q) + sum_j log((1-q^{j+1})/(1-q^{j+a})).
 
@@ -119,6 +115,22 @@ def qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     return math.exp(log_qgamma(a, q, policy))
 
 
+def jackson_nodes(beta, n, q):
+    """The Jackson nodes of [0, beta]: (beta q^j, (1-q) beta q^j) for j <= n."""
+    return [(beta * q**j, (1 - q) * beta * q**j) for j in range(n + 1)]
+
+
+def _jackson_cutoff(beta, q, policy: TruncationPolicy) -> int:
+    """The first n with |beta| q^n < abs_tol; the nodes left out carry total
+    mass |beta| q^{n+1} < abs_tol."""
+    size, qf = float(abs(beta)), float(q)
+    for n in range(policy.max_terms + 1):
+        if size < policy.abs_tol:
+            return n
+        size *= qf
+    raise NonConvergenceError("jackson integral: max_terms hit before abs_tol")
+
+
 def jackson_sum_0_to_beta(f, beta, N, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """int_0^beta f(x) d_{q,N} x = sum_{k<=N} f(beta q^k)(beta q^k - beta q^{k+1}).
 
@@ -127,24 +139,8 @@ def jackson_sum_0_to_beta(f, beta, N, q, policy: TruncationPolicy = DEFAULT_POLI
     qv = _as_qbase(q).q
     if beta == 0:
         return 0
-    if N is INFINITY:
-        total = 0.0
-        x = beta
-        for _ in range(policy.max_terms):
-            term = f(x) * (x - x * qv)
-            total += term
-            x = x * qv
-            if abs(term) < policy.abs_tol * (1 + abs(total)) and abs(x) < policy.abs_tol:
-                return total
-        raise NonConvergenceError("jackson integral: max_terms hit")
-    if N < 0:
-        return 0
-    total = 0
-    x = beta
-    for _ in range(int(N) + 1):
-        total += f(x) * (x - x * qv)
-        x = x * qv
-    return total
+    n = _jackson_cutoff(beta, qv, policy) if N is INFINITY else int(N)
+    return sum(f(x) * mass for x, mass in jackson_nodes(beta, n, qv))
 
 
 def jackson_integral(f, alpha, beta, N, q, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -59,10 +59,6 @@ def bc_weight(*entries) -> WeightVector:
     return WeightVector(entries, "BC")
 
 
-def a_weight(*entries) -> WeightVector:
-    return WeightVector(entries, "A")
-
-
 def _prefix_leq(mu: tuple, lam: tuple) -> bool:
     s_mu = 0
     s_lam = 0
@@ -82,10 +78,6 @@ def dominance_leq(mu: WeightVector, lam: WeightVector) -> bool:
     if mu.lattice == "A" and mu.total != lam.total:
         return False
     return _prefix_leq(mu.entries, lam.entries)
-
-
-def dominance_lt(mu: WeightVector, lam: WeightVector) -> bool:
-    return mu.entries != lam.entries and dominance_leq(mu, lam)
 
 
 def weyl_orbit(mu: WeightVector) -> set:

@@ -243,3 +243,39 @@ def test_removed_options_exit_2(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "orthogonality", "--t", "1/5,-1/7,1/3,-2/7", "--q", "1/4"), "--l"),
+        (("verify", "reflection", "--n", "4", "--q", "1/2"), "--l"),
+        (("verify", "selberg-constants", "--a", "1/2", "--b", "1/3", "--q", "1/4"), "--l"),
+        (("verify", "qybe", "--q", "1/2"), "--n"),
+        (("verify", "intertwiner", "--l", "2", "--q", "1/2"), "--n"),
+    ],
+)
+def test_missing_option_is_named(capsys, argv, flag):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err
+    assert "NoneType" not in err
+
+
+SELBERG = ("verify", "selberg-constants", "--l", "2", "--a", "0.5", "--b", "0.3",
+           "--q", "0.25")
+
+
+def test_precision_extended(capsys, monkeypatch):
+    monkeypatch.setenv("BCQ_PRECISION", "extended")
+    code, out, _ = run(capsys, *SELBERG)
+    assert code == 0
+    assert json.loads(out)["residual"] < 1e-10
+
+
+def test_precision_unknown_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("BCQ_PRECISION", "quad")
+    code, out, err = run(capsys, *SELBERG)
+    assert code == 2
+    assert out == ""
+    assert "BCQ_PRECISION must be 'double' or 'extended'" in err

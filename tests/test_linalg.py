@@ -85,3 +85,13 @@ def test_partial_transpose_involution():
     # entry check: (i k | j l) -> (j k | i l)
     # position rows i*n+k, cols j*n+l
     assert once[0 * n + 1][1 * n + 0] == m[1 * n + 1][0 * n + 0]
+
+
+def test_inverse_of_real_matrix_is_real():
+    a = [[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.25, 1.0, 2.0]]
+    inv = mat_inverse(a)
+    assert not any(isinstance(x, complex) for row in inv for x in row)
+    product = mat_mul(a, inv)
+    assert all(
+        abs(product[i][j] - (i == j)) < 1e-14 for i in range(3) for j in range(3)
+    )

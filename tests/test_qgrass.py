@@ -6,9 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from bcq.linalg import flip_matrix, mat_identity, mat_mul, mat_transpose
+from bcq.linalg import (
+    flip_matrix,
+    mat_identity,
+    mat_mul,
+    mat_transpose,
+    partial_transpose_first,
+)
 from bcq.qgrass import (
     QExtVector,
+    _partial_transpose_inverse,
     beta_map,
     branching_coeffs,
     casimir_eigenvalue,
@@ -245,3 +252,19 @@ def test_j_matrices_shape():
     assert len(js) == n and len(jt) == n
     # middle block of J^sigma is the identity
     assert js[2][2] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_partial_transpose_inverse_stays_real(n):
+    q = 0.3
+    for m in (r21_minus(n, q), r_matrix(n, q)):
+        a = partial_transpose_first(m, n)
+        inv = _partial_transpose_inverse(a, n)
+        assert not any(isinstance(x, complex) for row in inv for x in row)
+        product = mat_mul(a, inv)
+        size = n * n
+        assert all(
+            abs(product[i][j] - (i == j)) < 1e-12
+            for i in range(size)
+            for j in range(size)
+        )

@@ -5,12 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from bcq.polyring import LaurentPoly, expand_in_basis
+from bcq.qseries import jackson_integral
 from bcq.qjacobi import (
     BigJacobiParams,
     LittleJacobiParams,
     SumTruncation,
+    DEFAULT_TRUNCATION,
     big_inner,
     big_jacobi_poly,
+    big_weight_1d,
     little_inner,
     little_jacobi_poly,
     little_weight_1d,
@@ -106,3 +109,13 @@ def test_truncation_effective_n():
     # enough terms for the tail bound, capped at n_max
     assert trunc.effective_n(0.25) == 20
     assert trunc.effective_n(0.9) == 50
+
+
+def test_big_inner_is_the_jackson_integral():
+    # at l = 1, <1,1>_B is the one-variable Jackson integral over [-d, c]
+    n = DEFAULT_TRUNCATION.effective_n(BIG.q)
+    one = LaurentPoly.const(1, 1)
+    measured = big_inner(one, one, BIG)
+    w = lambda x: big_weight_1d(x, BIG)
+    expected = jackson_integral(w, -BIG.d, BIG.c, n, BIG.q)
+    assert abs(measured - expected) <= 1e-14 * abs(expected)

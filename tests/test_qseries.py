@@ -17,7 +17,6 @@ from bcq.qseries import (
     log_qgamma,
     qgamma,
     qpochhammer,
-    qpochhammer_multi,
 )
 
 rational_q = st.fractions(min_value=F(1, 10), max_value=F(9, 10))
@@ -46,15 +45,6 @@ def test_qpochhammer_rejects_bad_order():
         qpochhammer(F(1, 2), F(1, 3), -1)
     with pytest.raises(ValueError):
         qpochhammer(F(1, 2), F(1, 3), 1.5)
-
-
-def test_qpochhammer_multi_is_product():
-    a_list = [F(1, 2), F(-1, 3), F(1, 5)]
-    q = F(1, 4)
-    expected = 1
-    for a in a_list:
-        expected *= qpochhammer(a, q, 3)
-    assert qpochhammer_multi(a_list, q, 3) == expected
 
 
 @given(a=rational_a, q=rational_q, m=st.integers(0, 6), n=st.integers(0, 6))
@@ -163,3 +153,26 @@ def test_nonconvergence_raised():
     tight = TruncationPolicy(abs_tol=1e-15, max_terms=2)
     with pytest.raises(NonConvergenceError):
         qpochhammer(0.5, 0.99, INFINITY, tight)
+
+
+@pytest.mark.parametrize("beta", [2.0, -1.5])
+def test_jackson_monomial_any_endpoint(beta):
+    # int_0^beta x d_q x = beta^2 (1-q)/(1-q^2) = beta^2/(1+q), either sign
+    q = 0.5
+    val = jackson_sum_0_to_beta(lambda x: x, beta, INFINITY, q)
+    assert abs(val - beta**2 / (1 + q)) <= 1e-15 * beta**2
+
+
+def test_jackson_cutoff_is_a_priori():
+    # f = 1 on [0,1] at q = 1/2 sums the masses 2^-(j+1) for j <= n, where
+    # n = 54 is the first n with 2^-n < 1e-16; the exact sum shows n
+    val = jackson_sum_0_to_beta(lambda x: 1, F(1), INFINITY, F(1, 2))
+    assert val == 1 - F(1, 2**55)
+
+
+def test_jackson_cutoff_past_max_terms_raises():
+    # 0.999^100 is nowhere near abs_tol, so the a-priori cutoff exceeds the cap
+    with pytest.raises(NonConvergenceError):
+        jackson_sum_0_to_beta(
+            lambda x: x, 1.0, INFINITY, 0.999, TruncationPolicy(max_terms=100)
+        )
