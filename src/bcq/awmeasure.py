@@ -4,14 +4,17 @@ For parameters inside the unit disc the measure is purely continuous: an
 l-fold torus integral against the Askey-Wilson weight w_2 per coordinate and
 the (x_i^e x_j^e'; q)_k coupling factors.  Parameters outside the unit disc
 contribute residue-discrete Jackson parts: coordinate r is pinned to the
-geometric sequence e q^i (|e q^i| > 1) with mass w_1(e q^i) = the residue of
-w_2(x)/x there, computed by contour quadrature.  The m-th mixed term carries
-the combinatorial prefactor 2^m binom(l,m).
+geometric sequence t_a q^i (|t_a q^i| > 1) with mass w_1(t_a q^i), the
+residue of w_2(x)/x there, in closed form (Askey & Wilson, Mem. AMS 319,
+1985; Gasper & Rahman, section 7.5).  The m-th mixed term carries the
+combinatorial prefactor 2^m binom(l,m).
 
 Torus integrals use the trapezoid rule on uniform circle grids (periodic
-analytic integrand, hence spectral accuracy) with doubling refinement.
-Weight values on a grid are cached per (params, M) so that Gram matrices
-reuse one weight evaluation across all polynomial pairs.
+analytic integrand, hence spectral accuracy) with doubling refinement.  The
+weight on a grid, coupling factor included, is cached per (params, M,
+pinned point, dim), so Gram matrices and the two inner products of
+``norm_K`` share one weight evaluation per grid; each polynomial is
+evaluated once per grid, one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
+from operator import mul
 
 from .polyring import LaurentPoly
 from .qseries import DEFAULT_POLICY, TruncationPolicy, qpochhammer
@@ -58,19 +63,21 @@ def _params_float(params):
     return ts, q, float(params.t)
 
 
+def _vanishes(z, q: float) -> bool:
+    """(z; q)_inf has a factor 1 - z q^j within the degeneracy tolerance of
+    zero; only the j with |z q^j| nearest 1 can be that close."""
+    if z == 0:
+        return False
+    j = max(0, round(math.log(abs(z)) / -math.log(q)))
+    return abs(z * q**j - 1) < _DEGENERACY_TOL
+
+
 def check_degeneracy(params) -> None:
     """Reject t_i t_j q^m = 1 (colliding weight poles) within tolerance."""
     ts, q, _t = _params_float(params)
-    for i in range(4):
-        for j in range(i, 4):
-            prod = ts[i] * ts[j]
-            m = 0
-            while m <= 200 and abs(prod) * q**m > _DEGENERACY_TOL:
-                if abs(prod * q**m - 1) < _DEGENERACY_TOL:
-                    raise DegenerateParameterError(
-                        f"t_{i} t_{j} q^{m} = 1 within tolerance"
-                    )
-                m += 1
+    for i, j in combinations_with_replacement(range(4), 2):
+        if _vanishes(ts[i] * ts[j], q):
+            raise DegenerateParameterError(f"t_{i} t_{j} q^m = 1 within tolerance")
 
 
 def truncation_index(e, q: float) -> int:
@@ -111,41 +118,25 @@ def _qpoch_finite(a, q: float, k: int):
     return out
 
 
-def _weight_poles(params):
-    """All poles of w_2(x)/x away from 0: t_a q^j and 1/(t_a q^j)."""
+def residue_weight(a: int, i: int, params):
+    """w_1(x) = res_{x = t_a q^i} (w_2(x)/x) in closed form,
+
+        (x^2, x^-2; q)_inf / [(t_a x; q)_inf (q^-i; q)_i (q; q)_inf
+                              prod_{b != a} (t_b x, t_b / x; q)_inf],
+
+    at x = t_a q^i, for the parameter index a.  A denominator factor within
+    the degeneracy tolerance of zero is a pole collision and raises."""
     ts, q, _ = _params_float(params)
-    poles = []
-    for t in ts:
-        if t == 0:
-            continue
-        for j in range(0, 2 * _N_E_CAP):
-            p = t * q**j
-            if abs(p) < 1e-6:
-                break
-            poles.append(p)
-            poles.append(1 / p)
-    return poles
-
-
-def residue_weight(e, i: int, params, n_points: int = 64):
-    """w_1(e q^i) = res_{x = e q^i} (w_2(x)/x) by contour quadrature.
-
-    The circle radius is a quarter of the distance to the nearest other
-    pole; two poles closer than the degeneracy tolerance are rejected.
-    """
-    _ts, q, _ = _params_float(params)
-    center = complex(e) * q**i
-    dists = [abs(p - center) for p in _weight_poles(params)]
-    dists = [d for d in dists if d > _DEGENERACY_TOL]
-    dists.append(abs(center))
-    radius = 0.25 * min(dists)
-    if radius < _DEGENERACY_TOL:
-        raise DegenerateParameterError("pole collision at residue point")
-    total = 0j
-    for s in range(n_points):
-        z = center + radius * cmath.exp(2j * cmath.pi * s / n_points)
-        total += w2_value(z, params) / z * (z - center)
-    return total / n_points
+    x = ts[a] * q**i
+    poles = [ts[a] * x]
+    poles += [z for b, t in enumerate(ts) if b != a for z in (t * x, t / x)]
+    if any(_vanishes(z, q) for z in poles):
+        raise DegenerateParameterError(f"pole collision at t_{a} q^{i}")
+    num = qpochhammer(x * x, q, math.inf) * qpochhammer(1 / (x * x), q, math.inf)
+    den = qpochhammer(q**-i, q, i) * qpochhammer(q, q, math.inf)
+    for z in poles:
+        den *= qpochhammer(z, q, math.inf)
+    return num / den
 
 
 @lru_cache(maxsize=64)
@@ -155,59 +146,78 @@ def _roots_of_unity(m: int):
 
 @lru_cache(maxsize=256)
 def _w2_on_roots(params, m: int):
+    """w_2 at the m-th roots of unity w^s.  w_2(1/x) = w_2(x) pairs s with
+    m - s, and for even m the even s are the (m/2)-th roots (bit for bit),
+    already evaluated on the coarser grid of the doubling refinement."""
     roots = _roots_of_unity(m)
-    return tuple(w2_value(z, params) for z in roots)
+    coarse = _w2_on_roots(params, m // 2) if m % 2 == 0 else ()
+    half = [
+        coarse[s // 2] if coarse and s % 2 == 0 else w2_value(roots[s], params)
+        for s in range(m // 2 + 1)
+    ]
+    return tuple(half + half[1 : (m + 1) // 2][::-1])
 
 
 def _poly_on_grid(p: LaurentPoly, roots, fixed, dim: int):
     """Values of p over the product grid: the first coordinates are pinned
-    to ``fixed``, the last ``dim`` run over the root set.  Iteration order is
-    row-major over root indices (deterministic)."""
+    to ``fixed``, the last ``dim`` run over the root set, row-major over
+    root indices.  Summed one coordinate at a time, last coordinate first:
+    each pass maps every exponent prefix to the values, over the coordinates
+    already summed, of the terms sharing that prefix."""
     m = len(roots)
-    terms = [(exp, complex(c)) for exp, c in sorted(p.terms.items())]
-    nfixed = len(fixed)
-    fixed_pows = []
-    for exp, c in terms:
-        val = c
+    tables = {}
+    for exp, c in sorted(p.terms.items()):
+        val = complex(c)
         for x, e in zip(fixed, exp):
             val *= complex(x) ** e
-        fixed_pows.append((exp[nfixed:], val))
-    out = []
-    for combo in iproduct(range(m), repeat=dim):
-        total = 0j
-        for tail, val in fixed_pows:
-            idx_val = val
-            for s, e in zip(combo, tail):
-                idx_val *= roots[(s * e) % m]
-            total += idx_val
-        out.append(total)
-    return out
+        tail = exp[len(fixed) :]
+        tables[tail] = [tables.get(tail, [0j])[0] + val]
+    for _ in range(dim):
+        groups = {}
+        for exp, vals in tables.items():
+            groups.setdefault(exp[:-1], []).append((exp[-1], vals))
+        tables = {}
+        for head, group in groups.items():
+            cols = list(zip(*(vals for _, vals in group)))
+            out = []
+            for s in range(m):
+                ws = [roots[s * e % m] for e, _ in group]
+                out += [sum(map(mul, ws, col)) for col in cols]
+            tables[head] = out
+    return tables.get(()) or [0j] * m**dim
 
 
-def _weight_on_grid(params, l: int, roots, fixed, dim: int):
+@lru_cache(maxsize=256)
+def _weight_on_grid(params, m: int, fixed, dim: int):
     """w_2 factors for the continuous coordinates times the full coupling
-    factor prod_{i<j} (x_i^e x_j^e'; q)_k, over the same grid order."""
-    m = len(roots)
+    factor prod_{i<j} g(x_i x_j) g(x_i / x_j), g(z) = (z; q)_k (1/z; q)_k,
+    over the grid order of ``_poly_on_grid``.  A continuous pair reads g
+    from one table over the root indices s_i +- s_j mod m; each pinned
+    coordinate x contributes the table g(x w^s) g(x / w^s).  Callers share
+    the cached list and only read it."""
+    roots = _roots_of_unity(m)
     _ts, q, _ = _params_float(params)
     k = params.k
-    w2v = _w2_on_roots(params, m)
-    fixed = [complex(x) for x in fixed]
+
+    def g(z):
+        return _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
+
+    const = 1.0 + 0j
+    for x, y in combinations(fixed, 2):
+        const *= g(x * y) * g(x / y)
+    if not dim:
+        return [const]
+    single = list(_w2_on_roots(params, m))
+    for x in fixed:
+        single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
+    pair = [g(z) for z in roots]
     out = []
     for combo in iproduct(range(m), repeat=dim):
-        xs = fixed + [roots[s] for s in combo]
-        val = 1.0 + 0j
+        val = const
         for s in combo:
-            val *= w2v[s]
-        for i in range(l):
-            for j in range(i + 1, l):
-                a = xs[i] * xs[j]
-                b = xs[i] / xs[j]
-                val *= (
-                    _qpoch_finite(a, q, k)
-                    * _qpoch_finite(b, q, k)
-                    * _qpoch_finite(1 / b, q, k)
-                    * _qpoch_finite(1 / a, q, k)
-                )
+            val *= single[s]
+        for s, r in combinations(combo, 2):
+            val *= pair[(s + r) % m] * pair[(s - r) % m]
         out.append(val)
     return out
 
@@ -215,24 +225,19 @@ def _weight_on_grid(params, l: int, roots, fixed, dim: int):
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
     """For each (P,Q) pair: mean over the torus grid of P Qbar * weight with
     the given pinned coordinates; refined by doubling."""
-    l = len(fixed) + dim
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
         roots = _roots_of_unity(m_pts)
-        wvals = _weight_on_grid(params, l, roots, fixed, dim)
+        wvals = _weight_on_grid(params, m_pts, fixed, dim)
         values = []
         cache = {}
         for P, Q in polys_pairs:
-            if id(P) not in cache:
-                cache[id(P)] = _poly_on_grid(P, roots, fixed, dim)
-            if id(Q) not in cache:
-                cache[id(Q)] = _poly_on_grid(Q, roots, fixed, dim)
-            pv = cache[id(P)]
-            qv = cache[id(Q)]
-            total = 0j
-            for a, b, w in zip(pv, qv, wvals):
-                total += a * b.conjugate() * w
+            for p in (P, Q):
+                if id(p) not in cache:
+                    cache[id(p)] = _poly_on_grid(p, roots, fixed, dim)
+            conj = map(complex.conjugate, cache[id(Q)])
+            total = sum(map(mul, map(mul, cache[id(P)], conj), wvals))
             values.append(total / len(wvals))
         if prev is not None:
             scale = max(max(abs(v) for v in values), 1e-300)
@@ -252,20 +257,12 @@ def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
     values = _mixed_term_at_m(pairs, params, (), polys[0].nvars, grid)
     n = len(polys)
     out = [[0j] * n for _ in range(n)]
-    idx = 0
+    upper = iter(values)
     for i in range(n):
         for j in range(i, n):
-            out[i][j] = values[idx]
-            out[j][i] = values[idx].conjugate()
-            idx += 1
+            out[i][j] = next(upper)
+            out[j][i] = out[i][j].conjugate()
     return out
-
-
-def continuous_inner(
-    P: LaurentPoly, Q: LaurentPoly, params, grid: QuadratureGrid = DEFAULT_GRID
-):
-    """The m=0 (purely continuous) term of the inner product."""
-    return _mixed_term_at_m([(P, Q)], params, (), P.nvars, grid)[0]
 
 
 def full_inner(
@@ -274,8 +271,9 @@ def full_inner(
     params,
     grid: QuadratureGrid = DEFAULT_GRID,
 ):
-    """<P,Q>_K = sum_{m=0}^{l} <P,Q>_m: continuous term plus all mixed
-    residue-discrete terms (Jackson sums over e q^i with residue masses)."""
+    """<P,Q>_K = sum_{m=0}^{l} <P,Q>_m: the continuous term (m = 0) plus all
+    mixed residue-discrete terms (Jackson sums over t_a q^i with residue
+    masses, m coordinates pinned)."""
     if P.nvars != Q.nvars:
         raise ValueError("arity mismatch")
     check_degeneracy(params)
@@ -283,29 +281,19 @@ def full_inner(
     ts, q, _ = _params_float(params)
     n_e = discrete_support(params)
     active = [i for i in range(4) if n_e[i] >= 0]
-    residue_cache = {}
-
-    def w1(e_idx: int, i: int):
-        key = (e_idx, i)
-        if key not in residue_cache:
-            residue_cache[key] = residue_weight(ts[e_idx], i, params)
-        return residue_cache[key]
-
-    total = continuous_inner(P, Q, params, grid)
-    for m in range(1, l + 1):
-        if not active:
-            break
-        prefactor = 2**m * math.comb(l, m)
+    w1 = {
+        (a, i): residue_weight(a, i, params) for a in active for i in range(n_e[a] + 1)
+    }
+    total = 0j
+    for m in range(l + 1):
         term = 0j
         for e_combo in iproduct(active, repeat=m):
             for i_combo in iproduct(*[range(n_e[e] + 1) for e in e_combo]):
                 pts = tuple(ts[e] * q**i for e, i in zip(e_combo, i_combo))
-                mass = 1.0 + 0j
-                for e, i in zip(e_combo, i_combo):
-                    mass *= w1(e, i)
+                mass = math.prod((w1[ei] for ei in zip(e_combo, i_combo)), start=1.0 + 0j)
                 value = _mixed_term_at_m([(P, Q)], params, pts, l - m, grid)[0]
                 term += mass * value
-        total += prefactor * term
+        total += 2**m * math.comb(l, m) * term
     return complex(total)
 
 

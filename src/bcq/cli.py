@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -81,6 +82,8 @@ SUITES = {
     "qybe": ("n",),
     "classical": (),
 }
+# each poly family with the options it cannot run without
+FAMILIES = {"koornwinder": ("t",), "big": ("a", "b", "c", "d"), "little": ("a", "b")}
 
 
 def parse_scalar(text: str):
@@ -101,6 +104,24 @@ def parse_weight(text: str) -> tuple:
         raise ValueError(f"cannot parse weight {text!r}") from exc
 
 
+def _require(args, command: str, names) -> None:
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{command} needs {' '.join(missing)}")
+
+
+def _attach_negative_values(argv) -> list:
+    """--b -13/2 -> --b=-13/2: argparse reads a token with a leading '-' as
+    an option unless it is a plain number such as -13 or -0.5."""
+    out = []
+    for token in argv:
+        if re.match(r"-\.?\d", token) and out and re.fullmatch(r"--\w+", out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _precision():
     mode = os.environ.get("BCQ_PRECISION", "double")
     if mode not in ("double", "extended"):
@@ -119,21 +140,13 @@ def _koornwinder_params(args) -> KoornwinderParams:
 
 def _jacobi_params(args, family: str):
     """Big (--a --b --c --d) or little (--a --b) q-Jacobi parameters."""
-    if family == "big":
-        return BigJacobiParams(
-            parse_scalar(args.a),
-            parse_scalar(args.b),
-            parse_scalar(args.c),
-            parse_scalar(args.d),
-            parse_scalar(args.q),
-            args.k,
-        )
-    return LittleJacobiParams(
-        parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.q), args.k
-    )
+    cls = BigJacobiParams if family == "big" else LittleJacobiParams
+    values = [parse_scalar(getattr(args, name)) for name in FAMILIES[family]]
+    return cls(*values, parse_scalar(args.q), args.k)
 
 
 def cmd_poly(args) -> int:
+    _require(args, f"poly --family {args.family}", FAMILIES[args.family])
     lam = parse_weight(getattr(args, "lam"))
     l = len(lam)
     _grid, trunc = _precision()
@@ -171,9 +184,7 @@ def _verify_reports(args) -> list:
     required = SUITES[suite]
     if args.family == "big" and suite in ("selberg-constants", "norm-limit"):
         required += ("c", "d")
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"verify {suite} needs {' '.join(missing)}")
+    _require(args, f"verify {suite}", required)
     grid, trunc = _precision()
     if suite == "qybe":
         return [qybe_check(args.n, parse_scalar(args.q))]
@@ -321,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_attach_negative_values(argv))
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)

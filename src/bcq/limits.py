@@ -56,8 +56,8 @@ class EpsilonSweep:
 
     def __post_init__(self) -> None:
         vals = self.values
-        if any(v <= 0 for v in vals):
-            raise ValueError("epsilon values must be positive")
+        if not vals or any(v <= 0 for v in vals):
+            raise ValueError("epsilon values must be positive, and at least one")
         if any(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)):
             raise ValueError("epsilon values must be strictly decreasing")
 

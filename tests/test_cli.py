@@ -253,6 +253,8 @@ def test_removed_options_exit_2(capsys, argv):
         (("verify", "selberg-constants", "--a", "1/2", "--b", "1/3", "--q", "1/4"), "--l"),
         (("verify", "qybe", "--q", "1/2"), "--n"),
         (("verify", "intertwiner", "--l", "2", "--q", "1/2"), "--n"),
+        (("poly", "--family", "little", "--lambda", "2", "--q", "1/4"), "--a --b"),
+        (("poly", "--family", "koornwinder", "--lambda", "2", "--q", "1/4"), "--t"),
     ],
 )
 def test_missing_option_is_named(capsys, argv, flag):
@@ -260,6 +262,13 @@ def test_missing_option_is_named(capsys, argv, flag):
     assert code == 2
     assert flag in err
     assert "NoneType" not in err
+
+
+def test_negative_value_as_separate_argument(capsys):
+    base = ("poly", "--family", "little", "--lambda", "2", "--a", "1")
+    code, separate, _ = run(capsys, *base, "--b", "-13/2", "--q", "1/2")
+    assert code == 0
+    assert run(capsys, *base, "--b=-13/2", "--q", "1/2") == (0, separate, "")
 
 
 SELBERG = ("verify", "selberg-constants", "--l", "2", "--a", "0.5", "--b", "0.3",

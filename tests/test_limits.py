@@ -35,6 +35,8 @@ def test_sweep_validation():
         EpsilonSweep((F(1, 100), F(1, 10)))
     with pytest.raises(ValueError):
         EpsilonSweep((F(1, 10), F(0)))
+    with pytest.raises(ValueError):
+        EpsilonSweep(())
     assert DEFAULT_SWEEP.values[0] == F(1, 10)
     assert DEFAULT_SWEEP.values[-1] == F(1, 10000)
 
