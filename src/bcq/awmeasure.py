@@ -27,8 +27,9 @@ from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
 
-from .polyring import LaurentPoly
-from .qseries import DEFAULT_POLICY, TruncationPolicy, qpochhammer
+from .polyring import LaurentPoly, grid_values
+from .qseries import DEFAULT_POLICY, NonConvergenceError, TruncationPolicy
+from .qseries import _qpoch_finite, qpochhammer
 
 _DEGENERACY_TOL = 1e-12
 _N_E_CAP = 64
@@ -81,11 +82,14 @@ def check_degeneracy(params) -> None:
 
 
 def truncation_index(e, q: float) -> int:
-    """N_e: the largest integer with |e q^{N_e}| > 1, or -1 if |e| <= 1."""
+    """N_e: the largest integer with |e q^{N_e}| > 1, or -1 if |e| <= 1.
+    An N_e past ``_N_E_CAP`` raises rather than truncating the support."""
     if abs(e) <= 1:
         return -1
     n = 0
-    while abs(e) * q ** (n + 1) > 1 and n < _N_E_CAP:
+    while abs(e) * q ** (n + 1) > 1:
+        if n == _N_E_CAP:
+            raise NonConvergenceError(f"N_e exceeds {_N_E_CAP} at |t| = {abs(e)}, q = {q}")
         n += 1
     return n
 
@@ -107,15 +111,6 @@ def w2_value(x, params, policy: TruncationPolicy = DEFAULT_POLICY):
         den *= qpochhammer(t * x, q, math.inf, policy)
         den *= qpochhammer(t / x, q, math.inf, policy)
     return num / den
-
-
-def _qpoch_finite(a, q: float, k: int):
-    out = 1.0
-    term = a
-    for _ in range(k):
-        out *= 1 - term
-        term *= q
-    return out
 
 
 def residue_weight(a: int, i: int, params):
@@ -144,6 +139,12 @@ def _roots_of_unity(m: int):
     return tuple(cmath.exp(2j * cmath.pi * s / m) for s in range(m))
 
 
+def _root_powers(m: int):
+    """e -> the e-th powers of the m-th roots of unity, w^{se} = w^{se mod m}."""
+    roots = _roots_of_unity(m)
+    return lru_cache(maxsize=None)(lambda e: [roots[s * e % m] for s in range(m)])
+
+
 @lru_cache(maxsize=256)
 def _w2_on_roots(params, m: int):
     """w_2 at the m-th roots of unity w^s.  w_2(1/x) = w_2(x) pairs s with
@@ -158,40 +159,11 @@ def _w2_on_roots(params, m: int):
     return tuple(half + half[1 : (m + 1) // 2][::-1])
 
 
-def _poly_on_grid(p: LaurentPoly, roots, fixed, dim: int):
-    """Values of p over the product grid: the first coordinates are pinned
-    to ``fixed``, the last ``dim`` run over the root set, row-major over
-    root indices.  Summed one coordinate at a time, last coordinate first:
-    each pass maps every exponent prefix to the values, over the coordinates
-    already summed, of the terms sharing that prefix."""
-    m = len(roots)
-    tables = {}
-    for exp, c in sorted(p.terms.items()):
-        val = complex(c)
-        for x, e in zip(fixed, exp):
-            val *= complex(x) ** e
-        tail = exp[len(fixed) :]
-        tables[tail] = [tables.get(tail, [0j])[0] + val]
-    for _ in range(dim):
-        groups = {}
-        for exp, vals in tables.items():
-            groups.setdefault(exp[:-1], []).append((exp[-1], vals))
-        tables = {}
-        for head, group in groups.items():
-            cols = list(zip(*(vals for _, vals in group)))
-            out = []
-            for s in range(m):
-                ws = [roots[s * e % m] for e, _ in group]
-                out += [sum(map(mul, ws, col)) for col in cols]
-            tables[head] = out
-    return tables.get(()) or [0j] * m**dim
-
-
 @lru_cache(maxsize=256)
 def _weight_on_grid(params, m: int, fixed, dim: int):
     """w_2 factors for the continuous coordinates times the full coupling
     factor prod_{i<j} g(x_i x_j) g(x_i / x_j), g(z) = (z; q)_k (1/z; q)_k,
-    over the grid order of ``_poly_on_grid``.  A continuous pair reads g
+    over the grid order of ``polyring.grid_values``.  A continuous pair reads g
     from one table over the root indices s_i +- s_j mod m; each pinned
     coordinate x contributes the table g(x w^s) g(x / w^s).  Callers share
     the cached list and only read it."""
@@ -228,14 +200,14 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
-        roots = _roots_of_unity(m_pts)
+        power = _root_powers(m_pts)
         wvals = _weight_on_grid(params, m_pts, fixed, dim)
         values = []
         cache = {}
         for P, Q in polys_pairs:
             for p in (P, Q):
                 if id(p) not in cache:
-                    cache[id(p)] = _poly_on_grid(p, roots, fixed, dim)
+                    cache[id(p)] = grid_values(p, power, fixed, dim)
             conj = map(complex.conjugate, cache[id(Q)])
             total = sum(map(mul, map(mul, cache[id(P)], conj), wvals))
             values.append(total / len(wvals))

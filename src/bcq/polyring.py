@@ -15,6 +15,8 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, cycle, repeat
+from operator import add, mul
 
 from .linalg import _inv, _is_exact
 from .weights import (
@@ -217,6 +219,37 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":
         return cls.from_json_dict(json.loads(text))
+
+
+def grid_values(p: LaurentPoly, power, fixed, dim: int):
+    """Values of p over a product grid: the first coordinates are pinned to
+    ``fixed``, the last ``dim`` run over one point set, row-major over its
+    indices; ``power(e)`` lists x^e over that point set.  Summed one
+    coordinate at a time, last coordinate first: each pass maps every
+    exponent prefix to the values, over the coordinates already summed, of
+    the terms sharing that prefix."""
+    m = len(power(0))
+    tables = {}
+    for exp, c in sorted(p.terms.items()):
+        val = complex(c)
+        for x, e in zip(fixed, exp):
+            val *= complex(x) ** e
+        tail = exp[len(fixed) :]
+        tables[tail] = [tables.get(tail, [0j])[0] + val]
+    for _ in range(dim):
+        groups = {}
+        for exp, vals in tables.items():
+            groups.setdefault(exp[:-1], []).append((exp[-1], vals))
+        tables = {}
+        for head, group in groups.items():
+            # entry (s, r) is sum_e x_s^e vals_e[r], added in e order, lazily
+            width = len(group[0][1])
+            acc = repeat(0j, m * width)
+            for e, vals in group:
+                rows = chain.from_iterable(map(repeat, power(e), repeat(width)))
+                acc = map(add, acc, map(mul, rows, cycle(vals)))
+            tables[head] = list(acc)
+    return tables.get(()) or [0j] * m**dim
 
 
 # -- symmetric bases ------------------------------------------------------

@@ -9,8 +9,10 @@ coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
 built by Gram-Schmidt over the dominance downset; q-difference operators
 for these families are deliberately not implemented.
 
-The grid (points and combined weight masses) is cached per parameter set so
-that Gram matrices reuse one weight evaluation.
+Per parameter set only one coordinate's nodes, masses and table of pair
+coupling factors are cached.  The sums stream over the first coordinate:
+each of its nodes gives one weight row over the other coordinates, on which
+``polyring.grid_values`` evaluates every polynomial once.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from operator import mul
 
 from .linalg import solve_linear
-from .polyring import LaurentPoly, monomial_symmetric, rebuild_from_basis
-from .qseries import DEFAULT_POLICY, jackson_nodes, log_qgamma, qpochhammer
+from .polyring import LaurentPoly, grid_values, monomial_symmetric, rebuild_from_basis
+from .qseries import DEFAULT_POLICY, _qpoch_finite, jackson_nodes, log_qgamma, qpochhammer
 from .weights import dominant_downset
 
 
@@ -128,25 +130,9 @@ def little_weight_1d(x, params: LittleJacobiParams, policy=DEFAULT_POLICY):
     return num / den * x**alpha
 
 
-def _cross_weight(xs, q: float, k: int):
-    """Delta(x) * prod_{i<j} x_i^{2k-1} (q^{1-k} x_j/x_i; q)_{2k-1}."""
-    val = 1.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            val *= xs[i] - xs[j]
-            ratio = xs[j] / xs[i]
-            term = q ** (1 - k) * ratio
-            poch = 1.0
-            for _ in range(2 * k - 1):
-                poch *= 1 - term
-                term *= q
-            val *= xs[i] ** (2 * k - 1) * poch
-    return val
-
-
 @lru_cache(maxsize=32)
 def _grid_1d(params, trunc: SumTruncation):
-    """1-D Jackson points with masses (point, mass*w_1d) for one coordinate.
+    """The 1-D Jackson nodes of one coordinate and their masses mass*w_1d.
 
     Little: the nodes of [0,1], x = q^j with x^alpha = a^j.  Big: the nodes
     of [0,c] and of [0,-d], the latter with masses negated, since
@@ -160,34 +146,56 @@ def _grid_1d(params, trunc: SumTruncation):
         def w(j, x):  # w_L(x) at x = q^j, where x^alpha = a^j
             return qpochhammer(q * x, q, inf) / qpochhammer(q * b * x, q, inf) * a**j
 
-        nodes = enumerate(jackson_nodes(1, n, q))
-        return tuple((x, m * w(j, x)) for j, (x, m) in nodes)
-    c, d = float(params.c), float(params.d)
-    upper = [(x, m * big_weight_1d(x, params)) for x, m in jackson_nodes(c, n, q)]
-    lower = [(x, -m * big_weight_1d(x, params)) for x, m in jackson_nodes(-d, n, q)]
-    return tuple(upper + lower)
+        points = [(x, m * w(j, x)) for j, (x, m) in enumerate(jackson_nodes(1, n, q))]
+    else:
+        c, d = float(params.c), float(params.d)
+        points = [(x, m * big_weight_1d(x, params)) for x, m in jackson_nodes(c, n, q)]
+        points += [(x, -m * big_weight_1d(x, params)) for x, m in jackson_nodes(-d, n, q)]
+    return tuple(zip(*points))
+
+
+@lru_cache(maxsize=32)
+def _pair_table(params, trunc: SumTruncation):
+    """The coupling factors pair[i][j] = (x - y) x^{2k-1} (q^{1-k} y/x; q)_{2k-1}
+    of x_i = nodes[i] before x_j = nodes[j]; cached apart, as only l >= 2 reads it."""
+    q, k = float(params.q), params.k
+    nodes = _grid_1d(params, trunc)[0]
+    return [
+        [(x - y) * (x ** (2 * k - 1) * _qpoch_finite(q ** (1 - k) * (y / x), q, 2 * k - 1))
+         for y in nodes]
+        for x in nodes
+    ]
+
+
+def _weight_rows(u, pair, dim: int):
+    """The weights prod_i u[s_i] prod_{i<j} pair[s_i][s_j] over the dim-fold
+    grid of node indices, one row (row-major over s_2..s_dim) per s_1:
+    u[s_1] times the same product one dimension lower, at u * pair[s_1]."""
+    for us, row in zip(u, pair):
+        v = list(map(mul, u, row))
+        lower = v if dim == 2 else [w for r in _weight_rows(v, pair, dim - 1) for w in r]
+        yield [us * w for w in lower]
 
 
 def _gram_sums(polys, params, l: int, trunc: SumTruncation):
-    """All pairwise <polys[i], polys[j]> by one pass over the product grid."""
-    q = float(params.q)
-    k = params.k
-    pts = _grid_1d(params, trunc)
+    """All pairwise <polys[i], polys[j]>, streamed over the first coordinate:
+    for each of its nodes the polynomials are evaluated on the weight row of
+    the other l - 1 coordinates (at l = 1, one row over all nodes), so no
+    l-fold grid is ever held."""
+    nodes, masses = _grid_1d(params, trunc)
+    power = lru_cache(maxsize=None)(lambda e: [x**e for x in nodes])
+    if l == 1:
+        rows = [((), masses)]
+    else:
+        rows = zip([(x,) for x in nodes], _weight_rows(masses, _pair_table(params, trunc), l))
     n = len(polys)
     sums = [[0.0] * n for _ in range(n)]
-    for combo in iproduct(pts, repeat=l):
-        xs = [p[0] for p in combo]
-        mass = 1.0
-        for p in combo:
-            mass *= p[1]
-        if mass == 0.0:
-            continue
-        w = mass * _cross_weight(xs, q, k)
-        vals = [complex(p.evaluate(xs)) for p in polys]
+    for fixed, weights in rows:
+        vals = [grid_values(p, power, fixed, l - len(fixed)) for p in polys]
+        conj = [list(map(complex.conjugate, v)) for v in vals]
         for i in range(n):
-            vi = vals[i]
             for j in range(i, n):
-                sums[i][j] += (vi * vals[j].conjugate() * w).real
+                sums[i][j] += sum(map(mul, map(mul, vals[i], conj[j]), weights)).real
     for i in range(n):
         for j in range(i):
             sums[i][j] = sums[j][i]

@@ -79,11 +79,17 @@ def qpochhammer(a, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
         raise NonConvergenceError("qpochhammer: max_terms hit before tolerance")
     if i < 0 or i != int(i):
         raise ValueError("finite order must be a nonnegative integer")
+    return _qpoch_finite(a, qv, int(i))
+
+
+def _qpoch_finite(a, q, n: int):
+    """(a;q)_n as the plain product with q unchecked, for the inner loops of
+    the weight tables; exact for exact a, q."""
     prod = 1
     term = a
-    for _ in range(int(i)):
+    for _ in range(n):
         prod *= 1 - term
-        term = term * qv
+        term *= q
     return prod
 
 

@@ -9,21 +9,23 @@ import pytest
 
 from bcq.awmeasure import (
     DegenerateParameterError,
-    _poly_on_grid,
+    _root_powers,
     _roots_of_unity,
     _weight_on_grid,
     check_degeneracy,
     discrete_support,
     full_inner,
     gustafson_constant,
+    normalization_check,
     norm_K,
     residue_weight,
     w2_value,
 )
 from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.limits import t_B, t_L
-from bcq.polyring import LaurentPoly
+from bcq.polyring import LaurentPoly, grid_values
 from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
+from bcq.qseries import NonConvergenceError, jackson_nodes
 
 PARAMS_IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 PARAMS_OUT = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 1)  # |t0| > 1
@@ -50,6 +52,17 @@ def test_total_mass_with_discrete_part():
 def test_no_discrete_support_inside_disc():
     # N_e = -1 marks an empty discrete part for that parameter
     assert all(n == -1 for n in discrete_support(PARAMS_IN).values())
+
+
+def test_discrete_support_past_cap_raises():
+    # at q = 0.9, t0 = 1000 needs N_e = 65, one past the cap: the support
+    # must not be cut short (it was, and the check returned a NaN residual)
+    with pytest.raises(NonConvergenceError):
+        normalization_check(1, KoornwinderParams(1000.0, 1e-4, 2e-4, -1e-4, 0.9, 1))
+    below = KoornwinderParams(300.0, 1e-4, 2e-4, -1e-4, 0.9, 1)
+    assert discrete_support(below)[0] == 54
+    report = normalization_check(1, below)
+    assert report.passed and report.residual < 1e-15
 
 
 def test_orthogonality_small():
@@ -146,16 +159,22 @@ def test_poly_on_grid_matches_evaluate(l, fixed):
     # distinct coefficients on every exponent in [-2, 2]^l: no symmetry
     exps = product(range(-2, 3), repeat=l)
     poly = LaurentPoly(l, {e: complex(1 + n, 0.5 - n / 7) for n, e in enumerate(exps)})
-    roots = _roots_of_unity(8)
     dim = l - len(fixed)
-    got = _poly_on_grid(poly, roots, fixed, dim)
-    want = [
-        poly.evaluate(fixed + tuple(roots[s] for s in combo))
-        for combo in product(range(8), repeat=dim)
+    # the torus roots, and the Jackson nodes of a big grid: c q^j, then -d q^j
+    jackson = [x for x, _ in jackson_nodes(1.0, 3, 0.5) + jackson_nodes(-2.0, 3, 0.5)]
+    point_sets = [
+        (_roots_of_unity(8), _root_powers(8)),
+        (jackson, lambda e: [x**e for x in jackson]),
     ]
-    assert len(got) == len(want)
-    scale = max(abs(w) for w in want)
-    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13 * scale
+    for points, power in point_sets:
+        got = grid_values(poly, power, fixed, dim)
+        want = [
+            poly.evaluate(fixed + tuple(points[s] for s in combo))
+            for combo in product(range(len(points)), repeat=dim)
+        ]
+        assert len(got) == len(want)
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13 * scale
 
 
 def test_gram_builds_each_weight_grid_once_per_m():

@@ -288,3 +288,11 @@ def test_precision_unknown_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "BCQ_PRECISION must be 'double' or 'extended'" in err
+
+
+def test_support_past_cap_exit_3(capsys):
+    code, out, err = run(capsys, "verify", "orthogonality", "--l", "1",
+                         "--t", "1000,1e-4,2e-4,-1e-4", "--q", "0.9")
+    assert code == 3
+    assert out == ""
+    assert "non-convergence" in err

@@ -1,16 +1,19 @@
 """Tests for multivariable big and little q-Jacobi polynomials."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from bcq.polyring import LaurentPoly, expand_in_basis
+from bcq.polyring import LaurentPoly, expand_in_basis, monomial_symmetric
 from bcq.qseries import jackson_integral
 from bcq.qjacobi import (
     BigJacobiParams,
     LittleJacobiParams,
     SumTruncation,
     DEFAULT_TRUNCATION,
+    _gram_sums,
+    _grid_1d,
     big_inner,
     big_jacobi_poly,
     big_weight_1d,
@@ -119,3 +122,67 @@ def test_big_inner_is_the_jackson_integral():
     w = lambda x: big_weight_1d(x, BIG)
     expected = jackson_integral(w, -BIG.d, BIG.c, n, BIG.q)
     assert abs(measured - expected) <= 1e-14 * abs(expected)
+
+
+def _gram_sums_node_by_node(polys, params, l, trunc):
+    # the l-fold Jackson sums one grid point at a time: product of the 1-D
+    # masses, Vandermonde times x_i^{2k-1} (q^{1-k} x_j/x_i; q)_{2k-1}, and
+    # LaurentPoly.evaluate at the point
+    nodes, masses = _grid_1d(params, trunc)
+    q, k = float(params.q), params.k
+    n = len(polys)
+    sums = [[0.0] * n for _ in range(n)]
+    for combo in product(range(len(nodes)), repeat=l):
+        xs = [nodes[s] for s in combo]
+        w = 1.0
+        for s in combo:
+            w *= masses[s]
+        for i in range(l):
+            for j in range(i + 1, l):
+                term = q ** (1 - k) * (xs[j] / xs[i])
+                poch = 1.0
+                for _ in range(2 * k - 1):
+                    poch *= 1 - term
+                    term *= q
+                w *= (xs[i] - xs[j]) * xs[i] ** (2 * k - 1) * poch
+        vals = [complex(p.evaluate(xs)) for p in polys]
+        for i in range(n):
+            for j in range(i, n):
+                sums[i][j] += (vals[i] * vals[j].conjugate() * w).real
+    for i in range(n):
+        for j in range(i):
+            sums[i][j] = sums[j][i]
+    return sums
+
+
+_Z = 0.1 + 0.2j
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "params",
+    [
+        LittleJacobiParams(0.5, 1 / 3, 0.25),
+        BigJacobiParams(0.05, 0.04, 1.0, 4.0, 0.25),
+        BigJacobiParams(1.0 * _Z, -4.0 * _Z.conjugate(), 1.0, 4.0, 0.25),
+    ],
+    ids=["little", "big", "big-complex"],
+)
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_gram_sums_match_node_by_node(l, params, k):
+    params = type(params)(**{**vars(params), "k": k})
+    # a short grid keeps the l = 3 oracle small; the streaming is the same
+    trunc = DEFAULT_TRUNCATION if l < 3 else SumTruncation(n_max=6)
+    lams = [(0,) * l, (1,) + (0,) * (l - 1), (1,) * l, (2,) + (0,) * (l - 1), (3,) + (1,) * (l - 1)]
+    polys = [monomial_symmetric(lam, l) for lam in lams]
+    # complex coefficients on exponents that are not symmetric, so a mix-up
+    # of coordinates shows even though the weight is symmetric
+    polys.append(LaurentPoly(l, {(2,) + (0,) * (l - 1): 1.5 - 0.5j, (0,) * (l - 1) + (1,): 0.25j}))
+    got = _gram_sums(polys, params, l, trunc)
+    want = _gram_sums_node_by_node(polys, params, l, trunc)
+    if l == 1:
+        assert got == want
+        return
+    for i, row in enumerate(want):
+        for j, w in enumerate(row):
+            assert abs(got[i][j] - w) <= 1e-13 * (want[i][i] * want[j][j]) ** 0.5
