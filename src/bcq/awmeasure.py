@@ -120,7 +120,8 @@ def residue_weight(a: int, i: int, params):
                               prod_{b != a} (t_b x, t_b / x; q)_inf],
 
     at x = t_a q^i, for the parameter index a.  A denominator factor within
-    the degeneracy tolerance of zero is a pole collision and raises."""
+    the degeneracy tolerance of zero is a pole collision and raises, and so
+    does a mass whose q-products overflow doubles (``NonConvergenceError``)."""
     ts, q, _ = _params_float(params)
     x = ts[a] * q**i
     poles = [ts[a] * x]
@@ -131,7 +132,10 @@ def residue_weight(a: int, i: int, params):
     den = qpochhammer(q**-i, q, i) * qpochhammer(q, q, math.inf)
     for z in poles:
         den *= qpochhammer(z, q, math.inf)
-    return num / den
+    mass = num / den
+    if not cmath.isfinite(mass):
+        raise NonConvergenceError(f"residue mass at t_{a} q^{i} overflows doubles")
+    return mass
 
 
 @lru_cache(maxsize=64)

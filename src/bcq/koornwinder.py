@@ -355,10 +355,7 @@ def _koornwinder_gram(lam, params: KoornwinderParams) -> LaurentPoly:
     ]
     rhs = [-full_inner(top, bi, params) for bi in basis]
     sol = solve_linear(gram, rhs)
-    out = top
-    for c, b in zip(sol, basis):
-        out = out + b.scale(c)
-    return out
+    return rebuild_from_basis({lam: 1, **dict(zip(downset, sol))}, "W", l)
 
 
 def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:

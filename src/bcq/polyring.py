@@ -5,8 +5,10 @@ to coefficients.  Coefficients are exact rationals (``Fraction``/``int``) or
 complex floats; the two domains are not mixed inside one polynomial.  On top
 of the ring live the symmetric bases used everywhere else: hyperoctahedral
 orbit sums m~_lambda, monomial symmetric m_lambda, elementary symmetric e_r,
-and Schur polynomials s_lambda, together with the triangular basis
-conversions along dominance order.
+and Schur polynomials s_lambda.  Every triangular basis change (orbit sums,
+generator coordinates, and the Schur expansions in ``qgrass``) is one
+``peel``: read the leading coefficient, subtract it times a basis piece monic
+there, repeat.  ``combine`` is the inverse sum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, cycle, repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from .linalg import _inv, _is_exact
 from .weights import (
@@ -342,60 +344,77 @@ def schur_dimension(lam, n: int) -> int:
 
 # -- triangular basis conversions ----------------------------------------
 
+def peel(terms: dict, leading, piece) -> dict:
+    """Coefficients c_k with terms = sum_k c_k piece(k), by triangular
+    elimination.  ``leading(rest)`` gives the key k and the exponent e of the
+    leading term of what is left; ``piece(k)`` is a dict monic at e whose
+    other exponents are all lower.  c_k is read off at e and c_k piece(k) is
+    subtracted in place.  A key that comes back, or a missing e, raises: on a
+    non-invariant input a step leaves its own leading orbit behind."""
+    rest = {e: c for e, c in terms.items() if c != 0}
+    out = {}
+    while rest:
+        k, e = leading(rest)
+        c = rest.get(e)
+        if c is None or k in out:
+            raise ValueError("polynomial is not invariant under the group")
+        out[k] = c
+        for exp, v in piece(k).items():
+            rest[exp] = rest.get(exp, 0) - c * v
+            if rest[exp] == 0:
+                del rest[exp]
+    return out
+
+
+def combine(coeffs: dict, piece, l: int) -> LaurentPoly:
+    """The inverse of ``peel``: sum of c piece(k) over the items (k, c)."""
+    out = {}
+    for k, c in coeffs.items():
+        for exp, v in piece(k).items():
+            out[exp] = out.get(exp, 0) + c * v
+    return LaurentPoly(l, out)
+
+
 def _extension_key(rep: tuple):
     """Fixed linear extension of dominance: total degree, then lex."""
     return (sum(rep), rep)
 
 
-def _leading_orbit(p: LaurentPoly, kind: str):
-    """Dominant representative of the maximal orbit in the support."""
-    best = None
-    for exp in p.terms:
-        rep = dominant_representative(exp) if kind == "W" else tuple(
-            sorted(exp, reverse=True)
-        )
-        if best is None or _extension_key(rep) > _extension_key(best):
-            best = rep
-    return best
+def _leading_orbit(terms: dict, kind: str):
+    """(key, exponent) of the leading orbit: both are its dominant
+    representative, maximal in the fixed linear extension of dominance."""
+    if kind == "W":
+        reps = map(dominant_representative, terms)
+    else:
+        reps = (tuple(sorted(exp, reverse=True)) for exp in terms)
+    rep = max(reps, key=_extension_key)
+    return rep, rep
 
 
-def _orbit_basis_element(rep: tuple, kind: str, l: int) -> LaurentPoly:
-    return orbit_sum_W(rep, l) if kind == "W" else monomial_symmetric(rep, l)
+def _orbit_sum(rep, kind: str) -> LaurentPoly:
+    rep = tuple(rep)
+    build = orbit_sum_W if kind == "W" else monomial_symmetric
+    return build(rep, len(rep))
 
 
 def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
     """Coefficients of p in the orbit-sum basis (kind "W": m~_lambda under
     signed permutations; kind "S": m_lambda under permutations).
 
-    Triangular elimination along the fixed linear extension of dominance.
+    One ``peel`` along the fixed linear extension of dominance.
     Raises if p is not invariant under the stated group.
     """
     if kind not in ("W", "S"):
         raise ValueError("kind must be 'W' or 'S'")
-    if kind == "S" and any(e < 0 for exp in p.terms for e in exp):
-        raise ValueError("negative exponents in an S-symmetric expansion")
-    l = p.nvars
-    coeffs = {}
-    rem = p
-    guard = len(p.terms) + 1
-    for _ in range(guard):
-        if rem.is_zero:
-            return coeffs
-        rep = _leading_orbit(rem, kind)
-        c = rem.terms.get(rep)
-        basis = _orbit_basis_element(rep, kind, l)
-        if c is None or any(rem.terms.get(e) != c for e in basis.terms):
-            raise ValueError("polynomial is not invariant under the group")
-        coeffs[rep] = c
-        rem = rem - basis.scale(c)
-    raise ValueError("polynomial is not invariant under the group")
+    return peel(
+        p.terms,
+        lambda rest: _leading_orbit(rest, kind),
+        lambda rep: _orbit_sum(rep, kind).terms,
+    )
 
 
 def rebuild_from_basis(coeffs: dict, kind: str, l: int) -> LaurentPoly:
-    out = LaurentPoly.zero(l)
-    for rep, c in coeffs.items():
-        out = out + _orbit_basis_element(tuple(rep), kind, l).scale(c)
-    return out
+    return combine(coeffs, lambda rep: _orbit_sum(rep, kind).terms, l)
 
 
 def is_invariant(p: LaurentPoly, kind: str) -> bool:
@@ -406,56 +425,40 @@ def is_invariant(p: LaurentPoly, kind: str) -> bool:
         return False
 
 
+def _leading_generator(rest: dict):
+    """The leading dominant weight lambda and its generator exponents
+    a_r = lambda_r - lambda_{r+1}."""
+    rep = max(rest, key=_extension_key)
+    return tuple(map(sub, rep, rep[1:] + (0,))), rep
+
+
+@lru_cache(maxsize=None)
+def _generator_orbits(a: tuple, kind: str) -> dict:
+    """Orbit-sum expansion of g_1^{a_1}..g_l^{a_l}, monic at the partition
+    with a_r = lambda_r - lambda_{r+1}."""
+    l = len(a)
+    mono = LaurentPoly.const(l, 1)
+    for r, e in enumerate(a, 1):
+        if e:
+            mono = mono * _orbit_sum((1,) * r + (0,) * (l - r), kind) ** e
+    return expand_in_basis(mono, kind)
+
+
 def to_generator_coords(p: LaurentPoly, kind: str) -> LaurentPoly:
     """The unique polynomial P^ in y_1..y_l with P^(g_1(x),..,g_l(x)) = p(x),
     where g_r = m~_{(1^r)} (kind "W") or e_r = m_{(1^r)} (kind "S").
 
-    Iterated leading-term elimination: the leading dominant weight lambda
+    A ``peel`` in orbit-sum coordinates: the leading dominant weight lambda
     determines the generator exponents a_r = lambda_r - lambda_{r+1}, whose
     generator monomial is again monic at lambda.
     """
-    l = p.nvars
-    generators = [
-        _orbit_basis_element((1,) * r + (0,) * (l - r), kind, l)
-        for r in range(1, l + 1)
-    ]
-    out = {}
-    rem = p
-    for _ in range(10_000):
-        if rem.is_zero:
-            return LaurentPoly(l, out)
-        rep = _leading_orbit(rem, kind)
-        if rep[-1] < 0:
-            raise ValueError("leading weight not a partition; not invariant")
-        c = rem.terms.get(rep)
-        if c is None:
-            raise ValueError("polynomial is not invariant under the group")
-        a = tuple(
-            rep[r] - (rep[r + 1] if r + 1 < l else 0) for r in range(l)
-        )
-        mono = LaurentPoly.const(l, c)
-        for g, e in zip(generators, a):
-            if e:
-                mono = mono * g**e
-        rem = rem - mono
-        out[a] = out.get(a, 0) + c
-    raise ValueError("generator-coordinate elimination failed to terminate")
+    orbits = expand_in_basis(p, kind)
+    coeffs = peel(orbits, _leading_generator, lambda a: _generator_orbits(a, kind))
+    return LaurentPoly(p.nvars, coeffs)
 
 
 def from_generator_coords(phat: LaurentPoly, kind: str) -> LaurentPoly:
-    """Evaluate P^ at the generators, returning the symmetric polynomial."""
-    l = phat.nvars
-    generators = [
-        _orbit_basis_element((1,) * r + (0,) * (l - r), kind, l)
-        for r in range(1, l + 1)
-    ]
-    out = LaurentPoly.zero(l)
-    for a, c in phat.terms.items():
-        if any(e < 0 for e in a):
-            raise ValueError("generator exponents must be nonnegative")
-        mono = LaurentPoly.const(l, c)
-        for g, e in zip(generators, a):
-            if e:
-                mono = mono * g**e
-        out = out + mono
-    return out
+    """Evaluate P^ at the generators, returning the symmetric polynomial;
+    a negative generator exponent raises."""
+    orbits = combine(phat.terms, lambda a: _generator_orbits(a, kind), phat.nvars)
+    return rebuild_from_basis(orbits.terms, kind, phat.nvars)

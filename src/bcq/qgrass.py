@@ -21,7 +21,8 @@ exactly.
 Character side: Casimir eigenvalues, branching of GL_n Schur polynomials
 into products over the block subgroup GL_{n-l} x GL_l, and the Gelfand
 property (trivial block-subgroup type has multiplicity at most one, exactly
-one on spherical weights).
+one on spherical weights).  Both Schur expansions, the branching and the
+product s_{(m^{n-l})} s_{(m^l)}, are one ``polyring.peel`` each.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .linalg import (
     mat_transpose,
     partial_transpose_first,
 )
-from .polyring import LaurentPoly, _schur_partition, schur
+from .polyring import _schur_partition, peel, schur
 from .report import Timer, VerificationReport
 from .weights import (
     GrassmannShape,
@@ -586,22 +587,21 @@ def casimir_eigenvalue(lam, n: int, q):
     return sum(q ** (2 * (lam[k] + n - k - 1)) for k in range(n))
 
 
-def _schur_in_group(part: tuple, offset: int, size: int, n: int) -> LaurentPoly:
-    """Schur polynomial of a partition in the variable block
-    [offset, offset+size), embedded into n variables."""
-    base = _schur_partition(tuple(e for e in part if e) or (), size)
-    terms = {}
-    for exp, coef in base.items():
-        full = [0] * n
-        full[offset : offset + size] = list(exp)
-        terms[tuple(full)] = coef
-    return LaurentPoly(n, terms)
+def _block_schur(pair, n: int, l: int) -> dict:
+    """s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n) for partitions mu, nu: the
+    exponent tuples of the two block Schur polynomials joined."""
+    return {
+        a + b: ca * cb
+        for a, ca in _schur_partition(pair[0], n - l).items()
+        for b, cb in _schur_partition(pair[1], l).items()
+    }
 
 
 def branching_coeffs(lam, shape: GrassmannShape) -> dict:
     """c^lambda_{mu,nu}: multiplicities in
     s_lambda(z_1..z_n) = sum c^lambda_{mu,nu}
-    s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n).
+    s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n),
+    peeled off s_lambda at the lexicographically largest exponent.
 
     Negative trailing entries are handled by shifting lambda by a multiple
     of the determinant weight and undoing the twist on both blocks.
@@ -613,39 +613,31 @@ def branching_coeffs(lam, shape: GrassmannShape) -> dict:
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValueError("branching_coeffs requires a dominant weight")
     m = max(0, -lam[-1])
-    shifted = tuple(e + m for e in lam)
-    rem = schur(shifted, n)
-    out = {}
-    while not rem.is_zero:
-        exp = max(rem.terms)
-        mu = exp[: n - l]
-        nu = exp[n - l :]
-        if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)) or any(
-            nu[i] < nu[i + 1] for i in range(len(nu) - 1)
-        ):
-            raise ArithmeticError("leading exponent is not a partition pair")
-        c = rem.terms[exp]
-        prod = _schur_in_group(mu, 0, n - l, n) * _schur_in_group(nu, n - l, l, n)
-        rem = rem - prod.scale(c)
-        out[(tuple(e - m for e in mu), tuple(e - m for e in nu))] = c
-    return out
+
+    def leading(rest):
+        exp = max(rest)
+        return (exp[: n - l], exp[n - l :]), exp
+
+    coeffs = peel(
+        schur(tuple(e + m for e in lam), n).terms,
+        leading,
+        lambda pair: _block_schur(pair, n, l),
+    )
+    return {
+        tuple(tuple(e - m for e in part) for part in pair): c
+        for pair, c in coeffs.items()
+    }
 
 
 @lru_cache(maxsize=None)
 def _schur_product_expansion(n: int, l: int, m: int) -> dict:
-    """Schur-basis expansion of s_{(m^{n-l})} s_{(m^l)} in n variables."""
-    if m == 0:
-        return {(0,) * n: 1}
+    """Schur-basis expansion of s_{(m^{n-l})} s_{(m^l)} in n variables,
+    peeled at the lexicographically largest exponent."""
     p1 = schur((m,) * (n - l) + (0,) * l, n)
     p2 = schur((m,) * l + (0,) * (n - l), n)
-    rem = p1 * p2
-    out = {}
-    while not rem.is_zero:
-        exp = max(rem.terms)
-        c = rem.terms[exp]
-        out[exp] = c
-        rem = rem - schur(exp, n).scale(c)
-    return out
+    return peel(
+        (p1 * p2).terms, lambda rest: (max(rest),) * 2, lambda lam: schur(lam, n).terms
+    )
 
 
 def spherical_multiplicity(lam, shape: GrassmannShape) -> int:
@@ -672,11 +664,9 @@ def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationRepor
     with Timer() as timer:
         failures = []
         checked = 0
-        for lam in itertools.product(
-            range(degree_bound, -degree_bound - 1, -1), repeat=n
+        for lam in itertools.combinations_with_replacement(
+            range(degree_bound, -degree_bound - 1, -1), n
         ):
-            if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-                continue
             checked += 1
             mult = spherical_multiplicity(lam, shape)
             spherical = is_spherical(WeightVector(lam, "A"), shape)

@@ -65,6 +65,22 @@ def test_discrete_support_past_cap_raises():
     assert report.passed and report.residual < 1e-15
 
 
+@pytest.mark.parametrize("t0", [3e7, 1e8, 1e9])
+def test_overflowing_residue_mass_raises(t0):
+    # (x^2; q)_inf overflows doubles at x = t0: the mass was inf/inf = nan
+    # and the check returned a NaN residual
+    params = KoornwinderParams(t0, 1e-12, 2e-12, -1e-12, 0.5, 1)
+    with pytest.raises(NonConvergenceError):
+        residue_weight(0, 0, params)
+    with pytest.raises(NonConvergenceError):
+        normalization_check(1, params)
+
+
+def test_large_residue_mass_stays_finite():
+    report = normalization_check(1, KoornwinderParams(1e6, 1e-12, 2e-12, -1e-12, 0.5, 1))
+    assert report.passed and report.residual < 1e-15
+
+
 def test_orthogonality_small():
     polys = {
         lam: koornwinder_poly(lam, PARAMS_IN)

@@ -296,3 +296,21 @@ def test_support_past_cap_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "non-convergence" in err
+
+
+def test_float_limit_at_l3_reports(capsys):
+    # the float Koornwinder polynomial at l = 3 was rejected as not
+    # invariant by the generator-coordinate elimination (exit 2)
+    code, out, _ = run(capsys, "verify", "limit-little", "--lambda", "3,2,1",
+                       "--a", "0.5", "--b", "0.3", "--q", "0.25")
+    assert code in (0, 1)
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["identity"] == "limit-koornwinder-to-little"
+
+
+def test_overflowing_residue_mass_exit_3(capsys):
+    code, out, err = run(capsys, "verify", "orthogonality", "--l", "1",
+                         "--t", "3e7,1e-12,2e-12,-1e-12", "--q", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "non-convergence" in err

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.polyring import (
     LaurentPoly,
+    combine,
     elementary_symmetric,
     expand_in_basis,
     from_generator_coords,
     is_invariant,
     monomial_symmetric,
     orbit_sum_W,
+    peel,
     rebuild_from_basis,
     schur,
     schur_dimension,
@@ -133,7 +136,18 @@ def test_schur_dimension_matches_evaluation_at_ones():
 def test_is_invariant():
     assert is_invariant(orbit_sum_W((2, 1), 2), "W")
     assert is_invariant(schur((2, 1, 0), 3), "S")
-    assert not is_invariant(LaurentPoly.variable(0, 2), "W")
+    not_invariant = (
+        (LaurentPoly.variable(0, 2), "W"),
+        # the leading representative (1, 0) is missing
+        (LaurentPoly.monomial((0, 1)), "W"),
+        # unequal coefficients on one orbit
+        (orbit_sum_W((1, 0), 2) + LaurentPoly.variable(0, 2), "W"),
+        (LaurentPoly(2, {(1, -1): 1, (-1, 1): 1}), "S"),
+    )
+    for p, kind in not_invariant:
+        assert not is_invariant(p, kind)
+        with pytest.raises(ValueError):
+            to_generator_coords(p, kind)
 
 
 def test_expand_rebuild_roundtrip():
@@ -143,6 +157,20 @@ def test_expand_rebuild_roundtrip():
     assert rebuild_from_basis(coeffs, "W", 2) == p
 
 
+def test_peel_rejects_a_returning_key():
+    # a piece that is not monic at the leading exponent leaves it in place
+    terms = {(2,): 3, (1,): 1}
+
+    def leading(rest):
+        e = max(rest)
+        return e, e
+
+    assert peel(terms, leading, lambda k: {k: 1}) == terms
+    assert combine(terms, lambda k: {k: 1}, 1) == LaurentPoly(1, terms)
+    with pytest.raises(ValueError):
+        peel(terms, leading, lambda k: {k: 2})
+
+
 def test_generator_coords_roundtrip():
     for kind, p in (
         ("W", orbit_sum_W((2, 1), 2) + orbit_sum_W((1, 0), 2).scale(F(-2))),
@@ -150,6 +178,19 @@ def test_generator_coords_roundtrip():
     ):
         phat = to_generator_coords(p, kind)
         assert from_generator_coords(phat, kind) == p
+    with pytest.raises(ValueError):
+        from_generator_coords(LaurentPoly(2, {(-1, 0): 1}), "W")
+
+
+@pytest.mark.parametrize("lam", [(3, 2, 1), (3, 1, 1), (4, 2, 1), (3, 2, 1, 0)])
+def test_generator_coords_of_float_polynomial(lam):
+    # a float Koornwinder polynomial at l >= 3 was rejected as not invariant
+    # when the leading monomials did not cancel exactly in floating point
+    p = koornwinder_poly(lam, KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1))
+    back = from_generator_coords(to_generator_coords(p, "W"), "W")
+    scale = max(abs(c) for c in p.terms.values())
+    keys = set(p.terms) | set(back.terms)
+    assert max(abs(p.coefficient(e) - back.coefficient(e)) for e in keys) <= 1e-12 * scale
 
 
 def test_generator_coords_of_generator_is_linear():

@@ -1,8 +1,10 @@
 """Tests for the R-matrix layer, reflection identities, q-exterior
 intertwiners, branching and the Gelfand property."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -42,6 +44,7 @@ from bcq.qgrass import (
     wedge,
     wedge_dual,
 )
+from bcq.polyring import LaurentPoly, schur
 from bcq.weights import GrassmannShape
 
 Q = F(1, 2)
@@ -226,6 +229,54 @@ def test_spherical_multiplicity():
     assert spherical_multiplicity((1, 0, 0, -1), shape) == 1
     assert spherical_multiplicity((1, 0, 0, 0), shape) == 0
     assert spherical_multiplicity((0, 0, 0, 0), shape) == 1
+
+
+def _block_dominant(p, n, l):
+    """The terms of p whose exponent is a partition on both blocks."""
+    return LaurentPoly(n, {
+        e: c for e, c in p.terms.items()
+        if all(e[i] >= e[i + 1] for i in range(n - 1) if i != n - l - 1)
+    })
+
+
+@lru_cache(maxsize=None)
+def _block_product(mu, nu, n, l):
+    """s_mu(z') s_nu(z''), each block Schur polynomial embedded in n
+    variables, restricted to the block-dominant exponents."""
+    first = LaurentPoly(n, {a + (0,) * l: c for a, c in schur(mu, n - l).terms.items()})
+    second = LaurentPoly(n, {(0,) * (n - l) + b: c for b, c in schur(nu, l).terms.items()})
+    return _block_dominant(first * second, n, l)
+
+
+def _branching_oracle(lam, shape):
+    """Branching by peeling in LaurentPoly arithmetic: subtract
+    c s_mu(z') s_nu(z'') at the lexicographically largest exponent of what
+    is left of s_lambda.  Only block-dominant exponents are kept: the
+    leading exponent of a block-symmetric polynomial is one, so the steps
+    are those of the peel on the whole polynomial."""
+    n, l = shape.n, shape.l
+    m = max(0, -lam[-1])
+    rem = _block_dominant(schur(tuple(e + m for e in lam), n), n, l)
+    out = {}
+    while not rem.is_zero:
+        exp = max(rem.terms)
+        mu, nu = exp[: n - l], exp[n - l :]
+        c = rem.terms[exp]
+        rem = rem - _block_product(mu, nu, n, l).scale(c)
+        out[(tuple(e - m for e in mu), tuple(e - m for e in nu))] = c
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_branching_matches_oracle(n):
+    # every dominant weight with entries in [-2, 2], every l
+    for l in range(1, n // 2 + 1):
+        shape = GrassmannShape(n, l)
+        trivial = ((0,) * (n - l), (0,) * l)
+        for lam in itertools.combinations_with_replacement(range(2, -3, -1), n):
+            expected = _branching_oracle(lam, shape)
+            assert branching_coeffs(lam, shape) == expected, (lam, l)
+            assert spherical_multiplicity(lam, shape) == expected.get(trivial, 0), (lam, l)
 
 
 def test_gelfand_small():
