@@ -21,15 +21,15 @@ exactly.
 Character side: Casimir eigenvalues, branching of GL_n Schur polynomials
 into products over the block subgroup GL_{n-l} x GL_l, and the Gelfand
 property (trivial block-subgroup type has multiplicity at most one, exactly
-one on spherical weights).  Both Schur expansions, the branching and the
-product s_{(m^{n-l})} s_{(m^l)}, are one ``polyring.peel`` each.
+one on spherical weights).  Both multiplicities are Littlewood-Richardson
+coefficients, counted as tableaux; no polynomial is multiplied or peeled.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .linalg import (
     _inv,
@@ -42,7 +42,6 @@ from .linalg import (
     mat_transpose,
     partial_transpose_first,
 )
-from .polyring import _schur_partition, peel, schur
 from .report import Timer, VerificationReport
 from .weights import (
     GrassmannShape,
@@ -587,73 +586,72 @@ def casimir_eigenvalue(lam, n: int, q):
     return sum(q ** (2 * (lam[k] + n - k - 1)) for k in range(n))
 
 
-def _block_schur(pair, n: int, l: int) -> dict:
-    """s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n) for partitions mu, nu: the
-    exponent tuples of the two block Schur polynomials joined."""
-    return {
-        a + b: ca * cb
-        for a, ca in _schur_partition(pair[0], n - l).items()
-        for b, cb in _schur_partition(pair[1], l).items()
-    }
+def _shift_dominant(lam, n: int):
+    """(lambda + m, m), m >= 0 the least multiple of the determinant weight
+    that clears the negative entries of the dominant length-n weight lambda."""
+    lam = tuple(int(e) for e in lam)
+    if len(lam) != n:
+        raise ValueError("weight length must be n")
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        raise ValueError("branching requires a dominant weight")
+    m = max(0, -lam[-1])
+    return tuple(e + m for e in lam), m
+
+
+def _lr_contents(outer, inner, cap) -> Counter:
+    """{nu: c^outer_{inner,nu}} over nu with nu_k <= cap[k-1]: the number of
+    Littlewood-Richardson tableaux of shape outer/inner and content nu, i.e.
+    semistandard fillings whose reverse reading word (rows top to bottom,
+    each right to left) is a lattice word (Macdonald, I.9)."""
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    out = Counter()
+    if any(i > o for o, i in zip(outer, inner)):
+        return out
+    cells = [(r, c) for r, o in enumerate(outer) for c in range(o - 1, inner[r] - 1, -1)]
+    entry = {}
+    count = [0] * (len(cap) + 1)
+
+    def fill(k):
+        if k == len(cells):
+            out[tuple(count[1:])] += 1
+            return
+        r, c = cells[k]
+        for e in range(entry.get((r - 1, c), 0) + 1, entry.get((r, c + 1), len(cap)) + 1):
+            if count[e] < cap[e - 1] and (e == 1 or count[e] < count[e - 1]):
+                entry[r, c] = e
+                count[e] += 1
+                fill(k + 1)
+                count[e] -= 1
+
+    fill(0)
+    return out
 
 
 def branching_coeffs(lam, shape: GrassmannShape) -> dict:
     """c^lambda_{mu,nu}: multiplicities in
-    s_lambda(z_1..z_n) = sum c^lambda_{mu,nu}
-    s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n),
-    peeled off s_lambda at the lexicographically largest exponent.
+    s_lambda(z_1..z_n) = sum c^lambda_{mu,nu} s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n).
 
-    Negative trailing entries are handled by shifting lambda by a multiple
-    of the determinant weight and undoing the twist on both blocks.
-    """
-    lam = tuple(int(e) for e in lam)
+    Shifted by m (``_shift_dominant``) and untwisted on both blocks after;
+    mu runs over the partitions inside lambda + m with at most n-l parts."""
     n, l = shape.n, shape.l
-    if len(lam) != n:
-        raise ValueError("weight length must be n")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-        raise ValueError("branching_coeffs requires a dominant weight")
-    m = max(0, -lam[-1])
-
-    def leading(rest):
-        exp = max(rest)
-        return (exp[: n - l], exp[n - l :]), exp
-
-    coeffs = peel(
-        schur(tuple(e + m for e in lam), n).terms,
-        leading,
-        lambda pair: _block_schur(pair, n, l),
-    )
+    outer, m = _shift_dominant(lam, n)
+    # a column of (lambda + m)/mu holds at most l cells: mu_i >= outer_{i+l}
+    rows = (range(outer[i], outer[i + l] - 1, -1) for i in range(n - l))
     return {
-        tuple(tuple(e - m for e in part) for part in pair): c
-        for pair, c in coeffs.items()
+        (tuple(e - m for e in mu), tuple(e - m for e in nu)): c
+        for mu in itertools.product(*rows)
+        if all(a >= b for a, b in zip(mu, mu[1:]))
+        for nu, c in _lr_contents(outer, mu, (outer[0],) * l).items()
     }
-
-
-@lru_cache(maxsize=None)
-def _schur_product_expansion(n: int, l: int, m: int) -> dict:
-    """Schur-basis expansion of s_{(m^{n-l})} s_{(m^l)} in n variables,
-    peeled at the lexicographically largest exponent."""
-    p1 = schur((m,) * (n - l) + (0,) * l, n)
-    p2 = schur((m,) * l + (0,) * (n - l), n)
-    return peel(
-        (p1 * p2).terms, lambda rest: (max(rest),) * 2, lambda lam: schur(lam, n).terms
-    )
 
 
 def spherical_multiplicity(lam, shape: GrassmannShape) -> int:
     """Multiplicity of the trivial block-subgroup type in the GL_n
-    irreducible with highest weight lambda.
-
-    Equal to the coefficient of s_{lambda + m Lambda_n} in
-    s_{(m^{n-l})} s_{(m^l)} (m clearing the negative entries), which is the
-    Littlewood-Richardson count of the branching coefficient at the
-    determinant-twisted trivial pair.
-    """
-    lam = tuple(int(e) for e in lam)
-    n = shape.n
-    m = max(0, -lam[-1])
-    shifted = tuple(e + m for e in lam)
-    return _schur_product_expansion(n, shape.l, m).get(shifted, 0)
+    irreducible with highest weight lambda: the coefficient of
+    s_{lambda + m} in s_{(m^{n-l})} s_{(m^l)}, m as in ``_shift_dominant``."""
+    n, l = shape.n, shape.l
+    outer, m = _shift_dominant(lam, n)
+    return _lr_contents(outer, (m,) * (n - l), (m,) * l)[(m,) * l]
 
 
 def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationReport:
@@ -661,6 +659,8 @@ def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationRepor
     weight with entries bounded by degree_bound, and is one exactly on the
     spherical weights."""
     n = shape.n
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be >= 0")
     with Timer() as timer:
         failures = []
         checked = 0

@@ -314,3 +314,12 @@ def test_overflowing_residue_mass_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "non-convergence" in err
+
+
+def test_negative_branching_bound_exit_2(capsys):
+    # a negative bound checked no weight and exited 0 with "checked": 0
+    code, out, err = run(capsys, "verify", "branching", "--n", "5", "--l", "2",
+                         "--bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "degree_bound must be >= 0" in err

@@ -44,7 +44,7 @@ from bcq.qgrass import (
     wedge,
     wedge_dual,
 )
-from bcq.polyring import LaurentPoly, schur
+from bcq.polyring import LaurentPoly, peel, schur
 from bcq.weights import GrassmannShape
 
 Q = F(1, 2)
@@ -284,6 +284,52 @@ def test_gelfand_small():
         report = gelfand_check(shape, 1)
         assert report.passed and report.exact
         assert report.detail["failures"] == []
+
+
+@pytest.mark.parametrize("lam", [(0, 1, 0, 0), (1, 0, 0), (0, 0, 0, 0, 0)])
+def test_branching_rejects_invalid_weight(lam):
+    # spherical_multiplicity returned 0 on a non-dominant weight and on a
+    # weight of the wrong length
+    shape = GrassmannShape(4, 2)
+    with pytest.raises(ValueError):
+        spherical_multiplicity(lam, shape)
+    with pytest.raises(ValueError):
+        branching_coeffs(lam, shape)
+
+
+def test_gelfand_rejects_negative_bound():
+    # a negative bound checked no weight and passed
+    with pytest.raises(ValueError):
+        gelfand_check(GrassmannShape(5, 2), -1)
+
+
+@lru_cache(maxsize=None)
+def _schur_product_expansion(n, l, m):
+    """Schur-basis expansion of s_{(m^{n-l})} s_{(m^l)} in n variables,
+    peeled at the lexicographically largest exponent."""
+    p1 = schur((m,) * (n - l) + (0,) * l, n)
+    p2 = schur((m,) * l + (0,) * (n - l), n)
+    return peel(
+        (p1 * p2).terms, lambda rest: (max(rest),) * 2, lambda lam: schur(lam, n).terms
+    )
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_spherical_multiplicity_matches_product_oracle(l):
+    # every dominant weight with entries in [-2, 2] at n = 7, the range of
+    # the benchmark's Gelfand sweep
+    n = 7
+    shape = GrassmannShape(n, l)
+    for lam in itertools.combinations_with_replacement(range(2, -3, -1), n):
+        m = max(0, -lam[-1])
+        expected = _schur_product_expansion(n, l, m).get(tuple(e + m for e in lam), 0)
+        assert spherical_multiplicity(lam, shape) == expected, lam
+
+
+def test_gelfand_n7_l3_bound3():
+    report = gelfand_check(GrassmannShape(7, 3), 3)
+    assert report.passed and report.exact
+    assert report.detail["checked"] == 1716
 
 
 def test_u_vector_support():
