@@ -5,10 +5,10 @@ to coefficients.  Coefficients are exact rationals (``Fraction``/``int``) or
 complex floats; the two domains are not mixed inside one polynomial.  On top
 of the ring live the symmetric bases used everywhere else: hyperoctahedral
 orbit sums m~_lambda, monomial symmetric m_lambda, elementary symmetric e_r,
-and Schur polynomials s_lambda.  Every triangular basis change (orbit sums,
-generator coordinates, and the Schur expansions in ``qgrass``) is one
-``peel``: read the leading coefficient, subtract it times a basis piece monic
-there, repeat.  ``combine`` is the inverse sum.
+and Schur polynomials s_lambda.  Every triangular basis change (orbit sums
+and generator coordinates) is one ``peel``: read the leading coefficient,
+subtract it times a basis piece monic there, repeat.  ``combine`` is the
+inverse sum.
 """
 
 from __future__ import annotations

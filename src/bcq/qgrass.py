@@ -587,8 +587,8 @@ def casimir_eigenvalue(lam, n: int, q):
 
 
 def _shift_dominant(lam, n: int):
-    """(lambda + m, m), m >= 0 the least multiple of the determinant weight
-    that clears the negative entries of the dominant length-n weight lambda."""
+    """(lambda + m, m) for the least m >= 0 that makes lambda + m a partition;
+    lambda must be a dominant weight of length n (ValueError otherwise)."""
     lam = tuple(int(e) for e in lam)
     if len(lam) != n:
         raise ValueError("weight length must be n")
@@ -598,41 +598,41 @@ def _shift_dominant(lam, n: int):
     return tuple(e + m for e in lam), m
 
 
-def _lr_contents(outer, inner, cap) -> Counter:
-    """{nu: c^outer_{inner,nu}} over nu with nu_k <= cap[k-1]: the number of
-    Littlewood-Richardson tableaux of shape outer/inner and content nu, i.e.
-    semistandard fillings whose reverse reading word (rows top to bottom,
-    each right to left) is a lattice word (Macdonald, I.9)."""
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+def _lr_contents(outer, inner, l: int) -> Counter:
+    """{nu: c^outer_{inner,nu}} over nu with at most l parts, counted as
+    Littlewood-Richardson tableaux (Macdonald, I.9): semistandard fillings of
+    outer/inner with content nu whose reverse reading word is a lattice word.
+    Each row takes a_l copies of l from the right, then a_{l-1} copies of
+    l-1, ..., so the recursion is rows x (l + 1) deep."""
     out = Counter()
     if any(i > o for o, i in zip(outer, inner)):
         return out
-    cells = [(r, c) for r, o in enumerate(outer) for c in range(o - 1, inner[r] - 1, -1)]
-    entry = {}
-    count = [0] * (len(cap) + 1)
+    count = [sum(outer)] + [0] * l  # count[0] bounds every a_1
 
-    def fill(k):
-        if k == len(cells):
-            out[tuple(count[1:])] += 1
+    def fill(r, e, pos, above, row):
+        if pos == inner[r]:
+            if r + 1 == len(outer):
+                out[tuple(count[1:])] += 1
+            else:
+                fill(r + 1, l, outer[r + 1], row[: outer[r + 1]], [0] * outer[r + 1])
             return
-        r, c = cells[k]
-        for e in range(entry.get((r - 1, c), 0) + 1, entry.get((r, c + 1), len(cap)) + 1):
-            if count[e] < cap[e - 1] and (e == 1 or count[e] < count[e - 1]):
-                entry[r, c] = e
-                count[e] += 1
-                fill(k + 1)
-                count[e] -= 1
+        # e only below entries < e (columns strictly increase); 1s end the row
+        room = min(pos - inner[r], count[e - 1] - count[e])
+        most = room if above[pos - 1] < e else 0
+        for a in range(pos - inner[r] if e == 1 else 0, most + 1):
+            row[pos - a : pos] = [e] * a
+            count[e] += a
+            fill(r, e - 1, pos - a, above, row)
+            count[e] -= a
 
-    fill(0)
+    fill(0, l, outer[0], [0] * outer[0], [0] * outer[0])
     return out
 
 
 def branching_coeffs(lam, shape: GrassmannShape) -> dict:
-    """c^lambda_{mu,nu}: multiplicities in
-    s_lambda(z_1..z_n) = sum c^lambda_{mu,nu} s_mu(z_1..z_{n-l}) s_nu(z_{n-l+1}..z_n).
-
-    Shifted by m (``_shift_dominant``) and untwisted on both blocks after;
-    mu runs over the partitions inside lambda + m with at most n-l parts."""
+    """c^lambda_{mu,nu} in s_lambda(z) = sum c^lambda_{mu,nu} s_mu(z') s_nu(z''),
+    z' = (z_1..z_{n-l}), z'' = (z_{n-l+1}..z_n): the tableau counts of
+    (lambda + m)/mu, mu with at most n-l parts, untwisted by m on both blocks."""
     n, l = shape.n, shape.l
     outer, m = _shift_dominant(lam, n)
     # a column of (lambda + m)/mu holds at most l cells: mu_i >= outer_{i+l}
@@ -641,7 +641,7 @@ def branching_coeffs(lam, shape: GrassmannShape) -> dict:
         (tuple(e - m for e in mu), tuple(e - m for e in nu)): c
         for mu in itertools.product(*rows)
         if all(a >= b for a, b in zip(mu, mu[1:]))
-        for nu, c in _lr_contents(outer, mu, (outer[0],) * l).items()
+        for nu, c in _lr_contents(outer, mu + (0,) * l, l).items()
     }
 
 
@@ -651,7 +651,7 @@ def spherical_multiplicity(lam, shape: GrassmannShape) -> int:
     s_{lambda + m} in s_{(m^{n-l})} s_{(m^l)}, m as in ``_shift_dominant``."""
     n, l = shape.n, shape.l
     outer, m = _shift_dominant(lam, n)
-    return _lr_contents(outer, (m,) * (n - l), (m,) * l)[(m,) * l]
+    return _lr_contents(outer, (m,) * (n - l) + (0,) * l, l)[(m,) * l]
 
 
 def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationReport:
