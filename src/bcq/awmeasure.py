@@ -11,16 +11,26 @@ combinatorial prefactor 2^m binom(l,m).
 
 Torus integrals use the trapezoid rule on uniform circle grids (periodic
 analytic integrand, hence spectral accuracy) with doubling refinement.  The
-weight on a grid, coupling factor included, is cached per (params, M,
-pinned point, dim), so Gram matrices and the two inner products of
-``norm_K`` share one weight evaluation per grid; each polynomial is
-evaluated once per grid, one coordinate at a time.
+weight is invariant under the hyperoctahedral group W_dim acting on the
+continuous coordinates (permuting them and inverting each), and so is
+P conj(Q) when P and Q are W-invariant, pinned coordinates included: a
+grid point's orbit then carries one value.  The m^dim grid sum is therefore
+added up over one Weyl chamber, the index tuples
+0 <= s_1 <= ... <= s_dim <= floor(m/2), each times its orbit size
+dim!/prod(run lengths)! * 2^#{i : s_i not in {0, m/2}}.  ``full_inner`` and
+``continuous_gram`` reject a P or Q that is not W-invariant, for which the
+chamber sum (and the residue prefactor) would be wrong.  The chamber
+weights, coupling factor included, are cached per (params, M, pinned point,
+dim), so Gram matrices and the two inner products of ``norm_K`` share one
+weight evaluation per grid; each polynomial is evaluated once per grid on
+the half grid s_i <= floor(m/2), one coordinate at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -30,8 +40,10 @@ from operator import mul
 from .polyring import LaurentPoly, grid_values
 from .qseries import DEFAULT_POLICY, NonConvergenceError, TruncationPolicy
 from .qseries import _qpoch_finite, qpochhammer
+from .weights import dominant_representative
 
 _DEGENERACY_TOL = 1e-12
+_INVARIANCE_TOL = 1e-12
 _N_E_CAP = 64
 
 
@@ -143,37 +155,55 @@ def _roots_of_unity(m: int):
     return tuple(cmath.exp(2j * cmath.pi * s / m) for s in range(m))
 
 
-def _root_powers(m: int):
-    """e -> the e-th powers of the m-th roots of unity, w^{se} = w^{se mod m}."""
+def _root_powers(m: int, count: int | None = None):
+    """e -> the e-th powers of the first ``count`` (default all) m-th roots
+    of unity, w^{se} = w^{se mod m}."""
     roots = _roots_of_unity(m)
-    return lru_cache(maxsize=None)(lambda e: [roots[s * e % m] for s in range(m)])
+    count = m if count is None else count
+    return lru_cache(maxsize=None)(lambda e: [roots[s * e % m] for s in range(count)])
 
 
 @lru_cache(maxsize=256)
 def _w2_on_roots(params, m: int):
-    """w_2 at the m-th roots of unity w^s.  w_2(1/x) = w_2(x) pairs s with
-    m - s, and for even m the even s are the (m/2)-th roots (bit for bit),
-    already evaluated on the coarser grid of the doubling refinement."""
+    """w_2 at the m-th roots of unity w^s for s <= floor(m/2); w_2(1/x) =
+    w_2(x) gives the rest.  For even m the even s are the (m/2)-th roots
+    (bit for bit), already evaluated on the coarser grid of the doubling
+    refinement."""
     roots = _roots_of_unity(m)
     coarse = _w2_on_roots(params, m // 2) if m % 2 == 0 else ()
-    half = [
+    return tuple(
         coarse[s // 2] if coarse and s % 2 == 0 else w2_value(roots[s], params)
         for s in range(m // 2 + 1)
-    ]
-    return tuple(half + half[1 : (m + 1) // 2][::-1])
+    )
+
+
+def _orbit_size(combo, m: int = 0) -> int:
+    """Size of the W_dim orbit of the sorted tuple ``combo`` in Z_m^dim (in
+    Z^dim for m = 0): its distinct permutations, dim!/prod(run lengths)!,
+    times 2 for each entry s != -s, that is, not 0 or m/2."""
+    walls = combo.count(0) + (combo.count(m // 2) if m and m % 2 == 0 else 0)
+    size = math.factorial(len(combo)) << (len(combo) - walls)
+    run = 1
+    for a, b in zip(combo, combo[1:]):
+        run = run + 1 if a == b else 1
+        size //= run
+    return size
 
 
 @lru_cache(maxsize=256)
 def _weight_on_grid(params, m: int, fixed, dim: int):
-    """w_2 factors for the continuous coordinates times the full coupling
-    factor prod_{i<j} g(x_i x_j) g(x_i / x_j), g(z) = (z; q)_k (1/z; q)_k,
-    over the grid order of ``polyring.grid_values``.  A continuous pair reads g
+    """The chamber representatives 0 <= s_1 <= ... <= s_dim <= floor(m/2):
+    their flat indices into the half grid of ``polyring.grid_values``
+    (floor(m/2) + 1 points a coordinate, row-major), and their weights
+    times orbit size.  The weight is the w_2 factors for the continuous
+    coordinates times the full coupling factor prod_{i<j} g(x_i x_j)
+    g(x_i / x_j), g(z) = (z; q)_k (1/z; q)_k.  A continuous pair reads g
     from one table over the root indices s_i +- s_j mod m; each pinned
-    coordinate x contributes the table g(x w^s) g(x / w^s).  Callers share
-    the cached list and only read it."""
+    coordinate x contributes the table g(x w^s) g(x / w^s)."""
     roots = _roots_of_unity(m)
     _ts, q, _ = _params_float(params)
     k = params.k
+    side = m // 2 + 1
 
     def g(z):
         return _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
@@ -182,39 +212,45 @@ def _weight_on_grid(params, m: int, fixed, dim: int):
     for x, y in combinations(fixed, 2):
         const *= g(x * y) * g(x / y)
     if not dim:
-        return [const]
+        return (0,), (const,)
     single = list(_w2_on_roots(params, m))
     for x in fixed:
         single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
     pair = [g(z) for z in roots]
-    out = []
-    for combo in iproduct(range(m), repeat=dim):
-        val = const
+    index = []
+    weights = []
+    for combo in combinations_with_replacement(range(side), dim):
+        flat = 0
+        val = const * _orbit_size(combo, m)
         for s in combo:
+            flat = flat * side + s
             val *= single[s]
         for s, r in combinations(combo, 2):
             val *= pair[(s + r) % m] * pair[(s - r) % m]
-        out.append(val)
-    return out
+        index.append(flat)
+        weights.append(val)
+    return tuple(index), tuple(weights)
 
 
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
     """For each (P,Q) pair: mean over the torus grid of P Qbar * weight with
-    the given pinned coordinates; refined by doubling."""
+    the given pinned coordinates, summed over one Weyl chamber (P and Q
+    W-invariant); refined by doubling."""
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
-        power = _root_powers(m_pts)
-        wvals = _weight_on_grid(params, m_pts, fixed, dim)
+        power = _root_powers(m_pts, m_pts // 2 + 1)
+        index, weights = _weight_on_grid(params, m_pts, fixed, dim)
         values = []
         cache = {}
         for P, Q in polys_pairs:
             for p in (P, Q):
                 if id(p) not in cache:
-                    cache[id(p)] = grid_values(p, power, fixed, dim)
+                    on_half_grid = grid_values(p, power, fixed, dim)
+                    cache[id(p)] = list(map(on_half_grid.__getitem__, index))
             conj = map(complex.conjugate, cache[id(Q)])
-            total = sum(map(mul, map(mul, cache[id(P)], conj), wvals))
-            values.append(total / len(wvals))
+            total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
+            values.append(total / m_pts**dim)
         if prev is not None:
             scale = max(max(abs(v) for v in values), 1e-300)
             if all(
@@ -224,11 +260,36 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
                 return values
         prev = values
         m_pts *= 2
-    raise ArithmeticError("torus quadrature refinement cap reached")
+    raise NonConvergenceError(
+        f"torus quadrature refinement cap reached: {grid.max_points} points"
+    )
+
+
+def _require_invariant(p: LaurentPoly) -> None:
+    """Raise unless p is W-invariant: every coefficient equals that of its
+    dominant representative, and every orbit is complete.  Float
+    coefficients may differ by _INVARIANCE_TOL of the largest one (a float
+    product rounds differently at the images of one exponent); exact ones
+    must agree exactly."""
+    terms = p.terms
+    slack = 0
+    if p.domain != "rational":
+        slack = _INVARIANCE_TOL * max(map(abs, terms.values()), default=0)
+    seen = Counter()
+    for exp, c in terms.items():
+        rep = dominant_representative(exp)
+        if abs(c - terms.get(rep, 0)) > slack:
+            raise ValueError("the measure needs W-invariant polynomials")
+        seen[rep] += 1
+    for rep, n in seen.items():
+        if n != _orbit_size(rep) and abs(terms.get(rep, 0)) > slack:
+            raise ValueError("the measure needs W-invariant polynomials")
 
 
 def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
     """All pairwise m=0 inner products <polys[i], polys[j]> in one pass."""
+    for p in polys:
+        _require_invariant(p)
     pairs = [(p, q) for i, p in enumerate(polys) for q in polys[i:]]
     values = _mixed_term_at_m(pairs, params, (), polys[0].nvars, grid)
     n = len(polys)
@@ -252,6 +313,8 @@ def full_inner(
     masses, m coordinates pinned)."""
     if P.nvars != Q.nvars:
         raise ValueError("arity mismatch")
+    _require_invariant(P)
+    _require_invariant(Q)
     check_degeneracy(params)
     l = P.nvars
     ts, q, _ = _params_float(params)

@@ -2,17 +2,23 @@
 parts, and the closed-form total mass."""
 
 import cmath
+import math
 from fractions import Fraction as F
-from itertools import product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from bcq.awmeasure import (
     DegenerateParameterError,
+    QuadratureGrid,
+    _mixed_term_at_m,
+    _orbit_size,
     _root_powers,
     _roots_of_unity,
     _weight_on_grid,
     check_degeneracy,
+    continuous_gram,
     discrete_support,
     full_inner,
     gustafson_constant,
@@ -25,7 +31,7 @@ from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.limits import t_B, t_L
 from bcq.polyring import LaurentPoly, grid_values
 from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
-from bcq.qseries import NonConvergenceError, jackson_nodes
+from bcq.qseries import NonConvergenceError, _qpoch_finite, jackson_nodes
 
 PARAMS_IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 PARAMS_OUT = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 1)  # |t0| > 1
@@ -210,3 +216,148 @@ def test_gram_builds_each_weight_grid_once_per_m():
     # every pair refines through a prefix of the same doubling sequence
     assert info.misses == max(grids)
     assert info.hits == sum(grids) - max(grids)
+
+
+def test_non_invariant_input_rejected():
+    # x and 1/x have the same torus part but, before this check, different
+    # residue parts: <x, 1>_K read 1.3459 and <1/x, 1>_K read 0.7058
+    for params in (PARAMS_OUT, PARAMS_IN):
+        one = LaurentPoly.const(1, 1)
+        for e in (1, -1):
+            x = LaurentPoly(1, {(e,): 1})
+            with pytest.raises(ValueError):
+                full_inner(x, one, params)
+            with pytest.raises(ValueError):
+                full_inner(one, x, params)
+        # coefficients of one orbit that differ, and an incomplete orbit
+        for terms in ({(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 2}, {(1, 1): 1, (-1, -1): 1}):
+            with pytest.raises(ValueError):
+                continuous_gram([LaurentPoly(2, terms)], params)
+        sym = LaurentPoly(1, {(1,): 1, (-1,): 1})
+        assert full_inner(sym, one, params) != 0
+
+
+def test_float_product_counts_as_invariant():
+    # the product rounds differently at the images of one exponent
+    prod = koornwinder_poly((2, 1), PARAMS_IN) * koornwinder_poly((2, 2), PARAMS_IN)
+    rep = {e: tuple(sorted(map(abs, e), reverse=True)) for e in prod.terms}
+    assert any(c != prod.terms[rep[e]] for e, c in prod.terms.items())
+    one = LaurentPoly.const(2, 1)
+    gram = continuous_gram([prod, one], PARAMS_IN)
+    assert full_inner(prod, one, PARAMS_IN) == pytest.approx(gram[0][1], rel=1e-9)
+
+
+def test_torus_refinement_cap_raises():
+    one = LaurentPoly.const(1, 1)
+    with pytest.raises(NonConvergenceError):
+        full_inner(one, one, PARAMS_IN, QuadratureGrid(m_start=8, max_points=8))
+
+
+@pytest.mark.parametrize("m", [8, 9, 16, 17])
+def test_chamber_orbit_sizes_count_the_grid(m):
+    # w_2 vanishes at x = +-1 and the coupling at x_i = x_j^{+-1}, so a
+    # wrong size on the chamber walls (s = 0, s = m/2, s_i = s_j) moves no
+    # quadrature value above rounding: count the grid points directly
+    for dim in range(4):
+        reps = Counter(
+            tuple(sorted(min(s, m - s) for s in point))
+            for point in product(range(m), repeat=dim)
+        )
+        chamber = list(combinations_with_replacement(range(m // 2 + 1), dim))
+        assert sorted(reps) == chamber
+        assert all(_orbit_size(rep, m) == n for rep, n in reps.items())
+        index, weights = _weight_on_grid(PARAMS_IN, m, (), dim)
+        assert len(index) == len(weights) == len(chamber)
+
+
+def _full_grid_means(pairs, params, fixed, dim, m):
+    """The torus mean of P Qbar * weight on the m-point circle grid, summed
+    point by point over all m^dim points.  The sum is exactly rounded
+    (``math.fsum``): a plain sum of 72^3 terms loses 1e-13 at l = 3, k = 2."""
+    q, k = float(params.q), params.k
+
+    def g(z):
+        return _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
+
+    roots = _roots_of_unity(m)
+    const = 1.0 + 0j
+    for x, y in combinations(fixed, 2):
+        const *= g(x * y) * g(x / y)
+    single = [w2_value(z, params) for z in roots]
+    for x in fixed:
+        single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
+    pair = [g(z) for z in roots]
+    weights = []
+    for combo in product(range(m), repeat=dim):
+        val = const
+        for s in combo:
+            val *= single[s]
+        for s, r in combinations(combo, 2):
+            val *= pair[(s + r) % m] * pair[(s - r) % m]
+        weights.append(val)
+    values = []
+    for P, Q in pairs:
+        on_p = grid_values(P, _root_powers(m), fixed, dim)
+        on_q = grid_values(Q, _root_powers(m), fixed, dim)
+        terms = [a * b.conjugate() * w for a, b, w in zip(on_p, on_q, weights)]
+        total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        values.append(total / m**dim)
+    return values
+
+
+def _unfolded_mixed_term(pairs, params, fixed, dim, grid):
+    """``_full_grid_means`` with the doubling and stopping rule of the
+    library."""
+    m, prev = grid.m_start, None
+    while m <= grid.max_points:
+        values = _full_grid_means(pairs, params, fixed, dim, m)
+        if prev is not None:
+            scale = max(max(abs(v) for v in values), 1e-300)
+            if all(abs(v - p) <= grid.rel_tol * (1 + scale) for v, p in zip(values, prev)):
+                return values
+        prev = values
+        m *= 2
+    raise NonConvergenceError("oracle refinement cap reached")
+
+
+PARAMS_CONJ = KoornwinderParams(0.3, -0.2, 0.25 + 0.3j, 0.25 - 0.3j, 0.4, 2)
+PARAMS_K2 = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 2)
+
+
+@pytest.mark.parametrize(
+    "params, lams, fixed, m_start, rel_tol",
+    [
+        (PARAMS_IN, [(1,), (2,)], (), 16, 1e-10),
+        (PARAMS_CONJ, [(1,), (2,)], (), 9, 1e-10),
+        (PARAMS_OUT, [(1,)], (1.7,), 16, 1e-10),
+        (PARAMS_IN, [(1, 0), (1, 1)], (), 9, 1e-10),
+        (PARAMS_CONJ, [(1, 0), (2, 1)], (), 16, 1e-10),
+        (PARAMS_K2, [(1, 0), (1, 1)], (1.7,), 9, 1e-10),
+        (PARAMS_OUT, [(1, 0)], (1.7, -2.1), 16, 1e-10),
+        # at l = 3 a loose stopping rule keeps the full grids at 32^3, 36^3
+        (PARAMS_IN, [(1, 0, 0), (1, 1, 0)], (), 16, 1e-3),
+        (PARAMS_CONJ, [(1, 1, 0)], (), 9, 1e-3),
+        (PARAMS_OUT, [(1, 0, 0)], (1.7,), 9, 1e-8),
+        (PARAMS_K2, [(1, 1, 1)], (1.7, 0.68), 16, 1e-10),
+    ],
+)
+def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
+    # one torus term, summed over one Weyl chamber and over the whole grid
+    l = len(lams[0])
+    polys = [LaurentPoly.const(l, 1)] + [koornwinder_poly(lam, params) for lam in lams]
+    pairs = [(p, r) for i, p in enumerate(polys) for r in polys[i:]]
+    grid = QuadratureGrid(m_start=m_start, rel_tol=rel_tol)
+    dim = l - len(fixed)
+    folded = _mixed_term_at_m(pairs, params, fixed, dim, grid)
+    full = _unfolded_mixed_term(pairs, params, fixed, dim, grid)
+    diag = [full[i] for i, (p, r) in enumerate(pairs) if p is r]
+    pos = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
+    for (i, j), got, want in zip(pos, folded, full):
+        assert abs(got - want) <= 1e-13 * abs(diag[i] * diag[j]) ** 0.5
+    # the first grid (odd for m_start = 9) only feeds the stopping rule:
+    # check its chamber weights, orbit sizes included, on their own
+    one = polys[0]
+    for m in (m_start, 2 * m_start):
+        chamber = sum(_weight_on_grid(params, m, fixed, dim)[1]) / m**dim
+        want = _full_grid_means([(one, one)], params, fixed, dim, m)[0]
+        assert abs(chamber - want) <= 1e-13 * abs(want)
