@@ -3,8 +3,8 @@ parts, and the closed-form total mass."""
 
 import cmath
 import math
-from fractions import Fraction as F
 from collections import Counter
+from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
