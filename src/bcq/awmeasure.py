@@ -30,20 +30,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
 
-from .polyring import LaurentPoly, grid_values
+from .polyring import LaurentPoly, grid_values, orbit_size, require_invariant
 from .qseries import DEFAULT_POLICY, NonConvergenceError, TruncationPolicy
 from .qseries import _qpoch_finite, qpochhammer
-from .weights import dominant_representative
 
 _DEGENERACY_TOL = 1e-12
-_INVARIANCE_TOL = 1e-12
 _N_E_CAP = 64
 
 
@@ -182,12 +179,7 @@ def _orbit_size(combo, m: int = 0) -> int:
     Z^dim for m = 0): its distinct permutations, dim!/prod(run lengths)!,
     times 2 for each entry s != -s, that is, not 0 or m/2."""
     walls = combo.count(0) + (combo.count(m // 2) if m and m % 2 == 0 else 0)
-    size = math.factorial(len(combo)) << (len(combo) - walls)
-    run = 1
-    for a, b in zip(combo, combo[1:]):
-        run = run + 1 if a == b else 1
-        size //= run
-    return size
+    return orbit_size(combo, "S") << (len(combo) - walls)
 
 
 @lru_cache(maxsize=256)
@@ -265,31 +257,10 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
     )
 
 
-def _require_invariant(p: LaurentPoly) -> None:
-    """Raise unless p is W-invariant: every coefficient equals that of its
-    dominant representative, and every orbit is complete.  Float
-    coefficients may differ by _INVARIANCE_TOL of the largest one (a float
-    product rounds differently at the images of one exponent); exact ones
-    must agree exactly."""
-    terms = p.terms
-    slack = 0
-    if p.domain != "rational":
-        slack = _INVARIANCE_TOL * max(map(abs, terms.values()), default=0)
-    seen = Counter()
-    for exp, c in terms.items():
-        rep = dominant_representative(exp)
-        if abs(c - terms.get(rep, 0)) > slack:
-            raise ValueError("the measure needs W-invariant polynomials")
-        seen[rep] += 1
-    for rep, n in seen.items():
-        if n != _orbit_size(rep) and abs(terms.get(rep, 0)) > slack:
-            raise ValueError("the measure needs W-invariant polynomials")
-
-
 def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
     """All pairwise m=0 inner products <polys[i], polys[j]> in one pass."""
     for p in polys:
-        _require_invariant(p)
+        require_invariant(p, "W")
     pairs = [(p, q) for i, p in enumerate(polys) for q in polys[i:]]
     values = _mixed_term_at_m(pairs, params, (), polys[0].nvars, grid)
     n = len(polys)
@@ -313,8 +284,8 @@ def full_inner(
     masses, m coordinates pinned)."""
     if P.nvars != Q.nvars:
         raise ValueError("arity mismatch")
-    _require_invariant(P)
-    _require_invariant(Q)
+    require_invariant(P, "W")
+    require_invariant(Q, "W")
     check_degeneracy(params)
     l = P.nvars
     ts, q, _ = _params_float(params)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, cycle, repeat
@@ -28,6 +30,7 @@ from .weights import (
 )
 
 MAX_VARS = 8
+_INVARIANCE_TOL = 1e-12
 
 
 class LaurentPoly:
@@ -380,14 +383,18 @@ def _extension_key(rep: tuple):
     return (sum(rep), rep)
 
 
+def _representative(exp, kind: str) -> tuple:
+    """The dominant representative of the orbit of ``exp``: its absolute
+    values (kind "W") or its entries (kind "S") sorted decreasing."""
+    if kind == "W":
+        return dominant_representative(exp)
+    return tuple(sorted(exp, reverse=True))
+
+
 def _leading_orbit(terms: dict, kind: str):
     """(key, exponent) of the leading orbit: both are its dominant
     representative, maximal in the fixed linear extension of dominance."""
-    if kind == "W":
-        reps = map(dominant_representative, terms)
-    else:
-        reps = (tuple(sorted(exp, reverse=True)) for exp in terms)
-    rep = max(reps, key=_extension_key)
+    rep = max((_representative(exp, kind) for exp in terms), key=_extension_key)
     return rep, rep
 
 
@@ -423,6 +430,41 @@ def is_invariant(p: LaurentPoly, kind: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def orbit_size(rep, kind: str) -> int:
+    """Size of the orbit of the sorted tuple ``rep``: its distinct
+    permutations, len!/prod(run lengths)!, times (kind "W") 2 for each
+    nonzero entry."""
+    size = math.factorial(len(rep))
+    run = 1
+    for a, b in zip(rep, rep[1:]):
+        run = run + 1 if a == b else 1
+        size //= run
+    return size << (len(rep) - rep.count(0)) if kind == "W" else size
+
+
+def require_invariant(p: LaurentPoly, kind: str) -> None:
+    """Raise unless p is invariant under W (kind "W", signed permutations)
+    or S_l (kind "S", permutations of a polynomial: no negative exponent).
+    Every coefficient must equal that of its dominant representative and
+    every orbit must be complete.  Float coefficients may differ by
+    _INVARIANCE_TOL of the largest one (a float product rounds differently
+    at the images of one exponent); exact ones must agree exactly."""
+    group = "W" if kind == "W" else "S_l"
+    terms = p.terms
+    slack = 0
+    if p.domain != "rational":
+        slack = _INVARIANCE_TOL * max(map(abs, terms.values()), default=0)
+    seen = Counter()
+    for exp, c in terms.items():
+        rep = _representative(exp, kind)
+        if (kind == "S" and rep[-1] < 0) or abs(c - terms.get(rep, 0)) > slack:
+            raise ValueError(f"the measure needs {group}-invariant polynomials")
+        seen[rep] += 1
+    for rep, n in seen.items():
+        if n != orbit_size(rep, kind) and abs(terms.get(rep, 0)) > slack:
+            raise ValueError(f"the measure needs {group}-invariant polynomials")
 
 
 def _leading_generator(rest: dict):

@@ -9,10 +9,17 @@ coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
 built by Gram-Schmidt over the dominance downset; q-difference operators
 for these families are deliberately not implemented.
 
-Per parameter set only one coordinate's nodes, masses and table of pair
-coupling factors are cached.  The sums stream over the first coordinate:
-each of its nodes gives one weight row over the other coordinates, on which
-``polyring.grid_values`` evaluates every polynomial once.
+The weight is symmetric under S_l, and the pair factor (x - y) x^{2k-1}
+(q^{1-k} y/x; q)_{2k-1} is exactly 0.0 where two nodes coincide, so for
+S_l-symmetric P and Q the l-fold grid sum is l! times the sum over one
+chamber, the strictly increasing node-index tuples s_1 < ... < s_l.  The
+inner products take symmetric polynomials only (no negative exponent) and
+raise ``ValueError`` on any other input.  Per parameter set only one
+coordinate's nodes, masses and table of pair coupling factors are cached.
+The sums stream over the first coordinate: for each node s_1,
+``polyring.grid_values`` evaluates every polynomial once on the product
+grid of the nodes after it, and the chamber points are gathered from that
+grid and weighted.
 """
 
 from __future__ import annotations
@@ -20,10 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import mul
 
 from .linalg import solve_linear
-from .polyring import LaurentPoly, grid_values, monomial_symmetric, rebuild_from_basis
+from .polyring import (
+    LaurentPoly,
+    grid_values,
+    monomial_symmetric,
+    rebuild_from_basis,
+    require_invariant,
+)
 from .qseries import DEFAULT_POLICY, _qpoch_finite, jackson_nodes, log_qgamma, qpochhammer
 from .weights import dominant_downset
 
@@ -167,42 +181,81 @@ def _pair_table(params, trunc: SumTruncation):
     ]
 
 
-def _weight_rows(u, pair, dim: int):
-    """The weights prod_i u[s_i] prod_{i<j} pair[s_i][s_j] over the dim-fold
-    grid of node indices, one row (row-major over s_2..s_dim) per s_1:
-    u[s_1] times the same product one dimension lower, at u * pair[s_1]."""
-    for us, row in zip(u, pair):
-        v = list(map(mul, u, row))
-        lower = v if dim == 2 else [w for r in _weight_rows(v, pair, dim - 1) for w in r]
-        yield [us * w for w in lower]
+def _chamber_weight_rows(u, pair, dim: int, lo: int = 0):
+    """The weights prod_i u[s_i - lo] prod_{i<j} pair[s_i][s_j] over the
+    chamber lo <= s_1 < ... < s_dim < lo + len(u), one row per s_1
+    (lexicographic over s_2..s_dim): u[s_1 - lo] times the same product one
+    dimension lower over the nodes after s_1, at u * pair[s_1]."""
+    for s, (us, row) in enumerate(zip(u, pair[lo:]), lo):
+        v = list(map(mul, u[s - lo + 1 :], row[s + 1 :]))
+        if dim > 2:
+            v = list(chain.from_iterable(_chamber_weight_rows(v, pair, dim - 1, s + 1)))
+        yield list(map(mul, repeat(us), v))
+
+
+def _chamber_index(m: int, dim: int, lo: int = 0):
+    """Flat row-major indices into the m^dim product grid of the chamber
+    lo <= s_1 < ... < s_dim < m, in lexicographic order."""
+    if dim == 1:
+        return range(lo, m)
+    stride = m ** (dim - 1)
+    out = []
+    for s in range(lo, m):
+        out.extend(map((s * stride).__add__, _chamber_index(m, dim - 1, s + 1)))
+    return out
+
+
+def _chamber_rows(params, trunc: SumTruncation, l: int, power):
+    """The chamber s_1 < ... < s_l of the l-fold grid, one row per s_1: the
+    pinned node x_{s_1}, the powers x^e over the nodes after it, the flat
+    indices of the chamber in the (l-1)-fold product grid of those nodes,
+    and the chamber weights."""
+    nodes, masses = _grid_1d(params, trunc)
+    weight_rows = _chamber_weight_rows(masses, _pair_table(params, trunc), l)
+    for s, weights in enumerate(weight_rows):
+        if not weights:
+            return
+        tail = lru_cache(maxsize=None)(lambda e, s=s: power(e)[s + 1 :])
+        yield (nodes[s],), tail, _chamber_index(len(nodes) - s - 1, l - 1), weights
 
 
 def _gram_sums(polys, params, l: int, trunc: SumTruncation):
-    """All pairwise <polys[i], polys[j]>, streamed over the first coordinate:
-    for each of its nodes the polynomials are evaluated on the weight row of
-    the other l - 1 coordinates (at l = 1, one row over all nodes), so no
-    l-fold grid is ever held."""
+    """All pairwise <polys[i], polys[j]> of S_l-symmetric polynomials.  The
+    weight is symmetric and vanishes exactly where two nodes coincide (the
+    factor x - y of the pair table), so at l >= 2 the l-fold grid is summed
+    over one chamber s_1 < ... < s_l, times l!.  The sum streams over s_1:
+    the polynomials are evaluated on the product grid of the nodes after
+    it and gathered at the chamber; at l = 1 it is one row over all nodes."""
+    for p in polys:
+        require_invariant(p, "S")
     nodes, masses = _grid_1d(params, trunc)
     power = lru_cache(maxsize=None)(lambda e: [x**e for x in nodes])
     if l == 1:
-        rows = [((), masses)]
+        rows = [((), power, range(len(nodes)), masses)]
     else:
-        rows = zip([(x,) for x in nodes], _weight_rows(masses, _pair_table(params, trunc), l))
+        rows = _chamber_rows(params, trunc, l, power)
     n = len(polys)
     sums = [[0.0] * n for _ in range(n)]
-    for fixed, weights in rows:
-        vals = [grid_values(p, power, fixed, l - len(fixed)) for p in polys]
+    for fixed, tail, index, weights in rows:
+        vals = []
+        for p in polys:
+            on_grid = grid_values(p, tail, fixed, l - len(fixed))
+            vals.append(list(map(on_grid.__getitem__, index)))
         conj = [list(map(complex.conjugate, v)) for v in vals]
         for i in range(n):
             for j in range(i, n):
                 sums[i][j] += sum(map(mul, map(mul, vals[i], conj[j]), weights)).real
+    fold = math.factorial(l)
     for i in range(n):
-        for j in range(i):
-            sums[i][j] = sums[j][i]
+        for j in range(i, n):
+            sums[i][j] *= fold
+            sums[j][i] = sums[i][j]
     return sums
 
 
 def _inner(P, Q, params, trunc: SumTruncation):
+    if P.nvars != Q.nvars:
+        raise ValueError("arity mismatch")
     g = _gram_sums([P, Q], params, P.nvars, trunc)
     return g[0][1]
 

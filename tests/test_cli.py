@@ -323,3 +323,36 @@ def test_negative_branching_bound_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "degree_bound must be >= 0" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bcq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "bcq", "verify", "qybe", "--n", "2", "--q", "1/2"]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["identity"] == "quantum-yang-baxter"
+
+
+def test_import_loads_only_the_standard_library():
+    # numpy and mpmath are often installed, so an accidental import of
+    # either would pass every other test; site hooks may load modules at
+    # start-up, so only the modules new after the import count
+    src = str(Path(bcq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bcq, bcq.cli\n"
+        "new = set(sys.modules) - before\n"
+        "print('\\n'.join(sorted(new)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    new = proc.stdout.split()
+    assert "bcq.cli" in new
+    foreign = [
+        name for name in new
+        if name.split(".")[0] != "bcq" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not foreign, foreign

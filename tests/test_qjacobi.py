@@ -5,7 +5,13 @@ from itertools import product
 
 import pytest
 
-from bcq.polyring import LaurentPoly, expand_in_basis, monomial_symmetric
+from bcq.polyring import (
+    LaurentPoly,
+    expand_in_basis,
+    monomial_symmetric,
+    orbit_sum_W,
+    require_invariant,
+)
 from bcq.qseries import jackson_integral
 from bcq.qjacobi import (
     BigJacobiParams,
@@ -168,21 +174,71 @@ _Z = 0.1 + 0.2j
     ],
     ids=["little", "big", "big-complex"],
 )
-@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_gram_sums_match_node_by_node(l, params, k):
     params = type(params)(**{**vars(params), "k": k})
-    # a short grid keeps the l = 3 oracle small; the streaming is the same
-    trunc = DEFAULT_TRUNCATION if l < 3 else SumTruncation(n_max=6)
+    # a short grid keeps the l >= 3 oracle small; the chamber sum is the
+    # same, and at l = 4 each chamber point stands for 24 grid points.  At
+    # k = 2 the weight vanishes where two nodes of one sign are neighbours,
+    # so the little grid at l = 4 needs 7 nodes (n_max = 6) to carry any.
+    little = isinstance(params, LittleJacobiParams)
+    trunc = {3: SumTruncation(n_max=6), 4: SumTruncation(n_max=6 if little else 4)}.get(
+        l, DEFAULT_TRUNCATION
+    )
     lams = [(0,) * l, (1,) + (0,) * (l - 1), (1,) * l, (2,) + (0,) * (l - 1), (3,) + (1,) * (l - 1)]
     polys = [monomial_symmetric(lam, l) for lam in lams]
-    # complex coefficients on exponents that are not symmetric, so a mix-up
-    # of coordinates shows even though the weight is symmetric
-    polys.append(LaurentPoly(l, {(2,) + (0,) * (l - 1): 1.5 - 0.5j, (0,) * (l - 1) + (1,): 0.25j}))
+    # complex coefficients on two different S_l orbits
+    polys.append(
+        monomial_symmetric((2,) + (0,) * (l - 1), l) * (1.5 - 0.5j)
+        + monomial_symmetric((1,) * l, l) * 0.25j
+    )
     got = _gram_sums(polys, params, l, trunc)
     want = _gram_sums_node_by_node(polys, params, l, trunc)
+    assert want[0][0] > 0
     if l == 1:
         assert got == want
         return
     for i, row in enumerate(want):
         for j, w in enumerate(row):
             assert abs(got[i][j] - w) <= 1e-13 * (want[i][i] * want[j][j]) ** 0.5
+
+
+def test_little_inner_arity_mismatch_raises():
+    # read 0.0 before the arity check
+    with pytest.raises(ValueError, match="arity mismatch"):
+        little_inner(LaurentPoly.const(2, 1), LaurentPoly.const(3, 1), LITTLE)
+
+
+def test_big_inner_arity_mismatch_raises():
+    # died with an IndexError inside grid_values before the arity check
+    with pytest.raises(ValueError, match="arity mismatch"):
+        big_inner(LaurentPoly.const(2, 1), LaurentPoly.const(1, 1), BIG)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        LaurentPoly.variable(0, 2),
+        # one S_2 orbit with unequal coefficients
+        LaurentPoly(2, {(1, 0): 1, (0, 1): 2}),
+        # three of the six permutations of (2, 1, 0)
+        LaurentPoly(3, {(2, 1, 0): 1, (1, 2, 0): 1, (0, 1, 2): 1}),
+        # W-invariant Laurent polynomials, but not polynomials
+        orbit_sum_W((1, 0), 2),
+        LaurentPoly(1, {(1,): 1, (-1,): 1}),
+    ],
+    ids=["x1", "unequal-orbit", "incomplete-orbit", "negative-l2", "negative-l1"],
+)
+def test_non_symmetric_input_rejected(poly):
+    # the Jackson sums run over one S_l chamber, right only for symmetric
+    # polynomials; with a negative exponent "W" accepts what "S" rejects
+    if any(min(e) < 0 for e in poly.terms):
+        require_invariant(poly, "W")
+    one = LaurentPoly.const(poly.nvars, 1)
+    for inner, params in ((little_inner, LITTLE), (big_inner, BIG)):
+        with pytest.raises(ValueError):
+            inner(poly, one, params)
+        with pytest.raises(ValueError):
+            inner(one, poly, params)
+    with pytest.raises(ValueError):
+        _gram_sums([one, poly], LITTLE, poly.nvars, DEFAULT_TRUNCATION)
