@@ -37,8 +37,8 @@ from itertools import product as iproduct
 from operator import mul
 
 from .polyring import LaurentPoly, grid_values, orbit_size, require_invariant
-from .qseries import DEFAULT_POLICY, NonConvergenceError, TruncationPolicy
-from .qseries import _qpoch_finite, qpochhammer
+from .qseries import NonConvergenceError, _qpoch_finite, qpochhammer
+from .report import relative_report
 
 _DEGENERACY_TOL = 1e-12
 _N_E_CAP = 64
@@ -109,16 +109,14 @@ def discrete_support(params) -> dict:
     return {i: truncation_index(ts[i], q) for i in range(4)}
 
 
-def w2_value(x, params, policy: TruncationPolicy = DEFAULT_POLICY):
+def w2_value(x, params):
     """w_2(x) = (x^2, x^-2; q)_inf / prod_a (t_a x, t_a / x; q)_inf."""
     ts, q, _ = _params_float(params)
-    num = qpochhammer(x * x, q, math.inf, policy) * qpochhammer(
-        1 / (x * x), q, math.inf, policy
-    )
+    num = qpochhammer(x * x, q, math.inf) * qpochhammer(1 / (x * x), q, math.inf)
     den = 1.0
     for t in ts:
-        den *= qpochhammer(t * x, q, math.inf, policy)
-        den *= qpochhammer(t / x, q, math.inf, policy)
+        den *= qpochhammer(t * x, q, math.inf)
+        den *= qpochhammer(t / x, q, math.inf)
     return num / den
 
 
@@ -307,7 +305,7 @@ def full_inner(
     return complex(total)
 
 
-def gustafson_constant(l: int, params, policy: TruncationPolicy = DEFAULT_POLICY):
+def gustafson_constant(l: int, params):
     """<1,1>_K in closed form:
     2^l l! prod_{j=1}^l (t, t^{l+j-2} t0t1t2t3; q)_inf /
     (t^j, q, t0t1 t^{j-1}, t0t2 t^{j-1}, t0t3 t^{j-1}, t1t2 t^{j-1},
@@ -317,13 +315,11 @@ def gustafson_constant(l: int, params, policy: TruncationPolicy = DEFAULT_POLICY
     inf = math.inf
     total = (2**l) * math.factorial(l)
     for j in range(1, l + 1):
-        num = qpochhammer(t, q, inf, policy) * qpochhammer(
-            t ** (l + j - 2) * t4, q, inf, policy
-        )
-        den = qpochhammer(t**j, q, inf, policy) * qpochhammer(q, q, inf, policy)
+        num = qpochhammer(t, q, inf) * qpochhammer(t ** (l + j - 2) * t4, q, inf)
+        den = qpochhammer(t**j, q, inf) * qpochhammer(q, q, inf)
         for i in range(4):
             for jj in range(i + 1, 4):
-                den *= qpochhammer(ts[i] * ts[jj] * t ** (j - 1), q, inf, policy)
+                den *= qpochhammer(ts[i] * ts[jj] * t ** (j - 1), q, inf)
         total *= num / den
     if isinstance(total, complex):
         total = total.real
@@ -334,22 +330,13 @@ def normalization_check(
     l: int, params, grid: QuadratureGrid = DEFAULT_GRID, rel_tol: float = 1e-8
 ):
     """Quadrature <1,1>_K against the closed-form product constant."""
-    from .report import Timer, VerificationReport
 
-    with Timer() as timer:
+    def measure():
         one = LaurentPoly.const(l, 1)
-        measured = full_inner(one, one, params, grid).real
-        target = gustafson_constant(l, params)
-        residual = abs(measured - target) / abs(target)
-    return VerificationReport(
-        identity="koornwinder-normalization",
-        params={"l": l, "q": str(params.q), "k": params.k},
-        exact=False,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=residual < rel_tol,
-        detail={"measured": measured, "target": target},
-    )
+        return full_inner(one, one, params, grid).real, gustafson_constant(l, params)
+
+    params_doc = {"l": l, "q": str(params.q), "k": params.k}
+    return relative_report("koornwinder-normalization", params_doc, measure, rel_tol)
 
 
 def norm_K(lam, params, grid: QuadratureGrid = DEFAULT_GRID):

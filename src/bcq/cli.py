@@ -67,21 +67,6 @@ from .qjacobi import normalization_check as jacobi_normalization_check
 from .qseries import NonConvergenceError
 from .weights import GrassmannShape, fundamental_spherical
 
-# each suite with the options it cannot run without; --family big adds
-# --c and --d to selberg-constants and norm-limit
-SUITES = {
-    "orthogonality": ("l", "t"),
-    "selberg-constants": ("l", "a", "b"),
-    "reflection": ("n", "l"),
-    "intertwiner": ("n", "l"),
-    "branching": ("n", "l"),
-    "limit-big": ("a", "b", "c", "d"),
-    "limit-little": ("a", "b"),
-    "norm-limit": ("a", "b"),
-    "symmetry": ("t",),
-    "qybe": ("n",),
-    "classical": (),
-}
 # each poly family with the options it cannot run without
 FAMILIES = {"koornwinder": ("t",), "big": ("a", "b", "c", "d"), "little": ("a", "b")}
 
@@ -179,54 +164,59 @@ def cmd_poly(args) -> int:
     return 0
 
 
+def _reflection_reports(args, _grid, _trunc) -> list:
+    q = parse_scalar(args.q)
+    return [reflection_check(j_sigma(args.n, args.l, args.sigma, q), args.n, q)]
+
+
+def _intertwiner_reports(args, _grid, _trunc) -> list:
+    """Both intertwiner constants, and both Theta constants from r = 2 on,
+    each plain and tilde."""
+    q = parse_scalar(args.q)
+    shape = GrassmannShape(args.n, args.l)
+    checks = [intertwiner_check] + [theta_constant_check] * (args.r >= 2)
+    return [check(shape, args.r, args.sigma, q, tilde)
+            for check in checks for tilde in (False, True)]
+
+
+def _classical_reports(args, _grid, _trunc) -> list:
+    alpha = float(parse_scalar(args.a)) if args.a is not None else 0.0
+    beta = float(parse_scalar(args.b)) if args.b is not None else 0.0
+    return [q_to_1_check(alpha, beta, args.k, 2 if args.l is None else args.l)]
+
+
+# each suite: the options it cannot run without (--family big adds --c and
+# --d to selberg-constants and norm-limit) and its reports, built from the
+# arguments and the BCQ_PRECISION quadrature grid and Jackson truncation
+SUITES = {
+    "orthogonality": (("l", "t"), lambda a, grid, trunc: [
+        koornwinder_normalization_check(a.l, _koornwinder_params(a), grid)]),
+    "selberg-constants": (("l", "a", "b"), lambda a, grid, trunc: [
+        jacobi_normalization_check(_jacobi_params(a, a.family), a.l, trunc)]),
+    "reflection": (("n", "l"), _reflection_reports),
+    "intertwiner": (("n", "l"), _intertwiner_reports),
+    "branching": (("n", "l"), lambda a, grid, trunc: [
+        gelfand_check(GrassmannShape(a.n, a.l), a.bound)]),
+    "limit-big": (("a", "b", "c", "d"), lambda a, grid, trunc: [
+        limit_check_big(parse_weight(a.lam), _jacobi_params(a, "big"))]),
+    "limit-little": (("a", "b"), lambda a, grid, trunc: [
+        limit_check_little(parse_weight(a.lam), _jacobi_params(a, "little"))]),
+    "norm-limit": (("a", "b"), lambda a, grid, trunc: [
+        norm_limit_check(parse_weight(a.lam), _jacobi_params(a, a.family))]),
+    "symmetry": (("t",), lambda a, grid, trunc: [
+        check_symmetries(parse_weight(a.lam), _koornwinder_params(a))]),
+    "qybe": (("n",), lambda a, grid, trunc: [qybe_check(a.n, parse_scalar(a.q))]),
+    "classical": ((), _classical_reports),
+}
+
+
 def _verify_reports(args) -> list:
-    suite = args.suite
-    required = SUITES[suite]
-    if args.family == "big" and suite in ("selberg-constants", "norm-limit"):
+    required, build = SUITES[args.suite]
+    if args.family == "big" and args.suite in ("selberg-constants", "norm-limit"):
         required += ("c", "d")
-    _require(args, f"verify {suite}", required)
+    _require(args, f"verify {args.suite}", required)
     grid, trunc = _precision()
-    if suite == "qybe":
-        return [qybe_check(args.n, parse_scalar(args.q))]
-    if suite == "reflection":
-        q = parse_scalar(args.q)
-        return [reflection_check(j_sigma(args.n, args.l, args.sigma, q), args.n, q)]
-    if suite == "intertwiner":
-        q = parse_scalar(args.q)
-        shape = GrassmannShape(args.n, args.l)
-        reports = [
-            intertwiner_check(shape, args.r, args.sigma, q, tilde=False),
-            intertwiner_check(shape, args.r, args.sigma, q, tilde=True),
-        ]
-        if args.r >= 2:
-            reports.append(theta_constant_check(shape, args.r, args.sigma, q))
-            reports.append(
-                theta_constant_check(shape, args.r, args.sigma, q, tilde=True)
-            )
-        return reports
-    if suite == "branching":
-        return [gelfand_check(GrassmannShape(args.n, args.l), args.bound)]
-    if suite == "orthogonality":
-        return [koornwinder_normalization_check(args.l, _koornwinder_params(args), grid)]
-    if suite == "selberg-constants":
-        params = _jacobi_params(args, args.family)
-        return [jacobi_normalization_check(params, args.l, trunc)]
-    if suite == "limit-big":
-        params = _jacobi_params(args, "big")
-        return [limit_check_big(parse_weight(args.lam), params)]
-    if suite == "limit-little":
-        params = _jacobi_params(args, "little")
-        return [limit_check_little(parse_weight(args.lam), params)]
-    if suite == "norm-limit":
-        params = _jacobi_params(args, args.family)
-        return [norm_limit_check(parse_weight(args.lam), params)]
-    if suite == "symmetry":
-        return [check_symmetries(parse_weight(args.lam), _koornwinder_params(args))]
-    if suite == "classical":
-        alpha = float(parse_scalar(args.a)) if args.a is not None else 0.0
-        beta = float(parse_scalar(args.b)) if args.b is not None else 0.0
-        return [q_to_1_check(alpha, beta, args.k, args.l or 2)]
-    raise ValueError(f"unknown suite {suite!r}")
+    return build(args, grid, trunc)
 
 
 def cmd_verify(args) -> int:

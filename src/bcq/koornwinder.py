@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from .linalg import _inv, _is_exact, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
-from .report import Timer, VerificationReport
+from .qseries import check_base
+from .report import VerificationReport, timed_report
 from .weights import dominant_downset
 
 _POLE_TOL = 1e-8
@@ -56,10 +57,7 @@ class KoornwinderParams:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.q < 1:
-            raise ValueError("q must lie in (0,1)")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer (t = q^k)")
+        check_base(self.q, self.k)
         ts = self.tuple4
         complex_ts = [t for t in ts if isinstance(t, complex) and t.imag != 0]
         for t in complex_ts:
@@ -361,10 +359,10 @@ def _koornwinder_gram(lam, params: KoornwinderParams) -> LaurentPoly:
 def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:
     """Coefficient-level parameter symmetry of P_lambda: invariance under
     permuting (t0..t3), and P(x;-t) = (-1)^{|lambda|} P(-x;t)."""
-    import itertools
-
     lam = tuple(lam)
-    with Timer() as timer:
+    exact = params.is_exact
+
+    def body():
         base = koornwinder_poly(lam, params)
         failures = []
         for perm in itertools.permutations(range(4)):
@@ -382,13 +380,8 @@ def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:
         sign = -1 if sum(lam) % 2 else 1
         if flip != base.negate_variables().scale(sign):
             failures.append(("sign-flip", None))
-    exact = params.is_exact
-    return VerificationReport(
-        identity="koornwinder-parameter-symmetry",
-        params={"lambda": list(lam), "q": str(params.q), "k": params.k},
-        exact=exact,
-        residual=None if exact else (0.0 if not failures else 1.0),
-        runtime_ms=timer.ms,
-        passed=not failures,
-        detail={"failures": failures},
-    )
+        residual = None if exact else (1.0 if failures else 0.0)
+        return not failures, residual, {"failures": failures}
+
+    params_doc = {"lambda": list(lam), "q": str(params.q), "k": params.k}
+    return timed_report("koornwinder-parameter-symmetry", params_doc, exact, body)

@@ -36,7 +36,7 @@ from .qjacobi import (
     norm_little,
 )
 from .qseries import TruncationPolicy, qgamma
-from .report import Timer, VerificationReport
+from .report import VerificationReport, timed_report
 from .weights import GrassmannShape
 
 
@@ -127,8 +127,9 @@ def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
     errors strictly decrease (vacuous at lambda = 0) and the last error is at
     most ``tol``.  A norm target adds the values and the target to the
     detail."""
-    errors, values, constructed = [], [], []
-    with Timer() as timer:
+
+    def body():
+        errors, values, constructed = [], [], []
         for eps in sweep.values:
             try:
                 value, error = measure(eps)
@@ -138,27 +139,21 @@ def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
                 constructed.append(False)
             values.append(value)
             errors.append(error)
-    finite = [e for e in errors if not math.isnan(e)]
-    decreasing = all(a > b for a, b in zip(finite, finite[1:])) or sum(lam) == 0
-    final_err = finite[-1] if finite else float("inf")
-    detail = {
-        "epsilon": [float(e) for e in sweep.values],
-        "values": values,
-        "errors": errors,
-        "target": target,
-        "constructed": constructed,
-    }
-    if target is None:
-        del detail["values"], detail["target"]
-    return VerificationReport(
-        identity=identity,
-        params=params_doc,
-        exact=False,
-        residual=final_err,
-        runtime_ms=timer.ms,
-        passed=all(constructed) and decreasing and final_err <= tol,
-        detail=detail,
-    )
+        finite = [e for e in errors if not math.isnan(e)]
+        decreasing = all(a > b for a, b in zip(finite, finite[1:])) or sum(lam) == 0
+        final_err = finite[-1] if finite else float("inf")
+        detail = {
+            "epsilon": [float(e) for e in sweep.values],
+            "values": values,
+            "errors": errors,
+            "target": target,
+            "constructed": constructed,
+        }
+        if target is None:
+            del detail["values"], detail["target"]
+        return all(constructed) and decreasing and final_err <= tol, final_err, detail
+
+    return timed_report(identity, params_doc, False, body)
 
 
 def _family(params):
@@ -273,6 +268,8 @@ def selberg_classical(alpha: float, beta: float, tau: float, l: int) -> float:
     Gamma(1+j tau) / (Gamma(alpha+beta+2+(l+j-2)tau) Gamma(1+tau))."""
     if alpha <= -1 or beta <= -1 or tau <= 0:
         raise ValueError("need alpha, beta > -1 and tau > 0")
+    if l < 1:
+        raise ValueError("l must be >= 1")
     total = 0.0
     for j in range(1, l + 1):
         total += math.lgamma(alpha + 1 + (j - 1) * tau)
@@ -289,7 +286,8 @@ def q_to_1_check(
     """The little q-Jacobi mass tends to Selberg's Gamma product as q -> 1,
     and Gamma_q(a) tends to Gamma(a)."""
     target = selberg_classical(alpha, beta, float(k), l)
-    with Timer() as timer:
+
+    def body():
         errors = []
         for q in q_list:
             value = closed_form_little_constant(alpha, beta, k, l, q, _NEAR_ONE_POLICY)
@@ -299,14 +297,10 @@ def q_to_1_check(
             for q in q_list:
                 ga = qgamma(a, q, _NEAR_ONE_POLICY)
                 gamma_errors.append(abs(ga - math.gamma(a)) / math.gamma(a))
-    final = max(errors[-1], gamma_errors[-1])
-    passed = final < 0.01 and all(a >= b for a, b in zip(errors, errors[1:]))
-    return VerificationReport(
-        identity="classical-selberg-limit",
-        params={"alpha": alpha, "beta": beta, "k": k, "l": l},
-        exact=False,
-        residual=final,
-        runtime_ms=timer.ms,
-        passed=passed,
-        detail={"q": list(q_list), "errors": errors, "gamma_errors": gamma_errors},
-    )
+        final = max(errors[-1], gamma_errors[-1])
+        passed = final < 0.01 and all(a >= b for a, b in zip(errors, errors[1:]))
+        detail = {"q": list(q_list), "errors": errors, "gamma_errors": gamma_errors}
+        return passed, final, detail
+
+    params = {"alpha": alpha, "beta": beta, "k": k, "l": l}
+    return timed_report("classical-selberg-limit", params, False, body)

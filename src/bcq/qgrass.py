@@ -42,7 +42,7 @@ from .linalg import (
     mat_transpose,
     partial_transpose_first,
 )
-from .report import Timer, VerificationReport
+from .report import VerificationReport, difference_report, timed_report
 from .weights import (
     GrassmannShape,
     WeightVector,
@@ -50,28 +50,6 @@ from .weights import (
     is_spherical,
     weyl_orbit_tuples,
 )
-
-
-def _compare_report(identity: str, params: dict, exact: bool, differences):
-    """Time ``differences()``, an iterable of lhs - rhs entries, and report
-    it: exact mode passes iff every difference is zero, float mode iff the
-    largest |difference| (the residual) is below 1e-10."""
-    with Timer() as timer:
-        diffs = differences()
-        if exact:
-            passed = all(d == 0 for d in diffs)
-            residual = None
-        else:
-            residual = max((abs(d) for d in diffs), default=0.0)
-            passed = residual < 1e-10
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        exact=exact,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=passed,
-    )
 
 
 def _matrix_diffs(a, b):
@@ -140,7 +118,7 @@ def qybe_check(n: int, q) -> VerificationReport:
         rhs = mat_mul(mat_mul(r23, r13), r12)
         return _matrix_diffs(lhs, rhs)
 
-    return _compare_report(
+    return difference_report(
         "quantum-yang-baxter", {"n": n, "q": str(q)}, _is_exact(q), differences
     )
 
@@ -204,7 +182,7 @@ def reflection_check(x, n: int, q) -> VerificationReport:
         return _matrix_diffs(lhs, rhs)
 
     exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row)
-    return _compare_report(
+    return difference_report(
         "reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
 
@@ -246,7 +224,7 @@ def refalt_check(jt, js, n: int, q) -> VerificationReport:
     exact = _is_exact(q) and all(
         _is_exact(v) for mat in (jt, js) for row in mat for v in row
     )
-    return _compare_report(
+    return difference_report(
         "transposed-reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
 
@@ -522,15 +500,18 @@ def _u(shape: GrassmannShape, r: int, q, tilde: bool) -> QExtVector:
     return u_tilde_vector(shape, r, q) if tilde else u_vector(shape, r)
 
 
-def _intertwiner_params(shape: GrassmannShape, r, sigma, q, tilde) -> dict:
-    return {
-        "n": shape.n,
-        "l": shape.l,
-        "r": r,
-        "sigma": sigma,
-        "q": str(q),
-        "tilde": tilde,
-    }
+def _principal_report(identity, shape, r, sigma, q, tilde, image, constant):
+    """Principal term of ``image(w)``, for w = w^sigma (or w~^sigma), equals
+    ``constant(r, sigma, l, q, tilde)`` times u_r (or u~_r)."""
+
+    def differences():
+        w = w_vectors(shape, sigma, q)[1 if tilde else 0]
+        target = _u(shape, r, q, tilde).scale(constant(r, sigma, shape.l, q, tilde))
+        got = principal_term(image(w), shape, r)
+        return (got - target).coeffs.values()
+
+    params = {"n": shape.n, "l": shape.l, "r": r, "sigma": sigma, "q": str(q), "tilde": tilde}
+    return difference_report(identity, params, _is_exact(q), differences)
 
 
 def intertwiner_check(
@@ -538,19 +519,9 @@ def intertwiner_check(
 ) -> VerificationReport:
     """Principal term of the composed intertwiner applied to the r-th tensor
     power of the fixed vector equals the closed-form constant times u_r."""
-
-    def differences():
-        w = w_vectors(shape, sigma, q)[1 if tilde else 0]
-        constant = psi_constant(r, sigma, shape.l, q, tilde)
-        target = _u(shape, r, q, tilde).scale(constant)
-        got = principal_term(psi_hat_r(tensor_power(w, r), shape, r, q), shape, r)
-        return (got - target).coeffs.values()
-
-    return _compare_report(
-        "intertwiner-principal-constant",
-        _intertwiner_params(shape, r, sigma, q, tilde),
-        _is_exact(q),
-        differences,
+    return _principal_report(
+        "intertwiner-principal-constant", shape, r, sigma, q, tilde,
+        lambda w: psi_hat_r(tensor_power(w, r), shape, r, q), psi_constant,
     )
 
 
@@ -559,20 +530,9 @@ def theta_constant_check(
 ) -> VerificationReport:
     """Principal term of Theta_hat_r(u_{r-1} (x) w^sigma) equals
     -q^sigma (1-q^{2r})/(1-q^2) u_r (and the tilde analog)."""
-
-    def differences():
-        w = w_vectors(shape, sigma, q)[1 if tilde else 0]
-        u_in = _u(shape, r - 1, q, tilde)
-        constant = theta_constant(r, sigma, shape.l, q, tilde)
-        target = _u(shape, r, q, tilde).scale(constant)
-        got = principal_term(theta_hat_r(u_in, w, shape, q), shape, r)
-        return (got - target).coeffs.values()
-
-    return _compare_report(
-        "theta-principal-constant",
-        _intertwiner_params(shape, r, sigma, q, tilde),
-        _is_exact(q),
-        differences,
+    return _principal_report(
+        "theta-principal-constant", shape, r, sigma, q, tilde,
+        lambda w: theta_hat_r(_u(shape, r - 1, q, tilde), w, shape, q), theta_constant,
     )
 
 
@@ -661,7 +621,8 @@ def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationRepor
     n = shape.n
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
-    with Timer() as timer:
+
+    def body():
         failures = []
         checked = 0
         for lam in itertools.combinations_with_replacement(
@@ -672,12 +633,7 @@ def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationRepor
             spherical = is_spherical(WeightVector(lam, "A"), shape)
             if mult > 1 or (mult == 1) != spherical:
                 failures.append({"lambda": list(lam), "multiplicity": mult})
-    return VerificationReport(
-        identity="gelfand-property",
-        params={"n": n, "l": shape.l, "bound": degree_bound},
-        exact=True,
-        residual=None,
-        runtime_ms=timer.ms,
-        passed=not failures,
-        detail={"checked": checked, "failures": failures},
-    )
+        return not failures, None, {"checked": checked, "failures": failures}
+
+    params = {"n": n, "l": shape.l, "bound": degree_bound}
+    return timed_report("gelfand-property", params, True, body)

@@ -38,7 +38,9 @@ from .polyring import (
     rebuild_from_basis,
     require_invariant,
 )
-from .qseries import DEFAULT_POLICY, _qpoch_finite, jackson_nodes, log_qgamma, qpochhammer
+from .qseries import DEFAULT_POLICY, _qpoch_finite, check_base, jackson_nodes
+from .qseries import log_qgamma, qpochhammer
+from .report import relative_report
 from .weights import dominant_downset
 
 
@@ -55,10 +57,7 @@ class BigJacobiParams:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.q < 1:
-            raise ValueError("q must lie in (0,1)")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        check_base(self.q, self.k)
         if not (self.c > 0 and self.d > 0):
             raise ValueError("c and d must be positive")
         a, b = self.a, self.b
@@ -85,10 +84,7 @@ class LittleJacobiParams:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.q < 1:
-            raise ValueError("q must lie in (0,1)")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        check_base(self.q, self.k)
         if not 0 < self.a < 1 / self.q:
             raise ValueError("a outside (0,1/q)")
         if not self.b < 1 / self.q:
@@ -117,7 +113,7 @@ class SumTruncation:
 DEFAULT_TRUNCATION = SumTruncation()
 
 
-def big_weight_1d(x, params: BigJacobiParams, policy=DEFAULT_POLICY):
+def big_weight_1d(x, params: BigJacobiParams):
     """w_B(x) = (qx/c, -qx/d; q)_inf / (qax/c, -qbx/d; q)_inf."""
     q, a, b, c, d = (
         float(params.q),
@@ -126,21 +122,17 @@ def big_weight_1d(x, params: BigJacobiParams, policy=DEFAULT_POLICY):
         float(params.c),
         float(params.d),
     )
-    num = qpochhammer(q * x / c, q, math.inf, policy) * qpochhammer(
-        -q * x / d, q, math.inf, policy
-    )
-    den = qpochhammer(q * a * x / c, q, math.inf, policy) * qpochhammer(
-        -q * b * x / d, q, math.inf, policy
-    )
+    num = qpochhammer(q * x / c, q, math.inf) * qpochhammer(-q * x / d, q, math.inf)
+    den = qpochhammer(q * a * x / c, q, math.inf) * qpochhammer(-q * b * x / d, q, math.inf)
     return num / den
 
 
-def little_weight_1d(x, params: LittleJacobiParams, policy=DEFAULT_POLICY):
+def little_weight_1d(x, params: LittleJacobiParams):
     """w_L(x) = ((qx;q)_inf / (qbx;q)_inf) x^alpha, a = q^alpha."""
     q = float(params.q)
     alpha = math.log(float(params.a)) / math.log(q)
-    num = qpochhammer(q * x, q, math.inf, policy)
-    den = qpochhammer(q * float(params.b) * x, q, math.inf, policy)
+    num = qpochhammer(q * x, q, math.inf)
+    den = qpochhammer(q * float(params.b) * x, q, math.inf)
     return num / den * x**alpha
 
 
@@ -374,35 +366,26 @@ def normalization_check(
     params, l: int, trunc: SumTruncation = DEFAULT_TRUNCATION, rel_tol: float = 1e-10
 ):
     """Jackson-sum <1,1> against the closed-form constant (big or little)."""
-    from .report import Timer, VerificationReport
-
     big = isinstance(params, BigJacobiParams)
-    with Timer() as timer:
-        one = LaurentPoly.const(l, 1)
-        measured = _inner(one, one, params, trunc)
+
+    def measure():
+        measured = _gram_sums([LaurentPoly.const(l, 1)], params, l, trunc)[0][0]
         if big:
-            target = closed_form_big_constant(params, l)
-        else:
-            alpha, beta = _alpha_beta(params)
-            q = float(params.q)
-            target = closed_form_little_constant(alpha, beta, params.k, l, q)
-        residual = abs(measured - target) / abs(target)
-    return VerificationReport(
-        identity="big-jacobi-normalization" if big else "little-jacobi-normalization",
-        params={"l": l, "q": str(params.q), "k": params.k},
-        exact=False,
-        residual=residual,
-        runtime_ms=timer.ms,
-        passed=residual < rel_tol,
-        detail={"measured": measured, "target": target},
-    )
+            return measured, closed_form_big_constant(params, l)
+        alpha, beta = _alpha_beta(params)
+        return measured, closed_form_little_constant(alpha, beta, params.k, l, float(params.q))
+
+    identity = "big-jacobi-normalization" if big else "little-jacobi-normalization"
+    params_doc = {"l": l, "q": str(params.q), "k": params.k}
+    return relative_report(identity, params_doc, measure, rel_tol)
 
 
 def _norm(lam, params, trunc: SumTruncation, jacobi_poly) -> float:
+    """<P,P> / <1,1> from one Jackson sum over P and 1."""
     l = len(lam)
     poly = jacobi_poly(lam, params, l, trunc)
-    one = LaurentPoly.const(l, 1)
-    return _inner(poly, poly, params, trunc) / _inner(one, one, params, trunc)
+    sums = _gram_sums([poly, LaurentPoly.const(l, 1)], params, l, trunc)
+    return sums[0][0] / sums[1][1]
 
 
 def norm_big(

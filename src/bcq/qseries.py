@@ -40,6 +40,15 @@ class QBase:
         return isinstance(self.q, (Fraction, int))
 
 
+def check_base(q, k) -> None:
+    """The base of a polynomial family: q in (0,1) and t = q^k with k a
+    positive integer."""
+    if not 0 < q < 1:
+        raise ValueError("q must lie in (0,1)")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer (t = q^k)")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Stopping rule for infinite products and sums."""

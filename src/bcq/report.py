@@ -1,4 +1,11 @@
-"""Structured verification results shared by library checks and the CLI."""
+"""Structured verification results shared by library checks and the CLI.
+
+``timed_report`` is the one way a check builds its ``VerificationReport``:
+it times the check's body, which returns the verdict (passed, residual,
+detail).  ``difference_report`` and ``relative_report`` are the two
+verdicts several checks share: lhs - rhs entries that must vanish, and a
+measured value against a closed form.
+"""
 
 from __future__ import annotations
 
@@ -38,13 +45,38 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class Timer:
-    """Millisecond wall-clock timer for report bookkeeping."""
+def timed_report(identity: str, params: dict, exact: bool, body) -> VerificationReport:
+    """Run ``body() -> (passed, residual, detail)`` and report it with its
+    wall-clock time in milliseconds."""
+    t0 = time.perf_counter()
+    passed, residual, detail = body()
+    runtime_ms = int(round((time.perf_counter() - t0) * 1000))
+    return VerificationReport(identity, params, exact, residual, runtime_ms, passed, detail)
 
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
 
-    def __exit__(self, *exc):
-        self.ms = int(round((time.perf_counter() - self._t0) * 1000))
-        return False
+def difference_report(identity: str, params: dict, exact: bool, differences):
+    """Report ``differences()``, an iterable of lhs - rhs entries: exact mode
+    passes iff every difference is zero, float mode iff the largest
+    |difference| (the residual) is below 1e-10."""
+
+    def body():
+        diffs = differences()
+        if exact:
+            return all(d == 0 for d in diffs), None, {}
+        residual = max((abs(d) for d in diffs), default=0.0)
+        return residual < 1e-10, residual, {}
+
+    return timed_report(identity, params, exact, body)
+
+
+def relative_report(identity: str, params: dict, measure, rel_tol: float):
+    """Report ``measure() -> (measured, target)``, a float value against its
+    closed form: the residual |measured - target| / |target| must be below
+    ``rel_tol``."""
+
+    def body():
+        measured, target = measure()
+        residual = abs(measured - target) / abs(target)
+        return residual < rel_tol, residual, {"measured": measured, "target": target}
+
+    return timed_report(identity, params, False, body)

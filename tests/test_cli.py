@@ -136,6 +136,17 @@ def test_verify_classical(capsys):
     assert report["identity"] == "classical-selberg-limit"
 
 
+def test_verify_classical_l_default_only_when_absent(capsys):
+    # the default l = 2 applies only without --l; l = 0 is invalid input
+    code, out, err = run(capsys, "verify", "classical", "--l", "0")
+    assert code == 2
+    assert out == ""
+    assert "l must be >= 1" in err
+    code, out, _ = run(capsys, "verify", "classical")
+    assert code == 0
+    assert json.loads(out)["params"]["l"] == 2
+
+
 def test_grassmann_output(capsys):
     code, out, _ = run(
         capsys,

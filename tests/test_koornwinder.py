@@ -29,6 +29,10 @@ def test_params_validation():
         KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(3, 2), 1)
     with pytest.raises(ValueError):
         KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 0)
+    # t = q^1.5 is a float in "exact" parameters; koornwinder_poly((1, 0), .)
+    # would fail its D_K interpolation and read as non-convergence
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1.5)
 
 
 def test_degree_one_matches_recurrence_oracle():

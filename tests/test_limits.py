@@ -133,6 +133,10 @@ def test_selberg_reduces_to_beta():
 def test_selberg_domain():
     with pytest.raises(ValueError):
         selberg_classical(-1.5, 0.0, 1.0, 2)
+    # l = 0 is an empty product, which q_to_1_check would pass vacuously
+    for check in (selberg_classical, q_to_1_check):
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            check(0.0, 0.0, 1, 0)
 
 
 def test_classical_limit():

@@ -42,6 +42,9 @@ def test_little_domain_validation():
         LittleJacobiParams(5.0, 0.5, 0.25, 1)  # a >= 1/q
     with pytest.raises(ValueError):
         LittleJacobiParams(-0.5, 0.5, 0.25, 1)  # a <= 0
+    # a non-integer k would fail later, in _qpoch_finite, with a TypeError
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        LittleJacobiParams(0.5, 0.3, 0.25, 2.5)
 
 
 def test_big_domain_validation():
@@ -51,6 +54,8 @@ def test_big_domain_validation():
     # complex conjugate pair a = cz, b = -d conj(z) is admitted
     z = 0.1 + 0.2j
     BigJacobiParams(1.0 * z, -4.0 * z.conjugate(), 1.0, 4.0, 0.25, 1)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        BigJacobiParams(0.05, 0.04, 1.0, 4.0, 0.25, 2.5)
 
 
 def test_normalization_closed_forms():
