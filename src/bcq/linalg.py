@@ -1,13 +1,15 @@
 """Dense linear algebra over exact rationals or floats.
 
-Everything operates on lists of lists.  Exact mode (``Fraction`` entries)
-pivots on any nonzero entry; float mode uses partial pivoting.  Sizes are
-desk-scale (tensor identities need at most a few hundred rows), so Gaussian
-elimination is all that is required.
+Everything operates on lists of lists.  Exact mode (``int`` and ``Fraction``
+entries) solves by integer-preserving Bareiss elimination, pivoting on the
+first nonzero entry, so no ``Fraction`` is normalised until the answer; float
+mode uses partial pivoting.  Sizes are desk-scale (tensor identities need at
+most a few hundred rows), so Gaussian elimination is all that is required.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -18,6 +20,12 @@ def _is_exact(x) -> bool:
 def _inv(x):
     """1/x, exact (a ``Fraction``) when x is rational."""
     return Fraction(1, 1) / x if _is_exact(x) else 1 / x
+
+
+def integer_row(row):
+    """Rationals times the lcm of their denominators: integers, same ratios."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def mat_identity(n: int):
@@ -62,13 +70,12 @@ def mat_transpose(a):
 
 
 def mat_inverse(a):
-    """Inverse by Gauss-Jordan; exact when entries are rational, real when
-    they are real."""
+    """Inverse by ``solve_linear``: exact for rational entries, real for real."""
     return solve_linear(a, mat_identity(len(a)))
 
 
 def solve_linear(a, b):
-    """Solve A X = B by Gauss-Jordan elimination.
+    """Solve A X = B, by Bareiss elimination if exact, else by Gauss-Jordan.
 
     ``b`` is one right-hand-side vector (the solution is a vector) or a
     block given as rows, one per equation (the solution is a block, one row
@@ -77,17 +84,12 @@ def solve_linear(a, b):
     n = len(a)
     block = n > 0 and isinstance(b[0], (list, tuple))
     work = [list(row) + (list(rhs) if block else [rhs]) for row, rhs in zip(a, b)]
-    exact = all(_is_exact(x) for row in work for x in row)
-    if exact:
-        work = [[Fraction(x) for x in row] for row in work]
+    if all(_is_exact(x) for row in work for x in row):
+        sol = _solve_bareiss(work, n)
+        return sol if block else [row[0] for row in sol]
     for col in range(n):
-        if exact:
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        else:
-            pivot = max(range(col, n), key=lambda r: abs(work[r][col]))
-            if abs(work[pivot][col]) == 0:
-                pivot = None
-        if pivot is None:
+        pivot = max(range(col, n), key=lambda r: abs(work[r][col]))
+        if abs(work[pivot][col]) == 0:
             raise ZeroDivisionError("singular linear system")
         work[col], work[pivot] = work[pivot], work[col]
         piv = work[col][col]
@@ -97,6 +99,32 @@ def solve_linear(a, b):
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work] if block else [row[n] for row in work]
+
+
+def _solve_bareiss(work, n: int):
+    """Rows of X for the rational system [A | B] given as the n rows ``work``:
+    Bareiss elimination of the integer-scaled rows (each entry a minor, each
+    division exact, det = the last pivot), then det * X by back-substitution."""
+    rows = [integer_row(row) for row in work]
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular linear system")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top, piv = rows[col], rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col]
+            rows[r] = [(piv * x - factor * y) // det for x, y in zip(rows[r], top)]
+        det = piv
+    scaled = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        scaled[i] = [
+            (det * row[n + c] - sum(row[j] * scaled[j][c] for j in range(i + 1, n))) // row[i]
+            for c in range(len(row) - n)
+        ]
+    return [[Fraction(y, det) for y in ys] for ys in scaled]
 
 
 def flip_matrix(n: int):

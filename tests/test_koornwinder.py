@@ -131,6 +131,33 @@ def test_symmetry_checks_pass():
     report = check_symmetries((1, 1), PARAMS2)
     assert report.passed
     assert report.exact
+    assert report.residual is None
+
+
+@pytest.mark.parametrize("lam", [(1,), (2,), (1, 0), (1, 1), (2, 1)])
+def test_symmetry_float_parameters_within_rounding(lam):
+    # bit-for-bit comparison failed here: (t0,t1,t2,t3) and (t0,t2,t1,t3)
+    # round the constant term of P_(1) differently
+    report = check_symmetries(lam, KoornwinderParams(0.2, -0.1, 0.3, -0.2, 0.25, 1))
+    assert report.passed, report.detail
+    assert not report.exact
+    assert report.residual not in (0.0, 1.0)
+    assert report.residual < 1e-10
+
+
+def test_symmetry_float_parameters_detect_a_difference(monkeypatch):
+    params = KoornwinderParams(0.2, -0.1, 0.3, -0.2, 0.25, 1)
+    build = koornwinder_poly
+
+    def skewed(lam, p):
+        poly = build(lam, p)
+        return poly if p == params else poly + LaurentPoly.const(len(lam), 1e-8)
+
+    monkeypatch.setattr("bcq.koornwinder.koornwinder_poly", skewed)
+    report = check_symmetries((1, 0), params)
+    assert not report.passed
+    assert report.detail["failures"][0][0] == "permutation"
+    assert report.residual > 1e-10
 
 
 def test_float_mode():
