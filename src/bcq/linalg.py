@@ -116,7 +116,7 @@ def _solve_bareiss(work, n: int):
         for r in range(col + 1, n):
             factor = rows[r][col]
             rows[r] = [(piv * x - factor * y) // det for x, y in zip(rows[r], top)]
-        det = piv
+        det = piv  # the previous pivot; after the last column, det (up to sign)
     scaled = [None] * n
     for i in reversed(range(n)):
         row = rows[i]
