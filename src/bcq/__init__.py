@@ -82,7 +82,6 @@ from .qjacobi import (
 from .qseries import (
     INFINITY,
     NonConvergenceError,
-    QBase,
     TruncationPolicy,
     jackson_integral,
     qgamma,

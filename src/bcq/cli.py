@@ -229,6 +229,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _base_doc(params) -> dict:
+    """jacobi_params_doc with q reported as "base"."""
+    doc = jacobi_params_doc(params)
+    doc["base"] = doc.pop("q")
+    return doc
+
+
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.n, args.l)
     q = parse_scalar(args.q)
@@ -241,17 +248,8 @@ def cmd_grassmann(args) -> int:
             "k": kp.k,
         }
     if args.tau != "inf":
-        bp = grassmann_big_params(shape, int(args.tau), q)
-        doc["big"] = {
-            "a": str(bp.a),
-            "b": str(bp.b),
-            "c": str(bp.c),
-            "d": str(bp.d),
-            "base": str(bp.q),
-            "k": bp.k,
-        }
-    lp = grassmann_little_params(shape, q)
-    doc["little"] = {"a": str(lp.a), "b": str(lp.b), "base": str(lp.q), "k": lp.k}
+        doc["big"] = _base_doc(grassmann_big_params(shape, int(args.tau), q))
+    doc["little"] = _base_doc(grassmann_little_params(shape, q))
     if shape.n == 2 * shape.l:
         doc["warning"] = "a = 1 sits on the boundary of the little parameter domain"
     doc["fundamental_spherical"] = [

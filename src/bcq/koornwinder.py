@@ -13,14 +13,16 @@ orthogonality measure covers collisions.
 
 D_K is computed by collocation, with one engine per (parameters, downset).
 The images D_K m~_mu of the orbit sums of a dominance downset lie in its
-span, so |downset| generic pole-free points, shared by every column, fix
-all of them in one solve with a block right-hand side; two more points
-check the result.  At each point the orbit sums and their images come from
+span, so |downset| generic points, shared by every column, fix all of
+them in one solve with a block right-hand side; two more points check the
+result.  At each point the orbit sums and their images come from
 per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per
 coordinate, summed over the distinct permutations of each weight (at most
-l! terms, where the orbit has up to 2^l l!).  With rational parameters and
-points this is exact, each row integer on a per-point scale (which leaves
-the solution unchanged), and the diagonal is checked against E_mu.
+l! terms, where the orbit has up to 2^l l!).  The phi pair is also the pole
+test: a point where it cannot be formed is skipped.  With rational
+parameters and points this is exact, each row integer on a per-point scale
+(which leaves the solution unchanged), and the diagonal is checked against
+E_mu.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class KoornwinderParams:
 
 
 def _phi_pair(x, j, params: KoornwinderParams):
-    """(phi_j^+(x), phi_j^-(x)); raises ZeroDivisionError on a pole."""
+    """(phi_j^+(x), phi_j^-(x)); raises ZeroDivisionError on a pole, where a
+    denominator factor is 0, or in floats within _POLE_TOL of 0."""
     q = params.q
     t = params.t
     xj = x[j]
@@ -97,8 +100,9 @@ def _phi_pair(x, j, params: KoornwinderParams):
     for ti in params.tuple4:
         num_p *= 1 - ti * xj
         num_m *= ti - xj
-    den_p = (1 - xj2) * (1 - q * xj2)
-    den_m = (1 - xj2) * (q - xj2)
+    poles = [1 - xj2, 1 - q * xj2, q - xj2]
+    den_p = poles[0] * poles[1]
+    den_m = poles[0] * poles[2]
     for i in range(len(x)):
         if i == j:
             continue
@@ -107,9 +111,13 @@ def _phi_pair(x, j, params: KoornwinderParams):
         b = xj / xi
         num_p *= (1 - t * a) * (1 - t * b)
         num_m *= (t - a) * (t - b)
-        den = (1 - a) * (1 - b)
+        poles += (1 - a, 1 - b)
+        den = poles[-2] * poles[-1]
         den_p *= den
         den_m *= den
+    # an exact zero factor makes a denominator 0, and the division raises
+    if not _is_exact(den_p) and min(map(abs, poles)) <= _POLE_TOL:
+        raise ZeroDivisionError(f"phi_{j} has a pole within {_POLE_TOL} of x")
     return num_p / den_p, num_m / den_m
 
 
@@ -128,29 +136,9 @@ def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
     return total
 
 
-def _pole_free(x, params: KoornwinderParams) -> bool:
-    q = params.q
-    exact = params.is_exact and all(_is_exact(v) for v in x)
-    tol = 0 if exact else _POLE_TOL
-
-    def ok(v):
-        return abs(v) > tol
-
-    for j in range(len(x)):
-        xj2 = x[j] * x[j]
-        if not (ok(1 - xj2) and ok(1 - q * xj2) and ok(q - xj2)):
-            return False
-        for i in range(j):
-            a = x[i] * x[j]
-            b = x[j] / x[i]
-            if not (ok(1 - a) and ok(1 - b)):
-                return False
-    return True
-
-
 def _candidate_points(l: int, count: int, exact: bool, seed: int):
-    """Deterministic generic evaluation points away from operator poles and
-    from each other's W-orbits, generated lazily up to count."""
+    """Deterministic generic evaluation points away from each other's
+    W-orbits, generated lazily up to count; a point may lie on a pole."""
     rng = random.Random(seed)
     made = 0
     while made < count:
@@ -234,19 +222,21 @@ def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: 
     degree = max(nu[0] for nu in downset)
     where = {nu: i for i, nu in enumerate(downset)}
     for attempt in range(25):
-        candidates = _candidate_points(l, 3 * (n + 2), exact, seed=911 + attempt)
-        pole_free = (x for x in candidates if _pole_free(x, params))
-        pts = list(itertools.islice(pole_free, n + 2))
-        if len(pts) < n + 2:
-            continue
         rows = []
         rhs = []
-        for x in pts:
-            values, images = _orbit_rows(x, perms, degree, params, exact)
+        for x in _candidate_points(l, 3 * (n + 2), exact, seed=911 + attempt):
+            try:
+                values, images = _orbit_rows(x, perms, degree, params, exact)
+            except ZeroDivisionError:
+                continue  # x lies on a pole of D_K
             rows.append(values)
             rhs.append(
                 [sum(c * images[where[mu]] for mu, c in col.items()) for col in columns]
             )
+            if len(rows) == n + 2:
+                break
+        if len(rows) < n + 2:
+            continue
         try:
             sol = solve_linear(rows[:n], rhs[:n])
         except ZeroDivisionError:

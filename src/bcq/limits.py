@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .awmeasure import norm_K
 from .koornwinder import KoornwinderParams, koornwinder_poly
-from .linalg import _inv
+from .linalg import _inv, _is_exact
 from .polyring import LaurentPoly, to_generator_coords
 from .qjacobi import (
     BigJacobiParams,
@@ -67,7 +67,7 @@ DEFAULT_SWEEP = EpsilonSweep()
 
 def _sqrt_scalar(x):
     """Exact square root of a rational square, else a float."""
-    if isinstance(x, (int, Fraction)):
+    if _is_exact(x):
         f = Fraction(x)
         num = math.isqrt(f.numerator)
         den = math.isqrt(f.denominator)

@@ -166,7 +166,7 @@ class LaurentPoly:
                 if e >= 0:
                     val *= x**e
                 else:
-                    val *= (1 / x) ** (-e) if not _is_exact(x) else Fraction(1, 1) / x**(-e)
+                    val *= _inv(x) ** (-e)
             total += val
         return total
 

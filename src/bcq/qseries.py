@@ -5,7 +5,8 @@ scalar domains are supported throughout the package: exact rationals
 (``fractions.Fraction``, available whenever the inputs are rational and the
 product is finite) and complex doubles.  Infinite products are truncated once
 the deviation of the remaining factors from 1 falls below a tolerance; the
-decay is geometric in q, so this is both tight and cheap.
+decay is geometric in q, so this is both tight and cheap.  Each entry point
+checks q in (0,1) with ``check_base``, the one q test of the package.
 
 Every Jackson sum is a sum over one node rule, ``jackson_nodes``: points
 beta q^j with masses (1-q) beta q^j (Gasper & Rahman, section 1.11).  For
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 INFINITY = math.inf
 
@@ -25,23 +25,8 @@ class NonConvergenceError(ArithmeticError):
     """Raised when a truncated product or sum fails to meet its tolerance."""
 
 
-@dataclass(frozen=True)
-class QBase:
-    """The base q, fixed in (0, 1).  Rational q keeps computations exact."""
-
-    q: object
-
-    def __post_init__(self) -> None:
-        if not 0 < self.q < 1:
-            raise ValueError(f"q must lie in (0,1), got {self.q!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.q, (Fraction, int))
-
-
-def check_base(q, k) -> None:
-    """The base of a polynomial family: q in (0,1) and t = q^k with k a
+def check_base(q, k=1) -> None:
+    """The base: q in (0,1), and for a polynomial family t = q^k with k a
     positive integer."""
     if not 0 < q < 1:
         raise ValueError("q must lie in (0,1)")
@@ -66,29 +51,24 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _as_qbase(q) -> QBase:
-    return q if isinstance(q, QBase) else QBase(q)
-
-
 def qpochhammer(a, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
     """(a;q)_i = prod_{j<i} (1 - q^j a); i may be a nonnegative int or inf.
 
     The result is exact when a, q are rational and i is finite.
     """
-    qb = _as_qbase(q)
-    qv = qb.q
-    if i is INFINITY:
+    check_base(q)
+    if i == INFINITY:
         prod = 1.0
         term = complex(a) if isinstance(a, complex) else float(a)
         for _ in range(policy.max_terms):
             if abs(term) < policy.abs_tol:
                 return prod
             prod *= 1 - term
-            term *= qv
+            term *= q
         raise NonConvergenceError("qpochhammer: max_terms hit before tolerance")
     if i < 0 or i != int(i):
         raise ValueError("finite order must be a nonnegative integer")
-    return _qpoch_finite(a, qv, int(i))
+    return _qpoch_finite(a, q, int(i))
 
 
 def _qpoch_finite(a, q, n: int):
@@ -111,7 +91,8 @@ def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     a = float(a)
     if a <= 0 and a == int(a):
         raise ValueError(f"qgamma pole at nonpositive integer a={a}")
-    qv = float(_as_qbase(q).q)
+    check_base(q)
+    qv = float(q)
     total = (1 - a) * math.log1p(-qv)
     qj1 = qv          # q^{j+1}
     qja = qv ** a     # q^{j+a}
@@ -151,11 +132,11 @@ def jackson_sum_0_to_beta(f, beta, N, q, policy: TruncationPolicy = DEFAULT_POLI
 
     N may be a nonnegative int, inf, or negative (empty sum, returns 0).
     """
-    qv = _as_qbase(q).q
+    check_base(q)
     if beta == 0:
         return 0
-    n = _jackson_cutoff(beta, qv, policy) if N is INFINITY else int(N)
-    return sum(f(x) * mass for x, mass in jackson_nodes(beta, n, qv))
+    n = _jackson_cutoff(beta, q, policy) if N == INFINITY else int(N)
+    return sum(f(x) * mass for x, mass in jackson_nodes(beta, n, q))
 
 
 def jackson_integral(f, alpha, beta, N, q, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -62,6 +62,23 @@ def test_poly_koornwinder_json(capsys):
     assert terms[(0, 0)] == "-1565/11758"
 
 
+def test_poly_koornwinder_eigenvalue_collision(capsys):
+    # E_(2,0) = E_(1,1) here, so the polynomial comes from the Gram route
+    code, out, _ = run(
+        capsys,
+        "poly",
+        "--family",
+        "koornwinder",
+        "--lambda",
+        "2,0",
+        "--t=-48,1/3,1/2,1/2",
+        "--q",
+        "1/2",
+    )
+    assert code == 0
+    assert json.loads(out)["polynomial"]["domain"] == "complex"
+
+
 def test_poly_little(capsys):
     code, out, _ = run(
         capsys,

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from bcq.awmeasure import norm_K
 from bcq.koornwinder import (
+    EigenvalueCollisionError,
     KoornwinderParams,
     _dk_columns,
     check_symmetries,
@@ -76,6 +78,37 @@ def test_eigen_identity_exact_direct_evaluation():
         e_lam = eigenvalue(lam, PARAMS2)
         for x in points[len(lam)]:
             assert dk_evaluate(poly, x, PARAMS2) == e_lam * poly.evaluate(x), (lam, x)
+
+
+def test_collocation_skips_a_candidate_on_a_pole():
+    # q = (17/257)^2 puts the first seed-911 candidate, x_1 = 257/17, on the
+    # pole 1 - q x_1^2 = 0; the collocation must pass it by and still build
+    # an eigenpolynomial, checked here by direct evaluation
+    params = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(289, 66049), 1)
+    poly = koornwinder_poly((2, 1), params)
+    e_lam = eigenvalue((2, 1), params)
+    for x in [(F(5, 23), F(31, 29)), (F(44, 37), F(9, 41))]:
+        assert dk_evaluate(poly, x, params) == e_lam * poly.evaluate(x), x
+    with pytest.raises(ZeroDivisionError):
+        dk_evaluate(poly, (F(257, 17), F(389, 17)), params)
+
+
+def test_dk_evaluate_rejects_a_float_point_near_a_pole():
+    # 1 - q x_1^2 is about -1e-10 at x_1 = 2 + 1e-10, q = 1/4: a float pole
+    params = KoornwinderParams(0.2, -0.15, 0.3, -0.25, 0.25, 1)
+    poly = koornwinder_poly((1, 0), params)
+    with pytest.raises(ZeroDivisionError):
+        dk_evaluate(poly, (2 + 1e-10, 0.7), params)
+    dk_evaluate(poly, (2 + 1e-6, 0.7), params)
+
+
+def test_eigenvalue_collision_falls_back_to_gram():
+    # E_(2,0) = E_(1,1) = 9/2 here; norm_K and the CLI take the Gram route
+    params = KoornwinderParams(F(-48), F(1, 3), F(1, 2), F(1, 2), F(1, 2), 1)
+    assert eigenvalue((2, 0), params) == eigenvalue((1, 1), params) == F(9, 2)
+    with pytest.raises(EigenvalueCollisionError):
+        koornwinder_poly((2, 0), params)
+    assert norm_K((2, 0), params) == pytest.approx(48927.85, rel=1e-3)
 
 
 def test_monic_and_triangular():

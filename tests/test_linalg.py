@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from bcq.linalg import (
+    _inv,
+    _is_exact,
     flip_matrix,
     mat_identity,
     mat_inverse,
@@ -15,6 +17,15 @@ from bcq.linalg import (
     partial_transpose_first,
     solve_linear,
 )
+
+
+def test_exactness_test_and_inverse():
+    # the package's one exactness test: int and Fraction, never float
+    assert _is_exact(F(1, 2)) and _is_exact(2)
+    assert not _is_exact(0.5) and not _is_exact(0.5j)
+    assert _inv(2) == F(1, 2) and type(_inv(2)) is F
+    assert _inv(F(-2, 3)) == F(-3, 2)
+    assert _inv(0.5) == 2.0 and type(_inv(0.5)) is float
 
 
 def test_identity_and_mul():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bcq.qseries import (
     INFINITY,
     NonConvergenceError,
-    QBase,
     TruncationPolicy,
     jackson_integral,
     jackson_sum_0_to_beta,
@@ -141,12 +140,29 @@ def test_policy_validation():
 
 
 def test_qbase_validation():
-    with pytest.raises(ValueError):
-        QBase(F(3, 2))
-    with pytest.raises(ValueError):
-        QBase(0)
-    assert QBase(F(1, 2)).is_exact
-    assert not QBase(0.5).is_exact
+    # q outside (0,1) is refused by every entry point, exact or float
+    for q in (F(3, 2), 0, 1.0, -0.5):
+        with pytest.raises(ValueError, match="q must lie in"):
+            qpochhammer(F(1, 2), q, 2)
+        with pytest.raises(ValueError, match="q must lie in"):
+            qpochhammer(0.5, q, INFINITY)
+        with pytest.raises(ValueError, match="q must lie in"):
+            log_qgamma(1.5, q)
+        with pytest.raises(ValueError, match="q must lie in"):
+            jackson_sum_0_to_beta(lambda x: x, F(1), 3, q)
+
+
+def test_qpochhammer_float_infinity():
+    # float("inf") is a different object from math.inf; it raised OverflowError
+    assert qpochhammer(0.5, 0.25, float("inf")) == qpochhammer(0.5, 0.25, INFINITY)
+
+
+def test_jackson_float_infinity():
+    # float("inf") is a different object from math.inf; it raised OverflowError
+    q = 0.25
+    val = jackson_sum_0_to_beta(lambda x: x, 1.0, float("inf"), q)
+    assert val == jackson_sum_0_to_beta(lambda x: x, 1.0, INFINITY, q)
+    assert abs(val - 1 / (1 + q)) < 1e-12
 
 
 def test_nonconvergence_raised():
