@@ -20,19 +20,20 @@ per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per
 coordinate, summed over the distinct permutations of each weight (at most
 l! terms, where the orbit has up to 2^l l!).  The phi pair is also the pole
 test: a point where it cannot be formed is skipped.  With rational
-parameters and points this is exact, each row integer on a per-point scale
-(which leaves the solution unchanged), and the diagonal is checked against
-E_mu.
+parameters and points the phi pair, the tables and so every row are built
+from integers, on a per-point scale (which leaves the solution unchanged),
+and the diagonal is checked against E_mu.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _inv, _is_exact, integer_row, solve_linear
+from .linalg import _inv, _is_exact, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from .qseries import check_base
 from .report import VerificationReport, timed_report
@@ -88,50 +89,70 @@ class KoornwinderParams:
         return _is_exact(self.q) and all(_is_exact(t) for t in self.tuple4)
 
 
-def _phi_pair(x, j, params: KoornwinderParams):
+def _integer_params(params: KoornwinderParams):
+    """(numerator, denominator) pairs of t0..t3, q, t and (unreduced) t0 t1 t2 t3."""
+    pairs = [(v.numerator, v.denominator) for v in (*params.tuple4, params.q, params.t)]
+    return pairs[:4], pairs[4], pairs[5], tuple(map(math.prod, zip(*pairs[:4])))
+
+
+def _phi_pair(x, j, params: KoornwinderParams, integers=()):
     """(phi_j^+(x), phi_j^-(x)); raises ZeroDivisionError on a pole, where a
-    denominator factor is 0, or in floats within _POLE_TOL of 0."""
-    q = params.q
-    t = params.t
+    denominator factor is 0, or in floats within _POLE_TOL of 0.  Given
+    integers = _integer_params(params) and a rational x, each phi is an integer
+    (numerator, denominator) pair: with x_i = a_i/b_i, the monomials in a_i,
+    b_i under each factor cancel, up to q_d / (d_0 d_1 d_2 d_3 t_d^(2l-2))."""
+    if integers:
+        ts, (qn, qd), (tn, td), (_, f) = integers
+        x = [(v.numerator, v.denominator) for v in x]
+        a, b = x[j]
+        num_p = num_m = qd
+        for n, d in ts:
+            num_p *= d * b - n * a
+            num_m *= n * b - d * a
+        den = f * td ** (2 * len(x) - 2) * (b * b - a * a)
+        for ai, bi in x[:j] + x[j + 1 :]:
+            r, s, u, v = ai * a, bi * b, a * bi, ai * b  # x_i x_j = r/s, x_j/x_i = u/v
+            num_p *= (td * s - tn * r) * (td * v - tn * u)
+            num_m *= (tn * s - td * r) * (tn * v - td * u)
+            den *= (s - r) * (v - u)
+        den_p, den_m = den * (qd * b * b - qn * a * a), den * (qn * b * b - qd * a * a)
+        if den_p == 0 or den_m == 0:
+            raise ZeroDivisionError(f"phi_{j} has a pole at x")
+        return (num_p, den_p), (num_m, den_m)
+    q, t = params.q, params.t
     xj = x[j]
     xj2 = xj * xj
-    num_p = 1
-    num_m = 1
+    num_p = num_m = 1
     for ti in params.tuple4:
         num_p *= 1 - ti * xj
         num_m *= ti - xj
     poles = [1 - xj2, 1 - q * xj2, q - xj2]
-    den_p = poles[0] * poles[1]
-    den_m = poles[0] * poles[2]
-    for i in range(len(x)):
-        if i == j:
-            continue
-        xi = x[i]
-        a = xi * xj
-        b = xj / xi
+    den_p, den_m = poles[0] * poles[1], poles[0] * poles[2]
+    for xi in x[:j] + x[j + 1 :]:
+        a, b = xi * xj, xj / xi
         num_p *= (1 - t * a) * (1 - t * b)
         num_m *= (t - a) * (t - b)
         poles += (1 - a, 1 - b)
         den = poles[-2] * poles[-1]
         den_p *= den
         den_m *= den
-    # an exact zero factor makes a denominator 0, and the division raises
+    # den_p is exact only if x and q are but some t_i is not; a 0 raises below
     if not _is_exact(den_p) and min(map(abs, poles)) <= _POLE_TOL:
         raise ZeroDivisionError(f"phi_{j} has a pole within {_POLE_TOL} of x")
     return num_p / den_p, num_m / den_m
 
 
 def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
-    """(D_K p)(x) by direct rational-function evaluation."""
+    """(D_K p)(x) by direct rational-function evaluation (exact if x and params are)."""
     q = params.q
+    integers = params.is_exact and all(map(_is_exact, x)) and _integer_params(params)
     base = p.evaluate(x)
     total = 0
     for j in range(p.nvars):
-        plus, minus = _phi_pair(x, j, params)
-        up = list(x)
-        up[j] = x[j] * q
-        down = list(x)
-        down[j] = x[j] / q
+        phi = _phi_pair(x, j, params, integers)
+        plus, minus = (Fraction(*f) for f in phi) if integers else phi
+        up, down = list(x), list(x)
+        up[j], down[j] = x[j] * q, x[j] / q
         total += plus * (p.evaluate(up) - base) + minus * (p.evaluate(down) - base)
     return total
 
@@ -155,41 +176,52 @@ def _candidate_points(l: int, count: int, exact: bool, seed: int):
         yield x
 
 
-def _orbit_rows(x, perms, degree, params: KoornwinderParams, exact: bool):
+def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
     """m~_nu(x) and (D_K m~_nu)(x) for every nu; perms holds, per nu, its
-    distinct permutations as (coordinate, exponent) pairs (zeros only if exact).
+    distinct permutations as (coordinate, exponent) pairs (zeros only if
+    exact, i.e. given integers = _integer_params(params)).
 
     With y_{i,k} = x_i^k + x_i^{-k} (y_{i,0} = 1), m~_nu(x) is the sum over
     distinct permutations pi of nu of prod_i y_{i,pi_i}.  A shift in x_j
     changes only the factor of coordinate j, so D_K m~_nu(x) is the same
     sum with one factor at a time replaced by
     g_{j,k} = phi_j^+ (y_{j,k}(q x_j) - y_{j,k}) + phi_j^- (y_{j,k}(x_j/q) - y_{j,k}).
-    Exact tables of coordinate j are scaled to integers by one L_j, making
-    y_{j,0} = L_j, so every entry of both rows is an integer times prod_j L_j.
+    Exact tables are integers on L_j = D+ D- w^degree (phi_j^+- = N+-/D+-,
+    x_j = a/b, w = a b q_n q_d) divided by their gcd, so y_{j,0} = L_j / gcd
+    and every entry of both rows is an integer times prod_j y_{j,0}.
     """
-    q = params.q
-    y = []
-    g = []
+    y, g = [], []
     for j, xj in enumerate(x):
-        plus, minus = _phi_pair(x, j, params)
-        here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
-        up = xj * q
-        down = xj / q
-        shift = [0] + [
-            plus * (up**k + up**-k - here[k]) + minus * (down**k + down**-k - here[k])
-            for k in range(1, degree + 1)
-        ]
-        scaled = integer_row(here + shift) if exact else here + shift
+        if integers:
+            (num_p, den_p), (num_m, den_m) = _phi_pair(x, j, params, integers)
+            qn, qd = integers[1]
+            a, b, c = xj.numerator, xj.denominator, (qn * qd) ** degree
+            # y_k (y_0 = 1) at u/v = x_j, q x_j, x_j/q, times s (u v)^degree = w^degree
+            here, up, down = (
+                [(u ** (2 * k) + v ** (2 * k) if k else 1) * (u * v) ** (degree - k) * s
+                 for k in range(degree + 1)]
+                for u, v, s in ((a, b, c), (a * qn, b * qd, 1), (a * qd, b * qn, 1))
+            )
+            plus, minus, scale = num_p * den_m, num_m * den_p, den_p * den_m
+            scaled = [h * scale for h in here]
+            scaled += [plus * (u - h) + minus * (d - h) for h, u, d in zip(here, up, down)]
+            divisor = math.gcd(*scaled)
+            scaled = [v // divisor for v in scaled]
+        else:
+            plus, minus = _phi_pair(x, j, params)
+            here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
+            up, down = xj * params.q, xj / params.q
+            scaled = here + [0] + [
+                plus * (up**k + up**-k - here[k]) + minus * (down**k + down**-k - here[k])
+                for k in range(1, degree + 1)
+            ]
         y.append(scaled[: degree + 1])
         g.append(scaled[degree + 1 :])
-    values = []
-    images = []
+    values, images = [], []
     for nu_perms in perms:
-        value = 0
-        image = 0
+        value = image = 0
         for perm in nu_perms:
-            prod = 1
-            shifted = 0
+            prod, shifted = 1, 0
             for i, k in perm:
                 shifted = shifted * y[i][k] + prod * g[i][k]
                 prod = prod * y[i][k]
@@ -221,12 +253,12 @@ def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: 
         perms.append([[(i, k) for i, k in enumerate(pi) if k or exact] for pi in distinct])
     degree = max(nu[0] for nu in downset)
     where = {nu: i for i, nu in enumerate(downset)}
+    integers = exact and _integer_params(params)
     for attempt in range(25):
-        rows = []
-        rhs = []
+        rows, rhs = [], []
         for x in _candidate_points(l, 3 * (n + 2), exact, seed=911 + attempt):
             try:
-                values, images = _orbit_rows(x, perms, degree, params, exact)
+                values, images = _orbit_rows(x, perms, degree, params, integers)
             except ZeroDivisionError:
                 continue  # x lies on a pole of D_K
             rows.append(values)
@@ -270,16 +302,24 @@ def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
 
 def eigenvalue(lam, params: KoornwinderParams):
     """E_lambda = sum_j ( q^{-1} t0 t1 t2 t3 t^{2l-j-1}(q^{lam_j}-1)
-    + t^{j-1}(q^{-lam_j}-1) )."""
+    + t^{j-1}(q^{-lam_j}-1) ); exact parameters give one integer numerator
+    over the common denominator d_0 d_1 d_2 d_3 q_n^(m+1) q_d^m t_d^(2l-2),
+    m = max(lambda)."""
     lam = tuple(lam)
     l = len(lam)
-    q = params.q
-    t = params.t
+    if params.is_exact and lam:
+        _, (a, b), (c, d), (e, f) = _integer_params(params)
+        top, num = max(lam), 0
+        for j, lj in enumerate(lam):
+            gap, rest = a**lj - b**lj, 2 * l - j - 2
+            num += gap * e * b ** (top - lj + 1) * a**top * c**rest * d**j
+            num -= gap * f * a ** (top - lj + 1) * b**top * c**j * d**rest
+        return Fraction(num, f * a ** (top + 1) * b**top * d ** (2 * l - 2))
+    q, t = params.q, params.t
     t4 = params.t0 * params.t1 * params.t2 * params.t3
     total = 0
     qinv = _inv(q)
-    for j in range(1, l + 1):
-        lj = lam[j - 1]
+    for j, lj in enumerate(lam, 1):
         total += qinv * t4 * t ** (2 * l - j - 1) * (q**lj - 1)
         total += t ** (j - 1) * (qinv**lj - 1)
     return total

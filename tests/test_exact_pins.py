@@ -4,8 +4,10 @@ Each entry is the sha256 of ``repr(sorted(P.terms.items()))``: the exact
 ``Fraction`` coefficients of every term, independent of the dict order
 (which varies with ``PYTHONHASHSEED``).  The digests were recorded from the
 ``Fraction`` Gauss-Jordan collocation, so any change to how D_K is solved
-must reproduce its polynomials exactly.  Print fresh digests with
-``PYTHONPATH=src python tests/test_exact_pins.py``.
+must reproduce its polynomials exactly.  The k = 2 set (t = q^2) and the set
+with ``int`` and negative entries were recorded from the ``Fraction`` phi_j
+pair, before the collocation rows were built from integers.  Print fresh
+digests with ``PYTHONPATH=src python tests/test_exact_pins.py``.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ from bcq import (
 
 GENERIC = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
 GRASSMANN = grassmann_koornwinder_params(GrassmannShape(5, 2), 0, 1, F(1, 2))
+SQUARE_T = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 2)
+MIXED = KoornwinderParams(-2, F(-1, 3), 1, F(1, 5), F(2, 5), 1)
 
 GENERIC_PINS = {
     (1,): "aaf270159f2b1b8bb5fe74fcd87eb5994a96151ad6edd44aaf53fe4b10ea5a3b",
@@ -50,6 +54,22 @@ GRASSMANN_PINS = {
     (2, 0): "a804eb0ce5ed95014b96d0f2c0c69698cd999cd245577769ffd7969c5924c8d4",
     (2, 1): "7424c23088dd315adb058b71a15ff6a754c75e9a6f5d79460ff526f12b122643",
 }
+SQUARE_T_PINS = {
+    (1, 1): "bc5a63e362b4dea5fb0b4f8193b12baea5911a87fb10aa59d582b94268dd0dea",
+    (2, 1): "90534b4102156ba7c32f3434b73904e98fb8e2574260c361f5b4694dc3477318",
+    (3, 1): "985ec73cef2a1cd8762d19eb2a2df5b82d9a1bfa2e6df277401a4ff07c6c97b8",
+    (1, 0, 0): "219008cb75b57072b0e751bed08efa78f74fdb1aca61ad597b99a5921f4eba3d",
+    (2, 1, 0): "f30f70dfa3d702466a364282a6d2c2a15805a221b43d9396ab26fbc8a03fe1fd",
+    (2, 1, 1): "5f06c5bd1afe8b19ac9889b77d341cb70940bc7ca5aa2be20f02bc290dbfd1e5",
+}
+MIXED_PINS = {
+    (1, 1): "915d32a589f05eaac22d426e6cb078166b7446711608c7c1289d6683c4569e01",
+    (2, 1): "5d40f133486ecbd4540dea4aa020d7690754fc8d54f16cb96ad73439c5a112ac",
+    (3, 1): "56e694bf128e840c84064fa0b46d7486735d735d77d6a99e23836081674643e5",
+    (1, 0, 0): "283a5eca9b1fb677797b24ae3e959a99be1fb431ce1fe573983c949d0e3c62c9",
+    (2, 1, 0): "1c1177c44c3cb25f1b0e4850faa2e9821faec78f0aa6ed88b1edbbc7b73ba5f3",
+    (2, 1, 1): "d5f8d6f3d6b689c6c32c380c91587baaa4321e64c3dc0120bebb784bec3a7d13",
+}
 DK_APPLY_PINS = {
     (1, 0): "3d762bc7e5e817d20313aaa55395bbdee7b7f5765170d32c517ba2dd3879ddff",
     (1, 1): "2386c1642dc9cd1892cae588db4b2ddbc0f03ad2e4672114254ac73c33108cfd",
@@ -73,6 +93,16 @@ def test_grassmann_koornwinder_pinned(lam):
     assert digest(koornwinder_poly(lam, GRASSMANN)) == GRASSMANN_PINS[lam]
 
 
+@pytest.mark.parametrize("lam", list(SQUARE_T_PINS))
+def test_square_t_koornwinder_pinned(lam):
+    assert digest(koornwinder_poly(lam, SQUARE_T)) == SQUARE_T_PINS[lam]
+
+
+@pytest.mark.parametrize("lam", list(MIXED_PINS))
+def test_mixed_koornwinder_pinned(lam):
+    assert digest(koornwinder_poly(lam, MIXED)) == MIXED_PINS[lam]
+
+
 @pytest.mark.parametrize("lam", list(DK_APPLY_PINS))
 def test_dk_apply_pinned(lam):
     image = dk_apply(koornwinder_poly(lam, GENERIC), GENERIC)
@@ -83,6 +113,8 @@ if __name__ == "__main__":
     for name, pins, build in (
         ("GENERIC_PINS", GENERIC_PINS, lambda lam: koornwinder_poly(lam, GENERIC)),
         ("GRASSMANN_PINS", GRASSMANN_PINS, lambda lam: koornwinder_poly(lam, GRASSMANN)),
+        ("SQUARE_T_PINS", SQUARE_T_PINS, lambda lam: koornwinder_poly(lam, SQUARE_T)),
+        ("MIXED_PINS", MIXED_PINS, lambda lam: koornwinder_poly(lam, MIXED)),
         (
             "DK_APPLY_PINS",
             DK_APPLY_PINS,

@@ -1,5 +1,6 @@
 """Tests for the Koornwinder q-difference operator and polynomial family."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,8 @@ from bcq.koornwinder import (
     EigenvalueCollisionError,
     KoornwinderParams,
     _dk_columns,
+    _integer_params,
+    _phi_pair,
     check_symmetries,
     dk_apply,
     dk_evaluate,
@@ -20,6 +23,41 @@ from bcq.weights import dominant_downset
 
 PARAMS2 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
 PARAMS1 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
+# exact parameter sets with t = q, t = q^2 and t = q^3, and int entries
+EXACT_SETS = [
+    PARAMS2,
+    KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 2),
+    KoornwinderParams(F(2, 9), F(-3, 11), F(1, 2), F(-1, 3), F(3, 7), 3),
+    KoornwinderParams(-2, F(-1, 3), 1, F(1, 5), F(2, 5), 1),
+]
+
+
+def phi_oracle(x, j, p):
+    """phi_j^+- as the plain Fraction formula of D_K."""
+    q, t, xj = F(p.q), F(p.t), F(x[j])
+    plus = minus = F(1) / (1 - xj * xj)
+    for ti in p.tuple4:
+        plus *= 1 - ti * xj
+        minus *= ti - xj
+    plus /= 1 - q * xj * xj
+    minus /= q - xj * xj
+    for i, xi in enumerate(map(F, x)):
+        if i != j:
+            den = (1 - xi * xj) * (1 - xj / xi)
+            plus *= (1 - t * xi * xj) * (1 - t * xj / xi) / den
+            minus *= (t - xi * xj) * (t - xj / xi) / den
+    return plus, minus
+
+
+def eigenvalue_oracle(lam, p):
+    """E_lambda as the plain Fraction formula."""
+    q, t = F(p.q), F(p.t)
+    t4 = F(p.t0) * p.t1 * p.t2 * p.t3
+    l = len(lam)
+    return sum(
+        t4 / q * t ** (2 * l - j - 1) * (q**lj - 1) + t ** (j - 1) * (q**-lj - 1)
+        for j, lj in enumerate(lam, 1)
+    )
 
 
 def one_variable_params(p):
@@ -60,6 +98,66 @@ def test_eigen_identity_exact_two_variables():
 def test_eigenvalue_frozen():
     assert eigenvalue((2, 1), PARAMS2) == F(17637, 1120)
     assert eigenvalue((0, 0), PARAMS2) == 0
+
+
+def test_integer_phi_pair_matches_the_fraction_formula():
+    rng = random.Random(14)
+    for p in EXACT_SETS:
+        integers = _integer_params(p)
+        for l in (1, 2, 3, 4):
+            for _ in range(5):
+                x = tuple(
+                    rng.choice([-1, 1]) * F(rng.randrange(1, 60), rng.randrange(1, 30))
+                    for _ in range(l)
+                )
+                x = x[:-1] + (int(x[-1]) or 5,)  # one int coordinate
+                for j in range(l):
+                    try:
+                        want = phi_oracle(x, j, p)
+                    except ZeroDivisionError:
+                        continue
+                    pair = _phi_pair(x, j, p, integers)
+                    assert all(type(v) is int for f in pair for v in f)
+                    assert tuple(F(*f) for f in pair) == want, (p, x, j)
+
+
+@pytest.mark.parametrize(
+    "x, factor",
+    [
+        ((F(1), F(3, 7)), "1 - x_j^2"),
+        ((F(-1), F(3, 7)), "1 - x_j^2"),
+        ((F(2), F(3, 7)), "1 - q x_j^2"),
+        ((F(-1, 2), F(3, 7)), "q - x_j^2"),
+        ((F(3, 5), F(5, 3)), "1 - x_i x_j"),
+        ((F(-3, 5), F(-5, 3), F(2, 9)), "1 - x_i x_j"),
+        ((F(3, 5), F(3, 5)), "1 - x_j/x_i"),
+        ((F(-2, 7), F(4, 9), F(-2, 7)), "1 - x_j/x_i"),
+    ],
+)
+def test_integer_phi_pair_raises_on_each_pole_factor(x, factor):
+    # q = 1/4; in each case only the named factor of phi_0 is 0
+    with pytest.raises(ZeroDivisionError):
+        _phi_pair(x, 0, PARAMS2, _integer_params(PARAMS2))
+    with pytest.raises(ZeroDivisionError):
+        phi_oracle(x, 0, PARAMS2)
+
+
+def test_exact_eigenvalue_matches_the_fraction_formula():
+    for p in EXACT_SETS:
+        for lam in ((0,), (3,), (1, 0), (2, 2), (3, 1, 0), (2, 1, 1, 0), (4, 2, 2, 1)):
+            got = eigenvalue(lam, p)
+            assert type(got) is F
+            assert got == eigenvalue_oracle(lam, p), (p, lam)
+
+
+def test_dk_evaluate_is_exact_at_an_int_point():
+    # an int point gave a float here: x_j/x_i was a true division of ints
+    params = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(289, 66049), 1)
+    poly = koornwinder_poly((2, 1), params)
+    value = dk_evaluate(poly, (2, 3), params)
+    assert type(value) is F
+    assert value == dk_evaluate(poly, (F(2), F(3)), params)
+    assert value == eigenvalue((2, 1), params) * poly.evaluate((F(2), F(3)))
 
 
 def test_eigen_identity_exact_direct_evaluation():
