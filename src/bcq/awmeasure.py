@@ -19,11 +19,19 @@ added up over one Weyl chamber, the index tuples
 0 <= s_1 <= ... <= s_dim <= floor(m/2), each times its orbit size
 dim!/prod(run lengths)! * 2^#{i : s_i not in {0, m/2}}.  ``full_inner`` and
 ``continuous_gram`` reject a P or Q that is not W-invariant, for which the
-chamber sum (and the residue prefactor) would be wrong.  The chamber
-weights, coupling factor included, are cached per (params, M, pinned point,
-dim), so Gram matrices and the two inner products of ``norm_K`` share one
-weight evaluation per grid; each polynomial is evaluated once per grid on
-the half grid s_i <= floor(m/2), one coordinate at a time.
+chamber sum (and the residue prefactor) would be wrong.
+
+Each ingredient is computed once, in a bounded ``lru_cache``: the float
+parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
+per (q, m) on the half grid, even points read from the coarser grid; w_2 per
+(params, m); chamber indices and orbit sizes per (m, dim); chamber weights,
+coupling factor included, per (params, m, pinned points, dim), shared by Gram
+matrices and the two inner products of ``norm_K``; residue masses per (a, i,
+params).  Params with Fraction and float entries compare equal, so these
+caches hold only what the float parameters fix.  A term with every
+coordinate pinned is one point on every grid, so it is evaluated once.  Each
+polynomial is evaluated once per grid on the half grid s_i <= floor(m/2),
+one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache, reduce
+from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
 
@@ -64,13 +72,11 @@ class QuadratureGrid:
 DEFAULT_GRID = QuadratureGrid()
 
 
+@lru_cache(maxsize=256)
 def _params_float(params):
-    q = float(params.q)
-    ts = []
-    for t in params.tuple4:
-        z = complex(t)
-        ts.append(z.real if z.imag == 0 else z)
-    return ts, q, float(params.t)
+    """(t_0..t_3) as floats, or complex off the real line, and q as a float."""
+    ts = tuple(z.real if z.imag == 0 else z for z in map(complex, params.tuple4))
+    return ts, float(params.q)
 
 
 def _vanishes(z, q: float) -> bool:
@@ -84,7 +90,7 @@ def _vanishes(z, q: float) -> bool:
 
 def check_degeneracy(params) -> None:
     """Reject t_i t_j q^m = 1 (colliding weight poles) within tolerance."""
-    ts, q, _t = _params_float(params)
+    ts, q = _params_float(params)
     for i, j in combinations_with_replacement(range(4), 2):
         if _vanishes(ts[i] * ts[j], q):
             raise DegenerateParameterError(f"t_{i} t_{j} q^m = 1 within tolerance")
@@ -105,13 +111,13 @@ def truncation_index(e, q: float) -> int:
 
 def discrete_support(params) -> dict:
     """Map parameter index -> N_e for each of (t0..t3)."""
-    ts, q, _ = _params_float(params)
+    ts, q = _params_float(params)
     return {i: truncation_index(ts[i], q) for i in range(4)}
 
 
 def w2_value(x, params):
     """w_2(x) = (x^2, x^-2; q)_inf / prod_a (t_a x, t_a / x; q)_inf."""
-    ts, q, _ = _params_float(params)
+    ts, q = _params_float(params)
     num = qpochhammer(x * x, q, math.inf) * qpochhammer(1 / (x * x), q, math.inf)
     den = 1.0
     for t in ts:
@@ -120,6 +126,7 @@ def w2_value(x, params):
     return num / den
 
 
+@lru_cache(maxsize=256)
 def residue_weight(a: int, i: int, params):
     """w_1(x) = res_{x = t_a q^i} (w_2(x)/x) in closed form,
 
@@ -129,7 +136,7 @@ def residue_weight(a: int, i: int, params):
     at x = t_a q^i, for the parameter index a.  A denominator factor within
     the degeneracy tolerance of zero is a pole collision and raises, and so
     does a mass whose q-products overflow doubles (``NonConvergenceError``)."""
-    ts, q, _ = _params_float(params)
+    ts, q = _params_float(params)
     x = ts[a] * q**i
     poles = [ts[a] * x]
     poles += [z for b, t in enumerate(ts) if b != a for z in (t * x, t / x)]
@@ -150,25 +157,42 @@ def _roots_of_unity(m: int):
     return tuple(cmath.exp(2j * cmath.pi * s / m) for s in range(m))
 
 
+@lru_cache(maxsize=64)
 def _root_powers(m: int, count: int | None = None):
     """e -> the e-th powers of the first ``count`` (default all) m-th roots
-    of unity, w^{se} = w^{se mod m}."""
+    of unity, w^{se} = w^{se mod m}; the lists are shared, read only."""
     roots = _roots_of_unity(m)
     count = m if count is None else count
-    return lru_cache(maxsize=None)(lambda e: [roots[s * e % m] for s in range(count)])
+    return lru_cache(maxsize=256)(lambda e: [roots[s * e % m] for s in range(count)])
+
+
+@lru_cache(maxsize=128)
+def _qpoch_pairs(t, q: float, m: int):
+    """((t x; q)_inf, (t / x; q)_inf), or for t = None (x^2; q)_inf and
+    (x^-2; q)_inf, at the m-th roots of unity x = w^s, s <= floor(m/2).  For
+    even m the even s are the (m/2)-th roots (bit for bit): their pairs are
+    read from the table of the coarser grid of the doubling."""
+    roots = _roots_of_unity(m)
+    coarse = _qpoch_pairs(t, q, m // 2) if m % 2 == 0 else ()
+
+    def pair(x):
+        a, b = (x * x, 1 / (x * x)) if t is None else (t * x, t / x)
+        return qpochhammer(a, q, math.inf), qpochhammer(b, q, math.inf)
+
+    half = range(m // 2 + 1)
+    return tuple(coarse[s // 2] if coarse and s % 2 == 0 else pair(roots[s]) for s in half)
 
 
 @lru_cache(maxsize=256)
 def _w2_on_roots(params, m: int):
-    """w_2 at the m-th roots of unity w^s for s <= floor(m/2); w_2(1/x) =
-    w_2(x) gives the rest.  For even m the even s are the (m/2)-th roots
-    (bit for bit), already evaluated on the coarser grid of the doubling
-    refinement."""
-    roots = _roots_of_unity(m)
-    coarse = _w2_on_roots(params, m // 2) if m % 2 == 0 else ()
+    """w_2 at the m-th roots of unity w^s, s <= floor(m/2) (w_2(1/x) = w_2(x)
+    gives the rest), multiplied in the order of ``w2_value``: each entry is
+    ``w2_value(w^s, params)`` bit for bit."""
+    ts, q = _params_float(params)
+    rows = zip(*(_qpoch_pairs(t, q, m) for t in ts))
     return tuple(
-        coarse[s // 2] if coarse and s % 2 == 0 else w2_value(roots[s], params)
-        for s in range(m // 2 + 1)
+        a * b / reduce(mul, chain.from_iterable(row), 1.0)
+        for (a, b), row in zip(_qpoch_pairs(None, q, m), rows)
     )
 
 
@@ -180,20 +204,21 @@ def _orbit_size(combo, m: int = 0) -> int:
     return orbit_size(combo, "S") << (len(combo) - walls)
 
 
-@lru_cache(maxsize=256)
-def _weight_on_grid(params, m: int, fixed, dim: int):
-    """The chamber representatives 0 <= s_1 <= ... <= s_dim <= floor(m/2):
-    their flat indices into the half grid of ``polyring.grid_values``
-    (floor(m/2) + 1 points a coordinate, row-major), and their weights
-    times orbit size.  The weight is the w_2 factors for the continuous
-    coordinates times the full coupling factor prod_{i<j} g(x_i x_j)
-    g(x_i / x_j), g(z) = (z; q)_k (1/z; q)_k.  A continuous pair reads g
-    from one table over the root indices s_i +- s_j mod m; each pinned
-    coordinate x contributes the table g(x w^s) g(x / w^s)."""
-    roots = _roots_of_unity(m)
-    _ts, q, _ = _params_float(params)
-    k = params.k
+@lru_cache(maxsize=64)
+def _chamber(m: int, dim: int):
+    """The flat indices of the chamber representatives 0 <= s_1 <= ... <=
+    s_dim <= floor(m/2) into the half grid of ``polyring.grid_values``
+    (floor(m/2) + 1 points a coordinate, row-major), and their orbit sizes."""
     side = m // 2 + 1
+    combos = list(combinations_with_replacement(range(side), dim))
+    index = tuple(reduce(lambda flat, s: flat * side + s, combo, 0) for combo in combos)
+    return index, tuple(_orbit_size(combo, m) for combo in combos)
+
+
+def _coupling(params, fixed):
+    """g(z) = (z; q)_k (1/z; q)_k, and the product of g(x y) g(x / y) over
+    the pairs of pinned coordinates x, y."""
+    q, k = _params_float(params)[1], params.k
 
     def g(z):
         return _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
@@ -201,46 +226,58 @@ def _weight_on_grid(params, m: int, fixed, dim: int):
     const = 1.0 + 0j
     for x, y in combinations(fixed, 2):
         const *= g(x * y) * g(x / y)
-    if not dim:
-        return (0,), (const,)
+    return g, const
+
+
+@lru_cache(maxsize=256)
+def _weight_on_grid(params, m: int, fixed, dim: int):
+    """The flat indices of the chamber representatives (``_chamber``) and
+    their weights times orbit size.  The weight is the w_2 factors for the
+    continuous coordinates times the full coupling factor prod_{i<j}
+    g(x_i x_j) g(x_i / x_j).  A continuous pair reads g from one table over
+    the root indices s_i +- s_j mod m; each pinned coordinate x contributes
+    the table g(x w^s) g(x / w^s)."""
+    g, const = _coupling(params, fixed)
+    roots = _roots_of_unity(m)
     single = list(_w2_on_roots(params, m))
     for x in fixed:
         single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
-    pair = [g(z) for z in roots]
-    index = []
+    pair = [g(z) for z in roots] if dim > 1 else ()
+    index, sizes = _chamber(m, dim)
     weights = []
-    for combo in combinations_with_replacement(range(side), dim):
-        flat = 0
-        val = const * _orbit_size(combo, m)
+    for combo, size in zip(combinations_with_replacement(range(m // 2 + 1), dim), sizes):
+        val = const * size
         for s in combo:
-            flat = flat * side + s
             val *= single[s]
         for s, r in combinations(combo, 2):
             val *= pair[(s + r) % m] * pair[(s - r) % m]
-        index.append(flat)
         weights.append(val)
-    return tuple(index), tuple(weights)
+    return index, tuple(weights)
 
 
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
     """For each (P,Q) pair: mean over the torus grid of P Qbar * weight with
     the given pinned coordinates, summed over one Weyl chamber (P and Q
-    W-invariant); refined by doubling."""
+    W-invariant); refined by doubling, except with every coordinate pinned."""
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
-        power = _root_powers(m_pts, m_pts // 2 + 1)
-        index, weights = _weight_on_grid(params, m_pts, fixed, dim)
-        values = []
-        cache = {}
-        for P, Q in polys_pairs:
-            for p in (P, Q):
-                if id(p) not in cache:
-                    on_half_grid = grid_values(p, power, fixed, dim)
-                    cache[id(p)] = list(map(on_half_grid.__getitem__, index))
-            conj = map(complex.conjugate, cache[id(Q)])
-            total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
-            values.append(total / m_pts**dim)
+        if dim or prev is None:
+            power = _root_powers(m_pts, m_pts // 2 + 1)
+            if dim:
+                index, weights = _weight_on_grid(params, m_pts, fixed, dim)
+            else:
+                index, weights = (0,), (_coupling(params, fixed)[1],)
+            values = []
+            cache = {}
+            for P, Q in polys_pairs:
+                for p in (P, Q):
+                    if id(p) not in cache:
+                        on_half_grid = grid_values(p, power, fixed, dim)
+                        cache[id(p)] = list(map(on_half_grid.__getitem__, index))
+                conj = map(complex.conjugate, cache[id(Q)])
+                total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
+                values.append(total / m_pts**dim)
         if prev is not None:
             scale = max(max(abs(v) for v in values), 1e-300)
             if all(
@@ -286,7 +323,7 @@ def full_inner(
     require_invariant(Q, "W")
     check_degeneracy(params)
     l = P.nvars
-    ts, q, _ = _params_float(params)
+    ts, q = _params_float(params)
     n_e = discrete_support(params)
     active = [i for i in range(4) if n_e[i] >= 0]
     w1 = {
@@ -310,7 +347,8 @@ def gustafson_constant(l: int, params):
     2^l l! prod_{j=1}^l (t, t^{l+j-2} t0t1t2t3; q)_inf /
     (t^j, q, t0t1 t^{j-1}, t0t2 t^{j-1}, t0t3 t^{j-1}, t1t2 t^{j-1},
     t1t3 t^{j-1}, t2t3 t^{j-1}; q)_inf."""
-    ts, q, t = _params_float(params)
+    ts, q = _params_float(params)
+    t = float(params.t)
     t4 = ts[0] * ts[1] * ts[2] * ts[3]
     inf = math.inf
     total = (2**l) * math.factorial(l)

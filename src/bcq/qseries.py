@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 INFINITY = math.inf
 
@@ -82,11 +83,14 @@ def _qpoch_finite(a, q, n: int):
     return prod
 
 
+@lru_cache(maxsize=128)
 def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """log Gamma_q(a) = (1-a) log(1-q) + sum_j log((1-q^{j+1})/(1-q^{j+a})).
+    """log |Gamma_q(a)| = (1-a) log(1-q) + sum_j log|(1-q^{j+1})/(1-q^{j+a})|.
 
     Pairing numerator and denominator factors keeps every summand O(q^j),
-    so the sum converges even when the separate products underflow.
+    so the sum converges even when the separate products underflow.  For
+    a < 0 the factors with q^{j+a} > 1 are negative; ``qgamma`` restores
+    the sign.  Memoised per (a, q, policy).
     """
     a = float(a)
     if a <= 0 and a == int(a):
@@ -97,7 +101,7 @@ def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     qj1 = qv          # q^{j+1}
     qja = qv ** a     # q^{j+a}
     for _ in range(policy.max_terms):
-        term = math.log1p(-qj1) - math.log1p(-qja)
+        term = math.log1p(-qj1) - (math.log1p(-qja) if qja < 1 else math.log(qja - 1))
         total += term
         if abs(term) < policy.abs_tol and qj1 < 0.5:
             return total
@@ -107,8 +111,10 @@ def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
 
 
 def qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Gamma_q(a) = (1-q)^{1-a} (q;q)_infty / (q^a;q)_infty."""
-    return math.exp(log_qgamma(a, q, policy))
+    """Gamma_q(a) = (1-q)^{1-a} (q;q)_infty / (q^a;q)_infty.  For a < 0 the
+    ceil(-a) factors 1 - q^{j+a} with j + a < 0 are negative."""
+    value = math.exp(log_qgamma(a, q, policy))
+    return -value if a < 0 and math.ceil(-a) % 2 else value
 
 
 def jackson_nodes(beta, n, q):

@@ -10,12 +10,17 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from bcq.awmeasure import (
+    DEFAULT_GRID,
     DegenerateParameterError,
     QuadratureGrid,
+    _chamber,
     _mixed_term_at_m,
     _orbit_size,
+    _params_float,
+    _qpoch_pairs,
     _root_powers,
     _roots_of_unity,
+    _w2_on_roots,
     _weight_on_grid,
     check_degeneracy,
     continuous_gram,
@@ -31,7 +36,7 @@ from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.limits import t_B, t_L
 from bcq.polyring import LaurentPoly, grid_values
 from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
-from bcq.qseries import NonConvergenceError, _qpoch_finite, jackson_nodes
+from bcq.qseries import NonConvergenceError, _qpoch_finite, jackson_nodes, log_qgamma
 
 PARAMS_IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 PARAMS_OUT = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 1)  # |t0| > 1
@@ -361,3 +366,56 @@ def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
         chamber = sum(_weight_on_grid(params, m, fixed, dim)[1]) / m**dim
         want = _full_grid_means([(one, one)], params, fixed, dim, m)[0]
         assert abs(chamber - want) <= 1e-13 * abs(want)
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("params", [PARAMS_OUT, PARAMS_CONJ])
+def test_w2_tables_equal_the_pointwise_weight(params):
+    # the q-product tables multiply in the order of w2_value, bit for bit,
+    # from cold caches (the finest grid first builds the coarser tables it
+    # reads its even points from) and from warm ones
+    _w2_on_roots.cache_clear()
+    _qpoch_pairs.cache_clear()
+    for m in (64, 32, 16, 32):
+        roots = _roots_of_unity(m)
+        got = [_bits(v) for v in _w2_on_roots(params, m)]
+        assert got == [_bits(w2_value(roots[s], params)) for s in range(m // 2 + 1)]
+
+
+def test_all_pinned_term_is_one_point_without_a_grid():
+    P = koornwinder_poly((1, 0), PARAMS_K2)
+    x, y = 1.7, 0.68
+    q, k = float(PARAMS_K2.q), PARAMS_K2.k
+    coupling = 1.0
+    for z in (x * y, x / y):
+        coupling *= _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
+    want = abs(P.evaluate((x, y))) ** 2 * coupling
+    _weight_on_grid.cache_clear()
+    (got,) = _mixed_term_at_m([(P, P)], PARAMS_K2, (x, y), 0, DEFAULT_GRID)
+    assert _weight_on_grid.cache_info().misses == 0
+    assert abs(got - want) <= 1e-13 * abs(want)
+    # a grid too small to compare two levels still cannot accept a value
+    with pytest.raises(NonConvergenceError):
+        _mixed_term_at_m([(P, P)], PARAMS_K2, (x, y), 0, QuadratureGrid(16, max_points=16))
+
+
+def test_failures_are_not_cached():
+    bad = KoornwinderParams(2.5, 0.1, 0.15, -0.2, 0.4, 1)
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError):
+            residue_weight(0, 0, bad)
+        with pytest.raises(ValueError):
+            log_qgamma(-1, 0.5)
+
+
+def test_every_cache_is_bounded():
+    caches = [
+        _params_float, residue_weight, _roots_of_unity, _root_powers, _root_powers(16, 9),
+        _qpoch_pairs, _w2_on_roots, _chamber, _weight_on_grid, log_qgamma,
+    ]
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+

@@ -82,6 +82,24 @@ def test_qgamma_pole():
         log_qgamma(-2, 0.5)
 
 
+@pytest.mark.parametrize("a", [-0.5, -1.5])
+def test_qgamma_at_negative_non_integer_a(a):
+    # factors 1 - q^{j+a} with q^{j+a} > 1 are negative: log1p raised a
+    # math domain error on them
+    q = 0.5
+    want = (1 - q) ** (1 - a) * qpochhammer(q, q, INFINITY) / qpochhammer(q**a, q, INFINITY)
+    assert abs(qgamma(a, q) - want) < 1e-13 * abs(want)
+    assert log_qgamma(a, q) == pytest.approx(math.log(abs(want)), abs=1e-13)
+
+
+def test_qgamma_at_positive_a_is_unchanged():
+    # recorded before negative a were supported
+    assert log_qgamma(0.5, 0.5).hex() == "0x1.cf39f40a3069bp-2"
+    assert qgamma(0.5, 0.5).hex() == "0x1.9270bc997e76ap+0"
+    assert log_qgamma(2.7, 0.9).hex() == "0x1.9df2afc6bb992p-2"
+    assert qgamma(2.7, 0.9).hex() == "0x1.7f883d0edbf2fp+0"
+
+
 def test_jackson_monomial():
     # int_0^1 x d_q x = (1-q)/(1-q^2) = 1/(1+q)
     q = 0.25
