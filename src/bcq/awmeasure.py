@@ -262,7 +262,7 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
-        if dim or prev is None:
+        if dim or prev is None:  # all pinned: the same one point on every grid
             power = _root_powers(m_pts, m_pts // 2 + 1)
             if dim:
                 index, weights = _weight_on_grid(params, m_pts, fixed, dim)
