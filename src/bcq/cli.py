@@ -164,15 +164,23 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _reflection_reports(args, _grid, _trunc) -> list:
+def _grassmann_q(args):
+    """--q of the Grassmann suites, where R^- and beta need q^{-1}."""
     q = parse_scalar(args.q)
+    if q == 0:
+        raise ValueError("the Grassmann suites need a nonzero --q")
+    return q
+
+
+def _reflection_reports(args, _grid, _trunc) -> list:
+    q = _grassmann_q(args)
     return [reflection_check(j_sigma(args.n, args.l, args.sigma, q), args.n, q)]
 
 
 def _intertwiner_reports(args, _grid, _trunc) -> list:
     """Both intertwiner constants, and both Theta constants from r = 2 on,
     each plain and tilde."""
-    q = parse_scalar(args.q)
+    q = _grassmann_q(args)
     shape = GrassmannShape(args.n, args.l)
     checks = [intertwiner_check] + [theta_constant_check] * (args.r >= 2)
     return [check(shape, args.r, args.sigma, q, tilde)
@@ -205,7 +213,7 @@ SUITES = {
         norm_limit_check(parse_weight(a.lam), _jacobi_params(a, a.family))]),
     "symmetry": (("t",), lambda a, grid, trunc: [
         check_symmetries(parse_weight(a.lam), _koornwinder_params(a))]),
-    "qybe": (("n",), lambda a, grid, trunc: [qybe_check(a.n, parse_scalar(a.q))]),
+    "qybe": (("n",), lambda a, grid, trunc: [qybe_check(a.n, _grassmann_q(a))]),
     "classical": ((), _classical_reports),
 }
 

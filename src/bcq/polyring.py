@@ -333,18 +333,6 @@ def schur(lam, n: int) -> LaurentPoly:
     )
 
 
-def schur_dimension(lam, n: int) -> int:
-    """dim of the GL_n irreducible with highest weight lam (Weyl formula)."""
-    lam = tuple(lam)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    return num // den
-
-
 # -- triangular basis conversions ----------------------------------------
 
 def peel(terms: dict, leading, piece) -> dict:
@@ -422,14 +410,6 @@ def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
 
 def rebuild_from_basis(coeffs: dict, kind: str, l: int) -> LaurentPoly:
     return combine(coeffs, lambda rep: _orbit_sum(rep, kind).terms, l)
-
-
-def is_invariant(p: LaurentPoly, kind: str) -> bool:
-    try:
-        expand_in_basis(p, kind)
-        return True
-    except ValueError:
-        return False
 
 
 def orbit_size(rep, kind: str) -> int:

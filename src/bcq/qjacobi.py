@@ -127,15 +127,6 @@ def big_weight_1d(x, params: BigJacobiParams):
     return num / den
 
 
-def little_weight_1d(x, params: LittleJacobiParams):
-    """w_L(x) = ((qx;q)_inf / (qbx;q)_inf) x^alpha, a = q^alpha."""
-    q = float(params.q)
-    alpha = math.log(float(params.a)) / math.log(q)
-    num = qpochhammer(q * x, q, math.inf)
-    den = qpochhammer(q * float(params.b) * x, q, math.inf)
-    return num / den * x**alpha
-
-
 @lru_cache(maxsize=32)
 def _grid_1d(params, trunc: SumTruncation):
     """The 1-D Jackson nodes of one coordinate and their masses mass*w_1d.

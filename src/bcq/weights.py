@@ -55,10 +55,6 @@ class WeightVector:
         return sum(self.entries)
 
 
-def bc_weight(*entries) -> WeightVector:
-    return WeightVector(entries, "BC")
-
-
 def _prefix_leq(mu: tuple, lam: tuple) -> bool:
     s_mu = 0
     s_lam = 0

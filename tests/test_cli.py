@@ -353,6 +353,28 @@ def test_negative_branching_bound_exit_2(capsys):
     assert "degree_bound must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "suite", [("qybe", "--n", "3"), ("reflection", "--n", "4", "--l", "2"),
+              ("intertwiner", "--n", "4", "--l", "2", "--r", "2")],
+)
+def test_grassmann_suites_reject_q_zero(capsys, suite):
+    # q = 0 divided by zero in R^- and beta and exited 3 as non-convergence
+    code, out, err = run(capsys, "verify", *suite, "--q", "0")
+    assert code == 2
+    assert out == ""
+    assert "nonzero --q" in err
+
+
+@pytest.mark.parametrize("q", ["1", "-1"])
+def test_intertwiner_classical_limit_exits_0(capsys, q):
+    # the closed-form constants divided by q^2 - 1 and exited 3 at q = 1
+    code, out, _ = run(capsys, "verify", "intertwiner", "--n", "4", "--l", "2", "--r", "2",
+                       "--sigma", "1", "--q", q)
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 4 and all(r["exact"] for r in reports)
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(bcq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

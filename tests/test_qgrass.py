@@ -7,7 +7,10 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bcq import qgrass
 from bcq.linalg import (
     flip_matrix,
     mat_identity,
@@ -17,7 +20,11 @@ from bcq.linalg import (
 )
 from bcq.qgrass import (
     QExtVector,
+    _orbit_weights,
     _partial_transpose_inverse,
+    _psi_image,
+    _u,
+    _weight,
     beta_map,
     branching_coeffs,
     casimir_eigenvalue,
@@ -26,6 +33,8 @@ from bcq.qgrass import (
     j_infty,
     j_sigma,
     j_tilde_sigma,
+    phi_hat_r,
+    principal_term,
     psi_constant,
     psi_hat_r,
     qsgn,
@@ -38,7 +47,9 @@ from bcq.qgrass import (
     reflection_check,
     spherical_multiplicity,
     tensor_power,
+    theta_constant,
     theta_constant_check,
+    theta_hat_r,
     u_vector,
     w_vectors,
     wedge,
@@ -194,6 +205,124 @@ def test_psi_constant_values():
     q = Q
     c2 = (q**0 / (q**2 - 1)) ** 2 * (1 - q**2) * (1 - q**4)
     assert psi_constant(2, 0, 2, q) == c2
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(3, 7), F(2), F(-1, 3)])
+def test_constants_match_their_quotient_forms(q):
+    # psi: (b/(q^2-1))^r (q^2; q^2)_r, theta: -b (1-q^{2r})/(1-q^2)
+    for l, r, sigma, tilde in itertools.product((1, 2, 3), (1, 2, 3), (0, 1), (False, True)):
+        b = qgrass._constant_base(sigma, l, q, tilde)
+        pochhammer = 1
+        for i in range(1, r + 1):
+            pochhammer *= 1 - q ** (2 * i)
+        assert psi_constant(r, sigma, l, q, tilde) == (b / (q * q - 1)) ** r * pochhammer
+        assert theta_constant(r, sigma, l, q, tilde) == -b * (1 - q ** (2 * r)) / (1 - q * q)
+
+
+@pytest.mark.parametrize("q", [F(1), F(-1)])
+def test_checks_pass_in_the_classical_limit(q):
+    # the quotient forms divided by zero at q = +-1
+    shape = GrassmannShape(6, 3)
+    for r, sigma, tilde in itertools.product((1, 2, 3), (0, 1), (False, True)):
+        report = intertwiner_check(shape, r, sigma, q, tilde=tilde)
+        assert report.passed and report.exact, (r, sigma, tilde)
+        if r >= 2:
+            report = theta_constant_check(shape, r, sigma, q, tilde=tilde)
+            assert report.passed and report.exact, (r, sigma, tilde)
+
+
+def _key_weight(key, n=6):
+    """Weight of an interleaved (V (x) V*)^{(x) r} key."""
+    return _weight(key[::2], key[1::2], n)
+
+
+def _wedge_weights(v, n=6):
+    return {_weight(i_set, j_set, n) for i_set, j_set in v.coeffs}
+
+
+def test_beta_and_phi_keep_the_weight():
+    for i, j in itertools.product(range(1, 7), repeat=2):
+        # beta(v*_i (x) v_j) has the weight e_j - e_i
+        assert {_weight((vj,), (di,), 6) for (vj, di), _ in beta_map((i, j), Q)} == {
+            _weight((j,), (i,), 6)
+        }
+    for size in (1, 2):
+        for i_set in itertools.combinations(range(1, 7), size):
+            for j in range(1, 7):
+                image = phi_hat_r(i_set, j, Q)
+                assert {_weight((m,), k_set, 6) for (m, k_set), _ in image} == {
+                    _weight((j,), i_set, 6)
+                }
+
+
+def _assert_psi_keeps_weight(key):
+    image = psi_hat_r(QExtVector("V*V", {key: 1}), GrassmannShape(6, 3), len(key) // 2, Q)
+    assert _wedge_weights(image) <= {_key_weight(key)}, key
+
+
+def test_psi_keeps_the_weight_of_every_key_up_to_r2():
+    for r in (1, 2):
+        for key in itertools.product(range(1, 7), repeat=2 * r):
+            _assert_psi_keeps_weight(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(1, 6)] * 6))
+def test_psi_keeps_the_weight_at_r3(key):
+    # the 6^6 keys at r = 3 take seconds; sample them
+    _assert_psi_keeps_weight(key)
+
+
+def test_theta_keeps_the_weight():
+    shape = GrassmannShape(6, 3)
+    for r in (2, 3):
+        subsets = list(itertools.combinations(range(1, 7), r - 1))
+        for i_set, j_set in itertools.product(subsets, repeat=2):
+            u = QExtVector(f"Wedge.{r - 1}", {(i_set, j_set): 1})
+            for s, t in itertools.product(range(1, 7), repeat=2):
+                image = theta_hat_r(u, QExtVector("V*V.1", {(s, t): 1}), shape, Q)
+                assert _wedge_weights(image) <= {_weight(i_set + (s,), j_set + (t,), 6)}
+
+
+def _criterion_03_cases():
+    for n in range(2, 7):
+        for l in range(1, min(3, n // 2) + 1):
+            for r in range(1, min(3, l) + 1):
+                for sigma, tilde in itertools.product((0, 1), (False, True)):
+                    yield GrassmannShape(n, l), r, sigma, tilde
+
+
+def test_pruned_psi_principal_term_matches_the_full_one():
+    for shape, r, sigma, tilde in _criterion_03_cases():
+        w = w_vectors(shape, sigma, Q)[1 if tilde else 0]
+        full = principal_term(psi_hat_r(tensor_power(w, r), shape, r, Q), shape, r)
+        pruned = principal_term(_psi_image(w, shape, r, Q), shape, r)
+        assert list(pruned.coeffs.items()) == list(full.coeffs.items()), (shape, r, sigma, tilde)
+        assert all(type(a) is type(b) for a, b in zip(pruned.coeffs.values(), full.coeffs.values()))
+        assert pruned.coeffs
+
+
+def test_pruned_theta_principal_term_matches_the_full_one():
+    shape = GrassmannShape(6, 3)
+    for r, sigma, tilde in itertools.product((2, 3), (0, 1), (False, True)):
+        w = w_vectors(shape, sigma, Q)[1 if tilde else 0]
+        u = _u(shape, r - 1, Q, tilde)
+        full = principal_term(theta_hat_r(u, w, shape, Q), shape, r)
+        pruned = principal_term(theta_hat_r(u, w, shape, Q, _orbit_weights(shape, r)), shape, r)
+        assert list(pruned.coeffs.items()) == list(full.coeffs.items()), (r, sigma, tilde)
+        assert pruned.coeffs
+
+
+@pytest.mark.parametrize(
+    "name, check", [("psi_constant", intertwiner_check), ("theta_constant", theta_constant_check)]
+)
+def test_wrong_constant_fails_the_pruned_check(monkeypatch, name, check):
+    true_constant = getattr(qgrass, name)
+    monkeypatch.setattr(qgrass, name, lambda *args: Q * true_constant(*args))
+    shape = GrassmannShape(6, 3)
+    for r, sigma, tilde in itertools.product((2, 3), (0, 1), (False, True)):
+        report = check(shape, r, sigma, Q, tilde=tilde)
+        assert report.exact and not report.passed, (r, sigma, tilde)
 
 
 def test_theta_constants():

@@ -1,5 +1,6 @@
 """Tests for multivariable big and little q-Jacobi polynomials."""
 
+import math
 from fractions import Fraction as F
 from itertools import product
 
@@ -12,7 +13,7 @@ from bcq.polyring import (
     orbit_sum_W,
     require_invariant,
 )
-from bcq.qseries import jackson_integral
+from bcq.qseries import jackson_integral, qpochhammer
 from bcq.qjacobi import (
     BigJacobiParams,
     LittleJacobiParams,
@@ -25,7 +26,6 @@ from bcq.qjacobi import (
     big_weight_1d,
     little_inner,
     little_jacobi_poly,
-    little_weight_1d,
     norm_big,
     norm_little,
     normalization_check,
@@ -67,6 +67,15 @@ def test_normalization_closed_forms():
             )
             assert rl.passed and rl.residual < 1e-10
             assert rb.passed and rb.residual < 1e-10
+
+
+def little_weight_1d(x, params: LittleJacobiParams):
+    """w_L(x) = ((qx;q)_inf / (qbx;q)_inf) x^alpha, a = q^alpha."""
+    q = float(params.q)
+    alpha = math.log(float(params.a)) / math.log(q)
+    num = qpochhammer(q * x, q, math.inf)
+    den = qpochhammer(q * float(params.b) * x, q, math.inf)
+    return num / den * x**alpha
 
 
 def test_one_variable_gram_schmidt_oracle():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bcq.weights import (
     GrassmannShape,
     WeightVector,
-    bc_weight,
     dominance_leq,
     dominant_downset,
     dominant_representative,
@@ -19,6 +18,10 @@ from bcq.weights import (
     weyl_orbit,
     weyl_orbit_tuples,
 )
+
+def bc_weight(*entries) -> WeightVector:
+    return WeightVector(entries, "BC")
+
 
 bc_tuples = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
