@@ -280,16 +280,11 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
                 values.append(total / m_pts**dim)
         if prev is not None:
             scale = max(max(abs(v) for v in values), 1e-300)
-            if all(
-                abs(v - p) <= grid.rel_tol * (1 + scale)
-                for v, p in zip(values, prev)
-            ):
+            if all(abs(v - p) <= grid.rel_tol * (1 + scale) for v, p in zip(values, prev)):
                 return values
         prev = values
         m_pts *= 2
-    raise NonConvergenceError(
-        f"torus quadrature refinement cap reached: {grid.max_points} points"
-    )
+    raise NonConvergenceError(f"torus quadrature refinement cap reached: {grid.max_points} points")
 
 
 def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
@@ -308,12 +303,7 @@ def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
     return out
 
 
-def full_inner(
-    P: LaurentPoly,
-    Q: LaurentPoly,
-    params,
-    grid: QuadratureGrid = DEFAULT_GRID,
-):
+def full_inner(P: LaurentPoly, Q: LaurentPoly, params, grid: QuadratureGrid = DEFAULT_GRID):
     """<P,Q>_K = sum_{m=0}^{l} <P,Q>_m: the continuous term (m = 0) plus all
     mixed residue-discrete terms (Jackson sums over t_a q^i with residue
     masses, m coordinates pinned)."""
@@ -326,9 +316,7 @@ def full_inner(
     ts, q = _params_float(params)
     n_e = discrete_support(params)
     active = [i for i in range(4) if n_e[i] >= 0]
-    w1 = {
-        (a, i): residue_weight(a, i, params) for a in active for i in range(n_e[a] + 1)
-    }
+    w1 = {(a, i): residue_weight(a, i, params) for a in active for i in range(n_e[a] + 1)}
     total = 0j
     for m in range(l + 1):
         term = 0j
@@ -359,9 +347,7 @@ def gustafson_constant(l: int, params):
             for jj in range(i + 1, 4):
                 den *= qpochhammer(ts[i] * ts[jj] * t ** (j - 1), q, inf)
         total *= num / den
-    if isinstance(total, complex):
-        total = total.real
-    return total
+    return total.real
 
 
 def normalization_check(

@@ -64,7 +64,6 @@ from .qjacobi import (
     little_jacobi_poly,
 )
 from .qjacobi import normalization_check as jacobi_normalization_check
-from .qseries import NonConvergenceError
 from .weights import GrassmannShape, fundamental_spherical
 
 # each poly family with the options it cannot run without
@@ -142,24 +141,15 @@ def cmd_poly(args) -> int:
         except EigenvalueCollisionError:
             poly = koornwinder_poly(lam, params, mode="gram")
         basis = "signed-orbit-sums"
-        params_doc = {
-            "t": [str(t) for t in params.tuple4],
-            "q": str(params.q),
-            "k": params.k,
-        }
+        params_doc = {"t": [str(t) for t in params.tuple4], "q": str(params.q), "k": params.k}
     else:
         params = _jacobi_params(args, args.family)
         jacobi_poly = big_jacobi_poly if args.family == "big" else little_jacobi_poly
         poly = jacobi_poly(lam, params, l, trunc)
         basis = "monomial-symmetric"
         params_doc = jacobi_params_doc(params)
-    doc = {
-        "family": args.family,
-        "lambda": list(lam),
-        "basis": basis,
-        "params": params_doc,
-        "polynomial": poly.to_json_dict(),
-    }
+    doc = {"family": args.family, "lambda": list(lam), "basis": basis,
+           "params": params_doc, "polynomial": poly.to_json_dict()}
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -250,11 +240,7 @@ def cmd_grassmann(args) -> int:
     doc = {"n": shape.n, "l": shape.l, "q": str(q)}
     if args.sigma != "inf" and args.tau != "inf":
         kp = grassmann_koornwinder_params(shape, int(args.sigma), int(args.tau), q)
-        doc["koornwinder"] = {
-            "t": [str(t) for t in kp.tuple4],
-            "base": str(kp.q),
-            "k": kp.k,
-        }
+        doc["koornwinder"] = {"t": [str(t) for t in kp.tuple4], "base": str(kp.q), "k": kp.k}
     if args.tau != "inf":
         doc["big"] = _base_doc(grassmann_big_params(shape, int(args.tau), q))
     doc["little"] = _base_doc(grassmann_little_params(shape, q))
@@ -289,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--q", required=True)
     p_poly.add_argument("--k", type=int, default=1)
     p_poly.add_argument("--t", help="t0,t1,t2,t3 (koornwinder)")
-    p_poly.add_argument("--a")
-    p_poly.add_argument("--b")
-    p_poly.add_argument("--c")
-    p_poly.add_argument("--d")
+    for name in "abcd":
+        p_poly.add_argument(f"--{name}")
     p_poly.set_defaults(func=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -304,11 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bound", type=int, default=1)
     p_verify.add_argument("--q", default="1/2")
     p_verify.add_argument("--k", type=int, default=1)
-    p_verify.add_argument("--t")
-    p_verify.add_argument("--a")
-    p_verify.add_argument("--b")
-    p_verify.add_argument("--c")
-    p_verify.add_argument("--d")
+    for name in "tabcd":
+        p_verify.add_argument(f"--{name}")
     p_verify.add_argument("--family", choices=("big", "little"), default="little")
     p_verify.add_argument("--lambda", dest="lam", default="1")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
@@ -331,13 +312,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = parser.parse_args(_attach_negative_values(argv))
         return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: non-convergence: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # NonConvergenceError among them
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
 

@@ -35,7 +35,7 @@ from .qjacobi import (
     norm_big,
     norm_little,
 )
-from .qseries import TruncationPolicy, qgamma
+from .qseries import qgamma
 from .report import VerificationReport, timed_report
 from .weights import GrassmannShape
 
@@ -44,15 +44,8 @@ from .weights import GrassmannShape
 class EpsilonSweep:
     """Strictly decreasing positive epsilon values."""
 
-    values: tuple = (
-        Fraction(1, 10),
-        Fraction(3, 100),
-        Fraction(1, 100),
-        Fraction(3, 1000),
-        Fraction(1, 1000),
-        Fraction(3, 10000),
-        Fraction(1, 10000),
-    )
+    values: tuple = tuple(map(Fraction, (
+        "1/10", "3/100", "1/100", "3/1000", "1/1000", "3/10000", "1/10000")))
 
     def __post_init__(self) -> None:
         vals = self.values
@@ -258,11 +251,6 @@ def grassmann_little_params(shape: GrassmannShape, q) -> LittleJacobiParams:
 
 # -- classical Selberg comparisons ----------------------------------------
 
-# Near q = 1 the summands of log Gamma_q decay like q^j, so reaching a
-# 1e-16 tail would take ~37k terms at q = 0.999.  A looser tolerance with
-# more headroom keeps the tail well below the 1% comparison target.
-_NEAR_ONE_POLICY = TruncationPolicy(abs_tol=1e-13, max_terms=200_000)
-
 def selberg_classical(alpha: float, beta: float, tau: float, l: int) -> float:
     """Selberg's integral: prod_j Gamma(alpha+1+(j-1)tau) Gamma(beta+1+(j-1)tau)
     Gamma(1+j tau) / (Gamma(alpha+beta+2+(l+j-2)tau) Gamma(1+tau))."""
@@ -290,12 +278,12 @@ def q_to_1_check(
     def body():
         errors = []
         for q in q_list:
-            value = closed_form_little_constant(alpha, beta, k, l, q, _NEAR_ONE_POLICY)
+            value = closed_form_little_constant(alpha, beta, k, l, q)
             errors.append(abs(value - target) / abs(target))
         gamma_errors = []
         for a in (1.5, 2.5):
             for q in q_list:
-                ga = qgamma(a, q, _NEAR_ONE_POLICY)
+                ga = qgamma(a, q)
                 gamma_errors.append(abs(ga - math.gamma(a)) / math.gamma(a))
         final = max(errors[-1], gamma_errors[-1])
         passed = final < 0.01 and all(a >= b for a, b in zip(errors, errors[1:]))

@@ -38,7 +38,7 @@ from .polyring import (
     rebuild_from_basis,
     require_invariant,
 )
-from .qseries import DEFAULT_POLICY, _qpoch_finite, check_base, jackson_nodes
+from .qseries import _qpoch_finite, check_base, jackson_nodes
 from .qseries import log_qgamma, qpochhammer
 from .report import relative_report
 from .weights import dominant_downset
@@ -115,13 +115,7 @@ DEFAULT_TRUNCATION = SumTruncation()
 
 def big_weight_1d(x, params: BigJacobiParams):
     """w_B(x) = (qx/c, -qx/d; q)_inf / (qax/c, -qbx/d; q)_inf."""
-    q, a, b, c, d = (
-        float(params.q),
-        params.a,
-        params.b,
-        float(params.c),
-        float(params.d),
-    )
+    q, a, b, c, d = float(params.q), params.a, params.b, float(params.c), float(params.d)
     num = qpochhammer(q * x / c, q, math.inf) * qpochhammer(-q * x / d, q, math.inf)
     den = qpochhammer(q * a * x / c, q, math.inf) * qpochhammer(-q * b * x / d, q, math.inf)
     return num / den
@@ -294,18 +288,17 @@ def little_jacobi_poly(
 
 
 def _gamma_ratio_product(
-    alpha: float, beta: float, k: int, l: int, q: float,
-    policy=DEFAULT_POLICY, log_start: float = 0.0,
+    alpha: float, beta: float, k: int, l: int, q: float, log_start: float = 0.0
 ) -> float:
     """exp(log_start) prod_i Gamma_q(alpha+1+(i-1)k) Gamma_q(beta+1+(i-1)k)
     Gamma_q(ik) / (Gamma_q(alpha+beta+2+(l+i-2)k) Gamma_q(k)), in log space."""
     total = log_start
     for i in range(1, l + 1):
-        total += log_qgamma(alpha + 1 + (i - 1) * k, q, policy)
-        total += log_qgamma(beta + 1 + (i - 1) * k, q, policy)
-        total += log_qgamma(i * k, q, policy)
-        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q, policy)
-        total -= log_qgamma(k, q, policy)
+        total += log_qgamma(alpha + 1 + (i - 1) * k, q)
+        total += log_qgamma(beta + 1 + (i - 1) * k, q)
+        total += log_qgamma(i * k, q)
+        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q)
+        total -= log_qgamma(k, q)
     return math.exp(total)
 
 
@@ -317,14 +310,12 @@ def _alpha_beta(params):
     return math.log(float(params.a)) / log_q, math.log(float(params.b)) / log_q
 
 
-def closed_form_little_constant(
-    alpha: float, beta: float, k: int, l: int, q: float, policy=DEFAULT_POLICY
-) -> float:
+def closed_form_little_constant(alpha: float, beta: float, k: int, l: int, q: float) -> float:
     """<1,1>_L = l! q^{k(alpha+1) C(l,2) + 2 k^2 C(l,3)} * Gamma_q product,
     for a = q^alpha, b = q^beta; its q->1 limit is Selberg's Gamma product."""
     e = k * (alpha + 1) * math.comb(l, 2) + 2 * k**2 * math.comb(l, 3)
     log_start = math.log(math.factorial(l)) + e * math.log(q)
-    return _gamma_ratio_product(alpha, beta, k, l, q, policy, log_start)
+    return _gamma_ratio_product(alpha, beta, k, l, q, log_start)
 
 
 def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:

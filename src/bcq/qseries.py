@@ -3,10 +3,11 @@
 q-shifted factorials, the q-Gamma function, and Jackson q-integrals.  Two
 scalar domains are supported throughout the package: exact rationals
 (``fractions.Fraction``, available whenever the inputs are rational and the
-product is finite) and complex doubles.  Infinite products are truncated once
-the deviation of the remaining factors from 1 falls below a tolerance; the
-decay is geometric in q, so this is both tight and cheap.  Each entry point
-checks q in (0,1) with ``check_base``, the one q test of the package.
+product is finite) and complex doubles.  An infinite product (b;q)_inf is a
+finite head of factors 1 - b q^j, then Euler's expansion of the log of the
+rest, whose length is fixed in advance from a bound on its neglected tail
+(``_euler_plan``).  Each entry point checks q in (0,1) with ``check_base``,
+the one q test of the package.
 
 Every Jackson sum is a sum over one node rule, ``jackson_nodes``: points
 beta q^j with masses (1-q) beta q^j (Gasper & Rahman, section 1.11).  For
@@ -15,6 +16,7 @@ N = inf the cutoff is set before summing: the first n with |beta| q^n < abs_tol.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +39,8 @@ def check_base(q, k=1) -> None:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stopping rule for infinite products and sums."""
+    """Truncation of infinite products and sums: abs_tol bounds the neglected
+    tail of the log of a product and the neglected mass of a Jackson sum."""
 
     abs_tol: float = 1e-16
     max_terms: int = 10_000
@@ -55,18 +58,17 @@ DEFAULT_POLICY = TruncationPolicy()
 def qpochhammer(a, q, i, policy: TruncationPolicy = DEFAULT_POLICY):
     """(a;q)_i = prod_{j<i} (1 - q^j a); i may be a nonnegative int or inf.
 
-    The result is exact when a, q are rational and i is finite.
+    The result is exact when a, q are rational and i is finite; for i = inf
+    it is the head of ``_euler_split`` times exp(-tail).
     """
     check_base(q)
     if i == INFINITY:
-        prod = 1.0
-        term = complex(a) if isinstance(a, complex) else float(a)
-        for _ in range(policy.max_terms):
-            if abs(term) < policy.abs_tol:
-                return prod
-            prod *= 1 - term
-            term *= q
-        raise NonConvergenceError("qpochhammer: max_terms hit before tolerance")
+        b, q = (complex(a) if isinstance(a, complex) else float(a)), float(q)
+        head_powers, tail = _euler_split(b, q, policy)
+        head = 1.0
+        for p in head_powers:
+            head *= 1 - b * p
+        return head * (cmath.exp if isinstance(b, complex) else math.exp)(-tail)
     if i < 0 or i != int(i):
         raise ValueError("finite order must be a nonnegative integer")
     return _qpoch_finite(a, q, int(i))
@@ -83,31 +85,72 @@ def _qpoch_finite(a, q, n: int):
     return prod
 
 
+@lru_cache(maxsize=64)
+def _euler_plan(q: float, abs_tol: float):
+    """(theta, ln q, [q^0, q^1, ...], (c_K, ..., c_1)) for products at one q.
+
+    (b;q)_inf keeps h head factors 1 - b q^j, h the first with |b| q^h <=
+    theta = min(1/2, q^8); the powers, each rounded once, grow as heads
+    need.  The rest is Euler's log (b';q)_inf = -sum_k c_k b'^k, b' = b q^h,
+    c_k = 1/(k(1-q^k)) (Gasper & Rahman, ch. 1), whose tail past K terms is
+    at most |b'|^(K+1) / ((K+1)(1-q)(1-|b'|)): K is the first that bounds it
+    by abs_tol at |b'| = theta.
+    """
+    theta, log_q = min(0.5, q**8), math.log(q)
+    K = 1
+    while theta ** (K + 1) / ((K + 1) * (1 - q) * (1 - theta)) > abs_tol:
+        K += 1
+    return theta, log_q, [1.0], tuple(1 / (k * -math.expm1(k * log_q)) for k in range(K, 0, -1))
+
+
+def _euler_split(b, q: float, policy: TruncationPolicy):
+    """(q^j for j < h, T) with (b;q)_inf = prod_{j<h} (1 - b q^j) exp(-T),
+    T the Euler sum of ``_euler_plan`` by Horner's rule.  A split past
+    max_terms terms raises before any term is formed."""
+    theta, log_q, powers, coeffs = _euler_plan(q, policy.abs_tol)
+    size = abs(b)
+    if not size < INFINITY:
+        raise NonConvergenceError("q-product of a non-finite argument")
+    h = 0 if size <= theta else math.ceil(math.log(size / theta) / -log_q)
+    if h + len(coeffs) > policy.max_terms:
+        raise NonConvergenceError(f"q-product needs {h} + {len(coeffs)} terms, past max_terms")
+    if h >= len(powers):
+        powers.extend(q**j for j in range(len(powers), h + 1))
+    b, tail = b * powers[h], 0.0
+    for c in coeffs:
+        tail = tail * b + c
+    return powers[:h], tail * b
+
+
 @lru_cache(maxsize=128)
 def log_qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """log |Gamma_q(a)| = (1-a) log(1-q) + sum_j log|(1-q^{j+1})/(1-q^{j+a})|.
+    """log |Gamma_q(a)| = (1-a) log(1-q) + L(1) - L(a), L(y) = log |(q^y;q)_inf|.
 
-    Pairing numerator and denominator factors keeps every summand O(q^j),
-    so the sum converges even when the separate products underflow.  For
-    a < 0 the factors with q^{j+a} > 1 are negative; ``qgamma`` restores
-    the sign.  Memoised per (a, q, policy).
+    L is the log space of ``_euler_split``, with each head factor 1 - q^(y+j)
+    formed as -expm1((y+j) ln q): it keeps its digits where q^(y+j) is near
+    1, as next to a pole.  At a positive integer a <= max_terms the value is
+    the finite log prod_{1<j<a} (1-q^j)/(1-q).  For a < 0 the factors with
+    j + a < 0 are negative; ``qgamma`` restores the sign.  Memoised per
+    (a, q, policy).
     """
     a = float(a)
     if a <= 0 and a == int(a):
         raise ValueError(f"qgamma pole at nonpositive integer a={a}")
     check_base(q)
-    qv = float(q)
-    total = (1 - a) * math.log1p(-qv)
-    qj1 = qv          # q^{j+1}
-    qja = qv ** a     # q^{j+a}
-    for _ in range(policy.max_terms):
-        term = math.log1p(-qj1) - (math.log1p(-qja) if qja < 1 else math.log(qja - 1))
-        total += term
-        if abs(term) < policy.abs_tol and qj1 < 0.5:
-            return total
-        qj1 *= qv
-        qja *= qv
-    raise NonConvergenceError("log_qgamma: max_terms hit before tolerance")
+    q = float(q)
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+
+    def log_factor(y):  # log |1 - q^y|
+        return math.log(abs(math.expm1(y * log_q)))
+
+    if a == int(a) and a <= policy.max_terms:
+        return math.fsum(log_factor(j) - log_1mq for j in range(2, int(a)))
+
+    def log_qpoch_power(y):  # L(y)
+        head, tail = _euler_split(q**y, q, policy)
+        return math.fsum(log_factor(y + j) for j in range(len(head))) - tail
+
+    return (1 - a) * log_1mq + log_qpoch_power(1) - log_qpoch_power(a)
 
 
 def qgamma(a, q, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -144,3 +144,20 @@ def test_classical_limit():
         report = q_to_1_check(alpha, 0, 1, 2)
         assert report.passed
         assert report.residual < 0.01
+
+
+def test_q_to_1_residual_at_integer_arguments():
+    # q_to_1_check(0, 0, 1, 2) reads Gamma_q at positive integers only, each
+    # a finite product: 2q Gamma_q(1)^3 Gamma_q(2)^3 / (Gamma_q(3) Gamma_q(4))
+    # against Selberg's 1/6.  The series it replaced gave 1.0004165994e-3,
+    # right to 7 digits; the reference is exact at q = 999/1000.
+    q = F(999, 1000)
+
+    def gamma_q(n):
+        return math.prod((1 - q**j) / (1 - q) for j in range(1, n))
+
+    value = 2 * q * gamma_q(1) ** 3 * gamma_q(2) ** 3 / (gamma_q(3) * gamma_q(4))
+    want = float(abs(value - F(1, 6)) / F(1, 6))
+    assert want == pytest.approx(1.0004164995063815e-3, rel=1e-15)
+    got = q_to_1_check(0, 0, 1, 2).detail["errors"][-1]
+    assert got == pytest.approx(want, rel=1e-9)

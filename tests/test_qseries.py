@@ -1,6 +1,8 @@
 """Tests for scalar q-analysis primitives."""
 
+import cmath
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -92,12 +94,92 @@ def test_qgamma_at_negative_non_integer_a(a):
     assert log_qgamma(a, q) == pytest.approx(math.log(abs(want)), abs=1e-13)
 
 
-def test_qgamma_at_positive_a_is_unchanged():
-    # recorded before negative a were supported
-    assert log_qgamma(0.5, 0.5).hex() == "0x1.cf39f40a3069bp-2"
-    assert qgamma(0.5, 0.5).hex() == "0x1.9270bc997e76ap+0"
-    assert log_qgamma(2.7, 0.9).hex() == "0x1.9df2afc6bb992p-2"
-    assert qgamma(2.7, 0.9).hex() == "0x1.7f883d0edbf2fp+0"
+def test_qgamma_at_positive_a_is_pinned():
+    # recorded with the head-and-Euler-tail kernel; against a 40-digit
+    # reference the logs are off by 2.2e-16 and 5.0e-16
+    assert log_qgamma(0.5, 0.5).hex() == "0x1.cf39f40a3069cp-2"
+    assert qgamma(0.5, 0.5).hex() == "0x1.9270bc997e76bp+0"
+    assert log_qgamma(2.7, 0.9).hex() == "0x1.9df2afc6bb9a0p-2"
+    assert qgamma(2.7, 0.9).hex() == "0x1.7f883d0edbf34p+0"
+
+
+def test_qgamma_next_to_a_pole():
+    # 1 - q^a formed from a powered q^a cancelled: 7.21384e11, 5e-5 off
+    a, q = 1e-12, 0.5
+    want = qgamma(1 + a, q) * (1 - q) / -math.expm1(a * math.log(q))
+    assert abs(qgamma(a, q) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("a", [1e-17, -1e-17])
+def test_qgamma_where_q_to_the_a_rounds_to_one(a):
+    # q^a == 1.0 made the factor 1 - q^a zero: "math domain error"
+    q = 0.5
+    value = qgamma(a, q)
+    assert math.isfinite(value) and (value < 0) == (a < 0)
+    assert abs(value) == pytest.approx((1 - q) / abs(math.expm1(a * math.log(q))), rel=1e-14)
+
+
+def test_qgamma_at_positive_integers_is_a_finite_product():
+    # Gamma_q(n) = prod_{1 < j < n} (1 - q^j)/(1 - q), exact at the double q
+    q = 0.999
+    for n in range(1, 8):
+        want = math.prod((1 - F(q) ** j) / (1 - F(q)) for j in range(2, n))
+        assert qgamma(n, q) == pytest.approx(float(want), rel=1e-14)
+    # past max_terms factors the series takes over: Gamma_q(a+1) = [a]_q Gamma_q(a)
+    step = log_qgamma(10_001, 0.5) - log_qgamma(10_000, 0.5)
+    assert step == pytest.approx(math.log(2), abs=1e-11)
+
+
+def _decimal_qpoch(a, q):
+    """(log |(a;q)_inf|, (a;q)_inf) from the plain product at 40 digits,
+    independent of bcq.  Factors stop once |a q^j| <= 1e-22 (1-q): the
+    log of the rest is then below 1e-22 in size."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        qd, stop = Decimal(q), Decimal("1e-22") * (1 - Decimal(q))
+        z = complex(a)
+        re, im = Decimal(z.real), Decimal(z.imag)
+        pr, pi = Decimal(1), Decimal(0)
+        while re * re + im * im > stop * stop:
+            pr, pi = pr * (1 - re) + pi * im, pi * (1 - re) - pr * im
+            re, im = re * qd, im * qd
+        log_abs = (pr * pr + pi * pi).ln() / 2
+        if abs(log_abs) >= 700:  # outside the range of doubles
+            return float(log_abs), None
+        return float(log_abs), complex(float(pr), float(pi))
+
+
+ORACLE_CASES = [
+    (q, a)
+    for q in (0.4, 0.5, 0.9, 0.99, 0.999)
+    for a in [0.5, 0.9, -0.9, 1.7, -48.0]
+    + [r * cmath.exp(1j * theta) for r, theta in ((0.3, 1.0), (1, 2.5), (7000, 0.7)) if q < 0.99 or r <= 10]
+]
+
+
+@pytest.mark.parametrize("q, a", ORACLE_CASES)
+def test_qpochhammer_matches_decimal_product(q, a):
+    log_want, want = _decimal_qpoch(a, q)
+    got = qpochhammer(a, q, INFINITY)
+    assert type(got) is type(a)
+    if want is None:  # past the range of doubles: inf, or 0 (a subnormal)
+        assert abs(got) == math.inf if log_want > 0 else abs(got) < 1e-300
+        return
+    assert abs(math.log(abs(got)) - log_want) <= 1e-14 * max(1.0, abs(log_want))
+    if q < 0.999:
+        tol = 1e-15 if q <= 0.5 else 5e-14 if q == 0.9 else 3e-13
+        assert abs(got - want) <= tol * abs(want)
+
+
+def test_qgamma_near_one_on_the_default_policy():
+    # at q = 0.999 a series of pairs needed ~37k terms of the 10k cap and
+    # raised; two logs of size ~1640 cancel here, which leaves ~5e-13
+    q = 0.999
+    log_want = (
+        -0.5 * math.log1p(-q) + _decimal_qpoch(q, q)[0] - _decimal_qpoch(q**1.5, q)[0]
+    )
+    assert log_qgamma(1.5, q) == pytest.approx(log_want, abs=1e-12)
+    assert qgamma(1.5, q) == pytest.approx(math.gamma(1.5), rel=1e-3)
 
 
 def test_jackson_monomial():
