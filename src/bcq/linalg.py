@@ -1,10 +1,13 @@
-"""Dense linear algebra over exact rationals or floats.
+"""Linear algebra over exact rationals or floats.
 
-Everything operates on lists of lists.  Exact mode (``int`` and ``Fraction``
-entries) solves by integer-preserving Bareiss elimination, pivoting on the
-first nonzero entry, so no ``Fraction`` is normalised until the answer; float
-mode uses partial pivoting.  Sizes are desk-scale (tensor identities need at
-most a few hundred rows), so Gaussian elimination is all that is required.
+Matrices are sparse: a list of rows, each a dict {column: nonzero entry}
+with ascending columns, so an R-matrix on C^n (x) C^n keeps its O(n^2)
+entries.  ``mat_mul`` sums each entry over t ascending, as a dense product
+skipping zero terms does; ``integer_matrix`` scales an exact matrix to
+integers.  ``solve_linear`` is dense (lists of lists): exact mode (``int``
+and ``Fraction`` entries) solves by integer-preserving Bareiss elimination,
+pivoting on the first nonzero entry, so no ``Fraction`` is normalised until
+the answer; float mode uses partial pivoting.
 """
 
 from __future__ import annotations
@@ -28,50 +31,61 @@ def integer_row(row):
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
+def integer_matrix(a):
+    """(M, s) with M = s A over the integers, s the lcm of the denominators
+    of the nonzero entries of the exact sparse matrix A."""
+    scale = math.lcm(*(x.denominator for row in a for x in row.values()))
+    rows = [{j: x.numerator * (scale // x.denominator) for j, x in row.items()} for row in a]
+    return rows, scale
+
+
+def sparse_matrix(a):
+    """A matrix in the sparse form: dict rows are kept, list rows lose their zeros."""
+    return [
+        row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x != 0} for row in a
+    ]
+
+
 def mat_identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j] != 0:
-                    oi[j] += c * bt[j]
+    """A B, each entry summed over t ascending: the float sums of a dense
+    product that skips zero terms."""
+    out = []
+    for ai in a:
+        acc = {}
+        for t, c in ai.items():
+            for j, v in b[t].items():
+                acc[j] = acc.get(j, 0) + c * v
+        out.append({j: acc[j] for j in sorted(acc) if acc[j] != 0})
     return out
 
 
 def mat_kron(a, b):
-    na, nb = len(a), len(b)
-    ma, mb = len(a[0]), len(b[0])
-    out = [[0] * (ma * mb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(ma):
-            c = a[i][j]
-            if c == 0:
-                continue
-            for k in range(nb):
-                for t in range(mb):
-                    if b[k][t] != 0:
-                        out[i * nb + k][j * mb + t] = c * b[k][t]
-    return out
+    """A (x) B for a square B."""
+    nb = len(b)
+    return [
+        {j * nb + t: c * v for j, c in ra.items() for t, v in rb.items()} for ra in a for rb in b
+    ]
 
 
 def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
+    """The transpose of a square matrix."""
+    out = [{} for _ in a]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def mat_inverse(a):
-    """Inverse by ``solve_linear``: exact for rational entries, real for real."""
-    return solve_linear(a, mat_identity(len(a)))
+    """Inverse by ``solve_linear`` on the densified matrix: exact for
+    rational entries, real for real."""
+    n = len(a)
+    dense = [[row.get(j, 0) for j in range(n)] for row in a]
+    return sparse_matrix(solve_linear(dense, [[int(i == j) for j in range(n)] for i in range(n)]))
 
 
 def solve_linear(a, b):
@@ -129,20 +143,16 @@ def _solve_bareiss(work, n: int):
 
 def flip_matrix(n: int):
     """P on C^n (x) C^n with P(v (x) w) = w (x) v, as an n^2 x n^2 matrix."""
-    out = [[0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            out[i * n + j][j * n + i] = 1
-    return out
+    return [{j * n + i: 1} for i in range(n) for j in range(n)]
 
 
 def partial_transpose_first(a, n: int):
     """Transpose in the first tensor factor of an n^2 x n^2 matrix:
     B[(i,k),(j,l)] = A[(j,k),(i,l)]."""
-    out = [[0] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    out[i * n + k][j * n + l] = a[j * n + k][i * n + l]
+    out = [{} for _ in a]
+    for r, row in enumerate(a):
+        j, k = divmod(r, n)
+        for c, x in row.items():
+            i, l = divmod(c, n)
+            out[i * n + k][j * n + l] = x
     return out

@@ -9,7 +9,10 @@ flip conjugates R^+ = PRP = R^T and (R21)^{-1} = P R^{-1} P = (R^-)^T
 (transposes in the basis e_i (x) e_j), the quantum Yang-Baxter equation,
 the reflection equation R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by
 the J-matrices, and the transposed linear equation solved by the tilde
-J-matrix.
+J-matrix.  The matrices are sparse (``bcq.linalg``).  An exact check scales
+each factor to integers once, so each side is an integer product M over S,
+the product of its scales, and compares M_lhs S_rhs with M_rhs S_lhs; a
+float check multiplies its floats in the order of a dense product.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 beta: V*(x)V -> V(x)V*, the intertwiners Psi_hat_r and Theta_hat_r built
@@ -39,18 +42,20 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .linalg import (
     _inv,
     _is_exact,
     flip_matrix,
+    integer_matrix,
     mat_identity,
     mat_inverse,
     mat_kron,
     mat_mul,
     mat_transpose,
     partial_transpose_first,
+    sparse_matrix,
 )
 from .report import VerificationReport, difference_report, timed_report
 from .weights import (
@@ -62,9 +67,15 @@ from .weights import (
 )
 
 
-def _matrix_diffs(a, b):
-    """Entrywise a - b of two equal-shape matrices, row by row."""
-    return (x - y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _matrix_diffs(lhs, rhs, exact: bool):
+    """lhs S_rhs - rhs S_lhs on the nonzero positions, for the factor lists
+    ``lhs`` and ``rhs`` of an identity; S = 1 unless ``exact``."""
+    sides = []
+    for factors in (lhs, rhs):
+        pairs = [integer_matrix(m) if exact else (m, 1) for m in factors]
+        sides.append((reduce(mat_mul, [m for m, _ in pairs]), math.prod(s for _, s in pairs)))
+    (a, sa), (b, sb) = sides
+    return (x.get(j, 0) * sb - y.get(j, 0) * sa for x, y in zip(a, b) for j in x.keys() | y.keys())
 
 
 # -- R-matrices and matrix equations --------------------------------------
@@ -74,14 +85,13 @@ def _r(n: int, d, c):
     (e_i (x) e_j, e_j (x) e_i) for i > j; index i*n+j."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    out = [[0] * (n * n) for _ in range(n * n)]
+    out = []
     for i in range(n):
         for j in range(n):
-            out[i * n + j][i * n + j] = d if i == j else 1
-    for i in range(n):
-        for j in range(i):
             # (e_ij (x) e_ji)(e_j (x) e_i) = e_i (x) e_j for i > j
-            out[i * n + j][j * n + i] = c
+            row = {j * n + i: c} if i > j and c != 0 else {}
+            row[i * n + j] = d if i == j else 1
+            out.append(row)
     return out
 
 
@@ -106,27 +116,15 @@ def r21_minus(n: int, q):
     return mat_transpose(r_minus(n, q))
 
 
-def _x1(x, n: int):
-    return mat_kron(x, mat_identity(n))
-
-
-def _x2(x, n: int):
-    return mat_kron(mat_identity(n), x)
-
-
 def qybe_check(n: int, q) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n, with R12 = R (x) 1,
     R23 = 1 (x) R and R13 = P23 R12 P23."""
 
     def differences():
-        r = r_matrix(n, q)
-        r12 = _x1(r, n)
-        r23 = _x2(r, n)
-        p23 = _x2(flip_matrix(n), n)
+        r, one = r_matrix(n, q), mat_identity(n)
+        r12, r23, p23 = mat_kron(r, one), mat_kron(one, r), mat_kron(one, flip_matrix(n))
         r13 = mat_mul(mat_mul(p23, r12), p23)
-        lhs = mat_mul(mat_mul(r12, r13), r23)
-        rhs = mat_mul(mat_mul(r23, r13), r12)
-        return _matrix_diffs(lhs, rhs)
+        return _matrix_diffs([r12, r13, r23], [r23, r13, r12], _is_exact(q))
 
     return difference_report(
         "quantum-yang-baxter", {"n": n, "q": str(q)}, _is_exact(q), differences
@@ -137,12 +135,12 @@ def _j_matrix(n: int, l: int, head, anti):
     """``head`` on the first l diagonal entries, 1 on the middle block, and
     ``anti(k)`` at (k, n+1-k) for the rows k in [1, l] u [n-l+1, n]."""
     GrassmannShape(n, l)
-    out = [[0] * n for _ in range(n)]
+    out = []
     for k in range(1, n + 1):
-        if k <= n - l:
-            out[k - 1][k - 1] = head if k <= l else 1
+        row = {k - 1: head if k <= l else 1} if k <= n - l else {}
         if k <= l or k > n - l:
-            out[k - 1][n - k] = anti(k)
+            row[n - k] = anti(k)
+        out.append({j: x for j, x in row.items() if x != 0})
     return out
 
 
@@ -168,20 +166,17 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 
 
 def reflection_check(x, n: int, q) -> VerificationReport:
-    """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n matrix X."""
+    """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n matrix X, sparse
+    or dense."""
+    x = sparse_matrix(x)
+    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row.values())
 
     def differences():
-        r = r_matrix(n, q)
-        rm = r_minus(n, q)
-        rp = r_plus(n, q)
-        r21m = r21_minus(n, q)
-        x1 = _x1(x, n)
-        x2 = _x2(x, n)
-        lhs = mat_mul(mat_mul(mat_mul(r, x1), rm), x2)
-        rhs = mat_mul(mat_mul(mat_mul(x2, r21m), x1), rp)
-        return _matrix_diffs(lhs, rhs)
+        x1, x2 = mat_kron(x, mat_identity(n)), mat_kron(mat_identity(n), x)
+        return _matrix_diffs(
+            [r_matrix(n, q), x1, r_minus(n, q), x2], [x2, r21_minus(n, q), x1, r_plus(n, q)], exact
+        )
 
-    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row)
     return difference_report(
         "reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
@@ -191,39 +186,33 @@ def _partial_transpose_inverse(m, n: int):
     """Inverse of an n^2 x n^2 matrix that is diagonal away from the span of
     the e_i (x) e_i basis vectors, the shape of every partial transpose of
     an R-type matrix: an n x n block inverse plus reciprocals."""
-    size = n * n
-    diag = [i * n + i for i in range(n)]
-    dset = set(diag)
-    out = [[0] * size for _ in range(size)]
-    for col in range(size):
-        if col not in dset:
-            out[col][col] = _inv(m[col][col])
-    block = [[m[r][c] for c in diag] for r in diag]
-    binv = mat_inverse(block)
-    for a, r in enumerate(diag):
-        for b, c in enumerate(diag):
-            out[r][c] = binv[a][b]
-    return out
+    diag = range(0, n * n, n + 1)  # the e_i (x) e_i
+    block = mat_inverse([{b: m[r][c] for b, c in enumerate(diag) if c in m[r]} for r in diag])
+    return [
+        {diag[b]: x for b, x in block[r // (n + 1)].items()} if r in diag else {r: _inv(row[r])}
+        for r, row in enumerate(m)
+    ]
 
 
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
-    = R^{t1} Jt_2 (R^{t1})^{-1} Js_1."""
+    = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n matrices Jt, Js, sparse or
+    dense."""
+    jt, js = sparse_matrix(jt), sparse_matrix(js)
+    exact = _is_exact(q) and all(
+        _is_exact(v) for mat in (jt, js) for row in mat for v in row.values()
+    )
 
     def differences():
         a = partial_transpose_first(r21_minus(n, q), n)
         b = partial_transpose_first(r_matrix(n, q), n)
-        a_inv = _partial_transpose_inverse(a, n)
-        b_inv = _partial_transpose_inverse(b, n)
-        js1 = _x1(js, n)
-        jt2 = _x2(jt, n)
-        lhs = mat_mul(mat_mul(mat_mul(js1, a), jt2), a_inv)
-        rhs = mat_mul(mat_mul(mat_mul(b, jt2), b_inv), js1)
-        return _matrix_diffs(lhs, rhs)
+        js1, jt2 = mat_kron(js, mat_identity(n)), mat_kron(mat_identity(n), jt)
+        return _matrix_diffs(
+            [js1, a, jt2, _partial_transpose_inverse(a, n)],
+            [b, jt2, _partial_transpose_inverse(b, n), js1],
+            exact,
+        )
 
-    exact = _is_exact(q) and all(
-        _is_exact(v) for mat in (jt, js) for row in mat for v in row
-    )
     return difference_report(
         "transposed-reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
@@ -231,36 +220,39 @@ def refalt_check(jt, js, n: int, q) -> VerificationReport:
 
 # -- q-exterior algebra ----------------------------------------------------
 
-def qsgn(i_set, j_set, q):
-    """sgn(I;J): 0 on overlap, else (-q)^{#{(i,j) in IxJ : i > j}}."""
-    i_set = frozenset(i_set)
-    j_set = frozenset(j_set)
-    if i_set & j_set:
-        return 0
-    count = sum(1 for i in i_set for j in j_set if i > j)
-    return (-q) ** count
+def qsgn(i_set, j_set, q, signs=None):
+    """sgn(I;J): 0 on overlap, else (-q)^{#{(i,j) in IxJ : i > j}}, read
+    from ``signs`` if given: the table [(-q) ** k for k < n] that a check
+    builds once, enough for a set in [1, n] against one index."""
+    count = 0
+    for i in i_set:
+        for j in j_set:
+            if i == j:
+                return 0
+            count += i > j
+    return (-q) ** count if signs is None else signs[count]
 
 
-def wedge(i_tuple, j_tuple, q):
+def wedge(i_tuple, j_tuple, q, signs=None):
     """v_I ^ v_J = sgn(I;J) v_{I u J}; returns (coefficient, sorted union)."""
-    s = qsgn(i_tuple, j_tuple, q)
+    s = qsgn(i_tuple, j_tuple, q, signs)
     if s == 0:
         return 0, None
-    return s, tuple(sorted(set(i_tuple) | set(j_tuple)))
+    return s, tuple(sorted((*i_tuple, *j_tuple)))
 
 
-def wedge_dual(i_tuple, j_tuple, q):
+def wedge_dual(i_tuple, j_tuple, q, signs=None):
     """v*_I ^ v*_J = sgn(J;I) v*_{I u J}, i.e. ``wedge(J, I)``."""
-    return wedge(j_tuple, i_tuple, q)
+    return wedge(j_tuple, i_tuple, q, signs)
 
 
-def _project_word(word, q, product):
+def _project_word(word, q, product, signs):
     """Wedge a word w_{a_1} (x) ... (x) w_{a_r} to (sign, subset), with
     ``product`` = ``wedge`` for vectors or ``wedge_dual`` for dual vectors."""
     coeff = 1
     acc = ()
     for a in word:
-        coeff2, acc = product(acc, (a,), q)
+        coeff2, acc = product(acc, (a,), q, signs)
         if coeff2 == 0:
             return 0, None
         coeff *= coeff2
@@ -304,10 +296,8 @@ def w_vectors(shape: GrassmannShape, sigma: int, q):
     n, l = shape.n, shape.l
     mats = (j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q), j_infty(n, l))
     return tuple(
-        QExtVector("V*V.1", {
-            (i + 1, j + 1): x for i, row in enumerate(mat) for j, x in enumerate(row) if x != 0
-        })
-        for mat in mats
+        QExtVector("V*V.1", {(i + 1, j + 1): x for i, row in enumerate(m) for j, x in row.items()})
+        for m in mats
     )
 
 
@@ -368,10 +358,7 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
     """
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
-    order = []
-    for s in range(1, r + 1):
-        order.append(("v", s))
-        order.append(("d", s))
+    order = [(kind, s) for s in range(1, r + 1) for kind in ("v", "d")]
     coeffs = dict(t.coeffs)
     for s in range(2, r + 1):
         for i in range(s - 1, 0, -1):
@@ -385,16 +372,15 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
                     nk = key[:p] + (vj, di) + key[p + 2 :]
                     nxt[nk] = nxt.get(nk, 0) + c * b
             coeffs = {k: v for k, v in nxt.items() if v != 0}
-    if order != [("v", s) for s in range(1, r + 1)] + [
-        ("d", s) for s in range(1, r + 1)
-    ]:
+    if order != [("v", s) for s in range(1, r + 1)] + [("d", s) for s in range(1, r + 1)]:
         raise AssertionError("braiding did not sort the tensor factors")
     out = {}
+    signs = [(-q) ** k for k in range(shape.n)]
     for key, c in coeffs.items():
-        sv, i_set = _project_word(key[:r], q, wedge)
+        sv, i_set = _project_word(key[:r], q, wedge, signs)
         if sv == 0:
             continue
-        sd, j_set = _project_word(key[r:], q, wedge_dual)
+        sd, j_set = _project_word(key[r:], q, wedge_dual, signs)
         if sd == 0:
             continue
         k2 = (i_set, j_set)
@@ -402,18 +388,19 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
     return QExtVector(f"Wedge.{r}", {k: v for k, v in out.items() if v != 0})
 
 
-def phi_hat_r(i_set, j: int, q):
+def phi_hat_r(i_set, j: int, q, signs=None):
     """The braiding Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*):
-    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j."""
+    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j;
+    ``signs`` as for ``qsgn``."""
     i_set = tuple(sorted(i_set))
     qi = _inv(q)
     if j not in i_set:
         return [((j, i_set), 1)]
     rest = tuple(x for x in i_set if x != j)
     out = [((j, i_set), qi)]
-    denom = qsgn(rest, (j,), q)
+    denom = qsgn(rest, (j,), q, signs)
     for m in range(1, j):
-        num = qsgn(rest, (m,), q)
+        num = qsgn(rest, (m,), q, signs)
         if num == 0:
             continue
         out.append(((m, tuple(sorted(rest + (m,)))), -(q - qi) * num / denom))
@@ -433,16 +420,17 @@ def theta_hat_r(
     if not 2 <= r <= shape.l:
         raise ValueError("need 2 <= r <= l")
     out = {}
+    signs = [(-q) ** k for k in range(shape.n)]
     for (i_set, j_set), c in u.coeffs.items():
         for (s, t), d in w.coeffs.items():
             weight = _weight(i_set + (s,), j_set + (t,), shape.n)
             if weights is not None and weight not in weights:
                 continue
-            for (m, k_set), e in phi_hat_r(j_set, s, q):
-                sv, i2 = wedge(i_set, (m,), q)
+            for (m, k_set), e in phi_hat_r(j_set, s, q, signs):
+                sv, i2 = wedge(i_set, (m,), q, signs)
                 if sv == 0:
                     continue
-                sd, j2 = wedge_dual(k_set, (t,), q)
+                sd, j2 = wedge_dual(k_set, (t,), q, signs)
                 if sd == 0:
                     continue
                 key = (i2, j2)
@@ -578,12 +566,13 @@ def _shift_dominant(lam, n: int):
     return tuple(e + m for e in lam), m
 
 
-def _lr_contents(outer, inner, l: int) -> Counter:
-    """{nu: c^outer_{inner,nu}} over nu with at most l parts, counted as
-    Littlewood-Richardson tableaux (Macdonald, I.9): semistandard fillings of
-    outer/inner with content nu whose reverse reading word is a lattice word.
-    Each row takes a_l copies of l from the right, then a_{l-1} copies of
-    l-1, ..., so the recursion is rows x (l + 1) deep."""
+def _lr_contents(outer, inner, l: int, cap=math.inf) -> Counter:
+    """{nu: c^outer_{inner,nu}} over nu with at most l parts, each at most
+    ``cap``, counted as Littlewood-Richardson tableaux (Macdonald, I.9):
+    semistandard fillings of outer/inner with content nu whose reverse
+    reading word is a lattice word.  Each row takes a_l copies of l from the
+    right, then a_{l-1} copies of l-1, ..., so the recursion is rows x
+    (l + 1) deep."""
     out = Counter()
     if any(i > o for o, i in zip(outer, inner)):
         return out
@@ -597,7 +586,7 @@ def _lr_contents(outer, inner, l: int) -> Counter:
                 fill(r + 1, l, outer[r + 1], row[: outer[r + 1]], [0] * outer[r + 1])
             return
         # e only below entries < e (columns strictly increase); 1s end the row
-        room = min(pos - inner[r], count[e - 1] - count[e])
+        room = min(pos - inner[r], count[e - 1] - count[e], cap - count[e])
         most = room if above[pos - 1] < e else 0
         for a in range(pos - inner[r] if e == 1 else 0, most + 1):
             row[pos - a : pos] = [e] * a
@@ -631,7 +620,7 @@ def spherical_multiplicity(lam, shape: GrassmannShape) -> int:
     s_{lambda + m} in s_{(m^{n-l})} s_{(m^l)}, m as in ``_shift_dominant``."""
     n, l = shape.n, shape.l
     outer, m = _shift_dominant(lam, n)
-    return _lr_contents(outer, (m,) * (n - l) + (0,) * l, l)[(m,) * l]
+    return _lr_contents(outer, (m,) * (n - l) + (0,) * l, l, m)[(m,) * l]
 
 
 def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationReport:

@@ -2,7 +2,9 @@
 intertwiners, branching and the Gelfand property."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from bcq import qgrass
 from bcq.linalg import (
     flip_matrix,
+    integer_matrix,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -61,6 +64,11 @@ from bcq.weights import GrassmannShape
 Q = F(1, 2)
 
 
+def dense(m):
+    """A square sparse matrix ({column: entry} rows) as lists of lists."""
+    return [[row.get(j, 0) for j in range(len(m))] for row in m]
+
+
 def test_r_matrix_n2_frozen():
     # basis e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2
     r = r_matrix(2, Q)
@@ -70,7 +78,8 @@ def test_r_matrix_n2_frozen():
         [0, Q - 1 / Q, 1, 0],
         [0, 0, 0, Q],
     ]
-    assert r == expected
+    assert dense(r) == expected
+    assert sum(map(len, r)) == 5
 
 
 def test_r_inverses():
@@ -83,7 +92,7 @@ def _assert_matrices_match(a, b, exact):
     if exact:
         assert a == b
     else:
-        diffs = (abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        diffs = (abs(x - y) for ra, rb in zip(dense(a), dense(b)) for x, y in zip(ra, rb))
         assert max(diffs) < 1e-12
 
 
@@ -120,7 +129,7 @@ def test_checks_float_mode():
     for report in reports:
         assert report.exact is False, report.identity
         assert report.residual < 1e-10 and report.passed, report.identity
-    perturbed = [row[:] for row in js]
+    perturbed = dense(js)
     perturbed[0][1] += 1e-3
     report = reflection_check(perturbed, 4, q)
     assert report.exact is False
@@ -159,6 +168,124 @@ def test_refalt_exact():
                     j_tilde_sigma(n, l, sigma, Q), j_sigma(n, l, sigma, Q), n, Q
                 )
                 assert report.passed and report.exact
+
+
+def _side_scales(monkeypatch, run):
+    """(S_lhs, S_rhs) of the one ``_matrix_diffs`` call ``run()`` makes, the
+    products of the integer scales of each side's factors, and its report."""
+    seen = []
+    real = qgrass._matrix_diffs
+
+    def spy(lhs, rhs, exact):
+        seen.append(tuple(math.prod(integer_matrix(m)[1] for m in side) for side in (lhs, rhs)))
+        return real(lhs, rhs, exact)
+
+    monkeypatch.setattr(qgrass, "_matrix_diffs", spy)
+    report = run()
+    assert len(seen) == 1
+    return seen[0], report
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_integer_verdict_scales_each_side(monkeypatch, n):
+    # a^{-1} and b^{-1} carry different denominators, so every refalt_check
+    # compares sides of different scales; the other two checks do not
+    for q, l, sigma in itertools.product((F(1, 2), F(-3, 5)), range(1, n // 2 + 1), (0, 1)):
+        js, jt = j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q)
+        (s_lhs, s_rhs), report = _side_scales(monkeypatch, lambda: refalt_check(jt, js, n, q))
+        assert s_lhs != s_rhs and report.passed and report.exact, (q, l, sigma)
+        (s_lhs, s_rhs), report = _side_scales(monkeypatch, lambda: reflection_check(js, n, q))
+        assert s_lhs == s_rhs and report.passed and report.exact, (q, l, sigma)
+    if n <= 4:
+        (s_lhs, s_rhs), report = _side_scales(monkeypatch, lambda: qybe_check(n, Q))
+        assert s_lhs == s_rhs > 1 and report.passed and report.exact
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_perturbed_j_fails_the_exact_checks(n):
+    # 1/3^5 added at (1,1), (1,n) or (n,1) of J^sigma; at n = 2 the perturbed
+    # J still solves the reflection equation, so only refalt_check must fail
+    for l, sigma, (i, j) in itertools.product(
+        range(1, n // 2 + 1), (0, 1), ((0, 0), (0, n - 1), (n - 1, 0))
+    ):
+        js = dense(j_sigma(n, l, sigma, Q))
+        js[i][j] += F(1, 3**5)
+        report = refalt_check(j_tilde_sigma(n, l, sigma, Q), js, n, Q)
+        assert report.exact and not report.passed, (l, sigma, i, j)
+        if n >= 3:
+            report = reflection_check(js, n, Q)
+            assert report.exact and not report.passed, (l, sigma, i, j)
+
+
+# float.hex of the residuals at q = 0.3, recorded with the dense products
+# that the sparse ones replaced: the sums run in the same order, so every
+# bit is kept.  Keys: (check, n) or (check, n, l, sigma).
+FLOAT_RESIDUALS = {
+    ("qybe", 2): "0x1.0000000000000p-53",
+    ("qybe", 3): "0x1.0000000000000p-53",
+    ("qybe", 4): "0x1.0000000000000p-53",
+    ("qybe", 5): "0x1.0000000000000p-53",
+    ("reflection", 2, 1, 0): "0x0.0p+0",
+    ("refalt", 2, 1, 0): "0x1.0000000000000p-53",
+    ("reflection", 2, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 2, 1, 1): "0x1.0000000000000p-51",
+    ("reflection", 2, 1, 2): "0x1.0000000000000p-53",
+    ("refalt", 2, 1, 2): "0x1.0000000000000p-53",
+    ("reflection", 3, 1, 0): "0x0.0p+0",
+    ("refalt", 3, 1, 0): "0x1.0000000000000p-46",
+    ("reflection", 3, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 3, 1, 1): "0x1.0000000000000p-49",
+    ("reflection", 3, 1, 2): "0x1.d000000000000p-53",
+    ("refalt", 3, 1, 2): "0x1.0480000000000p-50",
+    ("reflection", 4, 1, 0): "0x0.0p+0",
+    ("refalt", 4, 1, 0): "0x1.8000000000000p-45",
+    ("reflection", 4, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 4, 1, 1): "0x1.6000000000000p-46",
+    ("reflection", 4, 1, 2): "0x1.d000000000000p-53",
+    ("refalt", 4, 1, 2): "0x1.6c00000000000p-47",
+    ("reflection", 4, 2, 0): "0x0.0p+0",
+    ("refalt", 4, 2, 0): "0x1.0000000000000p-45",
+    ("reflection", 4, 2, 1): "0x1.4000000000000p-53",
+    ("refalt", 4, 2, 1): "0x1.8000000000000p-44",
+    ("reflection", 4, 2, 2): "0x1.d000000000000p-53",
+    ("refalt", 4, 2, 2): "0x1.2000000000000p-46",
+    ("reflection", 5, 1, 0): "0x0.0p+0",
+    ("refalt", 5, 1, 0): "0x1.b400000000000p-40",
+    ("reflection", 5, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 5, 1, 1): "0x1.a100000000000p-43",
+    ("reflection", 5, 1, 2): "0x1.d000000000000p-53",
+    ("refalt", 5, 1, 2): "0x1.fa00000000000p-44",
+    ("reflection", 5, 2, 0): "0x0.0p+0",
+    ("refalt", 5, 2, 0): "0x1.6000000000000p-39",
+    ("reflection", 5, 2, 1): "0x1.4000000000000p-53",
+    ("refalt", 5, 2, 1): "0x1.8000000000000p-44",
+    ("reflection", 5, 2, 2): "0x1.d000000000000p-53",
+    ("refalt", 5, 2, 2): "0x1.3000000000000p-42",
+}
+
+
+def test_float_residuals_keep_every_bit():
+    q = 0.3
+    got = {("qybe", n): qybe_check(n, q).residual for n in range(2, 6)}
+    for n in range(2, 6):
+        for l, sigma in itertools.product(range(1, n // 2 + 1), (0, 1, 2)):
+            js, jt = j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q)
+            got[("reflection", n, l, sigma)] = reflection_check(js, n, q).residual
+            got[("refalt", n, l, sigma)] = refalt_check(jt, js, n, q).residual
+    assert {key: float.hex(x) for key, x in got.items()} == FLOAT_RESIDUALS
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 5), 0.3])
+def test_tabled_q_signs_match_the_powers(q):
+    # the checks wedge a set in [1, 6] with one index at a time
+    signs = [(-q) ** k for k in range(6)]
+    subsets = [c for k in range(6) for c in itertools.combinations(range(1, 7), k)]
+    for i_set, j in itertools.product(subsets, range(1, 7)):
+        for a, b in ((i_set, (j,)), ((j,), i_set)):
+            want, got = qsgn(a, b, q), qsgn(a, b, q, signs)
+            assert got == want and type(got) is type(want), (a, b)
+            assert wedge(a, b, q, signs) == wedge(a, b, q)
+        assert phi_hat_r(i_set, j, q, signs) == phi_hat_r(i_set, j, q)
 
 
 def test_qsgn_and_wedge():
@@ -408,6 +535,18 @@ def test_branching_matches_oracle(n):
             assert spherical_multiplicity(lam, shape) == expected.get(trivial, 0), (lam, l)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_capped_contents_are_the_uncapped_ones_with_small_parts(n):
+    # the cap prunes only the fillings that put more than m copies of a letter
+    for l in range(1, n // 2 + 1):
+        for lam in itertools.combinations_with_replacement(range(2, -3, -1), n):
+            outer, m = qgrass._shift_dominant(lam, n)
+            inner = (m,) * (n - l) + (0,) * l
+            full = qgrass._lr_contents(outer, inner, l)
+            capped = qgrass._lr_contents(outer, inner, l, m)
+            assert capped == Counter({nu: c for nu, c in full.items() if max(nu) <= m}), lam
+
+
 def test_gelfand_small():
     for shape in (GrassmannShape(4, 2), GrassmannShape(5, 2)):
         report = gelfand_check(shape, 1)
@@ -486,8 +625,8 @@ def test_partial_transpose_inverse_stays_real(n):
     for m in (r21_minus(n, q), r_matrix(n, q)):
         a = partial_transpose_first(m, n)
         inv = _partial_transpose_inverse(a, n)
-        assert not any(isinstance(x, complex) for row in inv for x in row)
-        product = mat_mul(a, inv)
+        assert not any(isinstance(x, complex) for row in inv for x in row.values())
+        product = dense(mat_mul(a, inv))
         size = n * n
         assert all(
             abs(product[i][j] - (i == j)) < 1e-12
