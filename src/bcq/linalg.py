@@ -39,13 +39,6 @@ def integer_matrix(a):
     return rows, scale
 
 
-def sparse_matrix(a):
-    """A matrix in the sparse form: dict rows are kept, list rows lose their zeros."""
-    return [
-        row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x != 0} for row in a
-    ]
-
-
 def mat_identity(n: int):
     return [{i: 1} for i in range(n)]
 
@@ -85,7 +78,8 @@ def mat_inverse(a):
     rational entries, real for real."""
     n = len(a)
     dense = [[row.get(j, 0) for j in range(n)] for row in a]
-    return sparse_matrix(solve_linear(dense, [[int(i == j) for j in range(n)] for i in range(n)]))
+    inverse = solve_linear(dense, [[int(i == j) for j in range(n)] for i in range(n)])
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in inverse]
 
 
 def solve_linear(a, b):

@@ -55,7 +55,6 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     partial_transpose_first,
-    sparse_matrix,
 )
 from .report import VerificationReport, difference_report, timed_report
 from .weights import (
@@ -166,9 +165,7 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 
 
 def reflection_check(x, n: int, q) -> VerificationReport:
-    """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n matrix X, sparse
-    or dense."""
-    x = sparse_matrix(x)
+    """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n sparse matrix X."""
     exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row.values())
 
     def differences():
@@ -196,9 +193,7 @@ def _partial_transpose_inverse(m, n: int):
 
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
-    = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n matrices Jt, Js, sparse or
-    dense."""
-    jt, js = sparse_matrix(jt), sparse_matrix(js)
+    = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n sparse matrices Jt, Js."""
     exact = _is_exact(q) and all(
         _is_exact(v) for mat in (jt, js) for row in mat for v in row.values()
     )
@@ -220,39 +215,50 @@ def refalt_check(jt, js, n: int, q) -> VerificationReport:
 
 # -- q-exterior algebra ----------------------------------------------------
 
-def qsgn(i_set, j_set, q, signs=None):
-    """sgn(I;J): 0 on overlap, else (-q)^{#{(i,j) in IxJ : i > j}}, read
-    from ``signs`` if given: the table [(-q) ** k for k < n] that a check
-    builds once, enough for a set in [1, n] against one index."""
+def _inversions(i_set, j_set):
+    """#{(i, j) in I x J : i > j}, or None when I and J meet."""
     count = 0
     for i in i_set:
         for j in j_set:
             if i == j:
-                return 0
+                return None
             count += i > j
-    return (-q) ** count if signs is None else signs[count]
+    return count
 
 
-def wedge(i_tuple, j_tuple, q, signs=None):
+def qsgn(i_set, j_set, q):
+    """sgn(I;J): 0 on overlap, else (-q)^{#{(i,j) in IxJ : i > j}}."""
+    count = _inversions(i_set, j_set)
+    return 0 if count is None else (-q) ** count
+
+
+def wedge(i_tuple, j_tuple, q):
     """v_I ^ v_J = sgn(I;J) v_{I u J}; returns (coefficient, sorted union)."""
-    s = qsgn(i_tuple, j_tuple, q, signs)
+    return _wedge(i_tuple, j_tuple, [(-q) ** k for k in range(len(i_tuple) * len(j_tuple) + 1)])
+
+
+def _wedge(i_tuple, j_tuple, signs):
+    """``wedge`` with (-q)^k read as signs[k]; the intertwiner checks table
+    [(-q)^k for k < n] once, enough for a set in [1, n] against one index."""
+    count = _inversions(i_tuple, j_tuple)
+    s = 0 if count is None else signs[count]
     if s == 0:
         return 0, None
     return s, tuple(sorted((*i_tuple, *j_tuple)))
 
 
-def wedge_dual(i_tuple, j_tuple, q, signs=None):
+def wedge_dual(i_tuple, j_tuple, q):
     """v*_I ^ v*_J = sgn(J;I) v*_{I u J}, i.e. ``wedge(J, I)``."""
-    return wedge(j_tuple, i_tuple, q, signs)
+    return wedge(j_tuple, i_tuple, q)
 
 
-def _project_word(word, q, product, signs):
-    """Wedge a word w_{a_1} (x) ... (x) w_{a_r} to (sign, subset), with
-    ``product`` = ``wedge`` for vectors or ``wedge_dual`` for dual vectors."""
+def _project_word(word, signs, dual: bool):
+    """Wedge a word w_{a_1} (x) ... (x) w_{a_r} of vectors, or of dual
+    vectors if ``dual``, to (sign, subset); ``signs`` as for ``_wedge``."""
     coeff = 1
     acc = ()
     for a in word:
-        coeff2, acc = product(acc, (a,), q, signs)
+        coeff2, acc = _wedge((a,), acc, signs) if dual else _wedge(acc, (a,), signs)
         if coeff2 == 0:
             return 0, None
         coeff *= coeff2
@@ -358,7 +364,10 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
     """
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
-    order = [(kind, s) for s in range(1, r + 1) for kind in ("v", "d")]
+    order = []
+    for s in range(1, r + 1):
+        order.append(("v", s))
+        order.append(("d", s))
     coeffs = dict(t.coeffs)
     for s in range(2, r + 1):
         for i in range(s - 1, 0, -1):
@@ -372,15 +381,17 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
                     nk = key[:p] + (vj, di) + key[p + 2 :]
                     nxt[nk] = nxt.get(nk, 0) + c * b
             coeffs = {k: v for k, v in nxt.items() if v != 0}
-    if order != [("v", s) for s in range(1, r + 1)] + [("d", s) for s in range(1, r + 1)]:
+    if order != [("v", s) for s in range(1, r + 1)] + [
+        ("d", s) for s in range(1, r + 1)
+    ]:
         raise AssertionError("braiding did not sort the tensor factors")
     out = {}
     signs = [(-q) ** k for k in range(shape.n)]
     for key, c in coeffs.items():
-        sv, i_set = _project_word(key[:r], q, wedge, signs)
+        sv, i_set = _project_word(key[:r], signs, dual=False)
         if sv == 0:
             continue
-        sd, j_set = _project_word(key[r:], q, wedge_dual, signs)
+        sd, j_set = _project_word(key[r:], signs, dual=True)
         if sd == 0:
             continue
         k2 = (i_set, j_set)
@@ -388,19 +399,18 @@ def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
     return QExtVector(f"Wedge.{r}", {k: v for k, v in out.items() if v != 0})
 
 
-def phi_hat_r(i_set, j: int, q, signs=None):
+def phi_hat_r(i_set, j: int, q):
     """The braiding Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*):
-    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j;
-    ``signs`` as for ``qsgn``."""
+    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j."""
     i_set = tuple(sorted(i_set))
     qi = _inv(q)
     if j not in i_set:
         return [((j, i_set), 1)]
     rest = tuple(x for x in i_set if x != j)
     out = [((j, i_set), qi)]
-    denom = qsgn(rest, (j,), q, signs)
+    denom = qsgn(rest, (j,), q)
     for m in range(1, j):
-        num = qsgn(rest, (m,), q, signs)
+        num = qsgn(rest, (m,), q)
         if num == 0:
             continue
         out.append(((m, tuple(sorted(rest + (m,)))), -(q - qi) * num / denom))
@@ -426,11 +436,11 @@ def theta_hat_r(
             weight = _weight(i_set + (s,), j_set + (t,), shape.n)
             if weights is not None and weight not in weights:
                 continue
-            for (m, k_set), e in phi_hat_r(j_set, s, q, signs):
-                sv, i2 = wedge(i_set, (m,), q, signs)
+            for (m, k_set), e in phi_hat_r(j_set, s, q):
+                sv, i2 = _wedge(i_set, (m,), signs)
                 if sv == 0:
                     continue
-                sd, j2 = wedge_dual(k_set, (t,), q, signs)
+                sd, j2 = _wedge((t,), k_set, signs)
                 if sd == 0:
                     continue
                 key = (i2, j2)

@@ -92,6 +92,7 @@ def test_criterion_01_reflection_equation():
                     assert elapsed < 1.0, (n, l, sigma, q, elapsed)
     rng = random.Random(11)
     x = [[F(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
+    x = [{j: v for j, v in enumerate(row) if v != 0} for row in x]  # the sparse form
     assert not reflection_check(x, 4, F(1, 2)).passed
     print("CRITERION 01 (reflection equation, exact): PASS")
 

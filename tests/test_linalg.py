@@ -28,8 +28,13 @@ def sparse(rows):
 
 
 def dense(m, width=None):
-    """A sparse matrix as lists of lists, ``width`` columns (square by default)."""
+    """A sparse matrix as lists of lists, ``width`` columns (square by default).
+    Fails unless every row holds nonzero entries in ascending columns below
+    ``width``, so an entry the dense form cannot show is not dropped."""
     width = len(m) if width is None else width
+    for row in m:
+        assert list(row) == sorted(row) and all(0 <= j < width for j in row), row
+        assert all(x != 0 for x in row.values()), row
     return [[row.get(j, 0) for j in range(width)] for row in m]
 
 
@@ -155,6 +160,7 @@ def test_kron_shape_and_values():
     b = [[F(0), F(1)], [F(1), F(0)]]
     k = dense(mat_kron(sparse(a), sparse(b)))
     assert len(k) == 4 and len(k[0]) == 4
+    assert max(c for row in mat_kron(sparse(a), sparse(b)) for c in row) == 3
     assert k[0][1] == F(1)  # a[0][0] * b[0][1]
     assert k[2][1] == F(3)  # a[1][0] * b[0][1]
     assert k[2][3] == F(4)  # a[1][1] * b[0][1]

@@ -27,6 +27,7 @@ from bcq.qgrass import (
     _partial_transpose_inverse,
     _psi_image,
     _u,
+    _wedge,
     _weight,
     beta_map,
     branching_coeffs,
@@ -65,8 +66,18 @@ Q = F(1, 2)
 
 
 def dense(m):
-    """A square sparse matrix ({column: entry} rows) as lists of lists."""
+    """A square sparse matrix ({column: entry} rows) as lists of lists.
+    Fails unless every row holds nonzero entries in ascending columns below
+    the size, so an entry the dense form cannot show is not dropped."""
+    for row in m:
+        assert list(row) == sorted(row) and all(0 <= j < len(m) for j in row), row
+        assert all(x != 0 for x in row.values()), row
     return [[row.get(j, 0) for j in range(len(m))] for row in m]
+
+
+def sparse(rows):
+    """A dense matrix (lists of lists) in the sparse form of ``bcq.linalg``."""
+    return [{j: x for j, x in enumerate(row) if x != 0} for row in rows]
 
 
 def test_r_matrix_n2_frozen():
@@ -131,7 +142,7 @@ def test_checks_float_mode():
         assert report.residual < 1e-10 and report.passed, report.identity
     perturbed = dense(js)
     perturbed[0][1] += 1e-3
-    report = reflection_check(perturbed, 4, q)
+    report = reflection_check(sparse(perturbed), 4, q)
     assert report.exact is False
     assert report.residual > 1e-10 and not report.passed
 
@@ -156,7 +167,7 @@ def test_reflection_fails_for_random_matrix():
     rng = random.Random(7)
     n = 3
     x = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-    report = reflection_check(x, n, Q)
+    report = reflection_check(sparse(x), n, Q)
     assert not report.passed
 
 
@@ -208,8 +219,9 @@ def test_perturbed_j_fails_the_exact_checks(n):
     for l, sigma, (i, j) in itertools.product(
         range(1, n // 2 + 1), (0, 1), ((0, 0), (0, n - 1), (n - 1, 0))
     ):
-        js = dense(j_sigma(n, l, sigma, Q))
-        js[i][j] += F(1, 3**5)
+        perturbed = dense(j_sigma(n, l, sigma, Q))
+        perturbed[i][j] += F(1, 3**5)
+        js = sparse(perturbed)
         report = refalt_check(j_tilde_sigma(n, l, sigma, Q), js, n, Q)
         assert report.exact and not report.passed, (l, sigma, i, j)
         if n >= 3:
@@ -275,17 +287,28 @@ def test_float_residuals_keep_every_bit():
     assert {key: float.hex(x) for key, x in got.items()} == FLOAT_RESIDUALS
 
 
+def _qsgn_oracle(i_set, j_set, q):
+    """sgn(I;J) from two frozensets and one power of -q, as first written."""
+    i_set, j_set = frozenset(i_set), frozenset(j_set)
+    if i_set & j_set:
+        return 0
+    return (-q) ** sum(1 for i in i_set for j in j_set if i > j)
+
+
 @pytest.mark.parametrize("q", [F(1, 2), F(-3, 5), 0.3])
 def test_tabled_q_signs_match_the_powers(q):
-    # the checks wedge a set in [1, 6] with one index at a time
+    # the checks wedge a set in [1, 6] with one index at a time, reading
+    # (-q)^k from one table of powers
     signs = [(-q) ** k for k in range(6)]
     subsets = [c for k in range(6) for c in itertools.combinations(range(1, 7), k)]
     for i_set, j in itertools.product(subsets, range(1, 7)):
         for a, b in ((i_set, (j,)), ((j,), i_set)):
-            want, got = qsgn(a, b, q), qsgn(a, b, q, signs)
+            want = _qsgn_oracle(a, b, q)
+            got = qsgn(a, b, q)
             assert got == want and type(got) is type(want), (a, b)
-            assert wedge(a, b, q, signs) == wedge(a, b, q)
-        assert phi_hat_r(i_set, j, q, signs) == phi_hat_r(i_set, j, q)
+            union = tuple(sorted(a + b)) if want != 0 else None
+            for pair in (wedge(a, b, q), _wedge(a, b, signs)):
+                assert pair == (want, union) and type(pair[0]) is type(want), (a, b)
 
 
 def test_qsgn_and_wedge():
