@@ -166,7 +166,6 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 
 def reflection_check(x, n: int, q) -> VerificationReport:
     """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n sparse matrix X."""
-    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row.values())
 
     def differences():
         x1, x2 = mat_kron(x, mat_identity(n)), mat_kron(mat_identity(n), x)
@@ -174,6 +173,7 @@ def reflection_check(x, n: int, q) -> VerificationReport:
             [r_matrix(n, q), x1, r_minus(n, q), x2], [x2, r21_minus(n, q), x1, r_plus(n, q)], exact
         )
 
+    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row.values())
     return difference_report(
         "reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )
@@ -194,9 +194,6 @@ def _partial_transpose_inverse(m, n: int):
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
     = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n sparse matrices Jt, Js."""
-    exact = _is_exact(q) and all(
-        _is_exact(v) for mat in (jt, js) for row in mat for v in row.values()
-    )
 
     def differences():
         a = partial_transpose_first(r21_minus(n, q), n)
@@ -208,6 +205,9 @@ def refalt_check(jt, js, n: int, q) -> VerificationReport:
             exact,
         )
 
+    exact = _is_exact(q) and all(
+        _is_exact(v) for mat in (jt, js) for row in mat for v in row.values()
+    )
     return difference_report(
         "transposed-reflection-equation", {"n": n, "q": str(q)}, exact, differences
     )

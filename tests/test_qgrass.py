@@ -311,6 +311,30 @@ def test_tabled_q_signs_match_the_powers(q):
                 assert pair == (want, union) and type(pair[0]) is type(want), (a, b)
 
 
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 5), 0.3])
+def test_tabled_projections_match_direct_powers(monkeypatch, q):
+    # psi_hat_r and theta_hat_r with their table of (-q)^k against the same
+    # maps with each sign formed as one power of -q
+    shape = GrassmannShape(6, 3)
+
+    def images():
+        out = []
+        for r, sigma in itertools.product((1, 2, 3), (0, 1)):
+            w = w_vectors(shape, sigma, q)[0]
+            out.append(psi_hat_r(tensor_power(w, r), shape, r, q).coeffs)
+            if r >= 2:
+                out.append(theta_hat_r(u_vector(shape, r - 1), w, shape, q).coeffs)
+        return out
+
+    def direct(i_tuple, j_tuple, signs):
+        s = _qsgn_oracle(i_tuple, j_tuple, q)
+        return (0, None) if s == 0 else (s, tuple(sorted(i_tuple + j_tuple)))
+
+    tabled = images()
+    monkeypatch.setattr(qgrass, "_wedge", direct)
+    assert images() == tabled
+
+
 def test_qsgn_and_wedge():
     # disjoint, one decreasing pair
     assert qsgn((2,), (1,), Q) == -Q
