@@ -21,8 +21,9 @@ coordinate, summed over the distinct permutations of each weight (at most
 l! terms, where the orbit has up to 2^l l!).  The phi pair is also the pole
 test: a point where it cannot be formed is skipped.  With rational
 parameters and points the phi pair, the tables and so every row are built
-from integers, on a per-point scale (which leaves the solution unchanged),
-and the diagonal is checked against E_mu.
+from integers, each row divided by its content (a per-point scale, which
+leaves the solution unchanged); each solution column is cleared of its
+denominators once, for an integer held-out check; E_mu checks the diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _inv, _is_exact, solve_linear
+from .linalg import _inv, _is_exact, integer_row, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from .qseries import check_base
 from .report import VerificationReport, timed_report
@@ -187,8 +188,8 @@ def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
     sum with one factor at a time replaced by
     g_{j,k} = phi_j^+ (y_{j,k}(q x_j) - y_{j,k}) + phi_j^- (y_{j,k}(x_j/q) - y_{j,k}).
     Exact tables are integers on L_j = D+ D- w^degree (phi_j^+- = N+-/D+-,
-    x_j = a/b, w = a b q_n q_d) divided by their gcd, so y_{j,0} = L_j / gcd
-    and every entry of both rows is an integer times prod_j y_{j,0}.
+    x_j = a/b, w = a b q_n q_d) divided by their gcd.  Every entry of both rows
+    is then an integer times prod_j y_{j,0}; both rows are divided by their content.
     """
     y, g = [], []
     for j, xj in enumerate(x):
@@ -229,6 +230,9 @@ def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
             image += shifted
         values.append(value)
         images.append(image)
+    if integers:
+        divisor = math.gcd(*values, *images)
+        values, images = ([v // divisor for v in vs] for vs in (values, images))
     return values, images
 
 
@@ -273,10 +277,11 @@ def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: 
             sol = solve_linear(rows[:n], rhs[:n])
         except ZeroDivisionError:
             continue
+        cols = [integer_row(col) if exact else (col, 1) for col in zip(*sol)]
         if all(
-            _agrees(sum(v * s[k] for v, s in zip(row, sol)), target, exact)
+            _agrees(sum(v * c for v, c in zip(row, nums)), scale * target, exact)
             for row, targets in zip(rows[n:], rhs[n:])
-            for k, target in enumerate(targets)
+            for (nums, scale), target in zip(cols, targets)
         ):
             return [
                 {nu: s[k] for nu, s in zip(downset, sol) if s[k] != 0}

@@ -26,9 +26,9 @@ def _inv(x):
 
 
 def integer_row(row):
-    """Rationals times the lcm of their denominators: integers, same ratios."""
+    """(M, s): the rationals of ``row`` times s, the lcm of their denominators."""
     scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def integer_matrix(a):
@@ -113,7 +113,7 @@ def _solve_bareiss(work, n: int):
     """Rows of X for the rational system [A | B] given as the n rows ``work``:
     Bareiss elimination of the integer-scaled rows (each entry a minor, each
     division exact, det = the last pivot), then det * X by back-substitution."""
-    rows = [integer_row(row) for row in work]
+    rows = [integer_row(row)[0] for row in work]
     det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)

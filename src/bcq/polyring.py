@@ -386,10 +386,9 @@ def _leading_orbit(terms: dict, kind: str):
     return rep, rep
 
 
+@lru_cache(maxsize=256)
 def _orbit_sum(rep, kind: str) -> LaurentPoly:
-    rep = tuple(rep)
-    build = orbit_sum_W if kind == "W" else monomial_symmetric
-    return build(rep, len(rep))
+    return (orbit_sum_W if kind == "W" else monomial_symmetric)(rep, len(rep))
 
 
 def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
@@ -409,7 +408,8 @@ def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
 
 
 def rebuild_from_basis(coeffs: dict, kind: str, l: int) -> LaurentPoly:
-    return combine(coeffs, lambda rep: _orbit_sum(rep, kind).terms, l)
+    """Sum of c * orbit sum of rep over (rep, c); distinct dominant reps have disjoint orbits."""
+    return LaurentPoly(l, {e: c for rep, c in coeffs.items() for e in _orbit_sum(rep, kind).terms})
 
 
 def orbit_size(rep, kind: str) -> int:
@@ -454,7 +454,7 @@ def _leading_generator(rest: dict):
     return tuple(map(sub, rep, rep[1:] + (0,))), rep
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _generator_orbits(a: tuple, kind: str) -> dict:
     """Orbit-sum expansion of g_1^{a_1}..g_l^{a_l}, monic at the partition
     with a_r = lambda_r - lambda_{r+1}."""

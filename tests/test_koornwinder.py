@@ -1,5 +1,8 @@
 """Tests for the Koornwinder q-difference operator and polynomial family."""
 
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,8 +12,10 @@ from bcq.awmeasure import norm_K
 from bcq.koornwinder import (
     EigenvalueCollisionError,
     KoornwinderParams,
+    _candidate_points,
     _dk_columns,
     _integer_params,
+    _orbit_rows,
     _phi_pair,
     check_symmetries,
     dk_apply,
@@ -252,6 +257,75 @@ def test_inconsistent_support_raises():
     # so the held-out points reject every seed
     with pytest.raises(ArithmeticError):
         _dk_columns([(0, 0), (2, 0)], [{(2, 0): 1}], PARAMS2, True)
+
+
+# rational points with denominators 23..43, never those of collocation points
+OFF_ENGINE_POINTS = [
+    (F(5, 23), F(31, 29), F(7, 43), F(40, 41)),
+    (F(44, 37), F(9, 41), F(50, 31), F(3, 23)),
+    (F(50, 31), F(3, 43), F(26, 29), F(11, 37)),
+]
+
+
+@pytest.mark.parametrize("lam", [(3, 2, 1), (2, 1, 1, 0), (4, 2)])
+def test_dk_matrix_is_the_operator_off_the_engine_points(lam):
+    # sum_nu M[mu][nu] m~_nu(x) == (D_K m~_mu)(x) for every mu of the downset
+    l = len(lam)
+    downset = dominant_downset(lam)
+    matrix = _dk_columns(downset, [{mu: 1} for mu in downset], PARAMS2, True)
+    orbits = {nu: orbit_sum_W(nu, l) for nu in downset}
+    for point in OFF_ENGINE_POINTS:
+        x = point[:l]
+        values = {nu: m.evaluate(x) for nu, m in orbits.items()}
+        for mu, row in zip(downset, matrix):
+            fit = sum(c * values[nu] for nu, c in row.items())
+            assert fit == dk_evaluate(orbits[mu], x, PARAMS2), (lam, mu, x)
+
+
+@pytest.mark.parametrize("lam", [(3, 2, 1), (2, 1, 1, 0), (4, 2)])
+def test_exact_orbit_rows_have_content_one(lam):
+    downset = dominant_downset(lam)
+    perms = [
+        [list(enumerate(pi)) for pi in sorted(set(itertools.permutations(nu)))]
+        for nu in downset
+    ]
+    integers = _integer_params(PARAMS2)
+    for x in _candidate_points(len(lam), 12, True, seed=911):
+        try:
+            values, images = _orbit_rows(x, perms, lam[0], PARAMS2, integers)
+        except ZeroDivisionError:
+            continue
+        assert all(type(v) is int for v in values + images)
+        assert math.gcd(*values, *images) == 1, x
+
+
+def test_held_out_points_reject_a_missing_orbit_at_l_3():
+    # D_K m~_(2,1,0) has a nonzero m~_(1,1,1) coefficient; without that orbit
+    # the support is inconsistent, so the integer held-out check rejects it
+    downset = dominant_downset((2, 1, 0))
+    (image,) = _dk_columns(downset, [{(2, 1, 0): 1}], PARAMS2, True)
+    assert image[(1, 1, 1)] != 0
+    support = [nu for nu in downset if nu != (1, 1, 1)]
+    with pytest.raises(ArithmeticError):
+        _dk_columns(support, [{(2, 1, 0): 1}], PARAMS2, True)
+
+
+def test_dk_apply_of_fraction_coefficients_pinned_at_l_3():
+    # non-integer Fraction coefficients make the right-hand sides rational,
+    # so the held-out check clears each solution column's own denominators
+    p = koornwinder_poly((2, 1, 0), PARAMS2) + orbit_sum_W((1, 1, 0), 3).scale(F(2, 7))
+    assert any(c.denominator > 1 for c in p.terms.values())
+    image = dk_apply(p, PARAMS2)
+    digest = hashlib.sha256(repr(sorted(image.terms.items())).encode()).hexdigest()
+    assert digest == "c7f21ab6ced04f71ddebabd8be0f952412fea93400a7a8a61d8458f767772eab"
+
+
+def test_koornwinder_poly_results_are_fresh_objects():
+    # the orbit sums behind the result are cached and shared between calls
+    first = koornwinder_poly((2, 1), PARAMS2)
+    want = dict(first.terms)
+    first.terms.clear()
+    assert koornwinder_poly((2, 1), PARAMS2).terms == want
 
 
 def test_constant_is_eigenvector_with_zero_eigenvalue():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.polyring import (
     LaurentPoly,
+    _generator_orbits,
+    _orbit_sum,
     combine,
     elementary_symmetric,
     expand_in_basis,
@@ -173,6 +175,25 @@ def test_expand_rebuild_roundtrip():
     coeffs = expand_in_basis(p, "W")
     assert coeffs == {(2, 0): F(1), (1, 1): F(3, 2)}
     assert rebuild_from_basis(coeffs, "W", 2) == p
+
+
+def test_orbit_sums_and_rebuilds_are_fresh_objects():
+    # the cached orbit-sum dicts are shared; no result may alias them
+    for kind, build in (("W", orbit_sum_W), ("S", monomial_symmetric)):
+        want = dict(build((2, 1, 0), 3).terms)
+        first = build((2, 1, 0), 3)
+        first.terms[(2, 1, 0)] = 5
+        assert build((2, 1, 0), 3).terms == want
+        rebuilt = rebuild_from_basis({(2, 1, 0): 1}, kind, 3)
+        assert rebuilt.terms == want
+        rebuilt.terms.clear()
+        assert rebuild_from_basis({(2, 1, 0): 1}, kind, 3).terms == want
+        assert expand_in_basis(build((2, 1, 0), 3), kind) == {(2, 1, 0): 1}
+
+
+def test_module_caches_are_bounded():
+    for cache in (_orbit_sum, _generator_orbits):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_peel_rejects_a_returning_key():
