@@ -15,19 +15,22 @@ the product of its scales, and compares M_lhs S_rhs with M_rhs S_lhs; a
 float check multiplies its floats in the order of a dense product.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
-beta: V*(x)V -> V(x)V*, the intertwiners Psi_hat_r and Theta_hat_r built
-from it, principal terms (weight components on the signed-permutation orbit
-of (1^r) pushed to the GL_n lattice), and the reference vectors u_r, u~_r,
-w^sigma, w~^sigma, w^infty whose principal-term constants are verified
-exactly.
+phi_hat_r: Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*), the intertwiner
+Theta_hat_r built from it, Psi_hat_r folded from Theta_hat_r, principal
+terms (weight components on the signed-permutation orbit of (1^r) pushed to
+the GL_n lattice), and the reference vectors u_r, u~_r, w^sigma, w~^sigma,
+w^infty whose principal-term constants are verified exactly.  The braiding
+is natural, so Psi_hat_r(x (x) y) = Theta_hat_r(Psi_hat_{r-1}(x) (x) y) for
+y in V (x) V*, and phi_hat_r is the only braiding rule.
 
 Every vector-side map keeps the GL_n weight, the weight of v_I (x) v*_J
-being 1_I - 1_J: beta sends v*_i (x) v_j to v_j (x) v*_i plus, for i = j,
-the weight-0 terms v_k (x) v*_k; phi_hat_r likewise; and the wedge
-projections only merge or kill index sets.  So the principal term of an
-image depends only on the input terms whose weight already lies on the
-orbit, and the checks braid only those: at (n, l, r) = (6, 3, 3) that is
-48 of the 729 terms of (w^1)^{(x) 3}.
+being 1_I - 1_J: phi_hat_r sends v*_I (x) v_j to v_j (x) v*_I plus, for j
+in I, terms v_m (x) v*_{I-j+m} of the same weight, and the wedge
+projections only merge or kill index sets.  So the principal term of
+Psi_hat_r(w^{(x) r}) depends only on the terms of weight on the orbit that
+the last fold forms: the check folds w in one factor at a time, passes the
+orbit weights to Theta_hat_r only at the last fold, and never forms
+w^{(x) r}.
 
 Character side: Casimir eigenvalues, branching of GL_n Schur polynomials
 into products over the block subgroup GL_{n-l} x GL_l, and the Gelfand
@@ -252,19 +255,6 @@ def wedge_dual(i_tuple, j_tuple, q):
     return wedge(j_tuple, i_tuple, q)
 
 
-def _project_word(word, signs, dual: bool):
-    """Wedge a word w_{a_1} (x) ... (x) w_{a_r} of vectors, or of dual
-    vectors if ``dual``, to (sign, subset); ``signs`` as for ``_wedge``."""
-    coeff = 1
-    acc = ()
-    for a in word:
-        coeff2, acc = _wedge((a,), acc, signs) if dual else _wedge(acc, (a,), signs)
-        if coeff2 == 0:
-            return 0, None
-        coeff *= coeff2
-    return coeff, acc
-
-
 @dataclass
 class QExtVector:
     """Vector in one of the tensor spaces used by the intertwiners.
@@ -307,14 +297,11 @@ def w_vectors(shape: GrassmannShape, sigma: int, q):
     )
 
 
-def tensor_power(w: QExtVector, r: int, keep=None) -> QExtVector:
-    """(V (x) V*)^{(x) r} element with concatenated indices.  Given ``keep``,
-    a predicate on those keys, only the terms it accepts are multiplied out."""
+def tensor_power(w: QExtVector, r: int) -> QExtVector:
+    """(V (x) V*)^{(x) r} element with concatenated indices."""
     coeffs = {}
     for factors in itertools.product(w.coeffs.items(), repeat=r):
-        key = sum((k for k, _ in factors), ())
-        if keep is None or keep(key):
-            coeffs[key] = math.prod(c for _, c in factors)
+        coeffs[sum((k for k, _ in factors), ())] = math.prod(c for _, c in factors)
     return QExtVector(f"V*V.{r}", coeffs)
 
 
@@ -342,60 +329,29 @@ def u_tilde_vector(shape: GrassmannShape, r: int, q) -> QExtVector:
     })
 
 
-def beta_map(key_pair, q):
-    """beta(v*_i (x) v_j) as a list of ((vector_index, dual_index), coeff)."""
-    i, j = key_pair
-    qi = _inv(q)
-    if i != j:
-        return [((j, i), 1)]
-    out = [((j, i), qi)]
-    for k in range(1, j):
-        out.append(((k, k), qi - q))
-    return out
-
-
 def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
     """The composed braiding followed by the wedge projections:
     (V (x) V*)^{(x) r} -> Wedge^r(V) (x) Wedge^r(V*).
 
-    The braidings are applied to adjacent factors of the interleaved tensor
-    product, tracking the factor ordering until it reaches
-    V^{(x) r} (x) (V*)^{(x) r}.
+    Psi_hat_1(v_i (x) v*_j) = v_(i) (x) v*_(j), and for r >= 2 the terms of
+    t are grouped by their last factor v_i (x) v*_j, each group's prefix
+    mapped by Psi_hat_{r-1} and then by Theta_hat_r with v_i (x) v*_j.
     """
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
-    order = []
-    for s in range(1, r + 1):
-        order.append(("v", s))
-        order.append(("d", s))
-    coeffs = dict(t.coeffs)
-    for s in range(2, r + 1):
-        for i in range(s - 1, 0, -1):
-            p = order.index(("d", i))
-            if order[p + 1] != ("v", s):
-                raise AssertionError("braiding factors are not adjacent")
-            order[p], order[p + 1] = order[p + 1], order[p]
-            nxt = {}
-            for key, c in coeffs.items():
-                for (vj, di), b in beta_map((key[p], key[p + 1]), q):
-                    nk = key[:p] + (vj, di) + key[p + 2 :]
-                    nxt[nk] = nxt.get(nk, 0) + c * b
-            coeffs = {k: v for k, v in nxt.items() if v != 0}
-    if order != [("v", s) for s in range(1, r + 1)] + [
-        ("d", s) for s in range(1, r + 1)
-    ]:
-        raise AssertionError("braiding did not sort the tensor factors")
+    if r == 1:
+        one = (-q) ** 0  # the sign of a one-letter wedge, in the scalar type of q
+        return QExtVector("Wedge.1", {
+            ((i,), (j,)): c * one for (i, j), c in t.coeffs.items() if c != 0
+        })
+    groups = {}
+    for key, c in t.coeffs.items():
+        groups.setdefault(key[-2:], {})[key[:-2]] = c
     out = {}
-    signs = [(-q) ** k for k in range(shape.n)]
-    for key, c in coeffs.items():
-        sv, i_set = _project_word(key[:r], signs, dual=False)
-        if sv == 0:
-            continue
-        sd, j_set = _project_word(key[r:], signs, dual=True)
-        if sd == 0:
-            continue
-        k2 = (i_set, j_set)
-        out[k2] = out.get(k2, 0) + c * sv * sd
+    for last, prefix in groups.items():
+        head = psi_hat_r(QExtVector(f"V*V.{r - 1}", prefix), shape, r - 1, q)
+        for k, v in theta_hat_r(head, QExtVector("V*V.1", {last: 1}), shape, q).coeffs.items():
+            out[k] = out.get(k, 0) + v
     return QExtVector(f"Wedge.{r}", {k: v for k, v in out.items() if v != 0})
 
 
@@ -403,9 +359,9 @@ def phi_hat_r(i_set, j: int, q):
     """The braiding Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*):
     list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j."""
     i_set = tuple(sorted(i_set))
-    qi = _inv(q)
     if j not in i_set:
         return [((j, i_set), 1)]
+    qi = _inv(q)
     rest = tuple(x for x in i_set if x != j)
     out = [((j, i_set), qi)]
     denom = qsgn(rest, (j,), q)
@@ -433,8 +389,7 @@ def theta_hat_r(
     signs = [(-q) ** k for k in range(shape.n)]
     for (i_set, j_set), c in u.coeffs.items():
         for (s, t), d in w.coeffs.items():
-            weight = _weight(i_set + (s,), j_set + (t,), shape.n)
-            if weights is not None and weight not in weights:
+            if weights is not None and _weight(i_set + (s,), j_set + (t,), shape.n) not in weights:
                 continue
             for (m, k_set), e in phi_hat_r(j_set, s, q):
                 sv, i2 = _wedge(i_set, (m,), signs)
@@ -450,8 +405,7 @@ def theta_hat_r(
 
 def _weight(vectors, duals, n: int) -> tuple:
     """GL_n weight of v_{i_1} (x) ... (x) v*_{j_1} (x) ...: the sum of e_i
-    over the vector indices minus the sum of e_j over the dual ones.  An
-    interleaved key of (V (x) V*)^{(x) r} splits as key[::2], key[1::2]."""
+    over the vector indices minus the sum of e_j over the dual ones."""
     weight = [0] * n
     for i in vectors:
         weight[i - 1] += 1
@@ -522,11 +476,13 @@ def _principal_report(identity, shape, r, sigma, q, tilde, image, constant):
 
 
 def _psi_image(w: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
-    """psi_hat_r of the terms of w^{(x) r} whose weight lies on the orbit of
-    (1^r): the image of the rest has no principal term."""
-    orbit = _orbit_weights(shape, r)
-    power = tensor_power(w, r, lambda key: _weight(key[::2], key[1::2], shape.n) in orbit)
-    return psi_hat_r(power, shape, r, q)
+    """psi_hat_r(w^{(x) r}), folding w in one factor at a time; the last
+    fold forms only the terms whose weight lies on the orbit of (1^r): the
+    image of the rest has no principal term."""
+    image = psi_hat_r(w, shape, 1, q)
+    for s in range(2, r + 1):
+        image = theta_hat_r(image, w, shape, q, _orbit_weights(shape, r) if s == r else None)
+    return image
 
 
 def intertwiner_check(

@@ -351,6 +351,20 @@ def test_symmetry_float_parameters_within_rounding(lam):
     assert report.residual < 1e-10
 
 
+def test_symmetry_check_builds_each_permutation_once(monkeypatch):
+    # the base, the 23 permutations other than the identity and the sign flip
+    params = []
+
+    def counted(lam, p):
+        params.append(p)
+        return koornwinder_poly(lam, p)
+
+    monkeypatch.setattr("bcq.koornwinder.koornwinder_poly", counted)
+    assert check_symmetries((1, 1), PARAMS2).passed
+    assert len(params) == 25
+    assert params.count(PARAMS2) == 1
+
+
 def test_symmetry_float_parameters_detect_a_difference(monkeypatch):
     params = KoornwinderParams(0.2, -0.1, 0.3, -0.2, 0.25, 1)
     build = koornwinder_poly

@@ -29,7 +29,6 @@ from bcq.qgrass import (
     _u,
     _wedge,
     _weight,
-    beta_map,
     branching_coeffs,
     casimir_eigenvalue,
     gelfand_check,
@@ -348,13 +347,10 @@ def test_qsgn_and_wedge():
     assert wedge_dual((2,), (1,), Q) == (1, (1, 2))
 
 
-def test_beta_map():
-    # beta(v*_i (x) v_j) = q^{-delta_ij} v_j (x) v*_i + correction on i = j
-    diag = dict(beta_map((2, 2), Q))
-    assert diag[(2, 2)] == 1 / Q
-    assert diag[(1, 1)] == 1 / Q - Q
-    off = dict(beta_map((1, 2), Q))
-    assert off == {(2, 1): 1}
+def test_phi_hat_r_on_singletons():
+    # phi(v*_i (x) v_j) = q^{-delta_ij} v_j (x) v*_i + correction on i = j
+    assert dict(phi_hat_r((2,), 2, Q)) == {(2, (2,)): 1 / Q, (1, (1,)): 1 / Q - Q}
+    assert dict(phi_hat_r((1,), 2, Q)) == {(2, (1,)): 1}
 
 
 def test_intertwiner_small():
@@ -414,12 +410,8 @@ def _wedge_weights(v, n=6):
     return {_weight(i_set, j_set, n) for i_set, j_set in v.coeffs}
 
 
-def test_beta_and_phi_keep_the_weight():
-    for i, j in itertools.product(range(1, 7), repeat=2):
-        # beta(v*_i (x) v_j) has the weight e_j - e_i
-        assert {_weight((vj,), (di,), 6) for (vj, di), _ in beta_map((i, j), Q)} == {
-            _weight((j,), (i,), 6)
-        }
+def test_phi_keeps_the_weight():
+    # on singletons, phi(v*_i (x) v_j) has the weight e_j - e_i
     for size in (1, 2):
         for i_set in itertools.combinations(range(1, 7), size):
             for j in range(1, 7):
