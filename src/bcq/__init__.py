@@ -41,7 +41,6 @@ from .limits import (
 )
 from .polyring import (
     LaurentPoly,
-    elementary_symmetric,
     expand_in_basis,
     monomial_symmetric,
     orbit_sum_W,
@@ -82,8 +81,6 @@ from .qjacobi import (
 from .qseries import (
     INFINITY,
     NonConvergenceError,
-    TruncationPolicy,
-    jackson_integral,
     qgamma,
     qpochhammer,
 )

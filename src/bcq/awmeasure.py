@@ -350,17 +350,16 @@ def gustafson_constant(l: int, params):
     return total.real
 
 
-def normalization_check(
-    l: int, params, grid: QuadratureGrid = DEFAULT_GRID, rel_tol: float = 1e-8
-):
-    """Quadrature <1,1>_K against the closed-form product constant."""
+def normalization_check(l: int, params, grid: QuadratureGrid = DEFAULT_GRID):
+    """Quadrature <1,1>_K against the closed-form product constant, to a
+    relative 1e-8."""
 
     def measure():
         one = LaurentPoly.const(l, 1)
         return full_inner(one, one, params, grid).real, gustafson_constant(l, params)
 
     params_doc = {"l": l, "q": str(params.q), "k": params.k}
-    return relative_report("koornwinder-normalization", params_doc, measure, rel_tol)
+    return relative_report("koornwinder-normalization", params_doc, measure, 1e-8)
 
 
 def norm_K(lam, params, grid: QuadratureGrid = DEFAULT_GRID):

@@ -155,7 +155,8 @@ def cmd_poly(args) -> int:
 
 
 def _grassmann_q(args):
-    """--q of the Grassmann suites, where R^- and beta need q^{-1}."""
+    """--q of the Grassmann suites and table, where R^-, beta and the
+    Koornwinder quadruple need q^{-1}."""
     q = parse_scalar(args.q)
     if q == 0:
         raise ValueError("the Grassmann suites need a nonzero --q")
@@ -236,7 +237,7 @@ def _base_doc(params) -> dict:
 
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.n, args.l)
-    q = parse_scalar(args.q)
+    q = _grassmann_q(args)
     doc = {"n": shape.n, "l": shape.l, "q": str(q)}
     if args.sigma != "inf" and args.tau != "inf":
         kp = grassmann_koornwinder_params(shape, int(args.sigma), int(args.tau), q)

@@ -4,17 +4,15 @@ A polynomial is a map from dense exponent tuples (possibly negative entries)
 to coefficients.  Coefficients are exact rationals (``Fraction``/``int``) or
 complex floats; the two domains are not mixed inside one polynomial.  On top
 of the ring live the symmetric bases used everywhere else: hyperoctahedral
-orbit sums m~_lambda, monomial symmetric m_lambda, elementary symmetric e_r,
-and Schur polynomials s_lambda.  Every triangular basis change (orbit sums
-and generator coordinates) is one ``peel``: read the leading coefficient,
-subtract it times a basis piece monic there, repeat.  ``combine`` is the
-inverse sum.
+orbit sums m~_lambda, monomial symmetric m_lambda and Schur polynomials
+s_lambda.  Every triangular basis change (orbit sums and generator
+coordinates) is one ``peel``: read the leading coefficient, subtract it times
+a basis piece monic there, repeat.  ``combine`` is the inverse sum.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -206,25 +204,6 @@ class LaurentPoly:
             terms.append({"exp": list(exp), "coef": encoded})
         return {"vars": self.nvars, "domain": domain, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPoly":
-        terms = {}
-        for t in data["terms"]:
-            coef = t["coef"]
-            if isinstance(coef, str):
-                value = Fraction(coef)
-            else:
-                value = complex(coef[0], coef[1])
-            terms[tuple(t["exp"])] = value
-        return cls(data["vars"], terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentPoly":
-        return cls.from_json_dict(json.loads(text))
-
 
 def grid_values(p: LaurentPoly, power, fixed, dim: int):
     """Values of p over a product grid: the first coordinates are pinned to
@@ -277,13 +256,6 @@ def monomial_symmetric(lam, l: int) -> LaurentPoly:
     if any(e < 0 for e in lam) or tuple(sorted(lam, reverse=True)) != lam:
         raise ValueError("monomial_symmetric requires a dominant partition")
     return LaurentPoly(l, {mu: 1 for mu in set(itertools.permutations(lam))})
-
-
-def elementary_symmetric(r: int, l: int) -> LaurentPoly:
-    """e_r = m_{(1^r)}."""
-    if not 1 <= r <= l:
-        raise ValueError("r must satisfy 1 <= r <= l")
-    return monomial_symmetric((1,) * r + (0,) * (l - r), l)
 
 
 @lru_cache(maxsize=None)

@@ -250,11 +250,6 @@ def _wedge(i_tuple, j_tuple, signs):
     return s, tuple(sorted((*i_tuple, *j_tuple)))
 
 
-def wedge_dual(i_tuple, j_tuple, q):
-    """v*_I ^ v*_J = sgn(J;I) v*_{I u J}, i.e. ``wedge(J, I)``."""
-    return wedge(j_tuple, i_tuple, q)
-
-
 @dataclass
 class QExtVector:
     """Vector in one of the tensor spaces used by the intertwiners.

@@ -1,10 +1,10 @@
 """Multivariable big and little q-Jacobi polynomials.
 
-The inner products are l-fold Jackson sums over ``qseries.jackson_nodes``
-up to n = ``SumTruncation.effective_n(q)``, fixed before summing like the
-N = inf cutoff of ``qseries``: little over [0,1]^l, big over [-d,c]^l, where
-the nodes of [0,-d] enter with negated masses.  The weight is
-the Vandermonde times a one-variable weight per coordinate times the
+The inner products are l-fold Jackson sums over ``qseries.jackson_nodes``,
+the package's one Jackson-sum rule, up to n = ``SumTruncation.effective_n(q)``,
+fixed before summing from a geometric tail bound: little over [0,1]^l, big
+over [-d,c]^l, where the nodes of [0,-d] enter with negated masses.  The
+weight is the Vandermonde times a one-variable weight per coordinate times the
 coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
 built by Gram-Schmidt over the dominance downset; q-difference operators
 for these families are deliberately not implemented.
@@ -344,10 +344,9 @@ def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:
     return total
 
 
-def normalization_check(
-    params, l: int, trunc: SumTruncation = DEFAULT_TRUNCATION, rel_tol: float = 1e-10
-):
-    """Jackson-sum <1,1> against the closed-form constant (big or little)."""
+def normalization_check(params, l: int, trunc: SumTruncation = DEFAULT_TRUNCATION):
+    """Jackson-sum <1,1> against the closed-form constant (big or little), to
+    a relative 1e-10."""
     big = isinstance(params, BigJacobiParams)
 
     def measure():
@@ -359,7 +358,7 @@ def normalization_check(
 
     identity = "big-jacobi-normalization" if big else "little-jacobi-normalization"
     params_doc = {"l": l, "q": str(params.q), "k": params.k}
-    return relative_report(identity, params_doc, measure, rel_tol)
+    return relative_report(identity, params_doc, measure, 1e-10)
 
 
 def _norm(lam, params, trunc: SumTruncation, jacobi_poly) -> float:

@@ -137,26 +137,6 @@ def is_spherical(lam: WeightVector, shape: GrassmannShape) -> bool:
     return True
 
 
-def strict_convex_hull(mu: WeightVector) -> set:
-    """C(mu) = {nu in P_Sigma : w nu < mu for every w in W}.
-
-    Enumerated over the bounding box |nu_i| <= mu_1; w nu < mu for all w is
-    equivalent to the dominant representative of nu being strictly below mu.
-    """
-    if mu.lattice != "BC":
-        raise ValueError("strict_convex_hull is defined on the BC lattice")
-    if not mu.is_dominant:
-        raise ValueError("strict_convex_hull requires a dominant weight")
-    l = len(mu)
-    bound = mu.entries[0] if l else 0
-    out = set()
-    for nu in itertools.product(range(-bound, bound + 1), repeat=l):
-        rep = WeightVector(dominant_representative(nu), "BC")
-        if rep.entries != mu.entries and dominance_leq(rep, mu):
-            out.add(WeightVector(nu, "BC"))
-    return out
-
-
 def fundamental_spherical(r: int, shape: GrassmannShape) -> WeightVector:
     """The fundamental spherical weight varpi_r with varpi_r^natural = (1^r)."""
     if not 1 <= r <= shape.l:
@@ -171,6 +151,8 @@ def dominant_downset(lam: tuple) -> list:
 
     Dominance is not graded here: weights of smaller total are included.
     """
+    if dominant_representative(lam) != tuple(lam):
+        raise ValueError(f"weight {tuple(lam)} is not dominant: need lam_1 >= ... >= lam_l >= 0")
     l = len(lam)
     total = sum(lam)
     out = []

@@ -248,7 +248,7 @@ def test_criterion_10_gelfand_property():
 
 def test_criterion_11_classical_limit():
     for alpha in (0, 1):
-        report = q_to_1_check(alpha, 0, 1, 2, q_list=(0.9, 0.99, 0.999))
+        report = q_to_1_check(alpha, 0, 1, 2)
         assert report.passed, (alpha, report.detail)
         assert report.detail["errors"][-1] < CLASSICAL_TOL, report.detail
         assert report.detail["gamma_errors"][-1] < CLASSICAL_TOL, report.detail

@@ -354,15 +354,30 @@ def test_negative_branching_bound_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite", [("qybe", "--n", "3"), ("reflection", "--n", "4", "--l", "2"),
-              ("intertwiner", "--n", "4", "--l", "2", "--r", "2")],
+    "suite", [("verify", "qybe", "--n", "3"),
+              ("verify", "reflection", "--n", "4", "--l", "2"),
+              ("verify", "intertwiner", "--n", "4", "--l", "2", "--r", "2"),
+              ("grassmann", "--n", "4", "--l", "1", "--sigma", "1", "--tau", "1")],
 )
 def test_grassmann_suites_reject_q_zero(capsys, suite):
-    # q = 0 divided by zero in R^- and beta and exited 3 as non-convergence
-    code, out, err = run(capsys, "verify", *suite, "--q", "0")
+    # q = 0 divided by zero in R^- and beta, and in q^(-sigma-tau+1) of the
+    # grassmann table, and exited 3 as non-convergence
+    code, out, err = run(capsys, *suite, "--q", "0")
     assert code == 2
     assert out == ""
     assert "nonzero --q" in err
+
+
+@pytest.mark.parametrize(
+    "argv, weight", [(("poly", "--family", "koornwinder", "--lambda", "1,2"), "(1, 2)"),
+                     (("verify", "symmetry", "--lambda", "1,-1"), "(1, -1)")],
+)
+def test_non_dominant_lambda_exits_2(capsys, argv, weight):
+    # the KeyError of the missing lambda exited 2 as "invalid input: (1, 2)"
+    code, out, err = run(capsys, *argv, "--t", "1/2,1/3,1/5,1/7", "--q", "1/2")
+    assert code == 2
+    assert out == ""
+    assert f"weight {weight} is not dominant" in err
 
 
 @pytest.mark.parametrize("q", ["1", "-1"])

@@ -1,0 +1,58 @@
+"""Every public module-level function and class of ``bcq`` has a caller
+outside the tests: another part of ``src/bcq``, the benchmark in
+``perfbench/`` (the tracer names its layers in strings) or the README tour.
+A helper that only tests call is dead surface, except for the few test
+oracles listed here with their reason."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORACLES = {
+    "tensor_power": "builds w^{(x)r} for the pinned Psi_hat_r images",
+    "wedge": "the reference for the tabled qgrass._wedge",
+    "dominance_leq": "the oracle of the dominant_downset closure test",
+    "natural_map": "the inverse of flat_map, kept for the spherical functions",
+}
+
+
+def _names(node, strings=False) -> set:
+    """Names read under node as a Name or an Attribute; with strings, also
+    the dotted parts of string constants."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def unreferenced() -> set:
+    """Public definitions in src/bcq that nothing but their own body reads."""
+    statements = []  # (top-level statement of a module, names it reads)
+    for path in sorted((ROOT / "src" / "bcq").glob("*.py")):
+        if path.name != "__init__.py":
+            statements += [(stmt, _names(stmt)) for stmt in ast.parse(path.read_text()).body]
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _names(ast.parse(path.read_text()), strings=True)
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        outside |= _names(ast.parse(block))
+    flagged = set()
+    for stmt, _ in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            read = outside.union(*(names for other, names in statements if other is not stmt))
+            if stmt.name not in read:
+                flagged.add(stmt.name)
+    return flagged
+
+
+def test_every_public_definition_has_a_caller():
+    flagged = unreferenced()
+    assert flagged - set(ORACLES) == set(), "public names only tests call"
+    assert set(ORACLES) - flagged == set(), "an oracle now has a caller: drop it from ORACLES"

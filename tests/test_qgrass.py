@@ -56,7 +56,6 @@ from bcq.qgrass import (
     u_vector,
     w_vectors,
     wedge,
-    wedge_dual,
 )
 from bcq.polyring import LaurentPoly, peel, schur
 from bcq.weights import GrassmannShape
@@ -342,9 +341,6 @@ def test_qsgn_and_wedge():
     assert qsgn((1, 2), (2,), Q) == 0
     assert wedge((1,), (2,), Q) == (1, (1, 2))
     assert wedge((2,), (1,), Q) == (-Q, (1, 2))
-    # dual convention reverses the roles
-    assert wedge_dual((1,), (2,), Q) == (-Q, (1, 2))
-    assert wedge_dual((2,), (1,), Q) == (1, (1, 2))
 
 
 def test_phi_hat_r_on_singletons():

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from bcq.qseries import (
     INFINITY,
     NonConvergenceError,
-    TruncationPolicy,
-    jackson_integral,
-    jackson_sum_0_to_beta,
+    jackson_nodes,
     log_qgamma,
     qgamma,
     qpochhammer,
@@ -125,7 +123,7 @@ def test_qgamma_at_positive_integers_is_a_finite_product():
     for n in range(1, 8):
         want = math.prod((1 - F(q) ** j) / (1 - F(q)) for j in range(2, n))
         assert qgamma(n, q) == pytest.approx(float(want), rel=1e-14)
-    # past max_terms factors the series takes over: Gamma_q(a+1) = [a]_q Gamma_q(a)
+    # past MAX_TERMS factors the series takes over: Gamma_q(a+1) = [a]_q Gamma_q(a)
     step = log_qgamma(10_001, 0.5) - log_qgamma(10_000, 0.5)
     assert step == pytest.approx(math.log(2), abs=1e-11)
 
@@ -182,61 +180,25 @@ def test_qgamma_near_one_on_the_default_policy():
     assert qgamma(1.5, q) == pytest.approx(math.gamma(1.5), rel=1e-3)
 
 
+def _jackson_sum(f, beta, n, q):
+    return sum(f(x) * mass for x, mass in jackson_nodes(beta, n, q))
+
+
 def test_jackson_monomial():
-    # int_0^1 x d_q x = (1-q)/(1-q^2) = 1/(1+q)
+    # int_0^1 x d_q x = (1-q)/(1-q^2) = 1/(1+q); nodes past j = 30 add < 1e-37
     q = 0.25
-    val = jackson_sum_0_to_beta(lambda x: x, 1.0, INFINITY, q)
+    val = _jackson_sum(lambda x: x, 1.0, 30, q)
     assert abs(val - 1 / (1 + q)) < 1e-12
     # int_0^1 x^2 d_q x = (1-q)/(1-q^3)
-    val2 = jackson_sum_0_to_beta(lambda x: x * x, 1.0, INFINITY, q)
+    val2 = _jackson_sum(lambda x: x * x, 1.0, 30, q)
     assert abs(val2 - (1 - q) / (1 - q**3)) < 1e-12
 
 
 def test_jackson_finite_exact():
     q = F(1, 2)
     # two nodes: x = 1 and x = 1/2, increments (1 - 1/2) and (1/2 - 1/4)
-    val = jackson_sum_0_to_beta(lambda x: x, F(1), 1, q)
+    val = _jackson_sum(lambda x: x, F(1), 1, q)
     assert val == F(1) * F(1, 2) + F(1, 2) * F(1, 4)
-
-
-def test_jackson_empty_cases():
-    q = F(1, 2)
-    assert jackson_sum_0_to_beta(lambda x: x, 0, INFINITY, q) == 0
-    assert jackson_sum_0_to_beta(lambda x: x, F(1), -1, q) == 0
-
-
-@given(
-    c1=st.fractions(min_value=F(-2), max_value=F(2)),
-    c2=st.fractions(min_value=F(-2), max_value=F(2)),
-    q=rational_q,
-    n=st.integers(0, 8),
-)
-@settings(max_examples=40, deadline=None)
-def test_jackson_linearity(c1, c2, q, n):
-    f = lambda x: x
-    g = lambda x: x * x
-    combined = jackson_sum_0_to_beta(lambda x: c1 * f(x) + c2 * g(x), F(1), n, q)
-    split = c1 * jackson_sum_0_to_beta(f, F(1), n, q) + c2 * jackson_sum_0_to_beta(
-        g, F(1), n, q
-    )
-    assert combined == split
-
-
-def test_jackson_integral_difference():
-    q = F(1, 3)
-    f = lambda x: x * x
-    whole = jackson_integral(f, F(-1), F(1), 4, q)
-    expected = jackson_sum_0_to_beta(f, F(1), 4, q) - jackson_sum_0_to_beta(
-        f, F(-1), 4, q
-    )
-    assert whole == expected
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(abs_tol=1e-18)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=0)
 
 
 def test_qbase_validation():
@@ -248,8 +210,6 @@ def test_qbase_validation():
             qpochhammer(0.5, q, INFINITY)
         with pytest.raises(ValueError, match="q must lie in"):
             log_qgamma(1.5, q)
-        with pytest.raises(ValueError, match="q must lie in"):
-            jackson_sum_0_to_beta(lambda x: x, F(1), 3, q)
 
 
 def test_qpochhammer_float_infinity():
@@ -257,38 +217,16 @@ def test_qpochhammer_float_infinity():
     assert qpochhammer(0.5, 0.25, float("inf")) == qpochhammer(0.5, 0.25, INFINITY)
 
 
-def test_jackson_float_infinity():
-    # float("inf") is a different object from math.inf; it raised OverflowError
-    q = 0.25
-    val = jackson_sum_0_to_beta(lambda x: x, 1.0, float("inf"), q)
-    assert val == jackson_sum_0_to_beta(lambda x: x, 1.0, INFINITY, q)
-    assert abs(val - 1 / (1 + q)) < 1e-12
-
-
 def test_nonconvergence_raised():
-    tight = TruncationPolicy(abs_tol=1e-15, max_terms=2)
-    with pytest.raises(NonConvergenceError):
-        qpochhammer(0.5, 0.99, INFINITY, tight)
+    # |a| = 1e50 at q = 0.99 needs 11525 head factors and 55 Euler terms
+    with pytest.raises(NonConvergenceError, match="past MAX_TERMS"):
+        qpochhammer(1e50, 0.99, INFINITY)
 
 
 @pytest.mark.parametrize("beta", [2.0, -1.5])
 def test_jackson_monomial_any_endpoint(beta):
     # int_0^beta x d_q x = beta^2 (1-q)/(1-q^2) = beta^2/(1+q), either sign
     q = 0.5
-    val = jackson_sum_0_to_beta(lambda x: x, beta, INFINITY, q)
+    val = _jackson_sum(lambda x: x, beta, 60, q)  # nodes past j = 60 add < 2^-120
     assert abs(val - beta**2 / (1 + q)) <= 1e-15 * beta**2
 
-
-def test_jackson_cutoff_is_a_priori():
-    # f = 1 on [0,1] at q = 1/2 sums the masses 2^-(j+1) for j <= n, where
-    # n = 54 is the first n with 2^-n < 1e-16; the exact sum shows n
-    val = jackson_sum_0_to_beta(lambda x: 1, F(1), INFINITY, F(1, 2))
-    assert val == 1 - F(1, 2**55)
-
-
-def test_jackson_cutoff_past_max_terms_raises():
-    # 0.999^100 is nowhere near abs_tol, so the a-priori cutoff exceeds the cap
-    with pytest.raises(NonConvergenceError):
-        jackson_sum_0_to_beta(
-            lambda x: x, 1.0, INFINITY, 0.999, TruncationPolicy(max_terms=100)
-        )

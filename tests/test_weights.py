@@ -14,7 +14,6 @@ from bcq.weights import (
     fundamental_spherical,
     is_spherical,
     natural_map,
-    strict_convex_hull,
     weyl_orbit,
     weyl_orbit_tuples,
 )
@@ -133,11 +132,6 @@ def test_is_spherical():
     assert is_spherical(WeightVector((1, 0, 0, -1), "A"), shape)
     assert is_spherical(WeightVector((0, 0, 0, 0), "A"), shape)
     assert not is_spherical(WeightVector((1, 0, 0, 0), "A"), shape)
-
-
-def test_strict_convex_hull():
-    hull = strict_convex_hull(bc_weight(1, 0))
-    assert {w.entries for w in hull} == {(0, 0)}
 
 
 def test_dominant_downset_frozen():
