@@ -14,24 +14,25 @@ analytic integrand, hence spectral accuracy) with doubling refinement.  The
 weight is invariant under the hyperoctahedral group W_dim acting on the
 continuous coordinates (permuting them and inverting each), and so is
 P conj(Q) when P and Q are W-invariant, pinned coordinates included: a
-grid point's orbit then carries one value.  The m^dim grid sum is therefore
-added up over one Weyl chamber, the index tuples
-0 <= s_1 <= ... <= s_dim <= floor(m/2), each times its orbit size
-dim!/prod(run lengths)! * 2^#{i : s_i not in {0, m/2}}.  ``full_inner`` and
-``continuous_gram`` reject a P or Q that is not W-invariant, for which the
-chamber sum (and the residue prefactor) would be wrong.
+grid point's orbit then carries one value.  The weight is 0.0 on the walls
+s_i = 0 (w_2 has the factor 1 - x^2) and s_i = +-s_j mod m (g(1) = 0), and
+below 1e-29 of its maximum at s_i = m/2, so the m^dim grid sum is added up
+over the open Weyl chamber 0 < s_1 < ... < s_dim < m/2, enumerated by
+``polyring.chamber_index``, dim! 2^dim grid points each.  ``full_inner``
+and ``continuous_gram`` reject a P or Q that is not W-invariant, for which
+the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float
 parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
 per (q, m) on the half grid, even points read from the coarser grid; w_2 per
-(params, m); chamber indices and orbit sizes per (m, dim); chamber weights,
-coupling factor included, per (params, m, pinned points, dim), shared by Gram
-matrices and the two inner products of ``norm_K``; residue masses per (a, i,
-params).  Params with Fraction and float entries compare equal, so these
-caches hold only what the float parameters fix.  A term with every
-coordinate pinned is one point on every grid, so it is evaluated once.  Each
-polynomial is evaluated once per grid on the half grid s_i <= floor(m/2),
-one coordinate at a time.
+(params, m); root powers per m; chamber indices and weights, coupling factor
+included, per (params, m, pinned points, dim), shared by Gram matrices and
+the two inner products of ``norm_K``; residue masses per (a, i, params).
+Params with Fraction and float entries compare equal, so these caches hold
+only what the float parameters fix.  A term with every coordinate pinned is
+one point on every grid, so it is evaluated once.  Each polynomial is
+evaluated once per grid on the open half grid 0 < s_i < m/2, one coordinate
+at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
 
-from .polyring import LaurentPoly, grid_values, orbit_size, require_invariant
+from .polyring import LaurentPoly, chamber_index, grid_values, require_invariant
 from .qseries import NonConvergenceError, _qpoch_finite, qpochhammer
 from .report import relative_report
 
@@ -66,7 +67,11 @@ class QuadratureGrid:
 
     def __post_init__(self) -> None:
         if self.m_start < 8:
-            raise ValueError("grid must start with at least 8 points")
+            raise ValueError("m_start must be at least 8")
+        if self.max_points < self.m_start:
+            raise ValueError("max_points must be at least m_start")
+        if not self.rel_tol > 0:
+            raise ValueError("rel_tol must be positive")
 
 
 DEFAULT_GRID = QuadratureGrid()
@@ -158,12 +163,11 @@ def _roots_of_unity(m: int):
 
 
 @lru_cache(maxsize=64)
-def _root_powers(m: int, count: int | None = None):
-    """e -> the e-th powers of the first ``count`` (default all) m-th roots
-    of unity, w^{se} = w^{se mod m}; the lists are shared, read only."""
+def _root_powers(m: int):
+    """e -> the e-th powers w^{se mod m} of the roots w^s, 0 < s < m/2 (shared, read only)."""
     roots = _roots_of_unity(m)
-    count = m if count is None else count
-    return lru_cache(maxsize=256)(lambda e: [roots[s * e % m] for s in range(count)])
+    half = range(1, (m + 1) // 2)
+    return lru_cache(maxsize=256)(lambda e: [roots[s * e % m] for s in half])
 
 
 @lru_cache(maxsize=128)
@@ -196,25 +200,6 @@ def _w2_on_roots(params, m: int):
     )
 
 
-def _orbit_size(combo, m: int = 0) -> int:
-    """Size of the W_dim orbit of the sorted tuple ``combo`` in Z_m^dim (in
-    Z^dim for m = 0): its distinct permutations, dim!/prod(run lengths)!,
-    times 2 for each entry s != -s, that is, not 0 or m/2."""
-    walls = combo.count(0) + (combo.count(m // 2) if m and m % 2 == 0 else 0)
-    return orbit_size(combo, "S") << (len(combo) - walls)
-
-
-@lru_cache(maxsize=64)
-def _chamber(m: int, dim: int):
-    """The flat indices of the chamber representatives 0 <= s_1 <= ... <=
-    s_dim <= floor(m/2) into the half grid of ``polyring.grid_values``
-    (floor(m/2) + 1 points a coordinate, row-major), and their orbit sizes."""
-    side = m // 2 + 1
-    combos = list(combinations_with_replacement(range(side), dim))
-    index = tuple(reduce(lambda flat, s: flat * side + s, combo, 0) for combo in combos)
-    return index, tuple(_orbit_size(combo, m) for combo in combos)
-
-
 def _coupling(params, fixed):
     """g(z) = (z; q)_k (1/z; q)_k, and the product of g(x y) g(x / y) over
     the pairs of pinned coordinates x, y."""
@@ -231,39 +216,39 @@ def _coupling(params, fixed):
 
 @lru_cache(maxsize=256)
 def _weight_on_grid(params, m: int, fixed, dim: int):
-    """The flat indices of the chamber representatives (``_chamber``) and
-    their weights times orbit size.  The weight is the w_2 factors for the
-    continuous coordinates times the full coupling factor prod_{i<j}
-    g(x_i x_j) g(x_i / x_j).  A continuous pair reads g from one table over
-    the root indices s_i +- s_j mod m; each pinned coordinate x contributes
-    the table g(x w^s) g(x / w^s)."""
+    """The flat indices of the open Weyl chamber into the grid of
+    ``_root_powers(m)``, and the weights there times dim! 2^dim.  The weight
+    is the w_2 factors for the continuous coordinates times the full
+    coupling factor prod_{i<j} g(x_i x_j) g(x_i / x_j).  A continuous pair
+    reads g from one table over the root indices s_i +- s_j mod m; each
+    pinned coordinate x contributes the table g(x w^s) g(x / w^s)."""
     g, const = _coupling(params, fixed)
     roots = _roots_of_unity(m)
     single = list(_w2_on_roots(params, m))
     for x in fixed:
         single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
     pair = [g(z) for z in roots] if dim > 1 else ()
-    index, sizes = _chamber(m, dim)
+    size = math.factorial(dim) << dim
     weights = []
-    for combo, size in zip(combinations_with_replacement(range(m // 2 + 1), dim), sizes):
+    for combo in combinations(range(1, (m + 1) // 2), dim):
         val = const * size
         for s in combo:
             val *= single[s]
         for s, r in combinations(combo, 2):
             val *= pair[(s + r) % m] * pair[(s - r) % m]
         weights.append(val)
-    return index, tuple(weights)
+    return chamber_index((m - 1) // 2, dim), tuple(weights)
 
 
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
     """For each (P,Q) pair: mean over the torus grid of P Qbar * weight with
-    the given pinned coordinates, summed over one Weyl chamber (P and Q
+    the given pinned coordinates, summed over the open Weyl chamber (P and Q
     W-invariant); refined by doubling, except with every coordinate pinned."""
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
         if dim or prev is None:  # all pinned: the same one point on every grid
-            power = _root_powers(m_pts, m_pts // 2 + 1)
+            power = _root_powers(m_pts)
             if dim:
                 index, weights = _weight_on_grid(params, m_pts, fixed, dim)
             else:

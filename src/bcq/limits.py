@@ -283,8 +283,9 @@ def q_to_1_check(alpha: float, beta: float, k: int, l: int) -> VerificationRepor
             for q in q_list:
                 ga = qgamma(a, q)
                 gamma_errors.append(abs(ga - math.gamma(a)) / math.gamma(a))
-        final = max(errors[-1], gamma_errors[-1])
-        passed = final < 0.01 and all(a >= b for a, b in zip(errors, errors[1:]))
+        runs = (errors, gamma_errors[:3], gamma_errors[3:])
+        final = max(run[-1] for run in runs)
+        passed = final < 0.01 and all(a >= b for r in runs for a, b in zip(r, r[1:]))
         detail = {"q": list(q_list), "errors": errors, "gamma_errors": gamma_errors}
         return passed, final, detail
 

@@ -236,6 +236,18 @@ def grid_values(p: LaurentPoly, power, fixed, dim: int):
     return tables.get(()) or [0j] * m**dim
 
 
+def chamber_index(m: int, dim: int, lo: int = 0):
+    """Flat row-major indices into the m^dim product grid of the chamber
+    lo <= s_1 < ... < s_dim < m, in lexicographic order."""
+    if dim == 1:
+        return range(lo, m)
+    stride = m ** (dim - 1)
+    out = []
+    for s in range(lo, m):
+        out.extend(map((s * stride).__add__, chamber_index(m, dim - 1, s + 1)))
+    return out
+
+
 # -- symmetric bases ------------------------------------------------------
 
 def orbit_sum_W(lam, l: int) -> LaurentPoly:

@@ -33,6 +33,7 @@ from operator import mul
 from .linalg import solve_linear
 from .polyring import (
     LaurentPoly,
+    chamber_index,
     grid_values,
     monomial_symmetric,
     rebuild_from_basis,
@@ -105,9 +106,14 @@ class SumTruncation:
     n_max: int = 200
     tail_tol: float = 1e-14
 
+    def __post_init__(self) -> None:
+        if self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError("tail_tol must lie in (0, 1)")
+
     def effective_n(self, q: float) -> int:
-        n = int(math.ceil(math.log(self.tail_tol) / math.log(q)))
-        return min(self.n_max, max(n, 1))
+        return min(self.n_max, math.ceil(math.log(self.tail_tol) / math.log(q)))
 
 
 DEFAULT_TRUNCATION = SumTruncation()
@@ -170,18 +176,6 @@ def _chamber_weight_rows(u, pair, dim: int, lo: int = 0):
         yield list(map(mul, repeat(us), v))
 
 
-def _chamber_index(m: int, dim: int, lo: int = 0):
-    """Flat row-major indices into the m^dim product grid of the chamber
-    lo <= s_1 < ... < s_dim < m, in lexicographic order."""
-    if dim == 1:
-        return range(lo, m)
-    stride = m ** (dim - 1)
-    out = []
-    for s in range(lo, m):
-        out.extend(map((s * stride).__add__, _chamber_index(m, dim - 1, s + 1)))
-    return out
-
-
 def _chamber_rows(params, trunc: SumTruncation, l: int, power):
     """The chamber s_1 < ... < s_l of the l-fold grid, one row per s_1: the
     pinned node x_{s_1}, the powers x^e over the nodes after it, the flat
@@ -193,16 +187,13 @@ def _chamber_rows(params, trunc: SumTruncation, l: int, power):
         if not weights:
             return
         tail = lru_cache(maxsize=None)(lambda e, s=s: power(e)[s + 1 :])
-        yield (nodes[s],), tail, _chamber_index(len(nodes) - s - 1, l - 1), weights
+        yield (nodes[s],), tail, chamber_index(len(nodes) - s - 1, l - 1), weights
 
 
 def _gram_sums(polys, params, l: int, trunc: SumTruncation):
-    """All pairwise <polys[i], polys[j]> of S_l-symmetric polynomials.  The
-    weight is symmetric and vanishes exactly where two nodes coincide (the
-    factor x - y of the pair table), so at l >= 2 the l-fold grid is summed
-    over one chamber s_1 < ... < s_l, times l!.  The sum streams over s_1:
-    the polynomials are evaluated on the product grid of the nodes after
-    it and gathered at the chamber; at l = 1 it is one row over all nodes."""
+    """All pairwise <polys[i], polys[j]> of S_l-symmetric polynomials: l!
+    times the chamber sum of the module docstring, streamed over s_1; at
+    l = 1 one row over all nodes."""
     for p in polys:
         require_invariant(p, "S")
     nodes, masses = _grid_1d(params, trunc)

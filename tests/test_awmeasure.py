@@ -5,7 +5,7 @@ import cmath
 import math
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 import pytest
 
@@ -13,9 +13,7 @@ from bcq.awmeasure import (
     DEFAULT_GRID,
     DegenerateParameterError,
     QuadratureGrid,
-    _chamber,
     _mixed_term_at_m,
-    _orbit_size,
     _params_float,
     _qpoch_pairs,
     _root_powers,
@@ -189,8 +187,10 @@ def test_poly_on_grid_matches_evaluate(l, fixed):
     dim = l - len(fixed)
     # the torus roots, and the Jackson nodes of a big grid: c q^j, then -d q^j
     jackson = [x for x, _ in jackson_nodes(1.0, 3, 0.5) + jackson_nodes(-2.0, 3, 0.5)]
+    roots = _roots_of_unity(8)
     point_sets = [
-        (_roots_of_unity(8), _root_powers(8)),
+        (roots, lambda e: [roots[s * e % 8] for s in range(8)]),
+        (roots[1:4], _root_powers(8)),  # the open half grid 0 < s < 4
         (jackson, lambda e: [x**e for x in jackson]),
     ]
     for points, power in point_sets:
@@ -258,27 +258,56 @@ def test_torus_refinement_cap_raises():
         full_inner(one, one, PARAMS_IN, QuadratureGrid(m_start=8, max_points=8))
 
 
+def _zero_wall(point, m):
+    """s_i = 0, or s_i = +-s_j mod m for some i < j: the chamber walls where
+    the torus weight is exactly 0.0 (all but s_i = m/2)."""
+    return 0 in point or any((s - r) % m == 0 or (s + r) % m == 0
+                             for s, r in combinations(point, 2))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"m_start": 4}, "m_start"),
+        ({"m_start": 16, "max_points": 8}, "max_points"),
+        ({"rel_tol": 0.0}, "rel_tol"),
+        ({"rel_tol": -1e-10}, "rel_tol"),
+        ({"rel_tol": math.nan}, "rel_tol"),
+    ],
+)
+def test_quadrature_grid_rejects_bad_settings(kwargs, field):
+    # max_points < m_start raised NonConvergenceError before any grid was
+    # tried, and rel_tol <= 0 could never accept a grid
+    with pytest.raises(ValueError, match=field):
+        QuadratureGrid(**kwargs)
+
+
 @pytest.mark.parametrize("m", [8, 9, 16, 17])
 def test_chamber_orbit_sizes_count_the_grid(m):
-    # w_2 vanishes at x = +-1 and the coupling at x_i = x_j^{+-1}, so a
-    # wrong size on the chamber walls (s = 0, s = m/2, s_i = s_j) moves no
-    # quadrature value above rounding: count the grid points directly
-    for dim in range(4):
+    # every grid point off the walls (s = 0, s = m/2, s_i = +-s_j) has its
+    # representative in the open chamber 0 < s_1 < ... < s_dim < m/2, and
+    # each representative stands for dim! 2^dim points; the weight on the
+    # walls is tested in test_weight_vanishes_on_the_walls
+    for dim in range(1, 4):
         reps = Counter(
             tuple(sorted(min(s, m - s) for s in point))
             for point in product(range(m), repeat=dim)
+            if not _zero_wall(point, m) and all(2 * s != m for s in point)
         )
-        chamber = list(combinations_with_replacement(range(m // 2 + 1), dim))
+        chamber = list(combinations(range(1, (m + 1) // 2), dim))
         assert sorted(reps) == chamber
-        assert all(_orbit_size(rep, m) == n for rep, n in reps.items())
+        assert set(reps.values()) <= {math.factorial(dim) << dim}
         index, weights = _weight_on_grid(PARAMS_IN, m, (), dim)
         assert len(index) == len(weights) == len(chamber)
+        side = (m - 1) // 2  # the flat indices into the open half grid
+        assert list(index) == [
+            sum((s - 1) * side ** (dim - 1 - i) for i, s in enumerate(c)) for c in chamber
+        ]
 
 
-def _full_grid_means(pairs, params, fixed, dim, m):
-    """The torus mean of P Qbar * weight on the m-point circle grid, summed
-    point by point over all m^dim points.  The sum is exactly rounded
-    (``math.fsum``): a plain sum of 72^3 terms loses 1e-13 at l = 3, k = 2."""
+def _full_grid_weights(params, fixed, dim, m):
+    """The torus weight at all m^dim points of the m-point circle grid,
+    row-major, point by point."""
     q, k = float(params.q), params.k
 
     def g(z):
@@ -300,10 +329,23 @@ def _full_grid_means(pairs, params, fixed, dim, m):
         for s, r in combinations(combo, 2):
             val *= pair[(s + r) % m] * pair[(s - r) % m]
         weights.append(val)
+    return weights
+
+
+def _full_grid_means(pairs, params, fixed, dim, m):
+    """The torus mean of P Qbar * weight on the m-point circle grid, summed
+    point by point over all m^dim points.  The sum is exactly rounded
+    (``math.fsum``): a plain sum of 72^3 terms loses 1e-13 at l = 3, k = 2."""
+    weights = _full_grid_weights(params, fixed, dim, m)
+    roots = _roots_of_unity(m)
+
+    def power(e):  # the full grid, not the open half of _root_powers
+        return [roots[s * e % m] for s in range(m)]
+
     values = []
     for P, Q in pairs:
-        on_p = grid_values(P, _root_powers(m), fixed, dim)
-        on_q = grid_values(Q, _root_powers(m), fixed, dim)
+        on_p = grid_values(P, power, fixed, dim)
+        on_q = grid_values(Q, power, fixed, dim)
         terms = [a * b.conjugate() * w for a, b, w in zip(on_p, on_q, weights)]
         total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         values.append(total / m**dim)
@@ -360,12 +402,33 @@ def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
     for (i, j), got, want in zip(pos, folded, full):
         assert abs(got - want) <= 1e-13 * abs(diag[i] * diag[j]) ** 0.5
     # the first grid (odd for m_start = 9) only feeds the stopping rule:
-    # check its chamber weights, orbit sizes included, on their own
+    # check its chamber weights, dim! 2^dim included, on their own
     one = polys[0]
     for m in (m_start, 2 * m_start):
         chamber = sum(_weight_on_grid(params, m, fixed, dim)[1]) / m**dim
         want = _full_grid_means([(one, one)], params, fixed, dim, m)[0]
         assert abs(chamber - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "params, fixed",
+    [(PARAMS_IN, ()), (PARAMS_K2, ()), (PARAMS_K2, (1.7,)), (PARAMS_K2, (1.7, 0.68)),
+     (PARAMS_CONJ, ())],
+)
+@pytest.mark.parametrize("m", [8, 9, 16, 17, 64])
+def test_weight_vanishes_on_the_walls(params, fixed, m):
+    # the open chamber sum drops the walls: there the full-grid weight is
+    # exactly 0.0, except at s_i = m/2, where the float root -1 + 1.2e-16i
+    # leaves w_2 a rounding residue (at most 1.4e-30 of the largest weight)
+    for dim in range(1, 4):
+        weights = _full_grid_weights(params, fixed, dim, m)
+        largest = max(map(abs, weights))
+        points = product(range(m), repeat=dim)
+        for point, w in zip(points, weights):
+            if _zero_wall(point, m):
+                assert w == 0
+            elif any(2 * s == m for s in point):
+                assert abs(w) <= 1e-29 * largest
 
 
 def _bits(z):
@@ -414,8 +477,8 @@ def test_failures_are_not_cached():
 
 def test_every_cache_is_bounded():
     caches = [
-        _params_float, residue_weight, _roots_of_unity, _root_powers, _root_powers(16, 9),
-        _qpoch_pairs, _w2_on_roots, _chamber, _weight_on_grid, log_qgamma,
+        _params_float, residue_weight, _roots_of_unity, _root_powers, _root_powers(16),
+        _qpoch_pairs, _w2_on_roots, _weight_on_grid, log_qgamma,
     ]
     assert all(cache.cache_info().maxsize is not None for cache in caches)
 

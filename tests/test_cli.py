@@ -399,6 +399,25 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["identity"] == "quantum-yang-baxter"
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("verify", "qybe", "--n", "1"), 2, "n must be >= 2"),
+        (("verify", "orthogonality", "--l", "1", "--t", "1000,1e-4,2e-4,-1e-4", "--q", "0.9"),
+         3, "non-convergence"),
+    ],
+)
+def test_python_dash_m_exit_codes(argv, code, err):
+    # the status the process exits with, through __main__'s sys.exit(main());
+    # exit 0 is test_python_dash_m_runs_the_cli
+    src = str(Path(bcq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "bcq", *argv]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert err in proc.stderr
+
+
 def test_import_loads_only_the_standard_library():
     # numpy and mpmath are often installed, so an accidental import of
     # either would pass every other test; site hooks may load modules at

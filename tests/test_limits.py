@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bcq import limits
 from bcq.limits import (
     DEFAULT_SWEEP,
     EpsilonSweep,
@@ -128,6 +129,26 @@ def test_selberg_reduces_to_beta():
         alpha + beta + 2
     )
     assert abs(val - expected) < 1e-12 * expected
+
+
+@pytest.mark.parametrize(
+    "a, q, scale",
+    [
+        (1.5, None, 1.05),  # Gamma_q(1.5) 5% off at every q
+        (2.5, 0.99, 1.40),  # Gamma_q(2.5) 40% off at q = 0.99 only
+    ],
+)
+def test_q_to_1_check_reads_every_gamma_run(monkeypatch, a, q, scale):
+    # the verdict read only Gamma_q(2.5) at the last q and asked only the
+    # Selberg errors to decrease, so both faults passed
+    qgamma = limits.qgamma
+
+    def wrong(x, base):
+        value = qgamma(x, base)
+        return value * scale if x == a and q in (None, base) else value
+
+    monkeypatch.setattr(limits, "qgamma", wrong)
+    assert q_to_1_check(0.0, 0.0, 1, 2).passed is False
 
 
 def test_selberg_domain():

@@ -134,6 +134,24 @@ def test_truncation_effective_n():
     assert trunc.effective_n(0.9) == 50
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_max": 0}, "n_max"),
+        ({"n_max": -1}, "n_max"),
+        ({"tail_tol": 0}, "tail_tol"),
+        ({"tail_tol": -1e-14}, "tail_tol"),
+        ({"tail_tol": 1.0}, "tail_tol"),
+        ({"tail_tol": 2.0}, "tail_tol"),
+    ],
+)
+def test_truncation_rejects_bad_settings(kwargs, field):
+    # tail_tol = 2.0 summed two nodes per axis without a word; 0 and
+    # n_max = -1 failed later with a bare math or unpacking error
+    with pytest.raises(ValueError, match=field):
+        SumTruncation(**kwargs)
+
+
 def test_big_inner_is_the_one_variable_jackson_sum():
     # at l = 1, <1,1>_B is the one-variable Jackson integral over [-d, c]
     n = DEFAULT_TRUNCATION.effective_n(BIG.q)
