@@ -15,11 +15,12 @@ weight is invariant under the hyperoctahedral group W_dim acting on the
 continuous coordinates (permuting them and inverting each), and so is
 P conj(Q) when P and Q are W-invariant, pinned coordinates included: a
 grid point's orbit then carries one value.  The weight is 0.0 on the walls
-s_i = 0 (w_2 has the factor 1 - x^2) and s_i = +-s_j mod m (g(1) = 0), and
-below 1e-29 of its maximum at s_i = m/2, so the m^dim grid sum is added up
-over the open Weyl chamber 0 < s_1 < ... < s_dim < m/2, enumerated by
-``polyring.chamber_index``, dim! 2^dim grid points each.  ``full_inner``
-and ``continuous_gram`` reject a P or Q that is not W-invariant, for which
+s_i = 0 (w_2 has the factor 1 - x^2) and s_i = +-s_j mod m (g(1) = 0).  At
+s_i = m/2 w_2(-1) = 0 too, as 1 - x^2 vanishes and t_a = -1 is rejected as
+degenerate; the float root of -1 leaves only a rounding residue.  So the
+grid sum runs over the open Weyl chamber 0 < s_1 < ... < s_dim < m/2, from
+``polyring.chamber_index``, dim! 2^dim grid points each.  ``full_inner`` and
+``continuous_gram`` reject a P or Q that is not W-invariant, for which
 the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float

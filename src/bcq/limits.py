@@ -278,15 +278,12 @@ def q_to_1_check(alpha: float, beta: float, k: int, l: int) -> VerificationRepor
         for q in q_list:
             value = closed_form_little_constant(alpha, beta, k, l, q)
             errors.append(abs(value - target) / abs(target))
-        gamma_errors = []
-        for a in (1.5, 2.5):
-            for q in q_list:
-                ga = qgamma(a, q)
-                gamma_errors.append(abs(ga - math.gamma(a)) / math.gamma(a))
-        runs = (errors, gamma_errors[:3], gamma_errors[3:])
+        gamma_runs = [[abs(qgamma(a, q) - math.gamma(a)) / math.gamma(a) for q in q_list]
+                      for a in (1.5, 2.5)]
+        runs = (errors, *gamma_runs)
         final = max(run[-1] for run in runs)
         passed = final < 0.01 and all(a >= b for r in runs for a, b in zip(r, r[1:]))
-        detail = {"q": list(q_list), "errors": errors, "gamma_errors": gamma_errors}
+        detail = {"q": list(q_list), "errors": errors, "gamma_errors": sum(gamma_runs, [])}
         return passed, final, detail
 
     params = {"alpha": alpha, "beta": beta, "k": k, "l": l}

@@ -239,6 +239,8 @@ def grid_values(p: LaurentPoly, power, fixed, dim: int):
 def chamber_index(m: int, dim: int, lo: int = 0):
     """Flat row-major indices into the m^dim product grid of the chamber
     lo <= s_1 < ... < s_dim < m, in lexicographic order."""
+    if dim == 0:
+        return (0,)
     if dim == 1:
         return range(lo, m)
     stride = m ** (dim - 1)

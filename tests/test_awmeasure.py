@@ -287,8 +287,9 @@ def test_chamber_orbit_sizes_count_the_grid(m):
     # every grid point off the walls (s = 0, s = m/2, s_i = +-s_j) has its
     # representative in the open chamber 0 < s_1 < ... < s_dim < m/2, and
     # each representative stands for dim! 2^dim points; the weight on the
-    # walls is tested in test_weight_vanishes_on_the_walls
-    for dim in range(1, 4):
+    # walls is tested in test_weight_vanishes_on_the_walls; dim = 0 is the one
+    # point ()
+    for dim in range(4):
         reps = Counter(
             tuple(sorted(min(s, m - s) for s in point))
             for point in product(range(m), repeat=dim)
@@ -418,8 +419,9 @@ def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
 @pytest.mark.parametrize("m", [8, 9, 16, 17, 64])
 def test_weight_vanishes_on_the_walls(params, fixed, m):
     # the open chamber sum drops the walls: there the full-grid weight is
-    # exactly 0.0, except at s_i = m/2, where the float root -1 + 1.2e-16i
-    # leaves w_2 a rounding residue (at most 1.4e-30 of the largest weight)
+    # exactly 0.0, except at s_i = m/2: there w_2(-1) = 0 analytically, and
+    # the float root -1 + 1.2e-16i leaves a rounding residue, checked below
+    # 1e-29 of the largest weight on these parameter sets
     for dim in range(1, 4):
         weights = _full_grid_weights(params, fixed, dim, m)
         largest = max(map(abs, weights))
