@@ -18,22 +18,25 @@ grid point's orbit then carries one value.  The weight is 0.0 on the walls
 s_i = 0 (w_2 has the factor 1 - x^2) and s_i = +-s_j mod m (g(1) = 0).  At
 s_i = m/2 w_2(-1) = 0 too, as 1 - x^2 vanishes and t_a = -1 is rejected as
 degenerate; the float root of -1 leaves only a rounding residue.  So the
-grid sum runs over the open Weyl chamber 0 < s_1 < ... < s_dim < m/2, from
-``polyring.chamber_index``, dim! 2^dim grid points each.  ``full_inner`` and
+grid sum runs over the open Weyl chamber 0 < s_1 < ... < s_dim < m/2,
+dim! 2^dim grid points each, where ``polyring.chamber_values`` evaluates
+each polynomial one coordinate at a time.  ``full_inner`` and
 ``continuous_gram`` reject a P or Q that is not W-invariant, for which
 the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float
 parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
 per (q, m) on the half grid, even points read from the coarser grid; w_2 per
-(params, m); root powers per m; chamber indices and weights, coupling factor
-included, per (params, m, pinned points, dim), shared by Gram matrices and
-the two inner products of ``norm_K``; residue masses per (a, i, params).
-Params with Fraction and float entries compare equal, so these caches hold
-only what the float parameters fix.  A term with every coordinate pinned is
-one point on every grid, so it is evaluated once.  Each polynomial is
-evaluated once per grid on the open half grid 0 < s_i < m/2, one coordinate
-at a time.
+(params, m); root powers per m; chamber weights, coupling factor included,
+per (params, m, pinned points, dim), shared by Gram matrices and the two
+inner products of ``norm_K``; residue masses per (a, i, params); the
+chamber values of a polynomial per (polynomial, m) in the torus term, which
+pins no coordinate and does not depend on the parameters, so each
+polynomial is evaluated once per grid across calls.  Params with Fraction
+and float entries compare equal, so these caches hold only what the float
+parameters fix.  A term with pinned points t_a q^i, which move with the
+parameters, evaluates each polynomial once per grid within a call, and once
+in all if every coordinate is pinned (one point on every grid).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from itertools import product as iproduct
 from operator import mul
 
-from .polyring import LaurentPoly, chamber_index, grid_values, require_invariant
+from .polyring import LaurentPoly, chamber_values, require_invariant
 from .qseries import NonConvergenceError, _qpoch_finite, qpochhammer
 from .report import relative_report
 
@@ -217,28 +220,38 @@ def _coupling(params, fixed):
 
 @lru_cache(maxsize=256)
 def _weight_on_grid(params, m: int, fixed, dim: int):
-    """The flat indices of the open Weyl chamber into the grid of
-    ``_root_powers(m)``, and the weights there times dim! 2^dim.  The weight
-    is the w_2 factors for the continuous coordinates times the full
-    coupling factor prod_{i<j} g(x_i x_j) g(x_i / x_j).  A continuous pair
-    reads g from one table over the root indices s_i +- s_j mod m; each
-    pinned coordinate x contributes the table g(x w^s) g(x / w^s)."""
+    """The weights at the points of the open Weyl chamber, times dim! 2^dim,
+    in the order of ``chamber_values``.  The weight is the w_2 factors for
+    the continuous coordinates times the full coupling factor
+    prod_{i<j} g(x_i x_j) g(x_i / x_j).  A continuous pair reads g from one
+    table over the root indices s_i +- s_j mod m; each pinned coordinate x
+    contributes the table g(x w^s) g(x / w^s) on the open half grid."""
     g, const = _coupling(params, fixed)
     roots = _roots_of_unity(m)
-    single = list(_w2_on_roots(params, m))
+    half = range(1, (m + 1) // 2)
+    single = _w2_on_roots(params, m)[1 : (m + 1) // 2]
     for x in fixed:
-        single = [v * g(x * z) * g(x / z) for v, z in zip(single, roots)]
+        single = [v * g(x * roots[s]) * g(x / roots[s]) for v, s in zip(single, half)]
     pair = [g(z) for z in roots] if dim > 1 else ()
     size = math.factorial(dim) << dim
     weights = []
-    for combo in combinations(range(1, (m + 1) // 2), dim):
+    for combo in combinations(half, dim):
         val = const * size
         for s in combo:
-            val *= single[s]
+            val *= single[s - 1]
         for s, r in combinations(combo, 2):
             val *= pair[(s + r) % m] * pair[(s - r) % m]
         weights.append(val)
-    return chamber_index((m - 1) // 2, dim), tuple(weights)
+    return tuple(weights)
+
+
+@lru_cache(maxsize=32)
+def _torus_values(p: LaurentPoly, m: int):
+    """p at the open Weyl chamber points of the m-point grid, no coordinate
+    pinned (shared, read only).  The size must exceed the polynomials times
+    grids of one Gram matrix (6 on 3 grids at l = 2, read pair by pair), or
+    its cyclic reads evict each entry before its reuse."""
+    return chamber_values(p, _root_powers(m), (), p.nvars)
 
 
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
@@ -249,18 +262,17 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
     prev = None
     while m_pts <= grid.max_points:
         if dim or prev is None:  # all pinned: the same one point on every grid
-            power = _root_powers(m_pts)
             if dim:
-                index, weights = _weight_on_grid(params, m_pts, fixed, dim)
+                weights = _weight_on_grid(params, m_pts, fixed, dim)
             else:
-                index, weights = (0,), (_coupling(params, fixed)[1],)
+                weights = (_coupling(params, fixed)[1],)
             values = []
             cache = {}
             for P, Q in polys_pairs:
                 for p in (P, Q):
-                    if id(p) not in cache:
-                        on_half_grid = grid_values(p, power, fixed, dim)
-                        cache[id(p)] = list(map(on_half_grid.__getitem__, index))
+                    if id(p) not in cache:  # pinned points t_a q^i move with the params
+                        cache[id(p)] = (chamber_values(p, _root_powers(m_pts), fixed, dim)
+                                        if fixed else _torus_values(p, m_pts))
                 conj = map(complex.conjugate, cache[id(Q)])
                 total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
                 values.append(total / m_pts**dim)

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, cycle, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
 
 from .linalg import _inv, _is_exact
@@ -205,13 +205,14 @@ class LaurentPoly:
         return {"vars": self.nvars, "domain": domain, "terms": terms}
 
 
-def grid_values(p: LaurentPoly, power, fixed, dim: int):
-    """Values of p over a product grid: the first coordinates are pinned to
-    ``fixed``, the last ``dim`` run over one point set, row-major over its
-    indices; ``power(e)`` lists x^e over that point set.  Summed one
-    coordinate at a time, last coordinate first: each pass maps every
-    exponent prefix to the values, over the coordinates already summed, of
-    the terms sharing that prefix."""
+def chamber_values(p: LaurentPoly, power, fixed, dim: int):
+    """Values of p at the chamber points s_1 < ... < s_dim of one point set,
+    in lexicographic order: the first coordinates are pinned to ``fixed``,
+    and ``power(e)`` lists x^e over the point set.  Summed one coordinate at
+    a time, last coordinate first: after k passes each exponent prefix maps
+    to the values, over the k-chamber, of the terms sharing that prefix.
+    The (k+1)-tuples that start at s are x_s^e times the suffix of that list
+    after its C(m, k) - C(m - s - 1, k) tuples with a first index <= s."""
     m = len(power(0))
     tables = {}
     for exp, c in sorted(p.terms.items()):
@@ -220,34 +221,25 @@ def grid_values(p: LaurentPoly, power, fixed, dim: int):
             val *= complex(x) ** e
         tail = exp[len(fixed) :]
         tables[tail] = [tables.get(tail, [0j])[0] + val]
-    for _ in range(dim):
+    for k in range(dim):
+        runs = [math.comb(m - s - 1, k) for s in range(m)] if k else ()
+        suffixes = [slice(math.comb(m, k) - n, None) for n in runs]
         groups = {}
         for exp, vals in tables.items():
             groups.setdefault(exp[:-1], []).append((exp[-1], vals))
         tables = {}
         for head, group in groups.items():
-            # entry (s, r) is sum_e x_s^e vals_e[r], added in e order, lazily
-            width = len(group[0][1])
-            acc = repeat(0j, m * width)
+            # entry (s, t) is sum_e x_s^e vals_e[t], added in e order, lazily
+            acc = repeat(0j, math.comb(m, k + 1))
             for e, vals in group:
-                rows = chain.from_iterable(map(repeat, power(e), repeat(width)))
-                acc = map(add, acc, map(mul, rows, cycle(vals)))
+                if k:
+                    rows = chain.from_iterable(map(repeat, power(e), runs))
+                    cols = chain.from_iterable(map(vals.__getitem__, suffixes))
+                else:  # the 0-chamber is the empty tuple alone: no layout
+                    rows, cols = power(e), repeat(vals[0])
+                acc = map(add, acc, map(mul, rows, cols))
             tables[head] = list(acc)
-    return tables.get(()) or [0j] * m**dim
-
-
-def chamber_index(m: int, dim: int, lo: int = 0):
-    """Flat row-major indices into the m^dim product grid of the chamber
-    lo <= s_1 < ... < s_dim < m, in lexicographic order."""
-    if dim == 0:
-        return (0,)
-    if dim == 1:
-        return range(lo, m)
-    stride = m ** (dim - 1)
-    out = []
-    for s in range(lo, m):
-        out.extend(map((s * stride).__add__, chamber_index(m, dim - 1, s + 1)))
-    return out
+    return tables.get(()) or [0j] * math.comb(m, dim)
 
 
 # -- symmetric bases ------------------------------------------------------

@@ -17,9 +17,8 @@ inner products take symmetric polynomials only (no negative exponent) and
 raise ``ValueError`` on any other input.  Per parameter set only one
 coordinate's nodes, masses and table of pair coupling factors are cached.
 The sums stream over the first coordinate: for each node s_1,
-``polyring.grid_values`` evaluates every polynomial once on the product
-grid of the nodes after it, and the chamber points are gathered from that
-grid and weighted.
+``polyring.chamber_values`` evaluates every polynomial once at the chamber
+points of the nodes after it, which are then weighted.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from operator import mul
 from .linalg import solve_linear
 from .polyring import (
     LaurentPoly,
-    chamber_index,
-    grid_values,
+    chamber_values,
     monomial_symmetric,
     rebuild_from_basis,
     require_invariant,
@@ -178,16 +176,15 @@ def _chamber_weight_rows(u, pair, dim: int, lo: int = 0):
 
 def _chamber_rows(params, trunc: SumTruncation, l: int, power):
     """The chamber s_1 < ... < s_l of the l-fold grid, one row per s_1: the
-    pinned node x_{s_1}, the powers x^e over the nodes after it, the flat
-    indices of the chamber in the (l-1)-fold product grid of those nodes,
-    and the chamber weights."""
+    pinned node x_{s_1}, the powers x^e over the nodes after it, and the
+    chamber weights, in the order of ``chamber_values`` over those nodes."""
     nodes, masses = _grid_1d(params, trunc)
     weight_rows = _chamber_weight_rows(masses, _pair_table(params, trunc), l)
     for s, weights in enumerate(weight_rows):
         if not weights:
             return
         tail = lru_cache(maxsize=None)(lambda e, s=s: power(e)[s + 1 :])
-        yield (nodes[s],), tail, chamber_index(len(nodes) - s - 1, l - 1), weights
+        yield (nodes[s],), tail, weights
 
 
 def _gram_sums(polys, params, l: int, trunc: SumTruncation):
@@ -199,16 +196,13 @@ def _gram_sums(polys, params, l: int, trunc: SumTruncation):
     nodes, masses = _grid_1d(params, trunc)
     power = lru_cache(maxsize=None)(lambda e: [x**e for x in nodes])
     if l == 1:
-        rows = [((), power, range(len(nodes)), masses)]
+        rows = [((), power, masses)]
     else:
         rows = _chamber_rows(params, trunc, l, power)
     n = len(polys)
     sums = [[0.0] * n for _ in range(n)]
-    for fixed, tail, index, weights in rows:
-        vals = []
-        for p in polys:
-            on_grid = grid_values(p, tail, fixed, l - len(fixed))
-            vals.append(list(map(on_grid.__getitem__, index)))
+    for fixed, tail, weights in rows:
+        vals = [chamber_values(p, tail, fixed, l - len(fixed)) for p in polys]
         conj = [list(map(complex.conjugate, v)) for v in vals]
         for i in range(n):
             for j in range(i, n):

@@ -5,7 +5,8 @@ import cmath
 import math
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import chain, combinations, cycle, product, repeat
+from operator import add, mul
 
 import pytest
 
@@ -18,6 +19,7 @@ from bcq.awmeasure import (
     _qpoch_pairs,
     _root_powers,
     _roots_of_unity,
+    _torus_values,
     _w2_on_roots,
     _weight_on_grid,
     check_degeneracy,
@@ -32,7 +34,7 @@ from bcq.awmeasure import (
 )
 from bcq.koornwinder import KoornwinderParams, koornwinder_poly
 from bcq.limits import t_B, t_L
-from bcq.polyring import LaurentPoly, grid_values
+from bcq.polyring import LaurentPoly, chamber_values
 from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
 from bcq.qseries import NonConvergenceError, _qpoch_finite, jackson_nodes, log_qgamma
 
@@ -176,6 +178,35 @@ def test_residue_pole_collision_raises():
     residue_weight(0, 0, PARAMS_OUT)
 
 
+def _grid_values(p, power, fixed, dim):
+    """Values of p over the whole product grid, row-major: the first
+    coordinates pinned to ``fixed``, the last ``dim`` over one point set
+    whose powers x^e ``power(e)`` lists.  Summed one coordinate at a time,
+    last coordinate first, each entry added from 0j in exponent order: the
+    arithmetic of ``chamber_values``, at every grid point."""
+    m = len(power(0))
+    tables = {}
+    for exp, c in sorted(p.terms.items()):
+        val = complex(c)
+        for x, e in zip(fixed, exp):
+            val *= complex(x) ** e
+        tail = exp[len(fixed) :]
+        tables[tail] = [tables.get(tail, [0j])[0] + val]
+    for _ in range(dim):
+        groups = {}
+        for exp, vals in tables.items():
+            groups.setdefault(exp[:-1], []).append((exp[-1], vals))
+        tables = {}
+        for head, group in groups.items():
+            width = len(group[0][1])
+            acc = repeat(0j, m * width)
+            for e, vals in group:
+                rows = chain.from_iterable(map(repeat, power(e), repeat(width)))
+                acc = map(add, acc, map(mul, rows, cycle(vals)))
+            tables[head] = list(acc)
+    return tables.get(()) or [0j] * m**dim
+
+
 @pytest.mark.parametrize(
     "l, fixed",
     [(1, ()), (1, (1.3,)), (2, ()), (2, (1.3,)), (2, (1.3, -2.1)), (3, ()), (3, (1.3, -2.1))],
@@ -194,33 +225,62 @@ def test_poly_on_grid_matches_evaluate(l, fixed):
         (jackson, lambda e: [x**e for x in jackson]),
     ]
     for points, power in point_sets:
-        got = grid_values(poly, power, fixed, dim)
-        want = [
-            poly.evaluate(fixed + tuple(points[s] for s in combo))
-            for combo in product(range(len(points)), repeat=dim)
-        ]
-        assert len(got) == len(want)
+        n = len(points)
+        chamber = list(combinations(range(n), dim))
+        got = chamber_values(poly, power, fixed, dim)
+        assert len(got) == len(chamber) == math.comb(n, dim)
+        want = [poly.evaluate(fixed + tuple(points[s] for s in combo)) for combo in chamber]
         scale = max(abs(w) for w in want)
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13 * scale
+        # bit for bit the full-grid values at the chamber points
+        full = _grid_values(poly, power, fixed, dim)
+        flat = [sum(s * n ** (dim - 1 - i) for i, s in enumerate(c)) for c in chamber]
+        assert [_bits(g) for g in got] == [_bits(full[i]) for i in flat]
+        zero = chamber_values(LaurentPoly.zero(l), power, fixed, dim)
+        assert zero == [0j] * len(chamber)
 
 
 def test_gram_builds_each_weight_grid_once_per_m():
+    # a pairwise Gram matrix builds each weight grid once, evaluates each
+    # polynomial once per grid (the torus value cache), and keeps the bits
+    # of calls made from cold caches
     lams = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0))
     polys = [koornwinder_poly(lam, PARAMS_IN) for lam in lams]
-    pairs = [(p, r) for i, p in enumerate(polys) for r in polys[i:]]
+    pairs = [(i, j) for i in range(6) for j in range(i, 6)]
     assert len(pairs) == 21
-    grids = []  # how many grids each pair builds on its own
-    for p, r in pairs:
+    cold, grids = {}, {}  # each pair from cold caches, and its grid count
+    for i, j in pairs:
         _weight_on_grid.cache_clear()
-        full_inner(p, r, PARAMS_IN)
-        grids.append(_weight_on_grid.cache_info().misses)
+        _torus_values.cache_clear()
+        cold[i, j] = _bits(full_inner(polys[i], polys[j], PARAMS_IN))
+        grids[i, j] = _weight_on_grid.cache_info().misses
     _weight_on_grid.cache_clear()
-    for p, r in pairs:
-        full_inner(p, r, PARAMS_IN)
-    info = _weight_on_grid.cache_info()
+    _torus_values.cache_clear()
+    warm = {(i, j): _bits(full_inner(polys[i], polys[j], PARAMS_IN)) for i, j in pairs}
+    assert warm == cold
     # every pair refines through a prefix of the same doubling sequence
-    assert info.misses == max(grids)
-    assert info.hits == sum(grids) - max(grids)
+    info = _weight_on_grid.cache_info()
+    assert info.misses == max(grids.values())
+    assert info.hits == sum(grids.values()) - max(grids.values())
+    # and reads its one or two polynomials on each grid of its prefix: each
+    # polynomial misses once per grid of its longest prefix
+    info = _torus_values.cache_info()
+    assert info.hits + info.misses == sum(n * len({i, j}) for (i, j), n in grids.items())
+    longest = [max(n for pair, n in grids.items() if k in pair) for k in range(6)]
+    assert info.misses == sum(longest) > 6
+
+
+def test_pinned_terms_bypass_the_torus_cache():
+    # the pinned points t_a q^i move with the parameters: such a term is
+    # never read from, nor stored in, the torus value cache
+    P = koornwinder_poly((1, 0), PARAMS_K2)
+    _torus_values.cache_clear()
+    for fixed in ((1.7,), (1.7, 0.68)):
+        _mixed_term_at_m([(P, P)], PARAMS_K2, fixed, 2 - len(fixed), DEFAULT_GRID)
+    info = _torus_values.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
+    full_inner(P, P, PARAMS_K2)  # the torus term (m = 0) is cached
+    assert _torus_values.cache_info().currsize > 0
 
 
 def test_non_invariant_input_rejected():
@@ -298,12 +358,7 @@ def test_chamber_orbit_sizes_count_the_grid(m):
         chamber = list(combinations(range(1, (m + 1) // 2), dim))
         assert sorted(reps) == chamber
         assert set(reps.values()) <= {math.factorial(dim) << dim}
-        index, weights = _weight_on_grid(PARAMS_IN, m, (), dim)
-        assert len(index) == len(weights) == len(chamber)
-        side = (m - 1) // 2  # the flat indices into the open half grid
-        assert list(index) == [
-            sum((s - 1) * side ** (dim - 1 - i) for i, s in enumerate(c)) for c in chamber
-        ]
+        assert len(_weight_on_grid(PARAMS_IN, m, (), dim)) == len(chamber)
 
 
 def _full_grid_weights(params, fixed, dim, m):
@@ -345,8 +400,8 @@ def _full_grid_means(pairs, params, fixed, dim, m):
 
     values = []
     for P, Q in pairs:
-        on_p = grid_values(P, power, fixed, dim)
-        on_q = grid_values(Q, power, fixed, dim)
+        on_p = _grid_values(P, power, fixed, dim)
+        on_q = _grid_values(Q, power, fixed, dim)
         terms = [a * b.conjugate() * w for a, b, w in zip(on_p, on_q, weights)]
         total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         values.append(total / m**dim)
@@ -406,7 +461,7 @@ def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
     # check its chamber weights, dim! 2^dim included, on their own
     one = polys[0]
     for m in (m_start, 2 * m_start):
-        chamber = sum(_weight_on_grid(params, m, fixed, dim)[1]) / m**dim
+        chamber = sum(_weight_on_grid(params, m, fixed, dim)) / m**dim
         want = _full_grid_means([(one, one)], params, fixed, dim, m)[0]
         assert abs(chamber - want) <= 1e-13 * abs(want)
 
@@ -480,7 +535,7 @@ def test_failures_are_not_cached():
 def test_every_cache_is_bounded():
     caches = [
         _params_float, residue_weight, _roots_of_unity, _root_powers, _root_powers(16),
-        _qpoch_pairs, _w2_on_roots, _weight_on_grid, log_qgamma,
+        _qpoch_pairs, _w2_on_roots, _weight_on_grid, _torus_values, log_qgamma,
     ]
     assert all(cache.cache_info().maxsize is not None for cache in caches)
 

@@ -3,14 +3,15 @@
 Each value is the ``float.hex`` of the real and imaginary parts of a
 ``full_inner``, ``norm_K`` or ``continuous_gram`` value, so any change to
 how the weight tables, residue masses or chamber sums are built must keep
-every bit.  Both parameter sets have |t_0| > 1: at l = 1 and l = 2 the
+every bit.  ``OUT1`` and ``OUT2`` have |t_0| > 1: at l = 1 and l = 2 the
 terms with every coordinate pinned and the mixed terms both run.  ``OUT2``
 has a complex-conjugate pair and two pinned points t_0, t_0 q.  ``T_L`` is
-the little q-Jacobi limit set t_L(eps) at eps = 1e-3, and ``L3`` the
-measured <1,1>_K of the l = 3 ``normalization_check``.  The pins were last
-recorded when the infinite q-products moved to a head product and Euler's
-tail (``qseries._euler_split``), which moved each group by at most 1.6e-15
-of its largest entry.  Print fresh pins with
+the little q-Jacobi limit set t_L(eps) at eps = 1e-3.  At l = 3 the
+measured <1,1>_K of ``normalization_check`` is pinned at ``OUT1``, and
+``norm_K`` at ``IN``, inside the disc, where only the torus term runs.  The
+pins were last recorded when the infinite q-products moved to a head
+product and Euler's tail (``qseries._euler_split``), which moved each group
+by at most 1.6e-15 of its largest entry.  Print fresh pins with
 ``PYTHONPATH=src python tests/test_measure_pins.py``.
 """
 
@@ -31,8 +32,9 @@ from bcq.awmeasure import continuous_gram, normalization_check
 
 OUT1 = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 1)
 OUT2 = KoornwinderParams(2.5, -0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.5, 1)
+IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 T_L = t_L(F(1, 1000), LittleJacobiParams(F(1), F(-4), F(1, 2), 1))
-LAMS = {1: [(1,), (2,)], 2: [(1, 0), (1, 1), (2, 0)]}
+LAMS = {1: [(1,), (2,)], 2: [(1, 0), (1, 1), (2, 0)], 3: [(1, 0, 0), (1, 1, 0)]}
 
 
 def _hex(z):
@@ -45,7 +47,7 @@ def _values(key):
     name, kind, l = key
     if name == "T_L":
         return [_hex(norm_K(lam, T_L)) for lam in LAMS[l]]
-    params = {"OUT1": OUT1, "OUT2": OUT2}[name]
+    params = {"OUT1": OUT1, "OUT2": OUT2, "IN": IN}[name]
     if kind == "normalization_check":
         return [_hex(normalization_check(l, params).detail["measured"])]
     if kind == "norm_K":
@@ -180,6 +182,10 @@ PINS = {
     ('OUT1', 'normalization_check', 3): [
         ('0x1.e4075bdc98082p+4', '0x0.0p+0'),
     ],
+    ('IN', 'norm_K', 3): [
+        ('0x1.e9cd5e7131214p-1', '0x0.0p+0'),
+        ('0x1.b29954887d138p-1', '0x0.0p+0'),
+    ],
 }
 
 
@@ -195,7 +201,7 @@ if __name__ == "__main__":
         for l in (1, 2)
         for kind in ("full_inner", "norm_K", "gram")
     ]
-    keys += [("T_L", "norm_K", 1), ("OUT1", "normalization_check", 3)]
+    keys += [("T_L", "norm_K", 1), ("OUT1", "normalization_check", 3), ("IN", "norm_K", 3)]
     for key in keys:
         print(f"    {key!r}: [")
         for pair in _values(key):
