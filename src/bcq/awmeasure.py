@@ -26,14 +26,14 @@ the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float
 parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
-per (q, m) on the half grid, even points read from the coarser grid; w_2 per
-(params, m); root powers per m; chamber weights, coupling factor included,
-per (params, m, pinned points, dim), shared by Gram matrices and the two
-inner products of ``norm_K``; residue masses per (a, i, params); the
-chamber values of a polynomial per (polynomial, m) in the torus term, which
-pins no coordinate and does not depend on the parameters, so each
-polynomial is evaluated once per grid across calls.  Params with Fraction
-and float entries compare equal, so these caches hold only what the float
+per (q, m) and w_2 per (params, m) on the open half grid 0 < s < m/2, even
+points read from the coarser grid; root powers per m; chamber weights,
+coupling factor included, per (params, m, pinned points, dim), shared by Gram
+matrices and the two inner products of ``norm_K``; residue masses per (a, i,
+params); the chamber values of a polynomial per (polynomial, m) in the torus
+term, which pins no coordinate and does not depend on the parameters, so each
+polynomial is evaluated once per grid across calls.  Params with Fraction and
+float entries compare equal, so these caches hold only what the float
 parameters fix.  A term with pinned points t_a q^i, which move with the
 parameters, evaluates each polynomial once per grid within a call, and once
 in all if every coordinate is pinned (one point on every grid).
@@ -177,9 +177,9 @@ def _root_powers(m: int):
 @lru_cache(maxsize=128)
 def _qpoch_pairs(t, q: float, m: int):
     """((t x; q)_inf, (t / x; q)_inf), or for t = None (x^2; q)_inf and
-    (x^-2; q)_inf, at the m-th roots of unity x = w^s, s <= floor(m/2).  For
+    (x^-2; q)_inf, at the m-th roots of unity x = w^s, 0 < s < m/2.  For
     even m the even s are the (m/2)-th roots (bit for bit): their pairs are
-    read from the table of the coarser grid of the doubling."""
+    read from the table of the coarser grid of the doubling, at s/2."""
     roots = _roots_of_unity(m)
     coarse = _qpoch_pairs(t, q, m // 2) if m % 2 == 0 else ()
 
@@ -187,15 +187,15 @@ def _qpoch_pairs(t, q: float, m: int):
         a, b = (x * x, 1 / (x * x)) if t is None else (t * x, t / x)
         return qpochhammer(a, q, math.inf), qpochhammer(b, q, math.inf)
 
-    half = range(m // 2 + 1)
-    return tuple(coarse[s // 2] if coarse and s % 2 == 0 else pair(roots[s]) for s in half)
+    half = range(1, (m + 1) // 2)
+    return tuple(coarse[s // 2 - 1] if coarse and s % 2 == 0 else pair(roots[s]) for s in half)
 
 
 @lru_cache(maxsize=256)
 def _w2_on_roots(params, m: int):
-    """w_2 at the m-th roots of unity w^s, s <= floor(m/2) (w_2(1/x) = w_2(x)
-    gives the rest), multiplied in the order of ``w2_value``: each entry is
-    ``w2_value(w^s, params)`` bit for bit."""
+    """w_2 at the m-th roots of unity w^s, 0 < s < m/2 (w_2(1/x) = w_2(x)
+    gives the rest, and the open chamber reads no wall), multiplied in the
+    order of ``w2_value``: each entry is ``w2_value(w^s, params)`` bit for bit."""
     ts, q = _params_float(params)
     rows = zip(*(_qpoch_pairs(t, q, m) for t in ts))
     return tuple(
@@ -229,7 +229,7 @@ def _weight_on_grid(params, m: int, fixed, dim: int):
     g, const = _coupling(params, fixed)
     roots = _roots_of_unity(m)
     half = range(1, (m + 1) // 2)
-    single = _w2_on_roots(params, m)[1 : (m + 1) // 2]
+    single = _w2_on_roots(params, m)
     for x in fixed:
         single = [v * g(x * roots[s]) * g(x / roots[s]) for v, s in zip(single, half)]
     pair = [g(z) for z in roots] if dim > 1 else ()

@@ -8,8 +8,8 @@ with the rational coefficients phi_j^+- below.  D_K is triangular along BC
 dominance in the orbit-sum basis, with the eigenvalues E_mu on the
 diagonal, so the monic eigenpolynomial P_lambda is obtained by a
 back-substitution over the dominance downset of lambda once the E_mu along
-the downset are pairwise distinct; a Gram-Schmidt fallback against the
-orthogonality measure covers collisions.
+the downset are pairwise distinct; on a collision, mode "gram" runs
+``polyring.gram_schmidt`` with the Gram matrix of ``awmeasure.full_inner``.
 
 D_K is computed by collocation, with one engine per (parameters, downset).
 The images D_K m~_mu of the orbit sums of a dominance downset lie in its
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import _inv, _is_exact, integer_row, solve_linear
-from .polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
+from .polyring import LaurentPoly, expand_in_basis, gram_schmidt, rebuild_from_basis
 from .qseries import check_base
 from .report import VerificationReport, timed_report
 from .weights import dominant_downset
@@ -340,7 +340,11 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
     lam = tuple(lam)
     l = len(lam)
     if mode == "gram":
-        return _koornwinder_gram(lam, params)
+        from .awmeasure import full_inner
+
+        return gram_schmidt(
+            lam, "W", lambda polys: [[full_inner(a, b, params) for b in polys[:-1]] for a in polys]
+        )
     if mode != "triangular":
         raise ValueError("mode must be 'triangular' or 'gram'")
     downset = dominant_downset(lam)
@@ -373,23 +377,6 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
         if c_mu != 0:
             coeffs[mu] = c_mu
     return rebuild_from_basis(coeffs, "W", l)
-
-
-def _koornwinder_gram(lam, params: KoornwinderParams) -> LaurentPoly:
-    from .awmeasure import full_inner
-
-    l = len(lam)
-    downset = [mu for mu in dominant_downset(lam) if mu != lam]
-    if not downset:
-        return orbit_sum_W(lam, l)
-    basis = [orbit_sum_W(mu, l) for mu in downset]
-    top = orbit_sum_W(lam, l)
-    gram = [
-        [full_inner(bi, bj, params) for bj in basis] for bi in basis
-    ]
-    rhs = [-full_inner(top, bi, params) for bi in basis]
-    sol = solve_linear(gram, rhs)
-    return rebuild_from_basis({lam: 1, **dict(zip(downset, sol))}, "W", l)
 
 
 def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:

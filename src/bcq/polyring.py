@@ -20,9 +20,10 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mul, sub
 
-from .linalg import _inv, _is_exact
+from .linalg import _inv, _is_exact, solve_linear
 from .weights import (
     WeightVector,
+    dominant_downset,
     dominant_representative,
     weyl_orbit_tuples,
 )
@@ -57,16 +58,6 @@ class LaurentPoly:
     def const(cls, nvars: int, c) -> "LaurentPoly":
         return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def monomial(cls, exp, coef=1) -> "LaurentPoly":
-        return cls(len(exp), {tuple(exp): coef})
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "LaurentPoly":
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
-
     # -- basic queries ----------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -79,9 +70,6 @@ class LaurentPoly:
             if all(_is_exact(c) for c in self.terms.values())
             else "complex"
         )
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -388,6 +376,22 @@ def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
 def rebuild_from_basis(coeffs: dict, kind: str, l: int) -> LaurentPoly:
     """Sum of c * orbit sum of rep over (rep, c); distinct dominant reps have disjoint orbits."""
     return LaurentPoly(l, {e: c for rep, c in coeffs.items() for e in _orbit_sum(rep, kind).terms})
+
+
+def gram_schmidt(lam, kind: str, gram) -> LaurentPoly:
+    """The orbit sum of lambda minus its projection on the lower orbit sums
+    of ``dominant_downset(lambda)``: monic, and orthogonal to them for the
+    measure of ``gram``.  ``gram(polys)`` takes the lower orbit sums followed
+    by lambda's (shared, read only) and returns <polys[i], polys[j]> at [i][j]
+    for every j but the last; the right-hand side is read from lambda's row."""
+    lam = tuple(lam)
+    lower = [mu for mu in dominant_downset(lam) if mu != lam]
+    coeffs = {lam: 1}
+    if lower:
+        n = len(lower)
+        *rows, top = gram([_orbit_sum(mu, kind) for mu in lower + [lam]])
+        coeffs.update(zip(lower, solve_linear([r[:n] for r in rows], [-g for g in top[:n]])))
+    return rebuild_from_basis(coeffs, kind, len(lam))
 
 
 def orbit_size(rep, kind: str) -> int:

@@ -6,8 +6,9 @@ fixed before summing from a geometric tail bound: little over [0,1]^l, big
 over [-d,c]^l, where the nodes of [0,-d] enter with negated masses.  The
 weight is the Vandermonde times a one-variable weight per coordinate times the
 coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
-built by Gram-Schmidt over the dominance downset; q-difference operators
-for these families are deliberately not implemented.
+built by ``polyring.gram_schmidt`` over the dominance downset, with the Gram
+matrix of ``_gram_sums`` (the one Gram-Schmidt routine, which the Koornwinder
+Gram mode shares); q-difference operators are deliberately not implemented.
 
 The weight is symmetric under S_l, and the pair factor (x - y) x^{2k-1}
 (q^{1-k} y/x; q)_{2k-1} is exactly 0.0 where two nodes coincide, so for
@@ -29,18 +30,10 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
 
-from .linalg import solve_linear
-from .polyring import (
-    LaurentPoly,
-    chamber_values,
-    monomial_symmetric,
-    rebuild_from_basis,
-    require_invariant,
-)
+from .polyring import LaurentPoly, chamber_values, gram_schmidt, require_invariant
 from .qseries import _qpoch_finite, check_base, jackson_nodes
 from .qseries import log_qgamma, qpochhammer
 from .report import relative_report
-from .weights import dominant_downset
 
 
 @dataclass(frozen=True)
@@ -235,24 +228,9 @@ def little_inner(
 
 
 def _jacobi_poly(lam, params, l, trunc: SumTruncation) -> LaurentPoly:
-    lam = tuple(lam)
-    l = len(lam) if l is None else l
-    downset = dominant_downset(lam)
-    lower = [mu for mu in downset if mu != lam]
-    if not lower:
-        return monomial_symmetric(lam, l)
-    basis = [monomial_symmetric(mu, l) for mu in lower]
-    top = monomial_symmetric(lam, l)
-    sums = _gram_sums(basis + [top], params, l, trunc)
-    n = len(basis)
-    gram = [[sums[i][j] for j in range(n)] for i in range(n)]
-    rhs = [-sums[i][n] for i in range(n)]
-    sol = solve_linear(gram, rhs)
-    coeffs = {lam: 1}
-    for mu, c in zip(lower, sol):
-        if c != 0:
-            coeffs[mu] = c
-    return rebuild_from_basis(coeffs, "S", l)
+    if l not in (None, len(lam)):
+        raise ValueError("weight length mismatch")
+    return gram_schmidt(lam, "S", lambda polys: _gram_sums(polys, params, len(lam), trunc))
 
 
 def big_jacobi_poly(

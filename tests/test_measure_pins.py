@@ -9,6 +9,11 @@ has a complex-conjugate pair and two pinned points t_0, t_0 q.  ``T_L`` is
 the little q-Jacobi limit set t_L(eps) at eps = 1e-3.  At l = 3 the
 measured <1,1>_K of ``normalization_check`` is pinned at ``OUT1``, and
 ``norm_K`` at ``IN``, inside the disc, where only the torus term runs.  The
+``gram_poly`` keys pin the coefficient of each dominant exponent, with its
+type, of ``koornwinder_poly(lam, params, mode="gram")`` at ``IN`` and
+``OUT1``; ``COLL`` has the eigenvalue collision E_(2,0) = E_(1,1), where
+``norm_K`` takes the Gram route too.  The Gram-mode pins were recorded
+before the Koornwinder and q-Jacobi Gram-Schmidt builds were merged.  The
 pins were last recorded when the infinite q-products moved to a head
 product and Euler's tail (``qseries._euler_split``), which moved each group
 by at most 1.6e-15 of its largest entry.  Print fresh pins with
@@ -34,7 +39,9 @@ OUT1 = KoornwinderParams(1.7, -0.2, 0.15, -0.4, 0.4, 1)
 OUT2 = KoornwinderParams(2.5, -0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.5, 1)
 IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 T_L = t_L(F(1, 1000), LittleJacobiParams(F(1), F(-4), F(1, 2), 1))
+COLL = KoornwinderParams(F(-48), F(1, 3), F(1, 2), F(1, 2), F(1, 2), 1)
 LAMS = {1: [(1,), (2,)], 2: [(1, 0), (1, 1), (2, 0)], 3: [(1, 0, 0), (1, 1, 0)]}
+GRAM_LAMS = [(1, 0), (2, 0), (1, 1), (2, 1)]
 
 
 def _hex(z):
@@ -47,11 +54,18 @@ def _values(key):
     name, kind, l = key
     if name == "T_L":
         return [_hex(norm_K(lam, T_L)) for lam in LAMS[l]]
-    params = {"OUT1": OUT1, "OUT2": OUT2, "IN": IN}[name]
+    params = {"OUT1": OUT1, "OUT2": OUT2, "IN": IN, "COLL": COLL}[name]
     if kind == "normalization_check":
         return [_hex(normalization_check(l, params).detail["measured"])]
     if kind == "norm_K":
-        return [_hex(norm_K(lam, params)) for lam in LAMS[l]]
+        return [_hex(norm_K(lam, params)) for lam in ([(2, 0)] if name == "COLL" else LAMS[l])]
+    if kind == "gram_poly":
+        return [
+            (lam, exp, type(c).__name__, *_hex(c))
+            for lam in ([(2, 0)] if name == "COLL" else GRAM_LAMS)
+            for exp, c in sorted(koornwinder_poly(lam, params, mode="gram").terms.items())
+            if list(exp) == sorted(map(abs, exp), reverse=True)
+        ]
     polys = [LaurentPoly.const(l, 1)] + [koornwinder_poly(lam, params) for lam in LAMS[l]]
     if kind == "gram":
         return [_hex(v) for row in continuous_gram(polys, params) for v in row]
@@ -186,6 +200,47 @@ PINS = {
         ('0x1.e9cd5e7131214p-1', '0x0.0p+0'),
         ('0x1.b29954887d138p-1', '0x0.0p+0'),
     ],
+    ('IN', 'gram_poly', 2): [
+        ((1, 0), (0, 0), 'complex', '0x1.b8a7de6d1d61ep-3', '-0x1.a1aef2fde8d92p-54'),
+        ((1, 0), (1, 0), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((2, 0), (0, 0), 'complex', '0x1.37ebb73bd26e8p+1', '-0x1.d9e6e37676c5cp-51'),
+        ((2, 0), (1, 0), 'complex', '0x1.e3e09193a5036p-3', '-0x1.197db94bcc4fbp-51'),
+        ((2, 0), (1, 1), 'complex', '0x1.fffffffffffe0p-1', '-0x1.e0eef513c7e92p-51'),
+        ((2, 0), (2, 0), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((1, 1), (0, 0), 'complex', '0x1.6ded220a9d44ep-1', '-0x1.8251c708ab674p-53'),
+        ((1, 1), (1, 0), 'complex', '0x1.46cefa8d9df57p-3', '-0x1.c8f77c2694dd0p-53'),
+        ((1, 1), (1, 1), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((2, 1), (0, 0), 'complex', '0x1.16f19eb593e37p-1', '0x1.6ec99ab73728ep-51'),
+        ((2, 1), (1, 0), 'complex', '0x1.04d36e635848bp+1', '-0x1.e94ddd96077f0p-54'),
+        ((2, 1), (1, 1), 'complex', '0x1.9557c610a17c6p-2', '-0x1.65dc062624b50p-56'),
+        ((2, 1), (2, 0), 'complex', '0x1.46cefa8d9df4ep-3', '0x1.5424e93bb91a1p-54'),
+        ((2, 1), (2, 1), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ],
+    ('OUT1', 'gram_poly', 2): [
+        ((1, 0), (0, 0), 'complex', '-0x1.c22fab502ed09p+0', '0x1.17a4e3e4d663ap-58'),
+        ((1, 0), (1, 0), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((2, 0), (0, 0), 'complex', '0x1.66a54492eb260p+1', '0x1.26ca08193dff8p-54'),
+        ((2, 0), (1, 0), 'complex', '-0x1.f3c7ce69c4d00p+0', '-0x1.28731f98cbb90p-54'),
+        ((2, 0), (1, 1), 'complex', '0x1.0000000000020p+0', '0x1.89986cc571b33p-54'),
+        ((2, 0), (2, 0), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((1, 1), (0, 0), 'complex', '0x1.5a0514142d488p+1', '-0x1.de2f778ac1e54p-53'),
+        ((1, 1), (1, 0), 'complex', '-0x1.47f87941f5c27p+0', '0x1.e6fea9282e483p-55'),
+        ((1, 1), (1, 1), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+        ((2, 1), (0, 0), 'complex', '-0x1.448fd1eb11710p+2', '-0x1.e1bf6b54750cbp-48'),
+        ((2, 1), (1, 0), 'complex', '0x1.201253bcd1bf4p+2', '0x1.f2edbc1b3cbe7p-49'),
+        ((2, 1), (1, 1), 'complex', '-0x1.9de023d5dd4b4p+1', '-0x1.1004602f973bcp-49'),
+        ((2, 1), (2, 0), 'complex', '-0x1.47f87941f5c71p+0', '-0x1.88016860b70c6p-50'),
+        ((2, 1), (2, 1), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ],
+    ('COLL', 'gram_poly', 2): [
+        ((2, 0), (0, 0), 'complex', '0x1.1ea60b8e326b8p+9', '-0x1.8839572e71000p-58'),
+        ((2, 0), (1, 0), 'complex', '0x1.bc8049d75f0dap+5', '-0x1.1434c883825ccp-52'),
+        ((2, 0), (1, 1), 'complex', '0x1.00006e2264b49p+0', '-0x1.8fa260117321cp-54'),
+        ((2, 0), (2, 0), 'int', '0x1.0000000000000p+0', '0x0.0p+0'),
+    ],
+    ('COLL', 'norm_K', 2): [
+        ('0x1.7e3fb53761937p+15', '0x0.0p+0'),
+    ],
 }
 
 
@@ -202,6 +257,8 @@ if __name__ == "__main__":
         for kind in ("full_inner", "norm_K", "gram")
     ]
     keys += [("T_L", "norm_K", 1), ("OUT1", "normalization_check", 3), ("IN", "norm_K", 3)]
+    keys += [("IN", "gram_poly", 2), ("OUT1", "gram_poly", 2)]
+    keys += [("COLL", "gram_poly", 2), ("COLL", "norm_K", 2)]
     for key in keys:
         print(f"    {key!r}: [")
         for pair in _values(key):

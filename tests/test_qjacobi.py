@@ -91,9 +91,9 @@ def test_one_variable_gram_schmidt_oracle():
     c1 = -(m[0] * m[3] - m[1] * m[2]) / det
     c0 = -(m[2] * m[2] - m[1] * m[3]) / det
     poly = little_jacobi_poly((2,), LITTLE, 1)
-    assert abs(complex(poly.coefficient((2,))) - 1) < 1e-12
-    assert abs(complex(poly.coefficient((1,))) - c1) < 1e-9
-    assert abs(complex(poly.coefficient((0,))) - c0) < 1e-9
+    assert abs(complex(poly.terms.get((2,), 0)) - 1) < 1e-12
+    assert abs(complex(poly.terms.get((1,), 0)) - c1) < 1e-9
+    assert abs(complex(poly.terms.get((0,), 0)) - c0) < 1e-9
 
 
 def test_orthogonality_two_variables():
@@ -119,6 +119,21 @@ def test_monic_symmetric_triangular():
         coeffs = expand_in_basis(poly, "S")
         assert abs(complex(coeffs[lam]) - 1) < 1e-12
         assert all(sum(mu) <= sum(lam) for mu in coeffs)
+
+
+@pytest.mark.parametrize(
+    "build, lam, params, l",
+    [
+        (little_jacobi_poly, (2, 1), LITTLE, 3),
+        (big_jacobi_poly, (1,), BIG, 2),
+        # (0,) has no lower weight: no Gram matrix is formed
+        (little_jacobi_poly, (0,), LITTLE, 2),
+    ],
+)
+def test_variable_count_must_be_the_weight_length(build, lam, params, l):
+    with pytest.raises(ValueError, match="weight length mismatch"):
+        build(lam, params, l)
+    assert build(lam, params, len(lam)) == build(lam, params)
 
 
 def test_norms_positive():
@@ -251,7 +266,7 @@ def test_big_inner_arity_mismatch_raises():
 @pytest.mark.parametrize(
     "poly",
     [
-        LaurentPoly.variable(0, 2),
+        LaurentPoly(2, {(1, 0): 1}),
         # one S_2 orbit with unequal coefficients
         LaurentPoly(2, {(1, 0): 1, (0, 1): 2}),
         # three of the six permutations of (2, 1, 0)
