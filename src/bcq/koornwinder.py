@@ -6,24 +6,24 @@ The operator D_K acts on W-invariant Laurent polynomials by
 
 with the rational coefficients phi_j^+- below.  D_K is triangular along BC
 dominance in the orbit-sum basis, with the eigenvalues E_mu on the
-diagonal, so the monic eigenpolynomial P_lambda is obtained by a
-back-substitution over the dominance downset of lambda once the E_mu along
-the downset are pairwise distinct; on a collision, mode "gram" runs
+diagonal, so the monic eigenpolynomial P_lambda = sum_mu c_mu m~_mu over the
+dominance downset of lambda (c_lambda = 1) is unique once E_lambda differs
+from every other E_mu there; on a collision, mode "gram" runs
 ``polyring.gram_schmidt`` with the Gram matrix of ``awmeasure.full_inner``.
 
-D_K is computed by collocation, with one engine per (parameters, downset).
-The images D_K m~_mu of the orbit sums of a dominance downset lie in its
-span, so |downset| generic points, shared by every column, fix all of
-them in one solve with a block right-hand side; two more points check the
-result.  At each point the orbit sums and their images come from
-per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per
-coordinate, summed over the distinct permutations of each weight (at most
-l! terms, where the orbit has up to 2^l l!).  The phi pair is also the pole
-test: a point where it cannot be formed is skipped.  With rational
-parameters and points the phi pair, the tables and so every row are built
-from integers, each row divided by its content (a per-point scale, which
-leaves the solution unchanged); each solution column is cleared of its
-denominators once, for an integer held-out check; E_mu checks the diagonal.
+One collocation loop serves every linear system: at generic points x, the
+orbit sums m~_mu(x) and their images (D_K m~_mu)(x) give one row per point;
+as many points as unknowns fix the solution and two held-out points check
+it.  Both come from per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one
+phi_j^+- pair per coordinate (also the pole test: a point where it cannot be
+formed is skipped), summed over the distinct permutations of each weight.
+Exact parameters solve for P_lambda directly, with one right-hand side:
+sum_{mu != lambda} c_mu r_mu(x) = -r_lambda(x), r_mu = den(E_lambda) D_K m~_mu
+- num(E_lambda) m~_mu.  Their rows are integers, each divided by its content,
+and the held-out check is exact; it replaces a check of the D_K diagonal, as
+with a wrong E_lambda no polynomial solves the rows.  Float parameters still
+collocate the whole D_K matrix, one column per orbit sum, and back-substitute
+along the downset; ``dk_apply`` collocates the one column of its argument.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .linalg import _inv, _is_exact, integer_row, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, gram_schmidt, rebuild_from_basis
@@ -158,12 +159,16 @@ def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
     return total
 
 
+# (l, exact, seed) -> the candidate points made so far and the state that continues them
+_point_stream = lru_cache(maxsize=64)(lambda l, exact, seed: ([], random.Random(seed)))
+
+
 def _candidate_points(l: int, count: int, exact: bool, seed: int):
-    """Deterministic generic evaluation points away from each other's
-    W-orbits, generated lazily up to count; a point may lie on a pole."""
-    rng = random.Random(seed)
-    made = 0
-    while made < count:
+    """The first count of a deterministic sequence of generic evaluation
+    points away from each other's W-orbits; a point may lie on a pole.  Each
+    sequence is extended on demand and kept per (l, exact, seed)."""
+    made, rng = _point_stream(l, exact, seed)
+    while len(made) < count:
         if exact:
             x = tuple(
                 Fraction(rng.randrange(23, 400), rng.choice([7, 11, 13, 17, 19]))
@@ -171,10 +176,9 @@ def _candidate_points(l: int, count: int, exact: bool, seed: int):
             )
         else:
             x = tuple(1.1 + 2.3 * rng.random() for _ in range(l))
-        if len(set(abs(v) for v in x)) < l:
-            continue
-        made += 1
-        yield x
+        if len(set(abs(v) for v in x)) == l:
+            made.append(x)
+    return made[:count]
 
 
 def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
@@ -241,53 +245,55 @@ def _agrees(fit, target, exact: bool) -> bool:
     return err == 0 if exact else err <= 1e-7 * (1 + abs(target))
 
 
-def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: bool):
-    """D_K of each column sum_mu c_mu m~_mu (a dict {mu: c_mu} over a
-    dominance downset), as a dict {nu: coefficient} over the same downset.
-
-    One collocation system serves every column: |downset| points fix the
-    coefficients, two held-out points verify that the images lie in the
-    downset (exactly in rational mode).  Up to 25 seeds of points are tried.
-    """
-    n = len(downset)
+def _collocate(downset: list, params: KoornwinderParams, exact: bool, equations):
+    """The solution columns of the system whose row and right-hand sides at x
+    are ``equations(values, images)`` of m~_nu(x) and (D_K m~_nu)(x) over the
+    downset; exact held-out rows clear each column of its denominators once.
+    A point on a pole of D_K is skipped; up to 25 seeds of points are tried."""
     l = len(downset[0])
     perms = []
     for nu in downset:
         distinct = sorted(set(itertools.permutations(nu)))
         perms.append([[(i, k) for i, k in enumerate(pi) if k or exact] for pi in distinct])
     degree = max(nu[0] for nu in downset)
-    where = {nu: i for i, nu in enumerate(downset)}
     integers = exact and _integer_params(params)
     for attempt in range(25):
         rows, rhs = [], []
-        for x in _candidate_points(l, 3 * (n + 2), exact, seed=911 + attempt):
+        for x in _candidate_points(l, 3 * (len(downset) + 2), exact, seed=911 + attempt):
             try:
-                values, images = _orbit_rows(x, perms, degree, params, integers)
+                row, targets = equations(*_orbit_rows(x, perms, degree, params, integers))
             except ZeroDivisionError:
                 continue  # x lies on a pole of D_K
-            rows.append(values)
-            rhs.append(
-                [sum(c * images[where[mu]] for mu, c in col.items()) for col in columns]
-            )
-            if len(rows) == n + 2:
+            rows.append(row)
+            rhs.append(targets)
+            if len(rows) == len(row) + 2:
                 break
-        if len(rows) < n + 2:
-            continue
+        else:
+            continue  # too many candidates lie on poles
+        n = len(row)
         try:
             sol = solve_linear(rows[:n], rhs[:n])
         except ZeroDivisionError:
             continue
-        cols = [integer_row(col) if exact else (col, 1) for col in zip(*sol)]
+        cols = [[s[k] for s in sol] for k in range(len(targets))]
+        scaled = [integer_row(col) if exact else (col, 1) for col in cols]
         if all(
             _agrees(sum(v * c for v, c in zip(row, nums)), scale * target, exact)
             for row, targets in zip(rows[n:], rhs[n:])
-            for (nums, scale), target in zip(cols, targets)
+            for (nums, scale), target in zip(scaled, targets)
         ):
-            return [
-                {nu: s[k] for nu, s in zip(downset, sol) if s[k] != 0}
-                for k in range(len(columns))
-            ]
+            return cols
     raise ArithmeticError("D_K interpolation failed: inconsistent support")
+
+
+def _dk_columns(downset: list, columns: list, params: KoornwinderParams, exact: bool):
+    """D_K of each column sum_mu c_mu m~_mu (a dict {mu: c_mu} over a
+    dominance downset), as a dict {nu: coefficient} over the same downset."""
+    where = {nu: i for i, nu in enumerate(downset)}
+    cols = _collocate(downset, params, exact, lambda values, images: (
+        values, [sum(c * images[where[mu]] for mu, c in col.items()) for col in columns]
+    ))
+    return [{nu: c for nu, c in zip(downset, col) if c != 0} for col in cols]
 
 
 def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
@@ -333,8 +339,10 @@ def eigenvalue(lam, params: KoornwinderParams):
 def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -> LaurentPoly:
     """Monic P_lambda = m~_lambda + sum_{mu<lambda} c_mu m~_mu.
 
-    "triangular" solves (D_K - E_lambda) P = 0 by back-substitution along
-    the dominance downset (requires distinct eigenvalues there);
+    "triangular" solves (D_K - E_lambda) P = 0 along the dominance downset
+    (requires E_lambda distinct from the other E_mu there): exactly by one
+    eigen-collocation with one right-hand side and an exact held-out check,
+    in floats by back-substitution in the collocated D_K matrix;
     "gram" orthogonalizes against lower orbit sums with the full measure.
     """
     lam = tuple(lam)
@@ -349,31 +357,30 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
         raise ValueError("mode must be 'triangular' or 'gram'")
     downset = dominant_downset(lam)
     exact = params.is_exact
-    energy = {mu: eigenvalue(mu, params) for mu in downset}
-    e_lam = energy[lam]
-    for mu in downset:
-        if mu == lam:
-            continue
-        gap = abs(e_lam - energy[mu])
+    e_lam = eigenvalue(lam, params)
+    for mu in downset[:-1]:  # lambda comes last
+        gap = abs(e_lam - eigenvalue(mu, params))
         if gap == 0 or (not exact and gap < _COLLISION_TOL * (1 + abs(e_lam))):
-            raise EigenvalueCollisionError(
-                f"E_{lam} collides with E_{mu}; use mode='gram'"
-            )
+            raise EigenvalueCollisionError(f"E_{lam} collides with E_{mu}; use mode='gram'")
+    if exact:
+        # r_mu = den(E_lambda) D_K m~_mu - num(E_lambda) m~_mu
+        num, den = e_lam.numerator, e_lam.denominator
+
+        def equations(values, images):
+            r = [den * image - num * value for value, image in zip(values, images)]
+            return r[:-1], [-r[-1]]
+
+        (sol,) = _collocate(downset, params, True, equations)
+        lower = zip(reversed(downset[:-1]), reversed(sol))
+        return rebuild_from_basis({lam: 1, **{mu: c for mu, c in lower if c != 0}}, "W", l)
     # matrix[mu][nu]: coefficient of m~_nu in D_K m~_mu
-    matrix = dict(
-        zip(downset, _dk_columns(downset, [{mu: 1} for mu in downset], params, exact))
-    )
-    if exact and any(matrix[mu].get(mu, 0) != energy[mu] for mu in downset):
-        raise ArithmeticError("D_K diagonal differs from the eigenvalues E_mu")
+    matrix = dict(zip(downset, _dk_columns(downset, [{mu: 1} for mu in downset], params, False)))
     coeffs = {lam: 1}
-    for mu in reversed(downset):
-        if mu == lam:
-            continue
-        acc = 0
-        for larger, c_larger in coeffs.items():
-            acc += matrix[larger].get(mu, 0) * c_larger
-        e_mu = matrix[mu].get(mu, 0)
-        c_mu = acc / (e_lam - e_mu)
+    for mu in reversed(downset[:-1]):
+        acc = 0  # summed in order, not by sum(): Python 3.12 compensates float sums
+        for larger, c in coeffs.items():
+            acc += matrix[larger].get(mu, 0) * c
+        c_mu = acc / (e_lam - matrix[mu].get(mu, 0))
         if c_mu != 0:
             coeffs[mu] = c_mu
     return rebuild_from_basis(coeffs, "W", l)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -147,18 +148,19 @@ def fundamental_spherical(r: int, shape: GrassmannShape) -> WeightVector:
 
 def dominant_downset(lam: tuple) -> list:
     """All dominant BC weights mu <= lam, in a fixed linear extension of
-    dominance (sorted by total, then lexicographically).
+    dominance (sorted by total, then lexicographically), as a fresh list.
 
     Dominance is not graded here: weights of smaller total are included.
     """
-    if dominant_representative(lam) != tuple(lam):
-        raise ValueError(f"weight {tuple(lam)} is not dominant: need lam_1 >= ... >= lam_l >= 0")
-    l = len(lam)
-    total = sum(lam)
-    out = []
-    for nu in itertools.product(range(total, -1, -1), repeat=l):
-        if any(nu[i] < nu[i + 1] for i in range(l - 1)):
-            continue
-        if _prefix_leq(nu, lam):
-            out.append(nu)
-    return sorted(out, key=lambda v: (sum(v), v))
+    return list(_downset(tuple(lam)))
+
+
+@lru_cache(maxsize=256)
+def _downset(lam: tuple) -> tuple:
+    if dominant_representative(lam) != lam:
+        raise ValueError(f"weight {lam} is not dominant: need lam_1 >= ... >= lam_l >= 0")
+    out = [
+        nu for nu in itertools.product(range(sum(lam), -1, -1), repeat=len(lam))
+        if dominant_representative(nu) == nu and _prefix_leq(nu, lam)
+    ]
+    return tuple(sorted(out, key=lambda v: (sum(v), v)))

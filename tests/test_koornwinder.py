@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bcq import GrassmannShape, grassmann_koornwinder_params
 from bcq.awmeasure import norm_K
 from bcq.koornwinder import (
     EigenvalueCollisionError,
@@ -17,13 +18,14 @@ from bcq.koornwinder import (
     _integer_params,
     _orbit_rows,
     _phi_pair,
+    _point_stream,
     check_symmetries,
     dk_apply,
     dk_evaluate,
     eigenvalue,
     koornwinder_poly,
 )
-from bcq.polyring import LaurentPoly, expand_in_basis, orbit_sum_W
+from bcq.polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from bcq.weights import dominant_downset
 
 PARAMS2 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
@@ -308,6 +310,117 @@ def test_held_out_points_reject_a_missing_orbit_at_l_3():
     support = [nu for nu in downset if nu != (1, 1, 1)]
     with pytest.raises(ArithmeticError):
         _dk_columns(support, [{(2, 1, 0): 1}], PARAMS2, True)
+
+
+def dk_matrix_route(lam, matrix, params):
+    """Monic P_lambda by back-substitution in the exact D_K matrix ``matrix``
+    ({mu: D_K m~_mu as {nu: coefficient}}) of any downset holding lambda's."""
+    for mu, row in matrix.items():
+        assert row.get(mu, 0) == eigenvalue(mu, params), (params, mu)
+    e_lam = eigenvalue(lam, params)
+    coeffs = {lam: 1}
+    for mu in reversed(dominant_downset(lam)[:-1]):
+        acc = sum(matrix[larger].get(mu, 0) * c for larger, c in coeffs.items())
+        c_mu = acc / (e_lam - matrix[mu].get(mu, 0))
+        if c_mu != 0:
+            coeffs[mu] = c_mu
+    return rebuild_from_basis(coeffs, "W", len(lam))
+
+
+# the parameter sets of tests/test_exact_pins.py; SQUARE_T has t = q^2
+PIN_SETS = {
+    "GENERIC": PARAMS2,
+    "SQUARE_T": KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 2),
+    "MIXED": KoornwinderParams(-2, F(-1, 3), 1, F(1, 5), F(2, 5), 1),
+    "GRASSMANN": grassmann_koornwinder_params(GrassmannShape(5, 2), 0, 1, F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SETS))
+def test_eigen_collocation_matches_the_dk_matrix_route(name):
+    # the D_K matrix of each top weight's downset (n columns, n right-hand
+    # sides) serves every lambda below it: |lambda| <= 6 at l = 1, 2, and
+    # every dominant lambda <= (4,2,1) or <= (3,2,1,0)
+    params = PIN_SETS[name]
+    for top in [(6,), (6, 0), (4, 2, 1), (3, 2, 1, 0)]:
+        downset = dominant_downset(top)
+        matrix = dict(zip(downset, _dk_columns(downset, [{mu: 1} for mu in downset], params, True)))
+        for lam in downset:
+            assert koornwinder_poly(lam, params) == dk_matrix_route(lam, matrix, params), lam
+
+
+def test_exact_build_solves_no_dk_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("the exact route collocated the D_K matrix")
+
+    monkeypatch.setattr("bcq.koornwinder._dk_columns", no_matrix)
+    assert expand_in_basis(koornwinder_poly((2, 1), PARAMS2), "W")[(2, 1)] == 1
+
+
+@pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2, 1)])
+def test_a_shifted_eigenvalue_raises(monkeypatch, lam):
+    # E_lambda + 1/10^6 is no eigenvalue, so no polynomial solves the rows and
+    # the exact held-out points reject every seed
+    true_eigenvalue = eigenvalue
+
+    def shifted(mu, params):
+        return true_eigenvalue(mu, params) + (F(1, 10**6) if tuple(mu) == lam else 0)
+
+    monkeypatch.setattr("bcq.koornwinder.eigenvalue", shifted)
+    with pytest.raises(ArithmeticError) as caught:
+        koornwinder_poly(lam, PARAMS2)
+    assert caught.type is ArithmeticError
+
+
+@pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 2, 1)])
+def test_a_sign_flip_in_a_phi_factor_raises(monkeypatch, lam):
+    # phi_0^+ with the factor 1 + t0 x_0 in place of 1 - t0 x_0: D_K m~_mu is
+    # no longer a Laurent polynomial, so the held-out points reject every seed
+    true_phi_pair = _phi_pair
+
+    def flipped(x, j, params, integers=()):
+        (num_p, den_p), minus = true_phi_pair(x, j, params, integers)
+        if j == 0:
+            (n0, d0), (a, b) = integers[0][0], (x[0].numerator, x[0].denominator)
+            num_p, den_p = num_p * (d0 * b + n0 * a), den_p * (d0 * b - n0 * a)
+            if den_p == 0:
+                raise ZeroDivisionError("phi_0 has a pole at x")
+        return (num_p, den_p), minus
+
+    monkeypatch.setattr("bcq.koornwinder._phi_pair", flipped)
+    with pytest.raises(ArithmeticError) as caught:
+        koornwinder_poly(lam, PARAMS2)
+    assert caught.type is ArithmeticError
+
+
+def old_candidate_points(l, count, exact, seed):
+    """The candidate point generator before its points were cached."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        if exact:
+            x = tuple(
+                F(rng.randrange(23, 400), rng.choice([7, 11, 13, 17, 19])) for _ in range(l)
+            )
+        else:
+            x = tuple(1.1 + 2.3 * rng.random() for _ in range(l))
+        if len(set(abs(v) for v in x)) < l:
+            continue
+        made += 1
+        yield x
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_cached_candidate_points_keep_each_seeds_sequence(exact):
+    _point_stream.cache_clear()
+    for l, seed in [(3, 911), (2, 915), (3, 911), (5, 911)]:
+        for count in (4, 30, 12):  # shorter, then longer, then again shorter
+            got = _candidate_points(l, count, exact, seed)
+            want = list(old_candidate_points(l, count, exact, seed))
+            assert [tuple(map(repr, x)) for x in got] == [tuple(map(repr, x)) for x in want]
+    got.clear()  # a caller may consume its list
+    assert len(_candidate_points(5, 12, exact, 911)) == 12
+    assert _point_stream.cache_info().maxsize is not None
 
 
 def test_dk_apply_of_fraction_coefficients_pinned_at_l_3():

@@ -138,6 +138,17 @@ def test_dominant_downset_frozen():
     assert dominant_downset((2, 1)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
+def test_dominant_downset_is_cached_and_fresh():
+    from bcq.weights import _downset
+
+    first = dominant_downset((3, 1))
+    first.append((9, 9))
+    assert dominant_downset([3, 1]) == dominant_downset((3, 1)) == first[:-1]
+    assert _downset.cache_info().maxsize is not None
+    with pytest.raises(ValueError):
+        dominant_downset((1, 2))
+
+
 def test_dominant_downset_ordering_and_closure():
     lam = (3, 1)
     down = dominant_downset(lam)
