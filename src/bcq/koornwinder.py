@@ -69,14 +69,13 @@ class KoornwinderParams:
         for t in complex_ts:
             if not any(abs(s - t.conjugate()) == 0 for s in complex_ts if s is not t):
                 raise ValueError("complex parameters must occur in conjugate pairs")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                prod = ts[i] * ts[j]
-                if isinstance(prod, complex):
-                    if prod.imag == 0 and prod.real >= 1:
-                        raise ValueError("t_i t_j in [1,inf) violates V_K")
-                elif prod >= 1:
+        for a, b in itertools.combinations(ts, 2):
+            prod = a * b
+            if isinstance(prod, complex):
+                if prod.imag == 0 and prod.real >= 1:
                     raise ValueError("t_i t_j in [1,inf) violates V_K")
+            elif prod >= 1:
+                raise ValueError("t_i t_j in [1,inf) violates V_K")
 
     @property
     def tuple4(self):
@@ -311,21 +310,25 @@ def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
     return rebuild_from_basis(image, "W", p.nvars)
 
 
+def _eigen_pair(lam, integers, top: int):
+    """E_lambda = num/den at exact parameters (integers = _integer_params(params)),
+    den = d_0 d_1 d_2 d_3 q_n^(top+1) q_d^top t_d^(2l-2) for any top >= max(lambda)."""
+    _, (a, b), (c, d), (e, f) = integers
+    l, num = len(lam), 0
+    for j, lj in enumerate(lam):
+        gap, rest = a**lj - b**lj, 2 * l - j - 2
+        num += gap * e * b ** (top - lj + 1) * a**top * c**rest * d**j
+        num -= gap * f * a ** (top - lj + 1) * b**top * c**j * d**rest
+    return num, f * a ** (top + 1) * b**top * d ** (2 * l - 2)
+
+
 def eigenvalue(lam, params: KoornwinderParams):
     """E_lambda = sum_j ( q^{-1} t0 t1 t2 t3 t^{2l-j-1}(q^{lam_j}-1)
-    + t^{j-1}(q^{-lam_j}-1) ); exact parameters give one integer numerator
-    over the common denominator d_0 d_1 d_2 d_3 q_n^(m+1) q_d^m t_d^(2l-2),
-    m = max(lambda)."""
+    + t^{j-1}(q^{-lam_j}-1) ), as ``_eigen_pair`` for exact parameters."""
     lam = tuple(lam)
     l = len(lam)
     if params.is_exact and lam:
-        _, (a, b), (c, d), (e, f) = _integer_params(params)
-        top, num = max(lam), 0
-        for j, lj in enumerate(lam):
-            gap, rest = a**lj - b**lj, 2 * l - j - 2
-            num += gap * e * b ** (top - lj + 1) * a**top * c**rest * d**j
-            num -= gap * f * a ** (top - lj + 1) * b**top * c**j * d**rest
-        return Fraction(num, f * a ** (top + 1) * b**top * d ** (2 * l - 2))
+        return Fraction(*_eigen_pair(lam, _integer_params(params), max(lam)))
     q, t = params.q, params.t
     t4 = params.t0 * params.t1 * params.t2 * params.t3
     total = 0
@@ -358,8 +361,12 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
     downset = dominant_downset(lam)
     exact = params.is_exact
     e_lam = eigenvalue(lam, params)
+    if exact:  # numerators over E_lambda's denominator, as max(mu) <= max(lambda)
+        integers, top = _integer_params(params), max(lam, default=0)
+        num_lam = _eigen_pair(lam, integers, top)[0]
     for mu in downset[:-1]:  # lambda comes last
-        gap = abs(e_lam - eigenvalue(mu, params))
+        gap = (num_lam - _eigen_pair(mu, integers, top)[0] if exact
+               else abs(e_lam - eigenvalue(mu, params)))
         if gap == 0 or (not exact and gap < _COLLISION_TOL * (1 + abs(e_lam))):
             raise EigenvalueCollisionError(f"E_{lam} collides with E_{mu}; use mode='gram'")
     if exact:
@@ -408,16 +415,11 @@ def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:
         failures = []
         # the first permutation is the identity, whose P_lambda is ``base``
         for perm in itertools.islice(itertools.permutations(range(4)), 1, None):
-            ts = params.tuple4
-            permuted = KoornwinderParams(
-                ts[perm[0]], ts[perm[1]], ts[perm[2]], ts[perm[3]], params.q, params.k
-            )
+            permuted = KoornwinderParams(*(params.tuple4[i] for i in perm), params.q, params.k)
             if not agrees(koornwinder_poly(lam, permuted), base):
                 failures.append(("permutation", perm))
                 break
-        negated = KoornwinderParams(
-            -params.t0, -params.t1, -params.t2, -params.t3, params.q, params.k
-        )
+        negated = KoornwinderParams(*(-t for t in params.tuple4), params.q, params.k)
         flip = koornwinder_poly(lam, negated)
         sign = -1 if sum(lam) % 2 else 1
         if not agrees(flip, base.negate_variables().scale(sign)):

@@ -9,10 +9,11 @@ flip conjugates R^+ = PRP = R^T and (R21)^{-1} = P R^{-1} P = (R^-)^T
 (transposes in the basis e_i (x) e_j), the quantum Yang-Baxter equation,
 the reflection equation R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by
 the J-matrices, and the transposed linear equation solved by the tilde
-J-matrix.  The matrices are sparse (``bcq.linalg``).  An exact check scales
-each factor to integers once, so each side is an integer product M over S,
-the product of its scales, and compares M_lhs S_rhs with M_rhs S_lhs; a
-float check multiplies its floats in the order of a dense product.
+J-matrix.  The matrices are sparse (``bcq.linalg``), the R-side factors built
+once per (n, q) (``_r_side``).  An exact check scales each factor to integers,
+so each side is an integer product M over S, the product of its scales, and
+compares M_lhs S_rhs with M_rhs S_lhs; a float check multiplies its floats
+in the order of a dense product.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 phi_hat_r: Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*), the intertwiner
@@ -36,7 +37,8 @@ Character side: Casimir eigenvalues, branching of GL_n Schur polynomials
 into products over the block subgroup GL_{n-l} x GL_l, and the Gelfand
 property (trivial block-subgroup type has multiplicity at most one, exactly
 one on spherical weights).  Both multiplicities are Littlewood-Richardson
-coefficients, counted as tableaux; no polynomial is multiplied or peeled.
+coefficients, counted as tableaux, the Gelfand ones only at |lambda| = 0 (the
+trivial type has degree 0); no polynomial is multiplied or peeled.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .weights import (
     GrassmannShape,
     WeightVector,
     flat_map,
-    is_spherical,
     weyl_orbit_tuples,
 )
 
@@ -78,6 +79,13 @@ def _matrix_diffs(lhs, rhs, exact: bool):
         sides.append((reduce(mat_mul, [m for m, _ in pairs]), math.prod(s for _, s in pairs)))
     (a, sa), (b, sb) = sides
     return (x.get(j, 0) * sb - y.get(j, 0) * sa for x, y in zip(a, b) for j in x.keys() | y.keys())
+
+
+def _matrix_report(identity: str, n: int, q, xs, sides) -> VerificationReport:
+    """lhs = rhs for the factor lists sides(), exact if q and the matrices xs are."""
+    exact = _is_exact(q) and all(_is_exact(v) for x in xs for row in x for v in row.values())
+    params = {"n": n, "q": str(q)}
+    return difference_report(identity, params, exact, lambda: _matrix_diffs(*sides(), exact))
 
 
 # -- R-matrices and matrix equations --------------------------------------
@@ -122,15 +130,13 @@ def qybe_check(n: int, q) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n, with R12 = R (x) 1,
     R23 = 1 (x) R and R13 = P23 R12 P23."""
 
-    def differences():
+    def sides():
         r, one = r_matrix(n, q), mat_identity(n)
         r12, r23, p23 = mat_kron(r, one), mat_kron(one, r), mat_kron(one, flip_matrix(n))
         r13 = mat_mul(mat_mul(p23, r12), p23)
-        return _matrix_diffs([r12, r13, r23], [r23, r13, r12], _is_exact(q))
+        return [r12, r13, r23], [r23, r13, r12]
 
-    return difference_report(
-        "quantum-yang-baxter", {"n": n, "q": str(q)}, _is_exact(q), differences
-    )
+    return _matrix_report("quantum-yang-baxter", n, q, [], sides)
 
 
 def _j_matrix(n: int, l: int, head, anti):
@@ -170,16 +176,12 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 def reflection_check(x, n: int, q) -> VerificationReport:
     """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n sparse matrix X."""
 
-    def differences():
+    def sides():
+        (r, rm, rp, r21m), _ = _r_side(n, q)
         x1, x2 = mat_kron(x, mat_identity(n)), mat_kron(mat_identity(n), x)
-        return _matrix_diffs(
-            [r_matrix(n, q), x1, r_minus(n, q), x2], [x2, r21_minus(n, q), x1, r_plus(n, q)], exact
-        )
+        return [r, x1, rm, x2], [x2, r21m, x1, rp]
 
-    exact = _is_exact(q) and all(_is_exact(v) for row in x for v in row.values())
-    return difference_report(
-        "reflection-equation", {"n": n, "q": str(q)}, exact, differences
-    )
+    return _matrix_report("reflection-equation", n, q, [x], sides)
 
 
 def _partial_transpose_inverse(m, n: int):
@@ -194,26 +196,25 @@ def _partial_transpose_inverse(m, n: int):
     ]
 
 
+@lru_cache(maxsize=16, typed=True)
+def _r_side(n: int, q):
+    """(R, R^-, R^+, R21^-) and (a, a^{-1}, b, b^{-1}), a = (R21^-)^{t1}, b = R^{t1}, per
+    (n, q), shared so never mutated; typed, as Fraction(1, 2) == 0.5."""
+    rs = r_matrix(n, q), r_minus(n, q), r_plus(n, q), r21_minus(n, q)
+    a, b = partial_transpose_first(rs[3], n), partial_transpose_first(rs[0], n)
+    return rs, (a, _partial_transpose_inverse(a, n), b, _partial_transpose_inverse(b, n))
+
+
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
     = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n sparse matrices Jt, Js."""
 
-    def differences():
-        a = partial_transpose_first(r21_minus(n, q), n)
-        b = partial_transpose_first(r_matrix(n, q), n)
+    def sides():
+        _, (a, a_inv, b, b_inv) = _r_side(n, q)
         js1, jt2 = mat_kron(js, mat_identity(n)), mat_kron(mat_identity(n), jt)
-        return _matrix_diffs(
-            [js1, a, jt2, _partial_transpose_inverse(a, n)],
-            [b, jt2, _partial_transpose_inverse(b, n), js1],
-            exact,
-        )
+        return [js1, a, jt2, a_inv], [b, jt2, b_inv, js1]
 
-    exact = _is_exact(q) and all(
-        _is_exact(v) for mat in (jt, js) for row in mat for v in row.values()
-    )
-    return difference_report(
-        "transposed-reflection-equation", {"n": n, "q": str(q)}, exact, differences
-    )
+    return _matrix_report("transposed-reflection-equation", n, q, [jt, js], sides)
 
 
 # -- q-exterior algebra ----------------------------------------------------
@@ -310,9 +311,8 @@ def u_vector(shape: GrassmannShape, r: int) -> QExtVector:
     coeffs = {}
     for i_set in itertools.combinations(window, r):
         mirror = tuple(sorted(n + 1 - i for i in i_set))
-        if set(i_set) & set(mirror):
-            continue
-        coeffs[(i_set, mirror)] = 1
+        if not set(i_set) & set(mirror):
+            coeffs[(i_set, mirror)] = 1
     return QExtVector(f"Wedge.{r}", coeffs)
 
 
@@ -579,31 +579,39 @@ def spherical_multiplicity(lam, shape: GrassmannShape) -> int:
     """Multiplicity of the trivial block-subgroup type in the GL_n
     irreducible with highest weight lambda: the coefficient of
     s_{lambda + m} in s_{(m^{n-l})} s_{(m^l)}, m as in ``_shift_dominant``."""
-    n, l = shape.n, shape.l
-    outer, m = _shift_dominant(lam, n)
+    outer, m = _shift_dominant(lam, shape.n)
+    return _trivial_multiplicity(outer, m, shape.l)
+
+
+def _trivial_multiplicity(outer, m: int, l: int) -> int:
+    """c^outer_{(m^{n-l}),(m^l)}, n = len(outer): 0 unless |outer| = n m (|lambda| = 0),
+    as c^nu_{alpha,beta} = 0 unless |nu| = |alpha| + |beta| (Macdonald, I.9)."""
+    n = len(outer)
+    if sum(outer) != n * m:
+        return 0
     return _lr_contents(outer, (m,) * (n - l) + (0,) * l, l, m)[(m,) * l]
 
 
 def gelfand_check(shape: GrassmannShape, degree_bound: int) -> VerificationReport:
     """Trivial block-subgroup multiplicity is at most one for every dominant
     weight with entries bounded by degree_bound, and is one exactly on the
-    spherical weights."""
-    n = shape.n
+    spherical weights; it is 0, with no tableau counted, unless |lambda| = 0."""
+    n, l = shape.n, shape.l
     if degree_bound < 0:
         raise ValueError("degree_bound must be >= 0")
 
     def body():
+        box = range(degree_bound, -degree_bound - 1, -1)
+        mus = itertools.combinations_with_replacement(box[: degree_bound + 1], l)
+        spherical = {flat_map(WeightVector(mu, "BC"), shape).entries for mu in mus}
+        weights = list(itertools.combinations_with_replacement(box, n))  # all dominant
         failures = []
-        checked = 0
-        for lam in itertools.combinations_with_replacement(
-            range(degree_bound, -degree_bound - 1, -1), n
-        ):
-            checked += 1
-            mult = spherical_multiplicity(lam, shape)
-            spherical = is_spherical(WeightVector(lam, "A"), shape)
-            if mult > 1 or (mult == 1) != spherical:
+        for lam in weights:
+            m = max(0, -lam[-1])  # as in ``_shift_dominant``
+            mult = _trivial_multiplicity(tuple(e + m for e in lam), m, l)
+            if mult > 1 or (mult == 1) != (lam in spherical):
                 failures.append({"lambda": list(lam), "multiplicity": mult})
-        return not failures, None, {"checked": checked, "failures": failures}
+        return not failures, None, {"checked": len(weights), "failures": failures}
 
-    params = {"n": n, "l": shape.l, "bound": degree_bound}
+    params = {"n": n, "l": l, "bound": degree_bound}
     return timed_report("gelfand-property", params, True, body)

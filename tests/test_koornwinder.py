@@ -216,6 +216,42 @@ def test_eigenvalue_collision_falls_back_to_gram():
     assert norm_K((2, 0), params) == pytest.approx(48927.85, rel=1e-3)
 
 
+# V_K sets with one exact collision E_lambda = E_mu for a mu below lambda,
+# t0 solved from the collision (the eigenvalues are affine in t0 t1 t2 t3)
+COLLISION_SETS = [
+    ((3, 1), KoornwinderParams(F(-3645, 4), F(2, 9), F(1, 5), F(2), F(1, 3), 1)),
+    ((3, 1, 0), KoornwinderParams(F(-492075, 8192), F(6, 5), F(2, 3), F(4, 5), F(2, 3), 2)),
+    ((2, 1, 0), KoornwinderParams(F(-1280, 7), F(1, 3), F(7, 8), F(3, 5), F(1, 2), 2)),
+    ((3, 0), KoornwinderParams(F(-657664, 1809), F(2, 3), F(2, 7), F(1, 4), F(3, 4), 2)),
+    ((3, 2, 1), KoornwinderParams(F(-4608, 25), F(1, 3), F(5, 8), F(5, 6), F(1, 2), 1)),
+    ((4, 1), KoornwinderParams(F(-83623936, 8785), F(5, 8), F(1), F(7, 8), F(1, 4), 2)),
+]
+
+
+def test_exact_collision_names_the_pair():
+    # the exact check compares integer numerators over E_(2,0)'s denominator
+    params = KoornwinderParams(F(-48), F(1, 3), F(1, 2), F(1, 2), F(1, 2), 1)
+    with pytest.raises(EigenvalueCollisionError) as caught:
+        koornwinder_poly((2, 0), params)
+    assert str(caught.value) == "E_(2, 0) collides with E_(1, 1); use mode='gram'"
+
+
+@pytest.mark.parametrize("lam, params", COLLISION_SETS)
+def test_exact_collision_check_matches_the_eigenvalues(monkeypatch, lam, params):
+    # the first mu of the downset whose Fraction E_mu equals E_lambda is named,
+    # and the check calls ``eigenvalue`` for lambda only
+    e_lam = eigenvalue(lam, params)
+    mu = next(mu for mu in dominant_downset(lam)[:-1] if eigenvalue(mu, params) == e_lam)
+    calls = []
+    monkeypatch.setattr(
+        "bcq.koornwinder.eigenvalue", lambda nu, p: calls.append(nu) or eigenvalue(nu, p)
+    )
+    with pytest.raises(EigenvalueCollisionError) as caught:
+        koornwinder_poly(lam, params)
+    assert str(caught.value) == f"E_{lam} collides with E_{mu}; use mode='gram'"
+    assert calls == [lam]
+
+
 def test_monic_and_triangular():
     lam = (2, 1)
     poly = koornwinder_poly(lam, PARAMS2)

@@ -58,7 +58,7 @@ from bcq.qgrass import (
     wedge,
 )
 from bcq.polyring import LaurentPoly, peel, schur
-from bcq.weights import GrassmannShape
+from bcq.weights import GrassmannShape, WeightVector, is_spherical
 
 Q = F(1, 2)
 
@@ -668,3 +668,204 @@ def test_partial_transpose_inverse_stays_real(n):
             for i in range(size)
             for j in range(size)
         )
+
+
+# float.hex of the residuals at q = 0.3 and q = 1.7, recorded while every
+# check still built its own R-side factors.  Keys: (check, q, n, l, sigma).
+R_SIDE_RESIDUALS = {
+    ("reflection", 0.3, 2, 1, 0): "0x0.0p+0",
+    ("refalt", 0.3, 2, 1, 0): "0x1.0000000000000p-53",
+    ("reflection", 0.3, 2, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 2, 1, 1): "0x1.0000000000000p-51",
+    ("reflection", 0.3, 3, 1, 0): "0x0.0p+0",
+    ("refalt", 0.3, 3, 1, 0): "0x1.0000000000000p-46",
+    ("reflection", 0.3, 3, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 3, 1, 1): "0x1.0000000000000p-49",
+    ("reflection", 0.3, 4, 1, 0): "0x0.0p+0",
+    ("refalt", 0.3, 4, 1, 0): "0x1.8000000000000p-45",
+    ("reflection", 0.3, 4, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 4, 1, 1): "0x1.6000000000000p-46",
+    ("reflection", 0.3, 4, 2, 0): "0x0.0p+0",
+    ("refalt", 0.3, 4, 2, 0): "0x1.0000000000000p-45",
+    ("reflection", 0.3, 4, 2, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 4, 2, 1): "0x1.8000000000000p-44",
+    ("reflection", 0.3, 5, 1, 0): "0x0.0p+0",
+    ("refalt", 0.3, 5, 1, 0): "0x1.b400000000000p-40",
+    ("reflection", 0.3, 5, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 5, 1, 1): "0x1.a100000000000p-43",
+    ("reflection", 0.3, 5, 2, 0): "0x0.0p+0",
+    ("refalt", 0.3, 5, 2, 0): "0x1.6000000000000p-39",
+    ("reflection", 0.3, 5, 2, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 5, 2, 1): "0x1.8000000000000p-44",
+    ("reflection", 0.3, 6, 1, 0): "0x0.0p+0",
+    ("refalt", 0.3, 6, 1, 0): "0x1.b260000000000p-35",
+    ("reflection", 0.3, 6, 1, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 6, 1, 1): "0x1.3674000000000p-36",
+    ("reflection", 0.3, 6, 2, 0): "0x0.0p+0",
+    ("refalt", 0.3, 6, 2, 0): "0x1.a600000000000p-35",
+    ("reflection", 0.3, 6, 2, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 6, 2, 1): "0x1.7400000000000p-39",
+    ("reflection", 0.3, 6, 3, 0): "0x0.0p+0",
+    ("refalt", 0.3, 6, 3, 0): "0x1.0000000000000p-42",
+    ("reflection", 0.3, 6, 3, 1): "0x1.4000000000000p-53",
+    ("refalt", 0.3, 6, 3, 1): "0x1.ea00000000000p-37",
+    ("reflection", 1.7, 2, 1, 0): "0x0.0p+0",
+    ("refalt", 1.7, 2, 1, 0): "0x0.0p+0",
+    ("reflection", 1.7, 2, 1, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 2, 1, 1): "0x1.8000000000000p-50",
+    ("reflection", 1.7, 3, 1, 0): "0x0.0p+0",
+    ("refalt", 1.7, 3, 1, 0): "0x1.0000000000000p-49",
+    ("reflection", 1.7, 3, 1, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 3, 1, 1): "0x1.0000000000000p-47",
+    ("reflection", 1.7, 4, 1, 0): "0x0.0p+0",
+    ("refalt", 1.7, 4, 1, 0): "0x1.0000000000000p-48",
+    ("reflection", 1.7, 4, 1, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 4, 1, 1): "0x1.0000000000000p-46",
+    ("reflection", 1.7, 4, 2, 0): "0x0.0p+0",
+    ("refalt", 1.7, 4, 2, 0): "0x1.0000000000000p-49",
+    ("reflection", 1.7, 4, 2, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 4, 2, 1): "0x1.c000000000000p-47",
+    ("reflection", 1.7, 5, 1, 0): "0x0.0p+0",
+    ("refalt", 1.7, 5, 1, 0): "0x1.8000000000000p-46",
+    ("reflection", 1.7, 5, 1, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 5, 1, 1): "0x1.0000000000000p-44",
+    ("reflection", 1.7, 5, 2, 0): "0x0.0p+0",
+    ("refalt", 1.7, 5, 2, 0): "0x1.0000000000000p-47",
+    ("reflection", 1.7, 5, 2, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 5, 2, 1): "0x1.0000000000000p-45",
+    ("reflection", 1.7, 6, 1, 0): "0x0.0p+0",
+    ("refalt", 1.7, 6, 1, 0): "0x1.8000000000000p-44",
+    ("reflection", 1.7, 6, 1, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 6, 1, 1): "0x1.0000000000000p-42",
+    ("reflection", 1.7, 6, 2, 0): "0x0.0p+0",
+    ("refalt", 1.7, 6, 2, 0): "0x1.8000000000000p-46",
+    ("reflection", 1.7, 6, 2, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 6, 2, 1): "0x1.0000000000000p-43",
+    ("reflection", 1.7, 6, 3, 0): "0x0.0p+0",
+    ("refalt", 1.7, 6, 3, 0): "0x1.4000000000000p-47",
+    ("reflection", 1.7, 6, 3, 1): "0x1.0000000000000p-50",
+    ("refalt", 1.7, 6, 3, 1): "0x1.0000000000000p-45",
+}
+
+
+def _r_side_residuals():
+    got = {}
+    for q, n in itertools.product((0.3, 1.7), range(2, 7)):
+        for l, sigma in itertools.product(range(1, n // 2 + 1), (0, 1)):
+            js, jt = j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q)
+            got[("reflection", q, n, l, sigma)] = float.hex(reflection_check(js, n, q).residual)
+            got[("refalt", q, n, l, sigma)] = float.hex(refalt_check(jt, js, n, q).residual)
+    return got
+
+
+def test_cached_r_side_keeps_every_residual_bit():
+    # once with the factors built afresh, once served from the cache
+    qgrass._r_side.cache_clear()
+    assert _r_side_residuals() == R_SIDE_RESIDUALS
+    assert _r_side_residuals() == R_SIDE_RESIDUALS
+
+
+def test_exact_verdicts_up_to_n6():
+    for n in range(2, 7):
+        for l, sigma in itertools.product(range(1, n // 2 + 1), (0, 1)):
+            js, jt = j_sigma(n, l, sigma, Q), j_tilde_sigma(n, l, sigma, Q)
+            for report in (reflection_check(js, n, Q), refalt_check(jt, js, n, Q)):
+                assert report.passed and report.exact and report.residual is None, (n, l, sigma)
+
+
+@pytest.mark.parametrize(
+    "exact_q, float_q", [(F(1, 2), 0.5), (F(3, 4), 0.75)], ids=["1/2", "3/4"]
+)
+def test_r_side_cache_keeps_exact_and_float_keys_apart(exact_q, float_q):
+    # exact_q == float_q and the two hash alike.  An untyped cache would serve
+    # float calls exact factors (at 3/4, R^- = 4/3 then moves float bits) and
+    # exact calls float factors, which cannot be scaled to integers
+    assert qgrass._r_side.cache_info().maxsize is not None
+    n = 4
+
+    def reports(q):
+        out = []
+        for l, sigma in itertools.product(range(1, n // 2 + 1), (0, 1)):
+            js, jt = j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q)
+            out += [reflection_check(js, n, q), refalt_check(jt, js, n, q)]
+        return out
+
+    qgrass._r_side.cache_clear()
+    fresh = reports(float_q)
+    assert all(r.exact and r.passed and r.residual is None for r in reports(exact_q))
+    qgrass._r_side.cache_clear()
+    assert all(r.exact and r.passed and r.residual is None for r in reports(exact_q))
+    for report, alone in zip(reports(float_q), fresh):
+        assert not report.exact and type(report.residual) is float, report.identity
+        assert float.hex(report.residual) == float.hex(alone.residual), report.identity
+
+
+@pytest.mark.parametrize("q", [Q, 0.3])
+def test_public_r_matrices_stay_fresh(q):
+    # the checks share their R-side factors; the public builders do not
+    n = 3
+    js, jt = j_sigma(n, 1, 1, q), j_tilde_sigma(n, 1, 1, q)
+
+    def verdicts():
+        return [(r.passed, r.exact, r.residual) for r in (
+            reflection_check(js, n, q), refalt_check(jt, js, n, q))]
+
+    before = verdicts()
+    for build in (r_matrix, r_minus, r_plus, r21_minus):
+        m, again = build(n, q), build(n, q)
+        assert m == again and m is not again and m[0] is not again[0]
+        m[0][0] = 7
+        m[1].clear()
+        assert verdicts() == before, build.__name__
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_trivial_multiplicity_is_the_tableau_count(n):
+    # the degree-zero shortcut against the full count, on the n <= 7,
+    # bound-2 sweep of the benchmark
+    for l in range(1, n // 2 + 1):
+        for lam in itertools.combinations_with_replacement(range(2, -3, -1), n):
+            outer, m = qgrass._shift_dominant(lam, n)
+            inner = (m,) * (n - l) + (0,) * l
+            expected = qgrass._lr_contents(outer, inner, l, m)[(m,) * l]
+            assert qgrass._trivial_multiplicity(outer, m, l) == expected, (lam, l)
+
+
+@pytest.mark.parametrize(
+    "lam, wrong",
+    [((1, 0, 0, 0, -1), 2), ((2, 0, 0, -1, -1), 1)],
+    ids=["two-on-spherical", "one-off-spherical"],
+)
+def test_gelfand_fails_on_a_wrong_multiplicity(monkeypatch, lam, wrong):
+    shape = GrassmannShape(5, 2)
+    spherical = is_spherical(WeightVector(lam, "A"), shape)
+    assert sum(lam) == 0 and spherical == (wrong == 2)
+    real = qgrass._trivial_multiplicity
+
+    def mutated(outer, m, l):
+        return wrong if tuple(e - m for e in outer) == lam else real(outer, m, l)
+
+    monkeypatch.setattr(qgrass, "_trivial_multiplicity", mutated)
+    report = gelfand_check(shape, 2)
+    assert not report.passed
+    assert report.detail["failures"] == [{"lambda": list(lam), "multiplicity": wrong}]
+
+
+# detail["checked"] of gelfand_check for (n, bound), every l, recorded while
+# the sweep still counted tableaux at every weight; no failures anywhere
+GELFAND_CHECKED = {
+    (2, 0): 1, (2, 1): 6, (2, 2): 15, (2, 3): 28,
+    (3, 0): 1, (3, 1): 10, (3, 2): 35, (3, 3): 84,
+    (4, 0): 1, (4, 1): 15, (4, 2): 70, (4, 3): 210,
+    (5, 0): 1, (5, 1): 21, (5, 2): 126, (5, 3): 462,
+    (6, 0): 1, (6, 1): 28, (6, 2): 210, (6, 3): 924,
+    (7, 0): 1, (7, 1): 36, (7, 2): 330, (7, 3): 1716,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_gelfand_sweep_matches_its_record(n):
+    for l, bound in itertools.product(range(1, n // 2 + 1), range(4)):
+        report = gelfand_check(GrassmannShape(n, l), bound)
+        assert report.passed and report.exact, (l, bound)
+        assert report.detail == {"checked": GELFAND_CHECKED[(n, bound)], "failures": []}
