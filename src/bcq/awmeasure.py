@@ -26,17 +26,20 @@ the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float
 parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
-per (q, m) and w_2 per (params, m) on the open half grid 0 < s < m/2, even
+per (q, m), each table one row of ``qseries._qpoch_row`` (the one float
+q-product), and w_2 per (params, m), on the open half grid 0 < s < m/2, even
 points read from the coarser grid; root powers per m; chamber weights,
-coupling factor included, per (params, m, pinned points, dim), shared by Gram
-matrices and the two inner products of ``norm_K``; residue masses per (a, i,
-params); the chamber values of a polynomial per (polynomial, m) in the torus
-term, which pins no coordinate and does not depend on the parameters, so each
-polynomial is evaluated once per grid across calls.  Params with Fraction and
+coupling factor included, per (params, m, pinned points, dim), built one row
+s_1 < ... < s_{dim-1} at a time and shared by Gram matrices and the two inner
+products of ``norm_K``; residue masses per (a, i, params); the chamber values
+of a polynomial per (polynomial, m) in the torus term, which pins no
+coordinate and does not depend on the parameters.  Params with Fraction and
 float entries compare equal, so these caches hold only what the float
 parameters fix.  A term with pinned points t_a q^i, which move with the
-parameters, evaluates each polynomial once per grid within a call, and once
-in all if every coordinate is pinned (one point on every grid).
+parameters, evaluates each polynomial once per grid within a call.  A term
+that pins every coordinate is one point and no grid: its values are summed
+from tables kept for the call, the powers of each point and the terms times
+the powers of each prefix of leading points (``_pinned_values``).
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from itertools import product as iproduct
 from operator import mul
 
 from .polyring import LaurentPoly, chamber_values, require_invariant
-from .qseries import NonConvergenceError, _qpoch_finite, qpochhammer
+from .qseries import NonConvergenceError, _qpoch_finite, _qpoch_row, qpochhammer
 from .report import relative_report
 
 _DEGENERACY_TOL = 1e-12
@@ -127,12 +130,8 @@ def discrete_support(params) -> dict:
 def w2_value(x, params):
     """w_2(x) = (x^2, x^-2; q)_inf / prod_a (t_a x, t_a / x; q)_inf."""
     ts, q = _params_float(params)
-    num = qpochhammer(x * x, q, math.inf) * qpochhammer(1 / (x * x), q, math.inf)
-    den = 1.0
-    for t in ts:
-        den *= qpochhammer(t * x, q, math.inf)
-        den *= qpochhammer(t / x, q, math.inf)
-    return num / den
+    a, b, *den = _qpoch_row([x * x, 1 / (x * x), *(z for t in ts for z in (t * x, t / x))], q)
+    return a * b / reduce(mul, den, 1.0)
 
 
 @lru_cache(maxsize=256)
@@ -151,11 +150,8 @@ def residue_weight(a: int, i: int, params):
     poles += [z for b, t in enumerate(ts) if b != a for z in (t * x, t / x)]
     if any(_vanishes(z, q) for z in poles):
         raise DegenerateParameterError(f"pole collision at t_{a} q^{i}")
-    num = qpochhammer(x * x, q, math.inf) * qpochhammer(1 / (x * x), q, math.inf)
-    den = qpochhammer(q**-i, q, i) * qpochhammer(q, q, math.inf)
-    for z in poles:
-        den *= qpochhammer(z, q, math.inf)
-    mass = num / den
+    x2, x_2, q_q, *den = _qpoch_row([x * x, 1 / (x * x), q, *poles], q)
+    mass = x2 * x_2 / reduce(mul, den, qpochhammer(q**-i, q, i) * q_q)
     if not cmath.isfinite(mass):
         raise NonConvergenceError(f"residue mass at t_{a} q^{i} overflows doubles")
     return mass
@@ -179,16 +175,16 @@ def _qpoch_pairs(t, q: float, m: int):
     """((t x; q)_inf, (t / x; q)_inf), or for t = None (x^2; q)_inf and
     (x^-2; q)_inf, at the m-th roots of unity x = w^s, 0 < s < m/2.  For
     even m the even s are the (m/2)-th roots (bit for bit): their pairs are
-    read from the table of the coarser grid of the doubling, at s/2."""
+    read from the table of the coarser grid of the doubling, at s/2.  The
+    other pairs are one row of ``_qpoch_row``."""
     roots = _roots_of_unity(m)
     coarse = _qpoch_pairs(t, q, m // 2) if m % 2 == 0 else ()
-
-    def pair(x):
-        a, b = (x * x, 1 / (x * x)) if t is None else (t * x, t / x)
-        return qpochhammer(a, q, math.inf), qpochhammer(b, q, math.inf)
-
     half = range(1, (m + 1) // 2)
-    return tuple(coarse[s // 2 - 1] if coarse and s % 2 == 0 else pair(roots[s]) for s in half)
+    xs = [roots[s] for s in half if not coarse or s % 2]
+    args = [(x * x, 1 / (x * x)) if t is None else (t * x, t / x) for x in xs]
+    fresh = iter(_qpoch_row(chain.from_iterable(args), q))
+    fresh = zip(fresh, fresh)
+    return tuple(coarse[s // 2 - 1] if coarse and s % 2 == 0 else next(fresh) for s in half)
 
 
 @lru_cache(maxsize=256)
@@ -204,10 +200,9 @@ def _w2_on_roots(params, m: int):
     )
 
 
-def _coupling(params, fixed):
+def _coupling(q: float, k: int, fixed):
     """g(z) = (z; q)_k (1/z; q)_k, and the product of g(x y) g(x / y) over
     the pairs of pinned coordinates x, y."""
-    q, k = _params_float(params)[1], params.k
 
     def g(z):
         return _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
@@ -221,27 +216,39 @@ def _coupling(params, fixed):
 @lru_cache(maxsize=256)
 def _weight_on_grid(params, m: int, fixed, dim: int):
     """The weights at the points of the open Weyl chamber, times dim! 2^dim,
-    in the order of ``chamber_values``.  The weight is the w_2 factors for
-    the continuous coordinates times the full coupling factor
-    prod_{i<j} g(x_i x_j) g(x_i / x_j).  A continuous pair reads g from one
-    table over the root indices s_i +- s_j mod m; each pinned coordinate x
-    contributes the table g(x w^s) g(x / w^s) on the open half grid."""
-    g, const = _coupling(params, fixed)
+    in the order of ``chamber_values``: the w_2 factors of the continuous
+    coordinates times the full coupling factor prod_{i<j} g(x_i x_j)
+    g(x_i / x_j).  A continuous pair reads g from one table over the root
+    indices s_i +- s_j mod m; a pinned x gives the table g(x w^s) g(x / w^s)
+    on the open half grid.  One row per s_1 < ... < s_{dim-1}, over s_dim:
+    each weight is its singles in order times its pair factors in
+    ``combinations`` order."""
+    g, const = _coupling(_params_float(params)[1], params.k, fixed)
     roots = _roots_of_unity(m)
-    half = range(1, (m + 1) // 2)
+    top = (m + 1) // 2
     single = _w2_on_roots(params, m)
     for x in fixed:
-        single = [v * g(x * roots[s]) * g(x / roots[s]) for v, s in zip(single, half)]
-    pair = [g(z) for z in roots] if dim > 1 else ()
+        single = [v * g(x * roots[s]) * g(x / roots[s]) for v, s in zip(single, range(1, top))]
     size = math.factorial(dim) << dim
+    if not dim:
+        return (const * size,)
+    pair = [g(z) for z in roots] if dim > 1 else []
+    back = pair[::-1]  # back[r - s - 1] = pair[(s - r) % m] for r > s
     weights = []
-    for combo in combinations(half, dim):
+    for head in combinations(range(1, top), dim - 1):
+        lo = head[-1] if head else 0
         val = const * size
-        for s in combo:
+        for s in head:
             val *= single[s - 1]
-        for s, r in combinations(combo, 2):
-            val *= pair[(s + r) % m] * pair[(s - r) % m]
-        weights.append(val)
+        row = map(mul, repeat(val), single[lo:])
+        for i, j in combinations(range(dim), 2):
+            s = head[i]
+            if j < dim - 1:  # both in the head: one factor for the row
+                row = map(mul, row, repeat(pair[(s + head[j]) % m] * pair[(s - head[j]) % m]))
+            else:  # the pair (s, s_dim), s < s_dim < top: s + s_dim < m
+                plus, minus = pair[s + lo + 1 : s + top], back[lo - s : top - 1 - s]
+                row = map(mul, row, map(mul, plus, minus))
+        weights.extend(row)
     return tuple(weights)
 
 
@@ -256,26 +263,22 @@ def _torus_values(p: LaurentPoly, m: int):
 
 def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid):
     """For each (P,Q) pair: mean over the torus grid of P Qbar * weight with
-    the given pinned coordinates, summed over the open Weyl chamber (P and Q
-    W-invariant); refined by doubling, except with every coordinate pinned."""
+    the given pinned coordinates and dim >= 1 continuous ones, summed over
+    the open Weyl chamber (P and Q W-invariant); refined by doubling."""
     m_pts = grid.m_start
     prev = None
     while m_pts <= grid.max_points:
-        if dim or prev is None:  # all pinned: the same one point on every grid
-            if dim:
-                weights = _weight_on_grid(params, m_pts, fixed, dim)
-            else:
-                weights = (_coupling(params, fixed)[1],)
-            values = []
-            cache = {}
-            for P, Q in polys_pairs:
-                for p in (P, Q):
-                    if id(p) not in cache:  # pinned points t_a q^i move with the params
-                        cache[id(p)] = (chamber_values(p, _root_powers(m_pts), fixed, dim)
-                                        if fixed else _torus_values(p, m_pts))
-                conj = map(complex.conjugate, cache[id(Q)])
-                total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
-                values.append(total / m_pts**dim)
+        weights = _weight_on_grid(params, m_pts, fixed, dim)
+        values = []
+        cache = {}
+        for P, Q in polys_pairs:
+            for p in (P, Q):
+                if id(p) not in cache:  # pinned points t_a q^i move with the params
+                    cache[id(p)] = (chamber_values(p, _root_powers(m_pts), fixed, dim)
+                                    if fixed else _torus_values(p, m_pts))
+            conj = map(complex.conjugate, cache[id(Q)])
+            total = sum(map(mul, map(mul, cache[id(P)], conj), weights))
+            values.append(total / m_pts**dim)
         if prev is not None:
             scale = max(max(abs(v) for v in values), 1e-300)
             if all(abs(v - p) <= grid.rel_tol * (1 + scale) for v, p in zip(values, prev)):
@@ -283,6 +286,26 @@ def _mixed_term_at_m(polys_pairs, params, fixed, dim: int, grid: QuadratureGrid)
         prev = values
         m_pts *= 2
     raise NonConvergenceError(f"torus quadrature refinement cap reached: {grid.max_points} points")
+
+
+def _pinned_values(polys):
+    """pts -> the values of polys at pts, every coordinate pinned, each
+    summed term by term as ``chamber_values(p, power, pts, 0)`` sums it (bit
+    for bit), from tables kept for one call: the powers x^e_j once per point
+    x of coordinate j, and the sorted terms times them once per prefix."""
+    terms = [sorted(p.terms) for p in polys]
+    prefixes = {(): [[complex(p.terms[e]) for e in t] for p, t in zip(polys, terms)]}
+    powers = {}
+
+    def tables(pts):  # the prefix table of pts[:-1] and the powers of pts[-1]
+        j, x = len(pts) - 1, pts[-1]
+        if (j, x) not in powers:
+            powers[j, x] = [[complex(x) ** e[j] for e in t] for t in terms]
+        if pts[:-1] not in prefixes:
+            prefixes[pts[:-1]] = [list(map(mul, h, p)) for h, p in tables(pts[:-1])]
+        return zip(prefixes[pts[:-1]], powers[j, x])
+
+    return lambda pts: [sum(map(mul, h, p), 0j) for h, p in tables(pts)]
 
 
 def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
@@ -315,6 +338,7 @@ def full_inner(P: LaurentPoly, Q: LaurentPoly, params, grid: QuadratureGrid = DE
     n_e = discrete_support(params)
     active = [i for i in range(4) if n_e[i] >= 0]
     w1 = {(a, i): residue_weight(a, i, params) for a in active for i in range(n_e[a] + 1)}
+    pinned = _pinned_values((P,) if Q is P else (P, Q)) if active else None
     total = 0j
     for m in range(l + 1):
         term = 0j
@@ -322,7 +346,11 @@ def full_inner(P: LaurentPoly, Q: LaurentPoly, params, grid: QuadratureGrid = DE
             for i_combo in iproduct(*[range(n_e[e] + 1) for e in e_combo]):
                 pts = tuple(ts[e] * q**i for e, i in zip(e_combo, i_combo))
                 mass = math.prod((w1[ei] for ei in zip(e_combo, i_combo)), start=1.0 + 0j)
-                value = _mixed_term_at_m([(P, Q)], params, pts, l - m, grid)[0]
+                if m < l:
+                    value = _mixed_term_at_m([(P, Q)], params, pts, l - m, grid)[0]
+                else:  # every coordinate pinned: one point, no grid
+                    vals = pinned(pts)
+                    value = vals[0] * vals[-1].conjugate() * _coupling(q, params.k, pts)[1]
                 term += mass * value
         total += 2**m * math.comb(l, m) * term
     return complex(total)
@@ -336,15 +364,11 @@ def gustafson_constant(l: int, params):
     ts, q = _params_float(params)
     t = float(params.t)
     t4 = ts[0] * ts[1] * ts[2] * ts[3]
-    inf = math.inf
     total = (2**l) * math.factorial(l)
     for j in range(1, l + 1):
-        num = qpochhammer(t, q, inf) * qpochhammer(t ** (l + j - 2) * t4, q, inf)
-        den = qpochhammer(t**j, q, inf) * qpochhammer(q, q, inf)
-        for i in range(4):
-            for jj in range(i + 1, 4):
-                den *= qpochhammer(ts[i] * ts[jj] * t ** (j - 1), q, inf)
-        total *= num / den
+        pairs = (ts[i] * ts[jj] * t ** (j - 1) for i, jj in combinations(range(4), 2))
+        a, b, c, d, *den = _qpoch_row([t, t ** (l + j - 2) * t4, t**j, q, *pairs], q)
+        total *= a * b / reduce(mul, den, c * d)
     return total.real
 
 

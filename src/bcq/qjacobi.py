@@ -31,8 +31,7 @@ from itertools import chain, repeat
 from operator import mul
 
 from .polyring import LaurentPoly, chamber_values, gram_schmidt, require_invariant
-from .qseries import _qpoch_finite, check_base, jackson_nodes
-from .qseries import log_qgamma, qpochhammer
+from .qseries import _qpoch_finite, _qpoch_row, check_base, jackson_nodes, log_qgamma
 from .report import relative_report
 
 
@@ -113,9 +112,8 @@ DEFAULT_TRUNCATION = SumTruncation()
 def big_weight_1d(x, params: BigJacobiParams):
     """w_B(x) = (qx/c, -qx/d; q)_inf / (qax/c, -qbx/d; q)_inf."""
     q, a, b, c, d = float(params.q), params.a, params.b, float(params.c), float(params.d)
-    num = qpochhammer(q * x / c, q, math.inf) * qpochhammer(-q * x / d, q, math.inf)
-    den = qpochhammer(q * a * x / c, q, math.inf) * qpochhammer(-q * b * x / d, q, math.inf)
-    return num / den
+    n1, n2, d1, d2 = _qpoch_row([q * x / c, -q * x / d, q * a * x / c, -q * b * x / d], q)
+    return n1 * n2 / (d1 * d2)
 
 
 @lru_cache(maxsize=32)
@@ -129,12 +127,10 @@ def _grid_1d(params, trunc: SumTruncation):
     q = float(params.q)
     n = trunc.effective_n(q)
     if isinstance(params, LittleJacobiParams):
-        a, b, inf = float(params.a), float(params.b), math.inf
-
-        def w(j, x):  # w_L(x) at x = q^j, where x^alpha = a^j
-            return qpochhammer(q * x, q, inf) / qpochhammer(q * b * x, q, inf) * a**j
-
-        points = [(x, m * w(j, x)) for j, (x, m) in enumerate(jackson_nodes(1, n, q))]
+        a, b = float(params.a), float(params.b)
+        nodes = jackson_nodes(1, n, q)  # x = q^j, so x^alpha = a^j in w_L(x)
+        num, den = (_qpoch_row([r * x for x, _ in nodes], q) for r in (q, q * b))
+        points = [(x, m * (u / v * a**j)) for j, ((x, m), u, v) in enumerate(zip(nodes, num, den))]
     else:
         c, d = float(params.c), float(params.d)
         points = [(x, m * big_weight_1d(x, params)) for x, m in jackson_nodes(c, n, q)]
@@ -180,10 +176,12 @@ def _chamber_rows(params, trunc: SumTruncation, l: int, power):
         yield (nodes[s],), tail, weights
 
 
-def _gram_sums(polys, params, l: int, trunc: SumTruncation):
-    """All pairwise <polys[i], polys[j]> of S_l-symmetric polynomials: l!
-    times the chamber sum of the module docstring, streamed over s_1; at
-    l = 1 one row over all nodes."""
+def _gram_sums(polys, params, l: int, trunc: SumTruncation, pairs=None):
+    """The pairwise <polys[i], polys[j]> of S_l-symmetric polynomials for
+    the (i, j), i <= j, of ``pairs`` (default every one), in a symmetric
+    matrix with 0.0 at the pairs not summed: l! times the chamber sum of the
+    module docstring, streamed over s_1; at l = 1 one row over all nodes.
+    Each pair is its own sum, so it keeps its bits whichever others run."""
     for p in polys:
         require_invariant(p, "S")
     nodes, masses = _grid_1d(params, trunc)
@@ -193,26 +191,24 @@ def _gram_sums(polys, params, l: int, trunc: SumTruncation):
     else:
         rows = _chamber_rows(params, trunc, l, power)
     n = len(polys)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)] if pairs is None else pairs
     sums = [[0.0] * n for _ in range(n)]
     for fixed, tail, weights in rows:
         vals = [chamber_values(p, tail, fixed, l - len(fixed)) for p in polys]
-        conj = [list(map(complex.conjugate, v)) for v in vals]
-        for i in range(n):
-            for j in range(i, n):
-                sums[i][j] += sum(map(mul, map(mul, vals[i], conj[j]), weights)).real
+        conj = {j: list(map(complex.conjugate, vals[j])) for j in {j for _, j in pairs}}
+        for i, j in pairs:
+            sums[i][j] += sum(map(mul, map(mul, vals[i], conj[j]), weights)).real
     fold = math.factorial(l)
-    for i in range(n):
-        for j in range(i, n):
-            sums[i][j] *= fold
-            sums[j][i] = sums[i][j]
+    for i, j in pairs:
+        sums[i][j] *= fold
+        sums[j][i] = sums[i][j]
     return sums
 
 
 def _inner(P, Q, params, trunc: SumTruncation):
     if P.nvars != Q.nvars:
         raise ValueError("arity mismatch")
-    g = _gram_sums([P, Q], params, P.nvars, trunc)
-    return g[0][1]
+    return _gram_sums([P, Q], params, P.nvars, trunc, [(0, 1)])[0][1]
 
 
 def big_inner(P, Q, params: BigJacobiParams, trunc: SumTruncation = DEFAULT_TRUNCATION):
@@ -230,7 +226,13 @@ def little_inner(
 def _jacobi_poly(lam, params, l, trunc: SumTruncation) -> LaurentPoly:
     if l not in (None, len(lam)):
         raise ValueError("weight length mismatch")
-    return gram_schmidt(lam, "S", lambda polys: _gram_sums(polys, params, len(lam), trunc))
+
+    def gram(polys):  # every pair but <m_lambda, m_lambda>, which gram_schmidt never reads
+        n = len(polys)
+        pairs = [(i, j) for i in range(n - 1) for j in range(i, n)]
+        return _gram_sums(polys, params, len(lam), trunc, pairs)
+
+    return gram_schmidt(lam, "S", gram)
 
 
 def big_jacobi_poly(
@@ -291,19 +293,10 @@ def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:
     k = params.k
     prefactor = q ** (k**2 * math.comb(l, 3) - math.comb(k, 2) * math.comb(l, 2))
     total = math.factorial(l) * prefactor * _gamma_ratio_product(alpha, beta, k, l, q)
-    inf = math.inf
     for i in range(1, l + 1):
-        num = (
-            qpochhammer(-d / c, q, inf)
-            * qpochhammer(-c / d, q, inf)
-            * (c * d) ** (1 + (i - 1) * k)
-        )
-        den = (
-            qpochhammer(-(q ** (alpha + 1 + (i - 1) * k)) * d / c, q, inf)
-            * qpochhammer(-(q ** (beta + 1 + (i - 1) * k)) * c / d, q, inf)
-            * (c + d)
-        )
-        total *= num / den
+        qa, qb = q ** (alpha + 1 + (i - 1) * k), q ** (beta + 1 + (i - 1) * k)
+        n1, n2, d1, d2 = _qpoch_row([-d / c, -c / d, -qa * d / c, -qb * c / d], q)
+        total *= n1 * n2 * (c * d) ** (1 + (i - 1) * k) / (d1 * d2 * (c + d))
     return total
 
 
@@ -328,7 +321,7 @@ def _norm(lam, params, trunc: SumTruncation, jacobi_poly) -> float:
     """<P,P> / <1,1> from one Jackson sum over P and 1."""
     l = len(lam)
     poly = jacobi_poly(lam, params, l, trunc)
-    sums = _gram_sums([poly, LaurentPoly.const(l, 1)], params, l, trunc)
+    sums = _gram_sums([poly, LaurentPoly.const(l, 1)], params, l, trunc, [(0, 0), (1, 1)])
     return sums[0][0] / sums[1][1]
 
 

@@ -3,13 +3,13 @@
 q-shifted factorials, the q-Gamma function, and the Jackson node rule.  Two
 scalar domains are supported throughout the package: exact rationals
 (``fractions.Fraction``, available whenever the inputs are rational and the
-product is finite) and complex doubles.  An infinite product (b;q)_inf is a
-finite head of factors 1 - b q^j, then Euler's expansion of the log of the
-rest, whose length is fixed in advance from a bound on its neglected tail
-(``_euler_plan``): the tail of the log stays below ABS_TOL, and a product
-that needs more than MAX_TERMS terms raises ``NonConvergenceError``.  Each
-entry point checks q in (0,1) with ``check_base``, the one q test of the
-package.
+product is finite) and complex doubles.  Every float (b;q)_inf is an entry
+of one row kernel, ``_qpoch_row``: a finite head of factors 1 - b q^j, then
+Euler's expansion of the log of the rest, its length fixed in advance from a
+bound on its neglected tail (``_euler_plan``, once per row): the tail of the
+log stays below ABS_TOL, and a product that needs more than MAX_TERMS terms
+raises ``NonConvergenceError``.  Each entry point checks q in (0,1) with
+``check_base``, the one q test of the package.
 
 ``jackson_nodes`` is the one Jackson-sum rule of the package: points beta q^j
 with masses (1-q) beta q^j (Gasper & Rahman, section 1.11).  The inner
@@ -42,21 +42,31 @@ def check_base(q, k=1) -> None:
 
 def qpochhammer(a, q, i):
     """(a;q)_i = prod_{j<i} (1 - q^j a); i may be a nonnegative int or inf.
-
-    The result is exact when a, q are rational and i is finite; for i = inf
-    it is the head of ``_euler_split`` times exp(-tail).
-    """
-    check_base(q)
+    Exact when a, q are rational and i is finite; at i = inf a one-entry
+    ``_qpoch_row``."""
     if i == INFINITY:
-        b, q = (complex(a) if isinstance(a, complex) else float(a)), float(q)
-        head_powers, tail = _euler_split(b, q)
-        head = 1.0
-        for p in head_powers:
-            head *= 1 - b * p
-        return head * (cmath.exp if isinstance(b, complex) else math.exp)(-tail)
+        return _qpoch_row((a,), q)[0]
+    check_base(q)
     if i < 0 or i != int(i):
         raise ValueError("finite order must be a nonnegative integer")
     return _qpoch_finite(a, q, int(i))
+
+
+def _qpoch_row(bs, q):
+    """[(b;q)_inf for b in bs] with one ``check_base`` and ``_euler_plan``:
+    each the head of ``_euler_split`` times exp(-tail), its head length from
+    its own |b|; a complex b stays complex, any other becomes a float."""
+    check_base(q)
+    plan = _euler_plan(q := float(q))
+    out = []
+    for b in bs:
+        b = complex(b) if isinstance(b, complex) else float(b)
+        head_powers, tail = _euler_split(b, q, plan)
+        head = 1.0
+        for p in head_powers:
+            head *= 1 - b * p
+        out.append(head * (cmath.exp if isinstance(b, complex) else math.exp)(-tail))
+    return out
 
 
 def _qpoch_finite(a, q, n: int):
@@ -88,11 +98,11 @@ def _euler_plan(q: float):
     return theta, log_q, [1.0], tuple(1 / (k * -math.expm1(k * log_q)) for k in range(K, 0, -1))
 
 
-def _euler_split(b, q: float):
+def _euler_split(b, q: float, plan):
     """(q^j for j < h, T) with (b;q)_inf = prod_{j<h} (1 - b q^j) exp(-T),
-    T the Euler sum of ``_euler_plan`` by Horner's rule.  A split past
-    MAX_TERMS terms raises before any term is formed."""
-    theta, log_q, powers, coeffs = _euler_plan(q)
+    T the Euler sum of ``plan`` = ``_euler_plan(q)`` by Horner's rule.  A
+    split past MAX_TERMS terms raises before any term is formed."""
+    theta, log_q, powers, coeffs = plan
     size = abs(b)
     if not size < INFINITY:
         raise NonConvergenceError("q-product of a non-finite argument")
@@ -132,7 +142,7 @@ def log_qgamma(a, q) -> float:
         return math.fsum(log_factor(j) - log_1mq for j in range(2, int(a)))
 
     def log_qpoch_power(y):  # L(y)
-        head, tail = _euler_split(q**y, q)
+        head, tail = _euler_split(q**y, q, _euler_plan(q))
         return math.fsum(log_factor(y + j) for j in range(len(head))) - tail
 
     return (1 - a) * log_1mq + log_qpoch_power(1) - log_qpoch_power(a)

@@ -14,8 +14,10 @@ from bcq.awmeasure import (
     DEFAULT_GRID,
     DegenerateParameterError,
     QuadratureGrid,
+    _coupling,
     _mixed_term_at_m,
     _params_float,
+    _pinned_values,
     _qpoch_pairs,
     _root_powers,
     _roots_of_unity,
@@ -272,11 +274,12 @@ def test_gram_builds_each_weight_grid_once_per_m():
 
 def test_pinned_terms_bypass_the_torus_cache():
     # the pinned points t_a q^i move with the parameters: such a term is
-    # never read from, nor stored in, the torus value cache
+    # never read from, nor stored in, the torus value cache, whether one
+    # coordinate is pinned or every one (the tables of ``_pinned_values``)
     P = koornwinder_poly((1, 0), PARAMS_K2)
     _torus_values.cache_clear()
-    for fixed in ((1.7,), (1.7, 0.68)):
-        _mixed_term_at_m([(P, P)], PARAMS_K2, fixed, 2 - len(fixed), DEFAULT_GRID)
+    _mixed_term_at_m([(P, P)], PARAMS_K2, (1.7,), 1, DEFAULT_GRID)
+    _pinned_values((P,))((1.7, 0.68))
     info = _torus_values.cache_info()
     assert info.hits == info.misses == info.currsize == 0
     full_inner(P, P, PARAMS_K2)  # the torus term (m = 0) is cached
@@ -466,6 +469,43 @@ def test_chamber_sum_matches_full_grid(params, lams, fixed, m_start, rel_tol):
         assert abs(chamber - want) <= 1e-13 * abs(want)
 
 
+def _weight_point_by_point(params, m, fixed, dim):
+    """The chamber weights of ``_weight_on_grid`` one chamber point at a
+    time, as it built them before its rows: the singles in order, then the
+    pair factors in ``combinations`` order."""
+    g, const = _coupling(float(params.q), params.k, fixed)
+    roots = _roots_of_unity(m)
+    half = range(1, (m + 1) // 2)
+    single = _w2_on_roots(params, m)
+    for x in fixed:
+        single = [v * g(x * roots[s]) * g(x / roots[s]) for v, s in zip(single, half)]
+    pair = [g(z) for z in roots]
+    size = math.factorial(dim) << dim
+    weights = []
+    for combo in combinations(half, dim):
+        val = const * size
+        for s in combo:
+            val *= single[s - 1]
+        for s, r in combinations(combo, 2):
+            val *= pair[(s + r) % m] * pair[(s - r) % m]
+        weights.append(val)
+    return weights
+
+
+@pytest.mark.parametrize(
+    "params, fixed",
+    [(PARAMS_OUT, ()), (PARAMS_OUT, (1.7,)), (PARAMS_CONJ, ()), (PARAMS_K2, (1.7,)),
+     (PARAMS_K2, (1.7, 0.68))],
+)
+@pytest.mark.parametrize("m", [8, 9, 16, 17])
+def test_weight_rows_equal_the_point_by_point_product(params, fixed, m):
+    # row by row, every chamber weight keeps the bits of its own product
+    _weight_on_grid.cache_clear()
+    for dim in (1, 2, 3):
+        got = [_bits(w) for w in _weight_on_grid(params, m, fixed, dim)]
+        assert got == [_bits(w) for w in _weight_point_by_point(params, m, fixed, dim)]
+
+
 @pytest.mark.parametrize(
     "params, fixed",
     [(PARAMS_IN, ()), (PARAMS_K2, ()), (PARAMS_K2, (1.7,)), (PARAMS_K2, (1.7, 0.68)),
@@ -516,12 +556,21 @@ def test_all_pinned_term_is_one_point_without_a_grid():
         coupling *= _qpoch_finite(z, q, k) * _qpoch_finite(1 / z, q, k)
     want = abs(P.evaluate((x, y))) ** 2 * coupling
     _weight_on_grid.cache_clear()
-    (got,) = _mixed_term_at_m([(P, P)], PARAMS_K2, (x, y), 0, DEFAULT_GRID)
+    (value,) = _pinned_values((P,))((x, y))
+    got = value * value.conjugate() * _coupling(q, k, (x, y))[1]
     assert _weight_on_grid.cache_info().misses == 0
     assert abs(got - want) <= 1e-13 * abs(want)
-    # a grid too small to compare two levels still cannot accept a value
+    # each value is summed term by term as the chamber sum of no continuous
+    # coordinate sums it, bit for bit, here with two polynomials and prefixes
+    Q = koornwinder_poly((2, 1), PARAMS_K2)
+    values = _pinned_values((P, Q))
+    for pts in ((x, y), (y, x), (x, x), (x, y)):
+        want = [chamber_values(p, _root_powers(16), pts, 0)[0] for p in (P, Q)]
+        assert [_bits(v) for v in values(pts)] == [_bits(v) for v in want]
+    # a grid too small to compare two levels still cannot accept a value:
+    # the torus term of ``full_inner`` runs first and raises
     with pytest.raises(NonConvergenceError):
-        _mixed_term_at_m([(P, P)], PARAMS_K2, (x, y), 0, QuadratureGrid(16, max_points=16))
+        full_inner(P, P, PARAMS_K2, QuadratureGrid(16, max_points=16))
 
 
 def test_failures_are_not_cached():

@@ -8,7 +8,12 @@ terms with every coordinate pinned and the mixed terms both run.  ``OUT2``
 has a complex-conjugate pair and two pinned points t_0, t_0 q.  ``T_L`` is
 the little q-Jacobi limit set t_L(eps) at eps = 1e-3.  At l = 3 the
 measured <1,1>_K of ``normalization_check`` is pinned at ``OUT1``, and
-``norm_K`` at ``IN``, inside the disc, where only the torus term runs.  The
+``norm_K`` at ``IN``, inside the disc, where only the torus term runs.
+``OUT3`` (k = 1) and ``OUT3_K2`` (k = 2) have the two pinned points t_0 = 4
+and t_0 q = 1.6, whose coupling g(x y) g(x / y) is exactly 0 at k = 2, and
+``T_L4`` is t_L(eps) at eps = 1e-4 with 13 pinned points: their ``norm_K``
+pins, at l = 2 and 3 and at l = 2, cover the terms with every coordinate
+pinned at several points.  The
 ``gram_poly`` keys pin the coefficient of each dominant exponent, with its
 type, of ``koornwinder_poly(lam, params, mode="gram")`` at ``IN`` and
 ``OUT1``; ``COLL`` has the eigenvalue collision E_(2,0) = E_(1,1), where
@@ -40,6 +45,9 @@ OUT2 = KoornwinderParams(2.5, -0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.5, 1)
 IN = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
 T_L = t_L(F(1, 1000), LittleJacobiParams(F(1), F(-4), F(1, 2), 1))
 COLL = KoornwinderParams(F(-48), F(1, 3), F(1, 2), F(1, 2), F(1, 2), 1)
+OUT3 = KoornwinderParams(4.0, -0.2, 0.15, -0.4, 0.4, 1)
+OUT3_K2 = KoornwinderParams(4.0, -0.2, 0.15, -0.4, 0.4, 2)
+T_L4 = t_L(F(1, 10000), LittleJacobiParams(F(1), F(-4), F(1, 2), 1))
 LAMS = {1: [(1,), (2,)], 2: [(1, 0), (1, 1), (2, 0)], 3: [(1, 0, 0), (1, 1, 0)]}
 GRAM_LAMS = [(1, 0), (2, 0), (1, 1), (2, 1)]
 
@@ -54,7 +62,10 @@ def _values(key):
     name, kind, l = key
     if name == "T_L":
         return [_hex(norm_K(lam, T_L)) for lam in LAMS[l]]
-    params = {"OUT1": OUT1, "OUT2": OUT2, "IN": IN, "COLL": COLL}[name]
+    if name == "T_L4":
+        return [_hex(norm_K(lam, T_L4)) for lam in [(2, 0), (1, 1)]]
+    named = {"OUT1": OUT1, "OUT2": OUT2, "IN": IN, "COLL": COLL, "OUT3": OUT3, "OUT3_K2": OUT3_K2}
+    params = named[name]
     if kind == "normalization_check":
         return [_hex(normalization_check(l, params).detail["measured"])]
     if kind == "norm_K":
@@ -241,6 +252,28 @@ PINS = {
     ('COLL', 'norm_K', 2): [
         ('0x1.7e3fb53761937p+15', '0x0.0p+0'),
     ],
+    ('OUT3', 'norm_K', 2): [
+        ('0x1.5ee8f12666924p+0', '0x0.0p+0'),
+        ('0x1.bd60e9e8e6dfbp+0', '0x0.0p+0'),
+        ('0x1.9fb0f9ecebafep+0', '0x0.0p+0'),
+    ],
+    ('OUT3', 'norm_K', 3): [
+        ('0x1.2f42952675c8ap+0', '0x0.0p+0'),
+        ('0x1.9fb0f9ecebafdp+0', '0x0.0p+0'),
+    ],
+    ('OUT3_K2', 'norm_K', 2): [
+        ('0x1.b7cab729f498ap-1', '0x0.0p+0'),
+        ('0x1.73a9857ea33b8p+0', '0x0.0p+0'),
+        ('0x1.ac6b4fa3319bap-1', '0x0.0p+0'),
+    ],
+    ('OUT3_K2', 'norm_K', 3): [
+        ('0x1.7a3aa8153ab6ep-1', '0x0.0p+0'),
+        ('0x1.b4cefffe62a1dp-1', '0x0.0p+0'),
+    ],
+    ('T_L4', 'norm_K', 2): [
+        ('0x1.3fabeac4f5cd9p+43', '0x0.0p+0'),
+        ('0x1.e55ac57a62b6ep+43', '0x0.0p+0'),
+    ],
 }
 
 
@@ -259,6 +292,8 @@ if __name__ == "__main__":
     keys += [("T_L", "norm_K", 1), ("OUT1", "normalization_check", 3), ("IN", "norm_K", 3)]
     keys += [("IN", "gram_poly", 2), ("OUT1", "gram_poly", 2)]
     keys += [("COLL", "gram_poly", 2), ("COLL", "norm_K", 2)]
+    keys += [(name, "norm_K", l) for name in ("OUT3", "OUT3_K2") for l in (2, 3)]
+    keys += [("T_L4", "norm_K", 2)]
     for key in keys:
         print(f"    {key!r}: [")
         for pair in _values(key):

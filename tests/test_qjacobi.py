@@ -251,6 +251,23 @@ def test_gram_sums_match_node_by_node(l, params, k):
             assert abs(got[i][j] - w) <= 1e-13 * (want[i][i] * want[j][j]) ** 0.5
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_gram_sums_of_some_pairs_keep_their_bits(l):
+    # each pair is its own sum: asked for alone or with others, it keeps the
+    # bits of the full matrix; the pairs not asked for read 0.0
+    params, trunc = LittleJacobiParams(0.5, 1 / 3, 0.25, 2), SumTruncation(n_max=8)
+    lams = [(0,) * l, (1,) + (0,) * (l - 1), (2,) + (1,) * (l - 1)]
+    polys = [monomial_symmetric(lam, l) * c for lam, c in zip(lams, (1, 0.5 - 1j, 2))]
+    full = _gram_sums(polys, params, l, trunc)
+    for pairs in ([(0, 1)], [(0, 0), (2, 2)], [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]):
+        got = _gram_sums(polys, params, l, trunc, pairs)
+        asked = set(pairs) | {(j, i) for i, j in pairs}
+        for i in range(3):
+            for j in range(3):
+                want = full[i][j] if (i, j) in asked else 0.0
+                assert got[i][j].hex() == want.hex()
+
+
 def test_little_inner_arity_mismatch_raises():
     # read 0.0 before the arity check
     with pytest.raises(ValueError, match="arity mismatch"):

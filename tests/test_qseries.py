@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from bcq.qseries import (
     INFINITY,
     NonConvergenceError,
+    _euler_plan,
+    _euler_split,
+    _qpoch_row,
+    check_base,
     jackson_nodes,
     log_qgamma,
     qgamma,
@@ -221,6 +225,49 @@ def test_nonconvergence_raised():
     # |a| = 1e50 at q = 0.99 needs 11525 head factors and 55 Euler terms
     with pytest.raises(NonConvergenceError, match="past MAX_TERMS"):
         qpochhammer(1e50, 0.99, INFINITY)
+
+
+def _qpoch_entry(a, q):
+    """(a;q)_inf one entry at a time, as ``qpochhammer`` formed it before the
+    row kernel: its own base check, plan lookup and split."""
+    check_base(q)
+    b, q = (complex(a) if isinstance(a, complex) else float(a)), float(q)
+    head_powers, tail = _euler_split(b, q, _euler_plan(q))
+    head = 1.0
+    for p in head_powers:
+        head *= 1 - b * p
+    return head * (cmath.exp if isinstance(b, complex) else math.exp)(-tail)
+
+
+def _bits(z):
+    return type(z).__name__, complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("q", [0.25, F(1, 2), 0.9])
+def test_qpoch_row_equals_the_entry_by_entry_products(q):
+    # one mixed row: head length h = 0 (|b| <= min(1/2, q^8)) and h > 0,
+    # floats, complex numbers, an int and a Fraction; every entry keeps the
+    # bits and the type of the product formed on its own
+    row = [1e-6, 1e-6 - 1e-6j, 0.7, -48.0, 3 + 4j, 7000 * cmath.exp(0.7j), 2, F(-5, 3)]
+    heads = [len(_euler_split(complex(a), float(q), _euler_plan(float(q)))[0]) for a in row]
+    assert heads[0] == heads[1] == 0 < min(heads[2:])
+    got = _qpoch_row(row, q)
+    assert [_bits(v) for v in got] == [_bits(_qpoch_entry(a, q)) for a in row]
+    assert [_bits(qpochhammer(a, q, INFINITY)) for a in row] == [_bits(v) for v in got]
+    assert _qpoch_row([], q) == []
+
+
+def test_qpoch_row_raises_as_the_entries_do():
+    # a non-finite entry and one past MAX_TERMS raise wherever they stand in
+    # the row, as each raised alone; so does a base outside (0, 1)
+    for bad, match in ((math.inf, "non-finite"), (complex(math.inf, 1), "non-finite"),
+                       (1e50, "past MAX_TERMS")):
+        with pytest.raises(NonConvergenceError, match=match):
+            _qpoch_entry(bad, 0.99)
+        with pytest.raises(NonConvergenceError, match=match):
+            _qpoch_row([0.5, 2 + 1j, bad, 0.3], 0.99)
+    with pytest.raises(ValueError, match="q must lie in"):
+        _qpoch_row([0.5], 1.0)
 
 
 @pytest.mark.parametrize("beta", [2.0, -1.5])
