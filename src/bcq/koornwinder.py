@@ -31,11 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _inv, _is_exact, integer_row, solve_linear
+from .linalg import _is_exact, integer_row, solve_linear
 from .polyring import LaurentPoly, expand_in_basis, gram_schmidt, rebuild_from_basis
 from .qseries import check_base
 from .report import VerificationReport, timed_report
@@ -66,9 +67,8 @@ class KoornwinderParams:
         check_base(self.q, self.k)
         ts = self.tuple4
         complex_ts = [t for t in ts if isinstance(t, complex) and t.imag != 0]
-        for t in complex_ts:
-            if not any(abs(s - t.conjugate()) == 0 for s in complex_ts if s is not t):
-                raise ValueError("complex parameters must occur in conjugate pairs")
+        if Counter(complex_ts) != Counter(t.conjugate() for t in complex_ts):
+            raise ValueError("complex parameters must occur in conjugate pairs")
         for a, b in itertools.combinations(ts, 2):
             prod = a * b
             if isinstance(prod, complex):
@@ -332,7 +332,7 @@ def eigenvalue(lam, params: KoornwinderParams):
     q, t = params.q, params.t
     t4 = params.t0 * params.t1 * params.t2 * params.t3
     total = 0
-    qinv = _inv(q)
+    qinv = 1 / q
     for j, lj in enumerate(lam, 1):
         total += qinv * t4 * t ** (2 * l - j - 1) * (q**lj - 1)
         total += t ** (j - 1) * (qinv**lj - 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .awmeasure import norm_K
 from .koornwinder import KoornwinderParams, koornwinder_poly
-from .linalg import _inv, _is_exact
+from .linalg import _is_exact
 from .polyring import LaurentPoly, to_generator_coords
 from .qjacobi import (
     BigJacobiParams,
@@ -100,7 +100,7 @@ def rescaled_generator_coeffs(lam, params: KoornwinderParams, s_eps) -> LaurentP
     phat = to_generator_coords(poly, "W")
     factors = [s_eps**i for i in range(1, l + 1)]
     scaled = phat.substitute_scaling(factors)
-    return scaled.scale(_inv(s_eps) ** sum(lam))
+    return scaled.scale((1 / s_eps) ** sum(lam))
 
 
 def _coeff_error(left: LaurentPoly, right: LaurentPoly) -> float:

@@ -7,7 +7,7 @@ of the ring live the symmetric bases used everywhere else: hyperoctahedral
 orbit sums m~_lambda, monomial symmetric m_lambda and Schur polynomials
 s_lambda.  Every triangular basis change (orbit sums and generator
 coordinates) is one ``peel``: read the leading coefficient, subtract it times
-a basis piece monic there, repeat.  ``combine`` is the inverse sum.
+a basis piece monic there, repeat; the way back is a plain sum of pieces.
 """
 
 from __future__ import annotations
@@ -142,42 +142,28 @@ class LaurentPoly:
         return result
 
     # -- evaluation and transforms ---------------------------------------
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total = 0
+    def _scaled_terms(self, factors, what: str):
+        """(exp, coef * prod_i factors[i]^exp[i]) for every term."""
+        if len(factors) != self.nvars:
+            raise ValueError(f"{what} arity mismatch")
         for exp, coef in self.terms.items():
-            val = coef
-            for x, e in zip(point, exp):
-                if e >= 0:
-                    val *= x**e
-                else:
-                    val *= _inv(x) ** (-e)
+            for f, e in zip(factors, exp):
+                coef *= f**e if e >= 0 else _inv(f) ** (-e)
+            yield exp, coef
+
+    def evaluate(self, point):
+        total = 0
+        for _, val in self._scaled_terms(point, "point"):
             total += val
         return total
 
     def substitute_scaling(self, factors):
         """x_i -> factors[i] * x_i applied to every monomial."""
-        if len(factors) != self.nvars:
-            raise ValueError("factor arity mismatch")
-        out = {}
-        for exp, coef in self.terms.items():
-            c = coef
-            for f, e in zip(factors, exp):
-                if e >= 0:
-                    c *= f**e
-                else:
-                    c *= _inv(f) ** (-e)
-            out[exp] = out.get(exp, 0) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, dict(self._scaled_terms(factors, "factor")))
 
     def negate_variables(self):
         """x_i -> -x_i for every variable."""
-        out = {}
-        for exp, coef in self.terms.items():
-            sign = -1 if sum(exp) % 2 else 1
-            out[exp] = sign * coef
-        return LaurentPoly(self.nvars, out)
+        return self.substitute_scaling((-1,) * self.nvars)
 
     # -- serialization ----------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -323,15 +309,6 @@ def peel(terms: dict, leading, piece) -> dict:
     return out
 
 
-def combine(coeffs: dict, piece, l: int) -> LaurentPoly:
-    """The inverse of ``peel``: sum of c piece(k) over the items (k, c)."""
-    out = {}
-    for k, c in coeffs.items():
-        for exp, v in piece(k).items():
-            out[exp] = out.get(exp, 0) + c * v
-    return LaurentPoly(l, out)
-
-
 def _extension_key(rep: tuple):
     """Fixed linear extension of dominance: total degree, then lex."""
     return (sum(rep), rep)
@@ -394,18 +371,6 @@ def gram_schmidt(lam, kind: str, gram) -> LaurentPoly:
     return rebuild_from_basis(coeffs, kind, len(lam))
 
 
-def orbit_size(rep, kind: str) -> int:
-    """Size of the orbit of the sorted tuple ``rep``: its distinct
-    permutations, len!/prod(run lengths)!, times (kind "W") 2 for each
-    nonzero entry."""
-    size = math.factorial(len(rep))
-    run = 1
-    for a, b in zip(rep, rep[1:]):
-        run = run + 1 if a == b else 1
-        size //= run
-    return size << (len(rep) - rep.count(0)) if kind == "W" else size
-
-
 def require_invariant(p: LaurentPoly, kind: str) -> None:
     """Raise unless p is invariant under W (kind "W", signed permutations)
     or S_l (kind "S", permutations of a polynomial: no negative exponent).
@@ -425,7 +390,7 @@ def require_invariant(p: LaurentPoly, kind: str) -> None:
             raise ValueError(f"the measure needs {group}-invariant polynomials")
         seen[rep] += 1
     for rep, n in seen.items():
-        if n != orbit_size(rep, kind) and abs(terms.get(rep, 0)) > slack:
+        if n != len(_orbit_sum(rep, kind).terms) and abs(terms.get(rep, 0)) > slack:
             raise ValueError(f"the measure needs {group}-invariant polynomials")
 
 
@@ -464,5 +429,8 @@ def to_generator_coords(p: LaurentPoly, kind: str) -> LaurentPoly:
 def from_generator_coords(phat: LaurentPoly, kind: str) -> LaurentPoly:
     """Evaluate P^ at the generators, returning the symmetric polynomial;
     a negative generator exponent raises."""
-    orbits = combine(phat.terms, lambda a: _generator_orbits(a, kind), phat.nvars)
-    return rebuild_from_basis(orbits.terms, kind, phat.nvars)
+    orbits = {}
+    for a, c in phat.terms.items():
+        for rep, v in _generator_orbits(a, kind).items():
+            orbits[rep] = orbits.get(rep, 0) + c * v
+    return rebuild_from_basis(orbits, kind, phat.nvars)

@@ -81,20 +81,14 @@ def weyl_orbit(mu: WeightVector) -> set:
     """Full orbit of a BC weight under signed permutations."""
     if mu.lattice != "BC":
         raise ValueError("weyl_orbit is defined on the BC lattice")
-    orbit = set()
-    for perm in itertools.permutations(mu.entries):
-        nonzero = [i for i, e in enumerate(perm) if e != 0]
-        for signs in itertools.product((1, -1), repeat=len(nonzero)):
-            v = list(perm)
-            for i, s in zip(nonzero, signs):
-                v[i] *= s
-            orbit.add(tuple(v))
-    return {WeightVector(v, "BC") for v in orbit}
+    return {WeightVector(v, "BC") for v in weyl_orbit_tuples(mu.entries)}
 
 
 def weyl_orbit_tuples(mu: tuple) -> set:
-    """Orbit of a raw exponent tuple under signed permutations."""
-    return {w.entries for w in weyl_orbit(WeightVector(mu, "BC"))}
+    """Orbit of a raw exponent tuple under signed permutations: every
+    permutation of every choice of e or -e per entry."""
+    signed = itertools.product(*({e, -e} for e in mu))
+    return {v for choice in signed for v in itertools.permutations(choice)}
 
 
 def dominant_representative(nu: tuple) -> tuple:

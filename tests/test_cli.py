@@ -185,6 +185,38 @@ def test_grassmann_output(capsys):
     assert data["koornwinder"]["base"] == "1/4"
 
 
+GRASSMANN_N4_L2 = (
+    '{"big": {"a": "1", "b": "1", "base": "1/4", "c": "1", "d": "1", "k": 1}, '
+    '"casimir": {"1,0,0,-1": "1105/256"}, '
+    '"fundamental_spherical": [[1, 0, 0, -1], [1, 1, -1, -1]], '
+    '"koornwinder": {"base": "1/4", "k": 1, "t": ["-1/2", "-1/2", "1/2", "1/2"]}, '
+    '"l": 2, "little": {"a": "1", "b": "1", "base": "1/4", "k": 1}, "n": 4, "q": "1/2", '
+    '"warning": "a = 1 sits on the boundary of the little parameter domain"}\n'
+)
+
+
+def test_grassmann_casimir_and_boundary_warning(capsys):
+    code, out, _ = run(capsys, "grassmann", "--n", "4", "--l", "2", "--lambda", "1,0,0,-1")
+    assert code == 0
+    assert out == GRASSMANN_N4_L2
+
+
+def test_grassmann_lambda_of_wrong_length_exits_2(capsys):
+    code, out, err = run(capsys, "grassmann", "--n", "4", "--l", "2", "--lambda", "1,0,-1")
+    assert code == 2
+    assert out == ""
+    assert "weight length must be n" in err
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    argv = ("grassmann", "--n", "4", "--l", "2", "--lambda", "1,0,0,-1")
+    src = str(Path(bcq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bcq", *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == run(capsys, *argv)[1] == GRASSMANN_N4_L2
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(
         capsys,

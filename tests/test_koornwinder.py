@@ -82,6 +82,29 @@ def test_params_validation():
         KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1.5)
 
 
+@pytest.mark.parametrize(
+    "ts, message",
+    [
+        # z, z, conj(z): every z has a conjugate somewhere, but not one each
+        ((0.3 + 0.2j, 0.3 + 0.2j, 0.3 - 0.2j, 0.1), "conjugate pairs"),
+        ((2, F(1, 2), F(1, 3), F(1, 5)), "violates V_K"),  # real pair, t0 t1 = 1
+        ((1 + 1j, 1 - 1j, 0.1, 0.2), "violates V_K"),  # conjugate pair, t0 t1 = 2
+    ],
+)
+def test_params_outside_v_k_rejected(ts, message):
+    with pytest.raises(ValueError, match=message):
+        KoornwinderParams(*ts, 0.5)
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="mode must be 'triangular' or 'gram'"):
+        koornwinder_poly((1,), PARAMS1, mode="bogus")
+
+
+def test_dk_apply_of_zero_is_zero():
+    assert dk_apply(LaurentPoly.zero(2), PARAMS2).is_zero
+
+
 def test_degree_one_matches_recurrence_oracle():
     # One variable: the monic polynomial of degree 1 in z + 1/z is
     # m_(1) - b_0 with b_0 = a + 1/a - A_0 and

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bcq import limits
+from bcq.awmeasure import norm_K
 from bcq.limits import (
     DEFAULT_SWEEP,
     EpsilonSweep,
@@ -22,6 +23,7 @@ from bcq.limits import (
     t_L,
 )
 from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
+from bcq.qseries import NonConvergenceError
 from bcq.weights import GrassmannShape
 
 LITTLE = LittleJacobiParams(F(1, 2), F(1, 3), F(1, 4), 1)
@@ -93,6 +95,20 @@ def test_sweep_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "epsilon,max_coeff_err,norm_err,constructed_ok"
     assert len(lines) == 1 + len(SHORT_SWEEP.values)
+
+
+def test_sweep_records_points_it_cannot_construct():
+    # at q = 99/100 the residue points of t_L(eps) outrun the N_e cap
+    params = LittleJacobiParams(F(1, 2), F(1, 3), F(99, 100), 1)
+    sweep = EpsilonSweep((F(1, 10), F(1, 1000)))
+    for eps in sweep.values:
+        with pytest.raises(NonConvergenceError, match="N_e exceeds 64"):
+            norm_K((1,), t_L(eps, params))
+    report = norm_limit_check((1,), params, sweep)
+    assert report.detail["constructed"] == [False, False]
+    assert all(math.isnan(e) for e in report.detail["errors"])
+    assert report.passed is False
+    assert sweep_csv(report).splitlines()[1:] == ["0.1,,nan,False", "0.001,,nan,False"]
 
 
 def test_grassmann_koornwinder_product_invariant():

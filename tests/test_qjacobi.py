@@ -58,6 +58,27 @@ def test_big_domain_validation():
         BigJacobiParams(0.05, 0.04, 1.0, 4.0, 0.25, 2.5)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.05, 0.04, 0.0, 4.0, 0.25), "c and d must be positive"),
+        ((0.05, 0.04, 1.0, -4.0, 0.25), "c and d must be positive"),
+        ((0.1 + 0j, -0.4 + 0j, 1.0, 4.0, 0.25), "z not real"),
+        ((0.1 + 0.2j, 0.4 + 0.8j, 1.0, 4.0, 0.25), r"b = -d conj\(z\)"),
+        ((0.05, 5.0, 1.0, 4.0, 0.25), r"b outside \(-d/cq, 1/q\)"),  # b >= 1/q
+        ((0.05, -20.0, 1.0, 4.0, 0.25), r"b outside \(-d/cq, 1/q\)"),  # b <= -d/cq
+    ],
+)
+def test_big_domain_messages(args, message):
+    with pytest.raises(ValueError, match=message):
+        BigJacobiParams(*args)
+
+
+def test_little_b_at_least_one_over_q_rejected():
+    with pytest.raises(ValueError, match=r"b outside \(-inf,1/q\)"):
+        LittleJacobiParams(0.5, 4.0, 0.25, 1)
+
+
 def test_normalization_closed_forms():
     for l in (1, 2):
         for k in (1, 2):

@@ -1,9 +1,13 @@
 """Tests for weight lattices, dominance, Weyl orbits and spherical weights."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcq.polyring import _orbit_sum
 from bcq.weights import (
     GrassmannShape,
     WeightVector,
@@ -84,6 +88,36 @@ def test_weyl_orbit_signed_permutations():
     # stabilizer: orbit of (1, 1) has |W|/2 = 4 elements
     assert len(weyl_orbit_tuples((1, 1))) == 4
     assert len(weyl_orbit_tuples((0, 0))) == 1
+
+
+def nested_sign_orbit(mu):
+    """The signed-permutation orbit by the nested loop: every permutation,
+    then every sign pattern on its nonzero entries."""
+    orbit = set()
+    for perm in itertools.permutations(mu):
+        nonzero = [i for i, e in enumerate(perm) if e != 0]
+        for signs in itertools.product((1, -1), repeat=len(nonzero)):
+            v = list(perm)
+            for i, s in zip(nonzero, signs):
+                v[i] *= s
+            orbit.add(tuple(v))
+    return orbit
+
+
+DOMINANT_UP_TO_3 = [
+    lam for l in range(1, 5) for lam in itertools.combinations_with_replacement(range(3, -1, -1), l)
+]
+
+
+@pytest.mark.parametrize("lam", DOMINANT_UP_TO_3)
+def test_orbits_match_the_nested_sign_loop(lam):
+    assert weyl_orbit_tuples(lam) == nested_sign_orbit(lam)
+    perms = math.factorial(len(lam))
+    for _, run in itertools.groupby(lam):
+        perms //= math.factorial(len(list(run)))
+    nonzero = sum(1 for e in lam if e)
+    assert len(_orbit_sum(lam, "W").terms) == perms * 2**nonzero
+    assert len(_orbit_sum(lam, "S").terms) == perms
 
 
 @given(t=bc_tuples)
