@@ -386,15 +386,11 @@ def normalization_check(l: int, params, grid: QuadratureGrid = DEFAULT_GRID):
 
 def norm_K(lam, params, grid: QuadratureGrid = DEFAULT_GRID):
     """N_K(lambda) = <P_lambda, P_lambda>_K / <1,1>_K."""
-    from .koornwinder import EigenvalueCollisionError, koornwinder_poly
+    from .koornwinder import koornwinder_poly_or_gram
 
     lam = tuple(lam)
-    l = len(lam)
-    try:
-        poly = koornwinder_poly(lam, params)
-    except EigenvalueCollisionError:
-        poly = koornwinder_poly(lam, params, mode="gram")
-    one = LaurentPoly.const(l, 1)
+    poly = koornwinder_poly_or_gram(lam, params)
+    one = LaurentPoly.const(len(lam), 1)
     num = full_inner(poly, poly, params, grid)
     den = full_inner(one, one, params, grid)
     return (num / den).real

@@ -30,12 +30,7 @@ from fractions import Fraction
 
 from .awmeasure import QuadratureGrid
 from .awmeasure import normalization_check as koornwinder_normalization_check
-from .koornwinder import (
-    EigenvalueCollisionError,
-    KoornwinderParams,
-    check_symmetries,
-    koornwinder_poly,
-)
+from .koornwinder import KoornwinderParams, check_symmetries, koornwinder_poly_or_gram
 from .limits import (
     grassmann_big_params,
     grassmann_koornwinder_params,
@@ -66,8 +61,13 @@ from .qjacobi import (
 from .qjacobi import normalization_check as jacobi_normalization_check
 from .weights import GrassmannShape, fundamental_spherical
 
-# each poly family with the options it cannot run without
-FAMILIES = {"koornwinder": ("t",), "big": ("a", "b", "c", "d"), "little": ("a", "b")}
+# each family: its parameter class, and the options it cannot run without,
+# which give its parameters before q and k (--t gives the four t_i)
+FAMILIES = {
+    "koornwinder": (KoornwinderParams, ("t",)),
+    "big": (BigJacobiParams, ("a", "b", "c", "d")),
+    "little": (LittleJacobiParams, ("a", "b")),
+}
 
 
 def parse_scalar(text: str):
@@ -115,41 +115,39 @@ def _precision():
     return QuadratureGrid(), SumTruncation()
 
 
-def _koornwinder_params(args) -> KoornwinderParams:
-    ts = [parse_scalar(part) for part in args.t.split(",")]
-    if len(ts) != 4:
+def _params(args, family: str):
+    """The parameters of a FAMILIES family from its options, --q and --k."""
+    cls, names = FAMILIES[family]
+    koornwinder = family == "koornwinder"
+    texts = args.t.split(",") if koornwinder else [getattr(args, name) for name in names]
+    values = [parse_scalar(text) for text in texts]
+    if koornwinder and len(values) != 4:
         raise ValueError("--t needs four comma-separated values")
-    return KoornwinderParams(ts[0], ts[1], ts[2], ts[3], parse_scalar(args.q), args.k)
-
-
-def _jacobi_params(args, family: str):
-    """Big (--a --b --c --d) or little (--a --b) q-Jacobi parameters."""
-    cls = BigJacobiParams if family == "big" else LittleJacobiParams
-    values = [parse_scalar(getattr(args, name)) for name in FAMILIES[family]]
     return cls(*values, parse_scalar(args.q), args.k)
 
 
+def _params_doc(params, q_key: str) -> dict:
+    """jacobi_params_doc, with the Koornwinder t_i as one list "t" and q
+    reported as q_key."""
+    doc = jacobi_params_doc(params)
+    if isinstance(params, KoornwinderParams):
+        doc["t"] = [doc.pop(f"t{i}") for i in range(4)]
+    doc[q_key] = doc.pop("q")
+    return doc
+
+
 def cmd_poly(args) -> int:
-    _require(args, f"poly --family {args.family}", FAMILIES[args.family])
-    lam = parse_weight(getattr(args, "lam"))
-    l = len(lam)
+    _require(args, f"poly --family {args.family}", FAMILIES[args.family][1])
+    lam = parse_weight(args.lam)
     _grid, trunc = _precision()
+    params = _params(args, args.family)
     if args.family == "koornwinder":
-        params = _koornwinder_params(args)
-        try:
-            poly = koornwinder_poly(lam, params)
-        except EigenvalueCollisionError:
-            poly = koornwinder_poly(lam, params, mode="gram")
-        basis = "signed-orbit-sums"
-        params_doc = {"t": [str(t) for t in params.tuple4], "q": str(params.q), "k": params.k}
+        poly, basis = koornwinder_poly_or_gram(lam, params), "signed-orbit-sums"
     else:
-        params = _jacobi_params(args, args.family)
         jacobi_poly = big_jacobi_poly if args.family == "big" else little_jacobi_poly
-        poly = jacobi_poly(lam, params, l, trunc)
-        basis = "monomial-symmetric"
-        params_doc = jacobi_params_doc(params)
+        poly, basis = jacobi_poly(lam, params, len(lam), trunc), "monomial-symmetric"
     doc = {"family": args.family, "lambda": list(lam), "basis": basis,
-           "params": params_doc, "polynomial": poly.to_json_dict()}
+           "params": _params_doc(params, "q"), "polynomial": poly.to_json_dict()}
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -189,21 +187,21 @@ def _classical_reports(args, _grid, _trunc) -> list:
 # arguments and the BCQ_PRECISION quadrature grid and Jackson truncation
 SUITES = {
     "orthogonality": (("l", "t"), lambda a, grid, trunc: [
-        koornwinder_normalization_check(a.l, _koornwinder_params(a), grid)]),
+        koornwinder_normalization_check(a.l, _params(a, "koornwinder"), grid)]),
     "selberg-constants": (("l", "a", "b"), lambda a, grid, trunc: [
-        jacobi_normalization_check(_jacobi_params(a, a.family), a.l, trunc)]),
+        jacobi_normalization_check(_params(a, a.family), a.l, trunc)]),
     "reflection": (("n", "l"), _reflection_reports),
     "intertwiner": (("n", "l"), _intertwiner_reports),
     "branching": (("n", "l"), lambda a, grid, trunc: [
         gelfand_check(GrassmannShape(a.n, a.l), a.bound)]),
     "limit-big": (("a", "b", "c", "d"), lambda a, grid, trunc: [
-        limit_check_big(parse_weight(a.lam), _jacobi_params(a, "big"))]),
+        limit_check_big(parse_weight(a.lam), _params(a, "big"))]),
     "limit-little": (("a", "b"), lambda a, grid, trunc: [
-        limit_check_little(parse_weight(a.lam), _jacobi_params(a, "little"))]),
+        limit_check_little(parse_weight(a.lam), _params(a, "little"))]),
     "norm-limit": (("a", "b"), lambda a, grid, trunc: [
-        norm_limit_check(parse_weight(a.lam), _jacobi_params(a, a.family))]),
+        norm_limit_check(parse_weight(a.lam), _params(a, a.family))]),
     "symmetry": (("t",), lambda a, grid, trunc: [
-        check_symmetries(parse_weight(a.lam), _koornwinder_params(a))]),
+        check_symmetries(parse_weight(a.lam), _params(a, "koornwinder"))]),
     "qybe": (("n",), lambda a, grid, trunc: [qybe_check(a.n, _grassmann_q(a))]),
     "classical": ((), _classical_reports),
 }
@@ -228,23 +226,16 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _base_doc(params) -> dict:
-    """jacobi_params_doc with q reported as "base"."""
-    doc = jacobi_params_doc(params)
-    doc["base"] = doc.pop("q")
-    return doc
-
-
 def cmd_grassmann(args) -> int:
     shape = GrassmannShape(args.n, args.l)
     q = _grassmann_q(args)
     doc = {"n": shape.n, "l": shape.l, "q": str(q)}
     if args.sigma != "inf" and args.tau != "inf":
         kp = grassmann_koornwinder_params(shape, int(args.sigma), int(args.tau), q)
-        doc["koornwinder"] = {"t": [str(t) for t in kp.tuple4], "base": str(kp.q), "k": kp.k}
+        doc["koornwinder"] = _params_doc(kp, "base")
     if args.tau != "inf":
-        doc["big"] = _base_doc(grassmann_big_params(shape, int(args.tau), q))
-    doc["little"] = _base_doc(grassmann_little_params(shape, q))
+        doc["big"] = _params_doc(grassmann_big_params(shape, int(args.tau), q), "base")
+    doc["little"] = _params_doc(grassmann_little_params(shape, q), "base")
     if shape.n == 2 * shape.l:
         doc["warning"] = "a = 1 sits on the boundary of the little parameter domain"
     doc["fundamental_spherical"] = [
@@ -269,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no option abbreviations: "--l" must not be read as "--lambda"
     p_poly = sub.add_parser("poly", help="construct a polynomial", allow_abbrev=False)
-    p_poly.add_argument(
-        "--family", required=True, choices=("koornwinder", "big", "little")
-    )
+    p_poly.add_argument("--family", required=True, choices=FAMILIES)
     p_poly.add_argument("--lambda", dest="lam", required=True, help="e.g. 2,1")
     p_poly.add_argument("--q", required=True)
     p_poly.add_argument("--k", type=int, default=1)

@@ -9,7 +9,8 @@ dominance in the orbit-sum basis, with the eigenvalues E_mu on the
 diagonal, so the monic eigenpolynomial P_lambda = sum_mu c_mu m~_mu over the
 dominance downset of lambda (c_lambda = 1) is unique once E_lambda differs
 from every other E_mu there; on a collision, mode "gram" runs
-``polyring.gram_schmidt`` with the Gram matrix of ``awmeasure.full_inner``.
+``polyring.gram_schmidt`` with the Gram matrix of ``awmeasure.full_inner``,
+and ``koornwinder_poly_or_gram`` is the one place that falls back to it.
 
 One collocation loop serves every linear system: at generic points x, the
 orbit sums m~_mu(x) and their images (D_K m~_mu)(x) give one row per point;
@@ -71,10 +72,7 @@ class KoornwinderParams:
             raise ValueError("complex parameters must occur in conjugate pairs")
         for a, b in itertools.combinations(ts, 2):
             prod = a * b
-            if isinstance(prod, complex):
-                if prod.imag == 0 and prod.real >= 1:
-                    raise ValueError("t_i t_j in [1,inf) violates V_K")
-            elif prod >= 1:
+            if prod.imag == 0 and prod.real >= 1:
                 raise ValueError("t_i t_j in [1,inf) violates V_K")
 
     @property
@@ -391,6 +389,14 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
         if c_mu != 0:
             coeffs[mu] = c_mu
     return rebuild_from_basis(coeffs, "W", l)
+
+
+def koornwinder_poly_or_gram(lam, params: KoornwinderParams) -> LaurentPoly:
+    """P_lambda by the triangular solve, or by mode "gram" when E_lambda collides."""
+    try:
+        return koornwinder_poly(lam, params)
+    except EigenvalueCollisionError:
+        return koornwinder_poly(lam, params, mode="gram")
 
 
 def check_symmetries(lam, params: KoornwinderParams) -> VerificationReport:

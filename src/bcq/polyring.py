@@ -108,7 +108,7 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else -other)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -238,7 +238,7 @@ def monomial_symmetric(lam, l: int) -> LaurentPoly:
     return LaurentPoly(l, {mu: 1 for mu in set(itertools.permutations(lam))})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _schur_partition(lam: tuple, n: int):
     """Schur polynomial of a partition (weakly decreasing, nonnegative) in n
     variables, as a plain dict of exponent tuples.
@@ -256,9 +256,7 @@ def _schur_partition(lam: tuple, n: int):
     out = {}
     lam_total = sum(lam)
     ranges = [range(lam[i + 1], lam[i] + 1) for i in range(n - 1)]
-    for mu in itertools.product(*ranges):
-        if any(mu[i] < mu[i + 1] for i in range(n - 2)):
-            continue
+    for mu in itertools.product(*ranges):  # weakly decreasing, as mu_i >= lam_{i+1} >= mu_{i+1}
         sub = _schur_partition(tuple(e for e in mu if e) or (), n - 1)
         deg = lam_total - sum(mu)
         for exp, coef in sub.items():

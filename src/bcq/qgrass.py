@@ -277,10 +277,6 @@ class QExtVector:
     def __sub__(self, other: "QExtVector") -> "QExtVector":
         return self + other.scale(-1)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs.values())
-
 
 def w_vectors(shape: GrassmannShape, sigma: int, q):
     """(w^sigma, w~^sigma, w^infty) in V (x) V*, coefficients read off the

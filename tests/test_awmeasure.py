@@ -2,7 +2,9 @@
 parts, and the closed-form total mass."""
 
 import cmath
+import importlib
 import math
+import pkgutil
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, combinations, cycle, product, repeat
@@ -10,13 +12,13 @@ from operator import add, mul
 
 import pytest
 
+import bcq
 from bcq.awmeasure import (
     DEFAULT_GRID,
     DegenerateParameterError,
     QuadratureGrid,
     _coupling,
     _mixed_term_at_m,
-    _params_float,
     _pinned_values,
     _qpoch_pairs,
     _root_powers,
@@ -303,6 +305,8 @@ def test_non_invariant_input_rejected():
                 continuous_gram([LaurentPoly(2, terms)], params)
         sym = LaurentPoly(1, {(1,): 1, (-1,): 1})
         assert full_inner(sym, one, params) != 0
+    with pytest.raises(ValueError, match="arity mismatch"):
+        full_inner(LaurentPoly.const(1, 1), LaurentPoly.const(2, 1), PARAMS_IN)
 
 
 def test_float_product_counts_as_invariant():
@@ -583,9 +587,13 @@ def test_failures_are_not_cached():
 
 
 def test_every_cache_is_bounded():
-    caches = [
-        _params_float, residue_weight, _roots_of_unity, _root_powers, _root_powers(16),
-        _qpoch_pairs, _w2_on_roots, _weight_on_grid, _torus_values, log_qgamma,
-    ]
-    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    """Every lru_cache bound at module level in a bcq module, found by walking
+    the modules, and the per-exponent cache that _root_powers returns."""
+    modules = [importlib.import_module(f"bcq.{info.name}")
+               for info in pkgutil.iter_modules(bcq.__path__) if info.name != "__main__"]
+    caches = {f"{module.__name__}.{name}": value for module in modules
+              for name, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert {"bcq.awmeasure._root_powers", "bcq.qseries.log_qgamma"} <= set(caches)
+    caches["bcq.awmeasure._root_powers(16)"] = _root_powers(16)
+    assert [name for name, cache in caches.items() if cache.cache_info().maxsize is None] == []
 

@@ -376,6 +376,25 @@ def test_overflowing_residue_mass_exit_3(capsys):
     assert "non-convergence" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--a", "1/2", "--b", "-1/3"),
+    ("--family", "big", "--a", "-1/20", "--b", "1/25", "--c", "1", "--d", "4"),
+])
+def test_selberg_constants_need_positive_a_and_b(capsys, argv):
+    code, out, err = run(capsys, "verify", "selberg-constants", "--l", "1", *argv, "--q", "1/4")
+    assert code == 2
+    assert out == ""
+    assert "closed form needs a = q^alpha, b = q^beta with a,b > 0" in err
+
+
+def test_orthogonality_at_zero_t(capsys):
+    # every t_i = 0: the degeneracy test meets z = 0 in (z; q)_inf
+    code, out, _ = run(capsys, "verify", "orthogonality", "--l", "1", "--t", "0,0,0,0",
+                       "--q", "1/2")
+    assert code == 0
+    assert json.loads(out)["residual"] < 1e-15
+
+
 def test_negative_branching_bound_exit_2(capsys):
     # a negative bound checked no weight and exited 0 with "checked": 0
     code, out, err = run(capsys, "verify", "branching", "--n", "5", "--l", "2",

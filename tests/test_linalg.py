@@ -270,5 +270,7 @@ def test_solve_singular_only_after_elimination_raises():
         gauss_jordan_oracle(a, [[1], [1], [1]])
     with pytest.raises(ZeroDivisionError):
         solve_linear(a, [F(1), F(1), F(1)])
+    with pytest.raises(ZeroDivisionError, match="singular linear system"):
+        solve_linear([[float(x) for x in row] for row in a], [1.0, 1.0, 1.0])
     with pytest.raises(ZeroDivisionError):
         mat_inverse(sparse(a))

@@ -146,6 +146,14 @@ def test_schur_dimension_matches_evaluation_at_ones():
     assert schur_dimension((2, 1, 0), 3) == 8
 
 
+def test_schur_of_a_negative_weight_is_twisted():
+    # s_(1,0,-1) = z^(-1,-1,-1) s_(2,1,0): the adjoint of GL_3
+    s = schur((1, 0, -1), 3)
+    assert len(s.terms) == 7
+    assert s.terms[(0, 0, 0)] == 2
+    assert sum(s.terms.values()) == schur_dimension((1, 0, -1), 3) == 8
+
+
 def test_is_invariant():
     assert is_invariant(orbit_sum_W((2, 1), 2), "W")
     assert is_invariant(schur((2, 1, 0), 3), "S")
@@ -236,3 +244,19 @@ def test_generator_coords_of_generator_is_linear():
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
         LaurentPoly(1, {(1,): 1}) + LaurentPoly(2, {(1, 0): 1})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LaurentPoly(0), "variable count must be in [1,8]"),
+    (lambda: LaurentPoly(2, {(1,): 1}), "exponent arity mismatch"),
+    (lambda: LaurentPoly(2, {(1, 0): 1}).evaluate((1,)), "point arity mismatch"),
+    (lambda: orbit_sum_W((1,), 2), "weight length mismatch"),
+    (lambda: orbit_sum_W((0, 1), 2), "orbit_sum_W requires a dominant BC weight"),
+    (lambda: monomial_symmetric((1,), 2), "weight length mismatch"),
+    (lambda: monomial_symmetric((1, -1), 2), "monomial_symmetric requires a dominant partition"),
+    (lambda: expand_in_basis(LaurentPoly(2, {(1, 0): 1}), "X"), "kind must be 'W' or 'S'"),
+])
+def test_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
