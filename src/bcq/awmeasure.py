@@ -26,9 +26,9 @@ the chamber sum (and the residue prefactor) would be wrong.
 
 Each ingredient is computed once, in a bounded ``lru_cache``: the float
 parameters per params; (t x, t/x; q)_inf per (t, q, m) and (x^2, x^-2; q)_inf
-per (q, m), each table one row of ``qseries._qpoch_row`` (the one float
-q-product), and w_2 per (params, m), on the open half grid 0 < s < m/2, even
-points read from the coarser grid; root powers per m; chamber weights,
+per (q, m), each table one row of ``qseries._qpoch_row``, and w_2 per
+(params, m), on the open half grid 0 < s < m/2, even points read from the
+coarser grid; root powers per m; chamber weights,
 coupling factor included, per (params, m, pinned points, dim), built one row
 s_1 < ... < s_{dim-1} at a time and shared by Gram matrices and the two inner
 products of ``norm_K``; residue masses per (a, i, params); the chamber values
@@ -53,7 +53,7 @@ from itertools import product as iproduct
 from operator import mul
 
 from .polyring import LaurentPoly, chamber_values, require_invariant
-from .qseries import NonConvergenceError, _qpoch_finite, _qpoch_row, qpochhammer
+from .qseries import NonConvergenceError, _qpoch_finite, _qpoch_row, qpochhammer, qproduct
 from .report import relative_report
 
 _DEGENERACY_TOL = 1e-12
@@ -361,15 +361,11 @@ def gustafson_constant(l: int, params):
     2^l l! prod_{j=1}^l (t, t^{l+j-2} t0t1t2t3; q)_inf /
     (t^j, q, t0t1 t^{j-1}, t0t2 t^{j-1}, t0t3 t^{j-1}, t1t2 t^{j-1},
     t1t3 t^{j-1}, t2t3 t^{j-1}; q)_inf."""
-    ts, q = _params_float(params)
-    t = float(params.t)
-    t4 = ts[0] * ts[1] * ts[2] * ts[3]
-    total = (2**l) * math.factorial(l)
-    for j in range(1, l + 1):
-        pairs = (ts[i] * ts[jj] * t ** (j - 1) for i, jj in combinations(range(4), 2))
-        a, b, c, d, *den = _qpoch_row([t, t ** (l + j - 2) * t4, t**j, q, *pairs], q)
-        total *= a * b / reduce(mul, den, c * d)
-    return total.real
+    ts, q, t = (params.t0, params.t1, params.t2, params.t3), params.q, params.t
+    num = [v for j in range(1, l + 1) for v in (t, t ** (l + j - 2) * math.prod(ts))]
+    den = [v for j in range(1, l + 1) for v in (t**j, q)]
+    den += [x * y * t ** (j - 1) for j in range(1, l + 1) for x, y in combinations(ts, 2)]
+    return qproduct(2**l * math.factorial(l), num, den, q)
 
 
 def normalization_check(l: int, params, grid: QuadratureGrid = DEFAULT_GRID):

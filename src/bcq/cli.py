@@ -88,10 +88,15 @@ def parse_weight(text: str) -> tuple:
         raise ValueError(f"cannot parse weight {text!r}") from exc
 
 
-def _require(args, command: str, names) -> None:
+def _require(args, command: str, names, optional=()) -> None:
+    """Every option of names given, and no --t/--a/--b/--c/--d it ignores."""
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{command} needs {' '.join(missing)}")
+    read = names + optional
+    unread = [f"--{n}" for n in "tabcd" if n not in read and getattr(args, n) is not None]
+    if unread:
+        raise ValueError(f"{command} does not read {' '.join(unread)}")
 
 
 def _attach_negative_values(argv) -> list:
@@ -211,7 +216,8 @@ def _verify_reports(args) -> list:
     required, build = SUITES[args.suite]
     if args.family == "big" and args.suite in ("selberg-constants", "norm-limit"):
         required += ("c", "d")
-    _require(args, f"verify {args.suite}", required)
+    optional = ("a", "b") if args.suite == "classical" else ()
+    _require(args, f"verify {args.suite}", required, optional)
     grid, trunc = _precision()
     return build(args, grid, trunc)
 

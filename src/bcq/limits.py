@@ -268,22 +268,24 @@ def selberg_classical(alpha: float, beta: float, tau: float, l: int) -> float:
 
 
 def q_to_1_check(alpha: float, beta: float, k: int, l: int) -> VerificationReport:
-    """The little q-Jacobi mass tends to Selberg's Gamma product as q -> 1,
-    and Gamma_q(a) tends to Gamma(a), along q = 0.9, 0.99, 0.999."""
+    """The little q-Jacobi mass at a = q^alpha, b = q^beta tends to Selberg's
+    Gamma product as q -> 1, and Gamma_q(a) to Gamma(a), along q = 9/10,
+    99/100, 999/1000; the mass is exact at integer alpha and beta."""
     target = selberg_classical(alpha, beta, float(k), l)
-    q_list = (0.9, 0.99, 0.999)
+    q_list = (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
 
     def body():
         errors = []
         for q in q_list:
-            value = closed_form_little_constant(alpha, beta, k, l, q)
-            errors.append(abs(value - target) / abs(target))
-        gamma_runs = [[abs(qgamma(a, q) - math.gamma(a)) / math.gamma(a) for q in q_list]
+            params = LittleJacobiParams(q ** Fraction(alpha), q ** Fraction(beta), q, k)
+            errors.append(abs(closed_form_little_constant(params, l) - target) / abs(target))
+        gamma_runs = [[abs(qgamma(a, float(q)) - math.gamma(a)) / math.gamma(a) for q in q_list]
                       for a in (1.5, 2.5)]
         runs = (errors, *gamma_runs)
         final = max(run[-1] for run in runs)
         passed = final < 0.01 and all(a >= b for r in runs for a, b in zip(r, r[1:]))
-        detail = {"q": list(q_list), "errors": errors, "gamma_errors": sum(gamma_runs, [])}
+        detail = {"q": list(map(float, q_list)), "errors": errors,
+                  "gamma_errors": sum(gamma_runs, [])}
         return passed, final, detail
 
     params = {"alpha": alpha, "beta": beta, "k": k, "l": l}

@@ -9,6 +9,8 @@ coupling factors x_i^{2k-1} (q^{1-k} x_j / x_i; q)_{2k-1}.  Polynomials are
 built by ``polyring.gram_schmidt`` over the dominance downset, with the Gram
 matrix of ``_gram_sums`` (the one Gram-Schmidt routine, which the Koornwinder
 Gram mode shares); q-difference operators are deliberately not implemented.
+The total masses <1,1> are q-Selberg products in a and b, one
+``qseries.qproduct`` call each: defined at a, b <= 0, exact where all pair.
 
 The weight is symmetric under S_l, and the pair factor (x - y) x^{2k-1}
 (q^{1-k} y/x; q)_{2k-1} is exactly 0.0 where two nodes coincide, so for
@@ -31,7 +33,7 @@ from itertools import chain, repeat
 from operator import mul
 
 from .polyring import LaurentPoly, chamber_values, gram_schmidt, require_invariant
-from .qseries import _qpoch_finite, _qpoch_row, check_base, jackson_nodes, log_qgamma
+from .qseries import _qpoch_finite, _qpoch_row, check_base, jackson_nodes, qproduct
 from .report import relative_report
 
 
@@ -252,52 +254,35 @@ def little_jacobi_poly(
     return _jacobi_poly(lam, params, l, trunc)
 
 
-def _gamma_ratio_product(
-    alpha: float, beta: float, k: int, l: int, q: float, log_start: float = 0.0
-) -> float:
-    """exp(log_start) prod_i Gamma_q(alpha+1+(i-1)k) Gamma_q(beta+1+(i-1)k)
-    Gamma_q(ik) / (Gamma_q(alpha+beta+2+(l+i-2)k) Gamma_q(k)), in log space."""
-    total = log_start
-    for i in range(1, l + 1):
-        total += log_qgamma(alpha + 1 + (i - 1) * k, q)
-        total += log_qgamma(beta + 1 + (i - 1) * k, q)
-        total += log_qgamma(i * k, q)
-        total -= log_qgamma(alpha + beta + 2 + (l + i - 2) * k, q)
-        total -= log_qgamma(k, q)
-    return math.exp(total)
+def _selberg(params, l: int, scale, num, den):
+    """``qproduct`` of scale l! (1-q)^l, num and den times the q-Selberg core
+    (q, t, abq^2 t^{l+i-2}; q)_inf / (aq t^{i-1}, bq t^{i-1}, t^i; q)_inf over
+    i = 1..l, t = q^k, which at a = q^alpha, b = q^beta is (1-q)^{-l} prod_i
+    Gamma_q(alpha+1+(i-1)k) Gamma_q(beta+1+(i-1)k) Gamma_q(ik) /
+    (Gamma_q(alpha+beta+2+(l+i-2)k) Gamma_q(k))."""
+    a, b, q, t = params.a, params.b, params.q, params.q**params.k
+    num += [v for i in range(l) for v in (q, t, a * b * q * q * t ** (l + i - 1))]
+    den += [v for i in range(l) for v in (a * q * t**i, b * q * t**i, t ** (i + 1))]
+    return qproduct(math.factorial(l) * (1 - q) ** l * scale, num, den, q)
 
 
-def _alpha_beta(params):
-    """(alpha, beta) with a = q^alpha, b = q^beta, as the closed forms need."""
-    if not params.a > 0 or not params.b > 0:
-        raise ValueError("closed form needs a = q^alpha, b = q^beta with a,b > 0")
-    log_q = math.log(float(params.q))
-    return math.log(float(params.a)) / log_q, math.log(float(params.b)) / log_q
+def closed_form_little_constant(params: LittleJacobiParams, l: int):
+    """<1,1>_L = (aq)^{k C(l,2)} q^{2k^2 C(l,3)} ``_selberg`` (Askey-Kadell);
+    its q->1 limit at a = q^alpha, b = q^beta is Selberg's integral."""
+    q, k = params.q, params.k
+    scale = (params.a * q) ** (k * math.comb(l, 2)) * q ** (2 * k * k * math.comb(l, 3))
+    return _selberg(params, l, scale, [], [])
 
 
-def closed_form_little_constant(alpha: float, beta: float, k: int, l: int, q: float) -> float:
-    """<1,1>_L = l! q^{k(alpha+1) C(l,2) + 2 k^2 C(l,3)} * Gamma_q product,
-    for a = q^alpha, b = q^beta; its q->1 limit is Selberg's Gamma product."""
-    e = k * (alpha + 1) * math.comb(l, 2) + 2 * k**2 * math.comb(l, 3)
-    log_start = math.log(math.factorial(l)) + e * math.log(q)
-    return _gamma_ratio_product(alpha, beta, k, l, q, log_start)
-
-
-def closed_form_big_constant(params: BigJacobiParams, l: int) -> float:
-    """<1,1>_B = l! q^{k^2 C(l,3) - C(k,2) C(l,2)} * Gamma_q product *
-    prod_i (-d/c, -c/d; q)_inf (cd)^{1+(i-1)k} /
-    ((-q^{alpha+1+(i-1)k} d/c, -q^{beta+1+(i-1)k} c/d; q)_inf (c+d))."""
-    q = float(params.q)
-    alpha, beta = _alpha_beta(params)
-    c, d = float(params.c), float(params.d)
-    k = params.k
-    prefactor = q ** (k**2 * math.comb(l, 3) - math.comb(k, 2) * math.comb(l, 2))
-    total = math.factorial(l) * prefactor * _gamma_ratio_product(alpha, beta, k, l, q)
-    for i in range(1, l + 1):
-        qa, qb = q ** (alpha + 1 + (i - 1) * k), q ** (beta + 1 + (i - 1) * k)
-        n1, n2, d1, d2 = _qpoch_row([-d / c, -c / d, -qa * d / c, -qb * c / d], q)
-        total *= n1 * n2 * (c * d) ** (1 + (i - 1) * k) / (d1 * d2 * (c + d))
-    return total
+def closed_form_big_constant(params: BigJacobiParams, l: int):
+    """<1,1>_B = q^{k^2 C(l,3) - C(k,2) C(l,2)} (cd)^{l + k C(l,2)} / (c+d)^l
+    ``_selberg`` prod_i (-d/c, -c/d; q)_inf / (-aq t^{i-1} d/c, -bq t^{i-1} c/d; q)_inf."""
+    a, b, c, d, q, k = params.a, params.b, params.c, params.d, params.q, params.k
+    e = k * k * math.comb(l, 3) - math.comb(k, 2) * math.comb(l, 2)
+    scale = q**e * (c * d) ** (l + k * math.comb(l, 2)) / (c + d) ** l
+    s = [q ** (1 + k * i) for i in range(l)]
+    den = [v for x in s for v in (-a * x * d / c, -b * x * c / d)]
+    return _selberg(params, l, scale, [-d / c, -c / d] * l, den)
 
 
 def normalization_check(params, l: int, trunc: SumTruncation = DEFAULT_TRUNCATION):
@@ -307,10 +292,8 @@ def normalization_check(params, l: int, trunc: SumTruncation = DEFAULT_TRUNCATIO
 
     def measure():
         measured = _gram_sums([LaurentPoly.const(l, 1)], params, l, trunc)[0][0]
-        if big:
-            return measured, closed_form_big_constant(params, l)
-        alpha, beta = _alpha_beta(params)
-        return measured, closed_form_little_constant(alpha, beta, params.k, l, float(params.q))
+        closed = closed_form_big_constant if big else closed_form_little_constant
+        return measured, closed(params, l)
 
     identity = "big-jacobi-normalization" if big else "little-jacobi-normalization"
     params_doc = {"l": l, "q": str(params.q), "k": params.k}

@@ -1,14 +1,14 @@
 """Scalar q-analysis primitives.
 
-q-shifted factorials, the q-Gamma function, and the Jackson node rule.  Two
-scalar domains are supported throughout the package: exact rationals
-(``fractions.Fraction``, available whenever the inputs are rational and the
-product is finite) and complex doubles.  Every float (b;q)_inf is an entry
-of one row kernel, ``_qpoch_row``: a finite head of factors 1 - b q^j, then
-Euler's expansion of the log of the rest, its length fixed in advance from a
-bound on its neglected tail (``_euler_plan``, once per row): the tail of the
-log stays below ABS_TOL, and a product that needs more than MAX_TERMS terms
-raises ``NonConvergenceError``.  Each entry point checks q in (0,1) with
+q-shifted factorials, the q-Gamma function, the Jackson node rule, and
+``qproduct``, the one closed-form layer.  Scalars are exact rationals
+(``fractions.Fraction``, whenever the inputs are rational and the product is
+finite) or complex doubles.  A float (b;q)_inf is a head of factors
+1 - b q^j, multiplied by the row kernel ``_qpoch_row`` or summed as logs by
+``qproduct``, then Euler's expansion of the log of the rest, its length
+fixed in advance (``_euler_plan``) so that the neglected tail of the log
+stays below ABS_TOL; a product that needs more than MAX_TERMS terms raises
+``NonConvergenceError``.  Each entry point checks q in (0,1) with
 ``check_base``, the one q test of the package.
 
 ``jackson_nodes`` is the one Jackson-sum rule of the package: points beta q^j
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 INFINITY = math.inf
@@ -78,6 +79,50 @@ def _qpoch_finite(a, q, n: int):
         prod *= 1 - term
         term *= q
     return prod
+
+
+def qproduct(scale, num, den, q):
+    """scale prod_{b in num} (b;q)_inf / prod_{b in den} (b;q)_inf, a real
+    product (complex bases in conjugate pairs).  Each numerator pairs with
+    the first denominator that gives it an exact ``_finite_ratio``; the rest
+    is one ``fsum`` of head logs and Euler tails over one ``_euler_plan``, a
+    negative factor with argument pi.  Exact when the scale is and every
+    factor pairs, else a float."""
+    check_base(q)
+    den, left = list(den), []
+    for b in num:
+        for i, c in enumerate(den):
+            if (ratio := _finite_ratio(b, c, q)) is not None:
+                scale *= ratio
+                del den[i]
+                break
+        else:
+            left.append((b, 1))
+    if not (left := left + [(c, -1) for c in den]):
+        return scale
+    plan, logs = _euler_plan(qf := float(q)), []
+    for b, sign in left:
+        b = complex(b) if isinstance(b, complex) else float(b)
+        powers, tail = _euler_split(b, qf, plan)
+        logs += [sign * _log1m(b * p) for p in powers] + [complex(-sign * tail)]
+    total = complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
+    return float(scale) * cmath.exp(total).real
+
+
+def _finite_ratio(b, c, q):
+    """(b;q)_inf / (c;q)_inf when c = b q^m, |m| <= MAX_TERMS an integer,
+    and b, c, q are exact and nonzero, else None: a float log guesses m, an
+    exact power checks it, and the ratio is (b;q)_m, or 1/(c;q)_{-m}."""
+    if isinstance(q, Fraction) and all(isinstance(v, (int, Fraction)) and v for v in (b, c)):
+        r = Fraction(c) / b
+        m = round((math.log(abs(r.numerator)) - math.log(r.denominator)) / math.log(q))
+        if abs(m) <= MAX_TERMS and q**m == r:
+            return _qpoch_finite(b, q, m) if m >= 0 else 1 / _qpoch_finite(Fraction(c), q, -m)
+
+
+def _log1m(x) -> complex:
+    """log(1 - x), by log1p where x is real and below 1."""
+    return cmath.log(1 - x) if isinstance(x, complex) or x >= 1 else complex(math.log1p(-x))
 
 
 @lru_cache(maxsize=64)

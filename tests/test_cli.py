@@ -324,6 +324,37 @@ def test_missing_option_is_named(capsys, argv, flag):
     assert "NoneType" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("poly", "--family", "little", "--lambda", "2", "--a", "1/2", "--b", "1/3", "--q", "1/4",
+          "--t", "1,2"), "--t"),
+        (("poly", "--family", "little", "--lambda", "2", "--a", "1/2", "--b", "1/3", "--q", "1/4",
+          "--c", "1", "--d", "4"), "--c --d"),
+        (("poly", "--family", "koornwinder", "--lambda", "1", "--t", "1/5,-1/7,1/3,-2/7",
+          "--q", "1/4", "--a", "1/2"), "--a"),
+        (("verify", "selberg-constants", "--l", "1", "--a", "1/2", "--b", "1/3", "--c", "1",
+          "--q", "1/4"), "--c"),
+        (("verify", "qybe", "--n", "3", "--t", "1,2"), "--t"),
+        (("verify", "classical", "--l", "2", "--c", "1"), "--c"),
+        (("verify", "orthogonality", "--l", "1", "--t", "1/5,-1/7,1/3,-2/7", "--a", "1/2"),
+         "--a"),
+    ],
+)
+def test_unread_parameter_option_exits_2(capsys, argv, unread):
+    # --t given to the little family was ignored, and the command exited 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {unread}" in err
+
+
+def test_classical_reads_a_and_b(capsys):
+    code, out, _ = run(capsys, "verify", "classical", "--l", "2", "--a", "1", "--b", "0")
+    assert code == 0
+    assert json.loads(out)["params"]["alpha"] == 1.0
+
+
 def test_negative_value_as_separate_argument(capsys):
     base = ("poly", "--family", "little", "--lambda", "2", "--a", "1")
     code, separate, _ = run(capsys, *base, "--b", "-13/2", "--q", "1/2")
@@ -380,11 +411,13 @@ def test_overflowing_residue_mass_exit_3(capsys):
     ("--a", "1/2", "--b", "-1/3"),
     ("--family", "big", "--a", "-1/20", "--b", "1/25", "--c", "1", "--d", "4"),
 ])
-def test_selberg_constants_need_positive_a_and_b(capsys, argv):
+def test_selberg_constants_at_nonpositive_a_or_b(capsys, argv):
+    # the constants are products in a and b themselves, which exist at
+    # a, b <= 0; through a = q^alpha, b = q^beta these sets exited 2
     code, out, err = run(capsys, "verify", "selberg-constants", "--l", "1", *argv, "--q", "1/4")
-    assert code == 2
-    assert out == ""
-    assert "closed form needs a = q^alpha, b = q^beta with a,b > 0" in err
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["residual"] < 1e-10
 
 
 def test_orthogonality_at_zero_t(capsys):

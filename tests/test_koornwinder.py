@@ -26,7 +26,8 @@ from bcq.koornwinder import (
     koornwinder_poly,
 )
 from bcq.polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
-from bcq.weights import dominant_downset
+from bcq.qgrass import casimir_eigenvalue
+from bcq.weights import WeightVector, dominant_downset, flat_map
 
 PARAMS2 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
 PARAMS1 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
@@ -562,3 +563,18 @@ def test_float_mode():
         for e in set(image.terms) | set(target.terms)
     )
     assert err < 1e-9
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 3)])
+@pytest.mark.parametrize("n, l", [(4, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3)])
+def test_eigenvalue_is_the_shifted_casimir_at_grassmann_parameters(q, n, l):
+    # D_K is the radial part of the Casimir of U_q(n): at the (sigma, tau)
+    # parameters of U_q(n)/K_q, E_mu = chi_{flat(mu)} - chi_0 exactly
+    shape = GrassmannShape(n, l)
+    weights = dominant_downset((2,) + (1,) * (l - 1)) + [(3,) + (0,) * (l - 1)]
+    base = casimir_eigenvalue((0,) * n, n, q)
+    for sigma, tau in itertools.product(range(3), repeat=2):
+        params = grassmann_koornwinder_params(shape, sigma, tau, q)
+        for mu in weights:
+            flat = flat_map(WeightVector(mu, "BC"), shape).entries
+            assert eigenvalue(mu, params) == casimir_eigenvalue(flat, n, q) - base, (sigma, tau, mu)

@@ -22,7 +22,12 @@ from bcq.limits import (
     t_B,
     t_L,
 )
-from bcq.qjacobi import BigJacobiParams, LittleJacobiParams
+from bcq.qjacobi import (
+    BigJacobiParams,
+    LittleJacobiParams,
+    closed_form_little_constant,
+    normalization_check,
+)
 from bcq.qseries import NonConvergenceError
 from bcq.weights import GrassmannShape
 
@@ -196,5 +201,19 @@ def test_q_to_1_residual_at_integer_arguments():
     value = 2 * q * gamma_q(1) ** 3 * gamma_q(2) ** 3 / (gamma_q(3) * gamma_q(4))
     want = float(abs(value - F(1, 6)) / F(1, 6))
     assert want == pytest.approx(1.0004164995063815e-3, rel=1e-15)
+    assert closed_form_little_constant(LittleJacobiParams(1, 1, q), 2) == value
     got = q_to_1_check(0, 0, 1, 2).detail["errors"][-1]
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, l, want", [
+    (4, 1, F(16, 21)),
+    (5, 2, F(8192, 187425)),
+    (7, 3, F(34359738368, 2865797615055375)),
+])
+def test_little_constant_exact_at_grassmann_parameters(n, l, want):
+    # at (q^{2(n-2l)}, 1; q^2) every (b;q)_inf of the q-Selberg product is a
+    # q^m times another, so <1,1>_L is rational; the Jackson sum agrees
+    params = grassmann_little_params(GrassmannShape(n, l), F(1, 2))
+    assert closed_form_little_constant(params, l) == want
+    assert normalization_check(params, l).residual < 1e-15

@@ -90,6 +90,20 @@ def test_normalization_closed_forms():
             assert rb.passed and rb.residual < 1e-10
 
 
+@pytest.mark.parametrize("params", [
+    LittleJacobiParams(0.5, -1 / 3, 0.25, 1),
+    BigJacobiParams(-0.05, 0.04, 1.0, 4.0, 0.25, 1),
+    BigJacobiParams(-0.05, -0.04, 1.0, 4.0, 0.25, 1),
+    BigJacobiParams(0.3 + 0.2j, -4 * (0.3 - 0.2j), 1.0, 4.0, 0.25, 1),
+])
+def test_normalization_past_positive_a_and_b(params):
+    # the constants are products in a and b, with no a = q^alpha, b = q^beta:
+    # they exist at a, b <= 0 and on the complex branch a = cz, b = -d conj(z)
+    for l in (1, 2):
+        report = normalization_check(params, l)
+        assert report.passed and report.residual < 1e-14, l
+
+
 def little_weight_1d(x, params: LittleJacobiParams):
     """w_L(x) = ((qx;q)_inf / (qbx;q)_inf) x^alpha, a = q^alpha."""
     q = float(params.q)

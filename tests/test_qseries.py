@@ -9,6 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcq.awmeasure
+import bcq.qjacobi
+from bcq.awmeasure import gustafson_constant
+from bcq.koornwinder import KoornwinderParams
+from bcq.qjacobi import (
+    BigJacobiParams,
+    LittleJacobiParams,
+    closed_form_big_constant,
+    closed_form_little_constant,
+)
 from bcq.qseries import (
     INFINITY,
     NonConvergenceError,
@@ -20,6 +30,7 @@ from bcq.qseries import (
     log_qgamma,
     qgamma,
     qpochhammer,
+    qproduct,
 )
 
 rational_q = st.fractions(min_value=F(1, 10), max_value=F(9, 10))
@@ -132,23 +143,45 @@ def test_qgamma_at_positive_integers_is_a_finite_product():
     assert step == pytest.approx(math.log(2), abs=1e-11)
 
 
+def _decimal_parts(a, q):
+    """(Re, Im) of (a;q)_inf as Decimals: the plain product in the current
+    context, independent of bcq.  Factors stop once |a q^j| <= 1e-22 (1-q):
+    the log of the rest is then below 1e-22 in size."""
+    qd, stop = Decimal(q), Decimal("1e-22") * (1 - Decimal(q))
+    z = complex(a)
+    re, im = Decimal(z.real), Decimal(z.imag)
+    pr, pi = Decimal(1), Decimal(0)
+    while re * re + im * im > stop * stop:
+        pr, pi = pr * (1 - re) + pi * im, pi * (1 - re) - pr * im
+        re, im = re * qd, im * qd
+    return pr, pi
+
+
 def _decimal_qpoch(a, q):
-    """(log |(a;q)_inf|, (a;q)_inf) from the plain product at 40 digits,
-    independent of bcq.  Factors stop once |a q^j| <= 1e-22 (1-q): the
-    log of the rest is then below 1e-22 in size."""
+    """(log |(a;q)_inf|, (a;q)_inf) from ``_decimal_parts`` at 40 digits."""
     with localcontext() as ctx:
         ctx.prec = 40
-        qd, stop = Decimal(q), Decimal("1e-22") * (1 - Decimal(q))
-        z = complex(a)
-        re, im = Decimal(z.real), Decimal(z.imag)
-        pr, pi = Decimal(1), Decimal(0)
-        while re * re + im * im > stop * stop:
-            pr, pi = pr * (1 - re) + pi * im, pi * (1 - re) - pr * im
-            re, im = re * qd, im * qd
+        pr, pi = _decimal_parts(a, q)
         log_abs = (pr * pr + pi * pi).ln() / 2
         if abs(log_abs) >= 700:  # outside the range of doubles
             return float(log_abs), None
         return float(log_abs), complex(float(pr), float(pi))
+
+
+def _decimal_qproduct(scale, num, den, q):
+    """scale prod (b;q)_inf over num / prod (b;q)_inf over den, each factor
+    from ``_decimal_parts``, at 40 digits, as a complex."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        re, im = Decimal(scale), Decimal(0)
+        for bases, inverse in ((num, False), (den, True)):
+            for b in bases:
+                pr, pi = _decimal_parts(b, q)
+                if inverse:
+                    size = pr * pr + pi * pi
+                    pr, pi = pr / size, -pi / size
+                re, im = re * pr - im * pi, re * pi + im * pr
+        return complex(float(re), float(im))
 
 
 ORACLE_CASES = [
@@ -277,3 +310,51 @@ def test_jackson_monomial_any_endpoint(beta):
     val = _jackson_sum(lambda x: x, beta, 60, q)  # nodes past j = 60 add < 2^-120
     assert abs(val - beta**2 / (1 + q)) <= 1e-15 * beta**2
 
+
+def test_qproduct_pairs_exact_bases_to_finite_products():
+    # (b;q)_inf / (b q^m;q)_inf = (b;q)_m, and 1/(b q^m;q)_{-m} for m < 0
+    q = F(1, 2)
+    assert qproduct(3, [F(1, 2)], [F(1, 8)], q) == 3 * F(1, 2) * F(3, 4)
+    assert qproduct(1, [F(1, 8)], [F(1, 2)], q) == 1 / (F(1, 2) * F(3, 4))
+    assert qproduct(F(1, 3), [F(-1, 3)], [F(-1, 12)], q) == F(1, 3) * F(4, 3) * F(7, 6)
+    # one infinite factor left: a float, the exact pair still cancelled
+    value = qproduct(1, [F(1, 2), F(1, 3)], [F(1, 8)], q)
+    assert type(value) is float
+    assert value == pytest.approx(F(3, 8) * _decimal_qpoch(1 / 3, 0.5)[1].real, rel=1e-15)
+    # float bases never pair; a conjugate pair of bases is a real product
+    assert type(qproduct(1, [0.5], [0.125], 0.5)) is float
+    z = 0.5 + 0.1j
+    want = abs(_decimal_qpoch(z, 0.5)[1]) ** 2
+    assert qproduct(1, [z, z.conjugate()], [], 0.5) == pytest.approx(want, rel=1e-15)
+
+
+CLOSED_FORM_SETS = [  # (constant, params, l): README and benchmark sets, a, b < 0, conjugate pairs
+    *[(closed_form_little_constant, LittleJacobiParams(0.5, b, 0.25, k), l)
+      for b in (1 / 3, -1 / 3) for k in (1, 2) for l in (1, 2, 3)],
+    *[(closed_form_big_constant, BigJacobiParams(a, b, 1.0, 4.0, 0.25, k), l)
+      for a, b in ((0.05, 0.04), (-0.05, 0.04), (-0.05, -0.04), (0.3 + 0.2j, -4 * (0.3 - 0.2j)))
+      for k in (1, 2) for l in (1, 2, 3)],
+    *[(lambda params, l: gustafson_constant(l, params), KoornwinderParams(*t, q, k), l)
+      for t, q in (((0.3, -0.2, 0.15, -0.4), 0.4), ((1.7, -0.2, 0.15, -0.4), 0.4),
+                   ((0.2, -1 / 7, 1 / 3, -2 / 7), 0.25), ((0.3 + 0.2j, 0.3 - 0.2j, 0.15, -0.4), 0.4))
+      for k in (1, 2) for l in (1, 2, 3)],
+]
+
+
+@pytest.mark.parametrize("constant, params, l", CLOSED_FORM_SETS)
+def test_closed_forms_match_the_decimal_product(monkeypatch, constant, params, l):
+    # each closed form is one qproduct call; at float sets the call and the
+    # constant are within 2e-15 of the 40-digit product of the same bases
+    calls = []
+
+    def spy(*args):
+        calls.append((args, qproduct(*args)))
+        return calls[-1][1]
+
+    for module in (bcq.qjacobi, bcq.awmeasure):
+        monkeypatch.setattr(module, "qproduct", spy)
+    value = constant(params, l)
+    [(args, got)] = calls
+    want = _decimal_qproduct(*args)
+    assert value == got
+    assert abs(got - want) <= 2e-15 * abs(want)
