@@ -312,15 +312,12 @@ def continuous_gram(polys, params, grid: QuadratureGrid = DEFAULT_GRID):
     """All pairwise m=0 inner products <polys[i], polys[j]> in one pass."""
     for p in polys:
         require_invariant(p, "W")
-    pairs = [(p, q) for i, p in enumerate(polys) for q in polys[i:]]
+    index = [(i, j) for i in range(len(polys)) for j in range(i, len(polys))]
+    pairs = [(polys[i], polys[j]) for i, j in index]
     values = _mixed_term_at_m(pairs, params, (), polys[0].nvars, grid)
-    n = len(polys)
-    out = [[0j] * n for _ in range(n)]
-    upper = iter(values)
-    for i in range(n):
-        for j in range(i, n):
-            out[i][j] = next(upper)
-            out[j][i] = out[i][j].conjugate()
+    out = [[0j] * len(polys) for _ in polys]
+    for (i, j), v in zip(index, values):
+        out[i][j], out[j][i] = v, v.conjugate()
     return out
 
 

@@ -188,8 +188,9 @@ def _classical_reports(args, _grid, _trunc) -> list:
 
 
 # each suite: the options it cannot run without (--family big adds --c and
-# --d to selberg-constants and norm-limit) and its reports, built from the
-# arguments and the BCQ_PRECISION quadrature grid and Jackson truncation
+# --d to selberg-constants and norm-limit), its reports, built from the
+# arguments and the BCQ_PRECISION quadrature grid and Jackson truncation,
+# and the options it reads when given
 SUITES = {
     "orthogonality": (("l", "t"), lambda a, grid, trunc: [
         koornwinder_normalization_check(a.l, _params(a, "koornwinder"), grid)]),
@@ -208,16 +209,15 @@ SUITES = {
     "symmetry": (("t",), lambda a, grid, trunc: [
         check_symmetries(parse_weight(a.lam), _params(a, "koornwinder"))]),
     "qybe": (("n",), lambda a, grid, trunc: [qybe_check(a.n, _grassmann_q(a))]),
-    "classical": ((), _classical_reports),
+    "classical": ((), _classical_reports, ("a", "b")),
 }
 
 
 def _verify_reports(args) -> list:
-    required, build = SUITES[args.suite]
+    required, build, *optional = SUITES[args.suite]
     if args.family == "big" and args.suite in ("selberg-constants", "norm-limit"):
         required += ("c", "d")
-    optional = ("a", "b") if args.suite == "classical" else ()
-    _require(args, f"verify {args.suite}", required, optional)
+    _require(args, f"verify {args.suite}", required, *optional)
     grid, trunc = _precision()
     return build(args, grid, trunc)
 
@@ -244,14 +244,11 @@ def cmd_grassmann(args) -> int:
     doc["little"] = _params_doc(grassmann_little_params(shape, q), "base")
     if shape.n == 2 * shape.l:
         doc["warning"] = "a = 1 sits on the boundary of the little parameter domain"
-    doc["fundamental_spherical"] = [
-        list(fundamental_spherical(r, shape).entries) for r in range(1, shape.l + 1)
-    ]
+    spherical = (fundamental_spherical(r, shape) for r in range(1, shape.l + 1))
+    doc["fundamental_spherical"] = [list(w.entries) for w in spherical]
     if getattr(args, "lam", None):
         lam = parse_weight(args.lam)
-        doc["casimir"] = {
-            ",".join(map(str, lam)): str(casimir_eigenvalue(lam, shape.n, q))
-        }
+        doc["casimir"] = {",".join(map(str, lam)): str(casimir_eigenvalue(lam, shape.n, q))}
     print(json.dumps(doc, sort_keys=True))
     return 0
 

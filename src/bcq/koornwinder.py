@@ -299,9 +299,7 @@ def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
     if p.is_zero:
         return p
     coeffs = expand_in_basis(p, "W")
-    support = set()
-    for rep in coeffs:
-        support.update(dominant_downset(rep))
+    support = {mu for rep in coeffs for mu in dominant_downset(rep)}
     support = sorted(support, key=lambda v: (sum(v), v))
     exact = params.is_exact and p.domain == "rational"
     (image,) = _dk_columns(support, [coeffs], params, exact)

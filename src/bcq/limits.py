@@ -35,7 +35,7 @@ from .qjacobi import (
     norm_big,
     norm_little,
 )
-from .qseries import qgamma
+from .qseries import EXACT_BITS, NonConvergenceError, qgamma
 from .report import VerificationReport, timed_report
 from .weights import GrassmannShape
 
@@ -62,8 +62,7 @@ def _sqrt_scalar(x):
     """Exact square root of a rational square, else a float."""
     if _is_exact(x):
         f = Fraction(x)
-        num = math.isqrt(f.numerator)
-        den = math.isqrt(f.denominator)
+        num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
         if num * num == f.numerator and den * den == f.denominator:
             return Fraction(num, den)
     return math.sqrt(float(x))
@@ -72,8 +71,7 @@ def _sqrt_scalar(x):
 def t_B(eps, big: BigJacobiParams) -> KoornwinderParams:
     """The Koornwinder quadruple degenerating to big q-Jacobi."""
     q, a, b, c, d = big.q, big.a, big.b, big.c, big.d
-    r1 = _sqrt_scalar(q * c / d)
-    r2 = _sqrt_scalar(q * d / c)
+    r1, r2 = _sqrt_scalar(q * c / d), _sqrt_scalar(q * d / c)
     return KoornwinderParams(r1 / eps, -r2 / eps, eps * a * r2, -eps * b * r1, q, big.k)
 
 
@@ -104,13 +102,9 @@ def rescaled_generator_coeffs(lam, params: KoornwinderParams, s_eps) -> LaurentP
 
 
 def _coeff_error(left: LaurentPoly, right: LaurentPoly) -> float:
-    keys = set(left.terms) | set(right.terms)
-    err = 0.0
-    for kk in keys:
-        a = complex(left.terms.get(kk, 0))
-        b = complex(right.terms.get(kk, 0))
-        err = max(err, abs(a - b) / max(1.0, abs(b)))
-    return err
+    pairs = [(complex(left.terms.get(e, 0)), complex(right.terms.get(e, 0)))
+             for e in left.terms | right.terms]
+    return max([0.0, *(abs(a - b) / max(1.0, abs(b)) for a, b in pairs)])
 
 
 def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
@@ -270,14 +264,20 @@ def selberg_classical(alpha: float, beta: float, tau: float, l: int) -> float:
 def q_to_1_check(alpha: float, beta: float, k: int, l: int) -> VerificationReport:
     """The little q-Jacobi mass at a = q^alpha, b = q^beta tends to Selberg's
     Gamma product as q -> 1, and Gamma_q(a) to Gamma(a), along q = 9/10,
-    99/100, 999/1000; the mass is exact at integer alpha and beta."""
+    99/100, 999/1000.  Each q is exact (and so is the mass at integer alpha
+    and beta) while q^(|alpha| + |beta| + 2kl) has at most EXACT_BITS bits."""
     target = selberg_classical(alpha, beta, float(k), l)
-    q_list = (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
+    size = abs(alpha) + abs(beta) + 2 * k * l
+    q_list = [q if size * (q.numerator.bit_length() + q.denominator.bit_length()) <= EXACT_BITS
+              else float(q) for q in (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))]
 
     def body():
         errors = []
         for q in q_list:
-            params = LittleJacobiParams(q ** Fraction(alpha), q ** Fraction(beta), q, k)
+            a, b = q ** Fraction(alpha), q ** Fraction(beta)
+            if 0 in (a, b):
+                raise NonConvergenceError(f"q^alpha or q^beta underflows doubles at q = {q}")
+            params = LittleJacobiParams(a, b, q, k)
             errors.append(abs(closed_form_little_constant(params, l) - target) / abs(target))
         gamma_runs = [[abs(qgamma(a, float(q)) - math.gamma(a)) / math.gamma(a) for q in q_list]
                       for a in (1.5, 2.5)]

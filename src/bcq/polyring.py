@@ -65,11 +65,7 @@ class LaurentPoly:
 
     @property
     def domain(self) -> str:
-        return (
-            "rational"
-            if all(_is_exact(c) for c in self.terms.values())
-            else "complex"
-        )
+        return "rational" if all(_is_exact(c) for c in self.terms.values()) else "complex"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -82,10 +78,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "LaurentPoly(0)"
-        parts = [
-            f"{coef!r}*x^{exp}"
-            for exp, coef in sorted(self.terms.items())
-        ]
+        parts = [f"{coef!r}*x^{exp}" for exp, coef in sorted(self.terms.items())]
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
     # -- arithmetic -------------------------------------------------------
@@ -274,13 +267,8 @@ def schur(lam, n: int) -> LaurentPoly:
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValueError("schur requires a dominant weight")
     m = max(0, -lam[-1])
-    shifted = tuple(e + m for e in lam)
-    base = _schur_partition(tuple(e for e in shifted if e) or (), n)
-    if m == 0:
-        return LaurentPoly(n, dict(base))
-    return LaurentPoly(
-        n, {tuple(e - m for e in exp): coef for exp, coef in base.items()}
-    )
+    base = _schur_partition(tuple(e + m for e in lam if e + m), n)
+    return LaurentPoly(n, {tuple(e - m for e in exp): coef for exp, coef in base.items()})
 
 
 # -- triangular basis conversions ----------------------------------------
@@ -315,9 +303,7 @@ def _extension_key(rep: tuple):
 def _representative(exp, kind: str) -> tuple:
     """The dominant representative of the orbit of ``exp``: its absolute
     values (kind "W") or its entries (kind "S") sorted decreasing."""
-    if kind == "W":
-        return dominant_representative(exp)
-    return tuple(sorted(exp, reverse=True))
+    return dominant_representative(exp) if kind == "W" else tuple(sorted(exp, reverse=True))
 
 
 def _leading_orbit(terms: dict, kind: str):

@@ -245,10 +245,7 @@ def big_jacobi_poly(
 
 
 def little_jacobi_poly(
-    lam,
-    params: LittleJacobiParams,
-    l: int = None,
-    trunc: SumTruncation = DEFAULT_TRUNCATION,
+    lam, params: LittleJacobiParams, l: int = None, trunc: SumTruncation = DEFAULT_TRUNCATION
 ) -> LaurentPoly:
     """Monic P^L_lambda, orthogonal to all m_mu with mu < lambda."""
     return _jacobi_poly(lam, params, l, trunc)

@@ -26,6 +26,7 @@ from functools import lru_cache
 INFINITY = math.inf
 ABS_TOL = 1e-16  # neglected tail of the log of a q-product
 MAX_TERMS = 10_000  # terms of one q-product before it raises
+EXACT_BITS = 1 << 16  # size bound of an exact finite product in qproduct
 
 
 class NonConvergenceError(ArithmeticError):
@@ -83,46 +84,47 @@ def _qpoch_finite(a, q, n: int):
 
 def qproduct(scale, num, den, q):
     """scale prod_{b in num} (b;q)_inf / prod_{b in den} (b;q)_inf, a real
-    product (complex bases in conjugate pairs).  Each numerator pairs with
-    the first denominator that gives it an exact ``_finite_ratio``; the rest
-    is one ``fsum`` of head logs and Euler tails over one ``_euler_plan``, a
-    negative factor with argument pi.  Exact when the scale is and every
-    factor pairs, else a float."""
+    product (complex bases in conjugate pairs).  At an exact q each
+    numerator pairs with the denominator of least |m| in ``_q_shift``:
+    (b;q)_inf / (bq^m;q)_inf = (b;q)_m, or 1/(bq^m;q)_{-m}.  The rest is one
+    ``fsum`` of head logs (``_log1m``) and Euler tails (``_euler_split``).
+    Exact when the scale is and every factor pairs, else a float."""
     check_base(q)
-    den, left = list(den), []
+    den, left, exact = list(den), [], isinstance(q, Fraction)
     for b in num:
-        for i, c in enumerate(den):
-            if (ratio := _finite_ratio(b, c, q)) is not None:
-                scale *= ratio
-                del den[i]
-                break
-        else:
-            left.append((b, 1))
-    if not (left := left + [(c, -1) for c in den]):
+        shifts = [(abs(m), m, i) for i, c in enumerate(den)
+                  if exact and (m := _q_shift(b, c, q)) is not None]
+        if not shifts:
+            left.append(b)
+            continue
+        _, m, i = min(shifts)
+        c = den.pop(i)
+        scale *= _qpoch_finite(b, q, m) if m >= 0 else 1 / _qpoch_finite(c, q, -m)
+    if not left and not den:
         return scale
     plan, logs = _euler_plan(qf := float(q)), []
-    for b, sign in left:
-        b = complex(b) if isinstance(b, complex) else float(b)
+    for b, sign in [(b, 1) for b in left] + [(c, -1) for c in den]:
         powers, tail = _euler_split(b, qf, plan)
-        logs += [sign * _log1m(b * p) for p in powers] + [complex(-sign * tail)]
+        logs += [sign * _log1m(b * p) for p in powers] + [-sign * tail]
     total = complex(math.fsum(z.real for z in logs), math.fsum(z.imag for z in logs))
     return float(scale) * cmath.exp(total).real
 
 
-def _finite_ratio(b, c, q):
-    """(b;q)_inf / (c;q)_inf when c = b q^m, |m| <= MAX_TERMS an integer,
-    and b, c, q are exact and nonzero, else None: a float log guesses m, an
-    exact power checks it, and the ratio is (b;q)_m, or 1/(c;q)_{-m}."""
-    if isinstance(q, Fraction) and all(isinstance(v, (int, Fraction)) and v for v in (b, c)):
+def _q_shift(b, c, q):
+    """The integer m with c = b q^m, for exact nonzero b, c and a finite
+    (b;q)_m of at most EXACT_BITS (m^2 times the bits of q), else None: a
+    float log guesses m and an exact power checks it."""
+    if all(isinstance(v, (int, Fraction)) and v for v in (b, c)):
         r = Fraction(c) / b
         m = round((math.log(abs(r.numerator)) - math.log(r.denominator)) / math.log(q))
-        if abs(m) <= MAX_TERMS and q**m == r:
-            return _qpoch_finite(b, q, m) if m >= 0 else 1 / _qpoch_finite(Fraction(c), q, -m)
+        bits = q.numerator.bit_length() + q.denominator.bit_length()
+        if m * m * bits <= EXACT_BITS and q**m == r:
+            return m
 
 
-def _log1m(x) -> complex:
+def _log1m(x):
     """log(1 - x), by log1p where x is real and below 1."""
-    return cmath.log(1 - x) if isinstance(x, complex) or x >= 1 else complex(math.log1p(-x))
+    return cmath.log(1 - x) if isinstance(x, complex) or x >= 1 else math.log1p(-x)
 
 
 @lru_cache(maxsize=64)

@@ -45,11 +45,8 @@ class WeightVector:
     @property
     def is_dominant(self) -> bool:
         e = self.entries
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-            return False
-        if self.lattice == "BC" and e and e[-1] < 0:
-            return False
-        return True
+        decreasing = all(a >= b for a, b in zip(e, e[1:]))
+        return decreasing and not (self.lattice == "BC" and e and e[-1] < 0)
 
     @property
     def total(self) -> int:
@@ -120,16 +117,10 @@ def is_spherical(lam: WeightVector, shape: GrassmannShape) -> bool:
         raise ValueError("is_spherical needs an A-weight of length n")
     if not lam.is_dominant:
         raise ValueError("is_spherical requires a dominant weight")
-    n, l = shape.n, shape.l
-    e = lam.entries
+    n, l, e = shape.n, shape.l, lam.entries
     head = e[:l]
-    if any(x < 0 for x in head):
-        return False
-    if any(x != 0 for x in e[l : n - l]):
-        return False
-    if tuple(e[n - l :]) != tuple(-x for x in reversed(head)):
-        return False
-    return True
+    mirrored = e[n - l :] == tuple(-x for x in reversed(head))
+    return all(x >= 0 for x in head) and not any(e[l : n - l]) and mirrored
 
 
 def fundamental_spherical(r: int, shape: GrassmannShape) -> WeightVector:

@@ -355,6 +355,20 @@ def test_classical_reads_a_and_b(capsys):
     assert json.loads(out)["params"]["alpha"] == 1.0
 
 
+def test_classical_at_large_alpha_is_quick(capsys):
+    # pairing each base with the first q-power of it built (q;q)_1000 exactly at
+    # q = 999/1000 and did not finish in 60 s; the residual is the Gamma_q route's
+    code, out, _ = run(capsys, "verify", "classical", "--l", "2", "--a", "1000")
+    report = json.loads(out)
+    assert code == 1
+    assert report["residual"] == pytest.approx(1.3056907490750655, rel=1e-11)
+    assert report["runtime_ms"] < 1000
+    # q^alpha below the doubles at q = 9/10, past the exact size bound
+    code, out, err = run(capsys, "verify", "classical", "--l", "2", "--a", "100000")
+    assert (code, out) == (3, "")
+    assert "q^alpha or q^beta underflows doubles at q = 0.9" in err
+
+
 def test_negative_value_as_separate_argument(capsys):
     base = ("poly", "--family", "little", "--lambda", "2", "--a", "1")
     code, separate, _ = run(capsys, *base, "--b", "-13/2", "--q", "1/2")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bcq.awmeasure
 import bcq.qjacobi
+import bcq.qseries
 from bcq.awmeasure import gustafson_constant
 from bcq.koornwinder import KoornwinderParams
 from bcq.qjacobi import (
@@ -20,10 +21,12 @@ from bcq.qjacobi import (
     closed_form_little_constant,
 )
 from bcq.qseries import (
+    EXACT_BITS,
     INFINITY,
     NonConvergenceError,
     _euler_plan,
     _euler_split,
+    _qpoch_finite,
     _qpoch_row,
     check_base,
     jackson_nodes,
@@ -326,6 +329,33 @@ def test_qproduct_pairs_exact_bases_to_finite_products():
     z = 0.5 + 0.1j
     want = abs(_decimal_qpoch(z, 0.5)[1]) ** 2
     assert qproduct(1, [z, z.conjugate()], [], 0.5) == pytest.approx(want, rel=1e-15)
+
+
+def test_qproduct_pairs_the_nearest_base_within_the_size_bound(monkeypatch):
+    lengths = []
+
+    def finite(a, q, n):
+        lengths.append(n)
+        return _qpoch_finite(a, q, n)
+
+    monkeypatch.setattr(bcq.qseries, "_qpoch_finite", finite)
+    # 1/2 pairs with 1/4 (m = 1), not with the first base 2^-101 (m = 100)
+    q = F(1, 2)
+    value = qproduct(1, [q, q**40], [q**101, q**2], q)
+    assert lengths == [1, 61]
+    assert value == (1 - q) * math.prod(1 - q ** (40 + j) for j in range(61))
+    # a finite (b;q)_m past EXACT_BITS (m^2 times the bits of q) is not formed:
+    # at q = 999/1000, m = 57 pairs and m = 58 stays a float product
+    q = F(999, 1000)
+    assert 57 * 57 * 20 <= EXACT_BITS < 58 * 58 * 20
+    lengths.clear()
+    assert type(qproduct(1, [q], [q**58], q)) is F
+    assert lengths == [57]
+    lengths.clear()
+    value = qproduct(1, [q], [q**59], q)
+    assert lengths == [] and type(value) is float
+    want = _decimal_qproduct(1, [0.999], [float(q**59)], 0.999)
+    assert value == pytest.approx(want.real, rel=1e-13)
 
 
 CLOSED_FORM_SETS = [  # (constant, params, l): README and benchmark sets, a, b < 0, conjugate pairs
