@@ -227,6 +227,21 @@ def test_perturbed_j_fails_the_exact_checks(n):
             assert report.exact and not report.passed, (l, sigma, i, j)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perturbed_r_fails_the_qybe_check(monkeypatch, n):
+    # 1/3^5 added to the q - q^{-1} at (e_2 (x) e_1, e_1 (x) e_2), which every
+    # n has; any single entry moved this way breaks the equation at n <= 5
+    real = qgrass.r_matrix
+
+    def perturbed(n, q):
+        r = real(n, q)
+        r[n][1] += F(1, 3**5)
+        return r
+
+    monkeypatch.setattr(qgrass, "r_matrix", perturbed)
+    report = qybe_check(n, Q)
+    assert report.exact and not report.passed
+
 # float.hex of the residuals at q = 0.3, recorded with the dense products
 # that the sparse ones replaced: the sums run in the same order, so every
 # bit is kept.  Keys: (check, n) or (check, n, l, sigma).
@@ -780,6 +795,102 @@ def test_cached_r_side_keeps_every_residual_bit():
     qgrass._r_side.cache_clear()
     assert _r_side_residuals() == R_SIDE_RESIDUALS
     assert _r_side_residuals() == R_SIDE_RESIDUALS
+
+# float.hex of the residuals at an exact q with a float J (the float entries
+# of the exact J-matrices), recorded while every check scaled its factors to
+# integers on each call: the exact R-side factors meet float J entries
+# unscaled.  q = 1/2 is left out, as every residual there is 0.0.  Keys:
+# (check, q, n, l, sigma).
+FLOAT_J_RESIDUALS = {
+    ("reflection", F(1, 3), 2, 1, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 2, 1, 0): "0x0.0p+0",
+    ("reflection", F(1, 3), 2, 1, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 2, 1, 1): "0x0.0p+0",
+    ("reflection", F(1, 3), 3, 1, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 3, 1, 0): "0x1.0000000000000p-51",
+    ("reflection", F(1, 3), 3, 1, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 3, 1, 1): "0x1.0000000000000p-48",
+    ("reflection", F(1, 3), 4, 1, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 4, 1, 0): "0x1.0000000000000p-43",
+    ("reflection", F(1, 3), 4, 1, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 4, 1, 1): "0x1.3000000000000p-47",
+    ("reflection", F(1, 3), 4, 2, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 4, 2, 0): "0x1.0000000000000p-53",
+    ("reflection", F(1, 3), 4, 2, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 4, 2, 1): "0x1.0000000000000p-50",
+    ("reflection", F(1, 3), 5, 1, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 5, 1, 0): "0x1.c800000000000p-46",
+    ("reflection", F(1, 3), 5, 1, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 5, 1, 1): "0x1.0980000000000p-42",
+    ("reflection", F(1, 3), 5, 2, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 5, 2, 0): "0x1.d000000000000p-49",
+    ("reflection", F(1, 3), 5, 2, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 5, 2, 1): "0x1.6000000000000p-45",
+    ("reflection", F(1, 3), 6, 1, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 1, 0): "0x1.0000000000000p-37",
+    ("reflection", F(1, 3), 6, 1, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 1, 1): "0x1.2f80000000000p-41",
+    ("reflection", F(1, 3), 6, 2, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 2, 0): "0x1.0000000000000p-40",
+    ("reflection", F(1, 3), 6, 2, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 2, 1): "0x1.61f0000000000p-44",
+    ("reflection", F(1, 3), 6, 3, 0): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 3, 0): "0x1.0000000000000p-53",
+    ("reflection", F(1, 3), 6, 3, 1): "0x0.0p+0",
+    ("refalt", F(1, 3), 6, 3, 1): "0x1.0000000000000p-46",
+    ("reflection", F(-3, 5), 2, 1, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 2, 1, 0): "0x1.0000000000000p-52",
+    ("reflection", F(-3, 5), 2, 1, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 2, 1, 1): "0x1.0000000000000p-54",
+    ("reflection", F(-3, 5), 3, 1, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 3, 1, 0): "0x1.0000000000000p-52",
+    ("reflection", F(-3, 5), 3, 1, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 3, 1, 1): "0x1.0000000000000p-51",
+    ("reflection", F(-3, 5), 4, 1, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 4, 1, 0): "0x1.0000000000000p-49",
+    ("reflection", F(-3, 5), 4, 1, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 4, 1, 1): "0x1.0000000000000p-50",
+    ("reflection", F(-3, 5), 4, 2, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 4, 2, 0): "0x1.0000000000000p-50",
+    ("reflection", F(-3, 5), 4, 2, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 4, 2, 1): "0x1.0000000000000p-51",
+    ("reflection", F(-3, 5), 5, 1, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 5, 1, 0): "0x1.8000000000000p-47",
+    ("reflection", F(-3, 5), 5, 1, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 5, 1, 1): "0x1.2000000000000p-49",
+    ("reflection", F(-3, 5), 5, 2, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 5, 2, 0): "0x1.0000000000000p-49",
+    ("reflection", F(-3, 5), 5, 2, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 5, 2, 1): "0x1.4000000000000p-48",
+    ("reflection", F(-3, 5), 6, 1, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 6, 1, 0): "0x1.0000000000000p-48",
+    ("reflection", F(-3, 5), 6, 1, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 6, 1, 1): "0x1.ac00000000000p-48",
+    ("reflection", F(-3, 5), 6, 2, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 6, 2, 0): "0x1.8000000000000p-47",
+    ("reflection", F(-3, 5), 6, 2, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 6, 2, 1): "0x1.8000000000000p-47",
+    ("reflection", F(-3, 5), 6, 3, 0): "0x0.0p+0",
+    ("refalt", F(-3, 5), 6, 3, 0): "0x1.0000000000000p-49",
+    ("reflection", F(-3, 5), 6, 3, 1): "0x1.0000000000000p-54",
+    ("refalt", F(-3, 5), 6, 3, 1): "0x1.0000000000000p-49",
+}
+
+
+def test_float_j_at_an_exact_q_keeps_every_residual_bit():
+    got = {}
+    for q, n in itertools.product((F(1, 3), F(-3, 5)), range(2, 7)):
+        for l, sigma in itertools.product(range(1, n // 2 + 1), (0, 1)):
+            js, jt = (
+                [{j: float(x) for j, x in row.items()} for row in m]
+                for m in (j_sigma(n, l, sigma, q), j_tilde_sigma(n, l, sigma, q))
+            )
+            for name, report in (
+                ("reflection", reflection_check(js, n, q)), ("refalt", refalt_check(jt, js, n, q))
+            ):
+                assert not report.exact and report.passed, (name, q, n, l, sigma)
+                got[(name, q, n, l, sigma)] = float.hex(report.residual)
+    assert got == FLOAT_J_RESIDUALS
 
 
 def test_exact_verdicts_up_to_n6():
