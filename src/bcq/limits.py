@@ -267,6 +267,8 @@ def q_to_1_check(alpha: float, beta: float, k: int, l: int) -> VerificationRepor
     99/100, 999/1000.  Each q is exact (and so is the mass at integer alpha
     and beta) while q^(|alpha| + |beta| + 2kl) has at most EXACT_BITS bits."""
     target = selberg_classical(alpha, beta, float(k), l)
+    if target == 0.0:
+        raise ValueError(f"Selberg's integral underflows doubles at k = {k}, l = {l}")
     size = abs(alpha) + abs(beta) + 2 * k * l
     q_list = [q if size * (q.numerator.bit_length() + q.denominator.bit_length()) <= EXACT_BITS
               else float(q) for q in (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))]

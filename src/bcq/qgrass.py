@@ -10,10 +10,10 @@ flip conjugates R^+ = PRP = R^T and (R21)^{-1} = P R^{-1} P = (R^-)^T
 the reflection equation R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by
 the J-matrices, and the transposed linear equation solved by the tilde
 J-matrix.  The matrices are sparse (``bcq.linalg``), the R-side factors built
-once per (n, q) (``_r_side``).  An exact check scales each factor to integers,
-so each side is an integer product M over S, the product of its scales, and
-compares M_lhs S_rhs with M_rhs S_lhs; a float check multiplies its floats
-in the order of a dense product.
+once per (n, q) (``_r_side``).  An exact check scales each factor to integers
+once, before any product, so each side is an integer product M over S, the
+product of its scales, and compares M_lhs S_rhs with M_rhs S_lhs; a float
+check multiplies its unscaled factors in the order of a dense product.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 phi_hat_r: Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*), the intertwiner
@@ -70,22 +70,25 @@ from .weights import (
 )
 
 
-def _matrix_diffs(lhs, rhs, exact: bool):
-    """lhs S_rhs - rhs S_lhs on the nonzero positions, for the factor lists
-    ``lhs`` and ``rhs`` of an identity; S = 1 unless ``exact``."""
-    sides = []
-    for factors in (lhs, rhs):
-        pairs = [integer_matrix(m) if exact else (m, 1) for m in factors]
-        sides.append((reduce(mat_mul, [m for m, _ in pairs]), math.prod(s for _, s in pairs)))
-    (a, sa), (b, sb) = sides
+def _scaled(m, exact: bool):
+    """(M, s) with M = s m over the integers if ``exact``, else (m, 1)."""
+    return integer_matrix(m) if exact else (m, 1)
+
+
+def _matrix_diffs(lhs, rhs):
+    """lhs S_rhs - rhs S_lhs on the nonzero positions, for the lists ``lhs``
+    and ``rhs`` of (matrix, scale) factors of an identity, S the product of
+    a side's scales."""
+    a, b = (reduce(mat_mul, [m for m, _ in side]) for side in (lhs, rhs))
+    sa, sb = (math.prod(s for _, s in side) for side in (lhs, rhs))
     return (x.get(j, 0) * sb - y.get(j, 0) * sa for x, y in zip(a, b) for j in x.keys() | y.keys())
 
 
 def _matrix_report(identity: str, n: int, q, xs, sides) -> VerificationReport:
-    """lhs = rhs for the factor lists sides(), exact if q and the matrices xs are."""
+    """lhs = rhs for the factor lists sides(exact), exact if q and the xs are."""
     exact = _is_exact(q) and all(_is_exact(v) for x in xs for row in x for v in row.values())
     params = {"n": n, "q": str(q)}
-    return difference_report(identity, params, exact, lambda: _matrix_diffs(*sides(), exact))
+    return difference_report(identity, params, exact, lambda: _matrix_diffs(*sides(exact)))
 
 
 # -- R-matrices and matrix equations --------------------------------------
@@ -130,10 +133,10 @@ def qybe_check(n: int, q) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n, with R12 = R (x) 1,
     R23 = 1 (x) R and R13 = P23 R12 P23."""
 
-    def sides():
-        r, one = r_matrix(n, q), mat_identity(n)
+    def sides(exact):
+        (r, s), one = _scaled(r_matrix(n, q), exact), mat_identity(n)
         r12, r23, p23 = mat_kron(r, one), mat_kron(one, r), mat_kron(one, flip_matrix(n))
-        r13 = mat_mul(mat_mul(p23, r12), p23)
+        r12, r13, r23 = (r12, s), (mat_mul(mat_mul(p23, r12), p23), s), (r23, s)
         return [r12, r13, r23], [r23, r13, r12]
 
     return _matrix_report("quantum-yang-baxter", n, q, [], sides)
@@ -176,9 +179,10 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 def reflection_check(x, n: int, q) -> VerificationReport:
     """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n sparse matrix X."""
 
-    def sides():
-        (r, rm, rp, r21m), _ = _r_side(n, q)
-        x1, x2 = mat_kron(x, mat_identity(n)), mat_kron(mat_identity(n), x)
+    def sides(exact):
+        (r, rm, rp, r21m), _ = _r_side(n, q, exact)
+        (m, s), one = _scaled(x, exact), mat_identity(n)
+        x1, x2 = (mat_kron(m, one), s), (mat_kron(one, m), s)
         return [r, x1, rm, x2], [x2, r21m, x1, rp]
 
     return _matrix_report("reflection-equation", n, q, [x], sides)
@@ -197,21 +201,23 @@ def _partial_transpose_inverse(m, n: int):
 
 
 @lru_cache(maxsize=16, typed=True)
-def _r_side(n: int, q):
-    """(R, R^-, R^+, R21^-) and (a, a^{-1}, b, b^{-1}), a = (R21^-)^{t1}, b = R^{t1}, per
-    (n, q), shared so never mutated; typed, as Fraction(1, 2) == 0.5."""
+def _r_side(n: int, q, exact: bool):
+    """(R, R^-, R^+, R21^-) and (a, a^{-1}, b, b^{-1}), a = (R21^-)^{t1}, b = R^{t1}, each
+    ``_scaled`` per (n, q, exact), shared so never mutated; typed, as F(1, 2) == 0.5."""
     rs = r_matrix(n, q), r_minus(n, q), r_plus(n, q), r21_minus(n, q)
     a, b = partial_transpose_first(rs[3], n), partial_transpose_first(rs[0], n)
-    return rs, (a, _partial_transpose_inverse(a, n), b, _partial_transpose_inverse(b, n))
+    ts = a, _partial_transpose_inverse(a, n), b, _partial_transpose_inverse(b, n)
+    return tuple(tuple(_scaled(m, exact) for m in ms) for ms in (rs, ts))
 
 
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
     = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n sparse matrices Jt, Js."""
 
-    def sides():
-        _, (a, a_inv, b, b_inv) = _r_side(n, q)
-        js1, jt2 = mat_kron(js, mat_identity(n)), mat_kron(mat_identity(n), jt)
+    def sides(exact):
+        _, (a, a_inv, b, b_inv) = _r_side(n, q, exact)
+        (ms, ss), (mt, st), one = _scaled(js, exact), _scaled(jt, exact), mat_identity(n)
+        js1, jt2 = (mat_kron(ms, one), ss), (mat_kron(one, mt), st)
         return [js1, a, jt2, a_inv], [b, jt2, b_inv, js1]
 
     return _matrix_report("transposed-reflection-equation", n, q, [jt, js], sides)

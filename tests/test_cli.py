@@ -369,6 +369,13 @@ def test_classical_at_large_alpha_is_quick(capsys):
     assert "q^alpha or q^beta underflows doubles at q = 0.9" in err
 
 
+def test_classical_with_an_underflowing_target_exits_2(capsys):
+    # exited 3 with "non-convergence: float division by zero"
+    code, out, err = run(capsys, "verify", "classical", "--l", "3", "--k", "500")
+    assert (code, out) == (2, "")
+    assert "Selberg's integral underflows doubles at k = 500, l = 3" in err
+
+
 def test_negative_value_as_separate_argument(capsys):
     base = ("poly", "--family", "little", "--lambda", "2", "--a", "1")
     code, separate, _ = run(capsys, *base, "--b", "-13/2", "--q", "1/2")

@@ -181,6 +181,14 @@ def test_selberg_domain():
             check(0.0, 0.0, 1, 0)
 
 
+def test_q_to_1_check_rejects_an_underflowing_target():
+    # Selberg's integral at k = 500, l = 3 is below the doubles, and the
+    # relative errors divided by it: "float division by zero"
+    assert selberg_classical(0.0, 0.0, 500.0, 3) == 0.0
+    with pytest.raises(ValueError, match="underflows doubles at k = 500, l = 3"):
+        q_to_1_check(0.0, 0.0, 500, 3)
+
+
 def test_classical_limit():
     for alpha in (0, 1):
         report = q_to_1_check(alpha, 0, 1, 2)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from bcq import qgrass
 from bcq.linalg import (
     flip_matrix,
-    integer_matrix,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -181,13 +180,16 @@ def test_refalt_exact():
 
 def _side_scales(monkeypatch, run):
     """(S_lhs, S_rhs) of the one ``_matrix_diffs`` call ``run()`` makes, the
-    products of the integer scales of each side's factors, and its report."""
+    products of the scales of each side's (matrix, scale) factors, and its
+    report.  Every factor entry must be an ``int``: no ``Fraction`` reaches
+    the products of an exact check."""
     seen = []
     real = qgrass._matrix_diffs
 
-    def spy(lhs, rhs, exact):
-        seen.append(tuple(math.prod(integer_matrix(m)[1] for m in side) for side in (lhs, rhs)))
-        return real(lhs, rhs, exact)
+    def spy(lhs, rhs):
+        assert all(type(x) is int for m, _ in lhs + rhs for row in m for x in row.values())
+        seen.append(tuple(math.prod(s for _, s in side) for side in (lhs, rhs)))
+        return real(lhs, rhs)
 
     monkeypatch.setattr(qgrass, "_matrix_diffs", spy)
     report = run()
@@ -797,10 +799,10 @@ def test_cached_r_side_keeps_every_residual_bit():
     assert _r_side_residuals() == R_SIDE_RESIDUALS
 
 # float.hex of the residuals at an exact q with a float J (the float entries
-# of the exact J-matrices), recorded while every check scaled its factors to
-# integers on each call: the exact R-side factors meet float J entries
-# unscaled.  q = 1/2 is left out, as every residual there is 0.0.  Keys:
-# (check, q, n, l, sigma).
+# of the exact J-matrices): such a check is a float check, and its exact
+# R-side factors must meet the float J entries unscaled.  Recorded while every
+# exact check still scaled its factors on each call.  q = 1/2 is left out, as
+# every residual there is 0.0.  Keys: (check, q, n, l, sigma).
 FLOAT_J_RESIDUALS = {
     ("reflection", F(1, 3), 2, 1, 0): "0x0.0p+0",
     ("refalt", F(1, 3), 2, 1, 0): "0x0.0p+0",
