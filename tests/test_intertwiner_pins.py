@@ -10,20 +10,26 @@ sha256 of the ``repr`` of the images' sorted items, so the exact
 ``Fraction`` values and their types are pinned.  The digests were recorded
 from the braiding of the whole tensor power, before Psi_hat_r was built by
 folding Theta_hat_r.  Print fresh digests with
-``PYTHONPATH=src python tests/test_intertwiner_pins.py``.
+``PYTHONPATH=src python tests/test_intertwiner_pins.py``, and the float
+residuals of ``tests/data/vector_residuals.json`` by adding ``residuals``.
 """
 
 import hashlib
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from bcq.qgrass import (
     QExtVector,
+    intertwiner_check,
     psi_hat_r,
     tensor_power,
+    theta_constant_check,
     theta_hat_r,
     u_tilde_vector,
     u_vector,
@@ -111,7 +117,35 @@ def test_intertwiner_images_pinned(n, l, r):
     assert digest(n, l, r) == PINS[n, l, r]
 
 
+RESIDUALS = Path(__file__).resolve().parent / "data" / "vector_residuals.json"
+
+
+def float_residuals() -> dict:
+    """float.hex of every float intertwiner and theta residual at q = 0.3
+    and 1.7, keyed "check n l r sigma tilde q"; the vector-side companion
+    of ``FLOAT_RESIDUALS`` in ``test_qgrass.py``."""
+    out = {}
+    cases = itertools.product(_cases(), (0, 1, 2), (False, True), (0.3, 1.7))
+    for (n, l, r), sigma, tilde, q in cases:
+        shape = GrassmannShape(n, l)
+        checks = [("intertwiner", intertwiner_check)] + [("theta", theta_constant_check)] * (r >= 2)
+        for name, check in checks:
+            residual = check(shape, r, sigma, q, tilde).residual
+            out[f"{name} {n} {l} {r} {sigma} {tilde} {q}"] = float.hex(residual)
+    return out
+
+
+def test_float_vector_residuals_keep_every_bit():
+    # recorded before Psi_hat_r became a fold over a factor list; the tilde
+    # theta residuals at (6, 3, 3, 2) and (7, 3, 3, sigma), q = 1.7, are
+    # pinned although they exceed the absolute 1e-10 of the float verdict
+    assert float_residuals() == json.loads(RESIDUALS.read_text())
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["residuals"]:
+        print(json.dumps(float_residuals(), indent=1))
+        sys.exit()
     print("PINS = {")
     for case in _cases():
         print(f'    {case}: "{digest(*case)}",')
