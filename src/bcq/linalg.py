@@ -135,11 +135,6 @@ def _solve_bareiss(work, n: int):
     return [[Fraction(y, det) for y in ys] for ys in scaled]
 
 
-def flip_matrix(n: int):
-    """P on C^n (x) C^n with P(v (x) w) = w (x) v, as an n^2 x n^2 matrix."""
-    return [{j * n + i: 1} for i in range(n) for j in range(n)]
-
-
 def partial_transpose_first(a, n: int):
     """Transpose in the first tensor factor of an n^2 x n^2 matrix:
     B[(i,k),(j,l)] = A[(j,k),(i,l)]."""

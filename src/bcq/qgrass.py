@@ -17,21 +17,22 @@ check multiplies its unscaled factors in the order of a dense product.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 phi_hat_r: Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*), the intertwiner
-Theta_hat_r built from it, Psi_hat_r folded from Theta_hat_r, principal
-terms (weight components on the signed-permutation orbit of (1^r) pushed to
-the GL_n lattice), and the reference vectors u_r, u~_r, w^sigma, w~^sigma,
-w^infty whose principal-term constants are verified exactly.  The braiding
-is natural, so Psi_hat_r(x (x) y) = Theta_hat_r(Psi_hat_{r-1}(x) (x) y) for
-y in V (x) V*, and phi_hat_r is the only braiding rule.
+Theta_hat_r built from it, Psi_hat_r, principal terms (weight components on
+the signed-permutation orbit of (1^r) pushed to the GL_n lattice), and the
+reference vectors u_r, u~_r, w^sigma, w~^sigma, w^infty whose
+principal-term constants are verified exactly.  The braiding is natural, so
+Psi_hat_r(x (x) y) = Theta_hat_r(Psi_hat_{r-1}(x) (x) y) for y in V (x) V*:
+Psi_hat_r takes its factors w_1, ..., w_r in V (x) V* as a list and folds
+them, Psi_hat_1 on w_1 and then Theta_hat_s with w_s, so phi_hat_r is the
+only braiding rule and a general tensor maps by linearity.
 
 Every vector-side map keeps the GL_n weight, the weight of v_I (x) v*_J
 being 1_I - 1_J: phi_hat_r sends v*_I (x) v_j to v_j (x) v*_I plus, for j
 in I, terms v_m (x) v*_{I-j+m} of the same weight, and the wedge
 projections only merge or kill index sets.  So the principal term of
 Psi_hat_r(w^{(x) r}) depends only on the terms of weight on the orbit that
-the last fold forms: the check folds w in one factor at a time, passes the
-orbit weights to Theta_hat_r only at the last fold, and never forms
-w^{(x) r}.
+the last fold forms: the check folds the factors [w] * r, passes the orbit
+weights only to the last fold, and never forms w^{(x) r}.
 
 Character side: Casimir eigenvalues, branching of GL_n Schur polynomials
 into products over the block subgroup GL_{n-l} x GL_l, and the Gelfand
@@ -52,7 +53,6 @@ from functools import lru_cache, reduce
 from .linalg import (
     _inv,
     _is_exact,
-    flip_matrix,
     integer_matrix,
     mat_identity,
     mat_inverse,
@@ -131,12 +131,14 @@ def r21_minus(n: int, q):
 
 def qybe_check(n: int, q) -> VerificationReport:
     """R12 R13 R23 = R23 R13 R12 on C^n (x) C^n (x) C^n, with R12 = R (x) 1,
-    R23 = 1 (x) R and R13 = P23 R12 P23."""
+    R23 = 1 (x) R and R13 = P23 R12 P23, whose row (i, k, j) is row (i, j)
+    of R with k kept in the middle of each column."""
 
     def sides(exact):
         (r, s), one = _scaled(r_matrix(n, q), exact), mat_identity(n)
-        r12, r23, p23 = mat_kron(r, one), mat_kron(one, r), mat_kron(one, flip_matrix(n))
-        r12, r13, r23 = (r12, s), (mat_mul(mat_mul(p23, r12), p23), s), (r23, s)
+        r13 = [{(c // n) * n * n + k * n + c % n: v for c, v in r[i * n + j].items()}
+               for i in range(n) for k in range(n) for j in range(n)]
+        r12, r13, r23 = (mat_kron(r, one), s), (r13, s), (mat_kron(one, r), s)
         return [r12, r13, r23], [r23, r13, r12]
 
     return _matrix_report("quantum-yang-baxter", n, q, [], sides)
@@ -262,7 +264,7 @@ class QExtVector:
     """Vector in one of the tensor spaces used by the intertwiners.
 
     ``space`` tags the ambient space; ``coeffs`` maps a basis index to a
-    scalar.  Indices are plain tuples for tensor-power spaces and pairs of
+    scalar.  Indices are pairs (i, j) for V (x) V* ("V*V.1") and pairs of
     strictly increasing subset tuples (I, J) for the wedge spaces.
     """
 
@@ -295,14 +297,6 @@ def w_vectors(shape: GrassmannShape, sigma: int, q):
     )
 
 
-def tensor_power(w: QExtVector, r: int) -> QExtVector:
-    """(V (x) V*)^{(x) r} element with concatenated indices."""
-    coeffs = {}
-    for factors in itertools.product(w.coeffs.items(), repeat=r):
-        coeffs[sum((k for k, _ in factors), ())] = math.prod(c for _, c in factors)
-    return QExtVector(f"V*V.{r}", coeffs)
-
-
 def u_vector(shape: GrassmannShape, r: int) -> QExtVector:
     """u_r = sum over I in [1,l] u [l',n] with |I| = r, I disjoint from its
     mirror I', of v_I (x) v*_{I'}."""
@@ -326,30 +320,21 @@ def u_tilde_vector(shape: GrassmannShape, r: int, q) -> QExtVector:
     })
 
 
-def psi_hat_r(t: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
-    """The composed braiding followed by the wedge projections:
-    (V (x) V*)^{(x) r} -> Wedge^r(V) (x) Wedge^r(V*).
-
-    Psi_hat_1(v_i (x) v*_j) = v_(i) (x) v*_(j), and for r >= 2 the terms of
-    t are grouped by their last factor v_i (x) v*_j, each group's prefix
-    mapped by Psi_hat_{r-1} and then by Theta_hat_r with v_i (x) v*_j.
-    """
+def psi_hat_r(ws, shape: GrassmannShape, q, weights=None) -> QExtVector:
+    """The composed braiding and wedge projections on w_1 (x) ... (x) w_r,
+    ``ws`` = [w_1, ..., w_r] in V (x) V*: Psi_hat_1(v_i (x) v*_j) =
+    v_(i) (x) v*_(j) on w_1, then Theta_hat_s with w_s for s = 2, ..., r,
+    the ``weights`` of ``theta_hat_r`` passed to the last fold only."""
+    r = len(ws)
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
-    if r == 1:
-        one = (-q) ** 0  # the sign of a one-letter wedge, in the scalar type of q
-        return QExtVector("Wedge.1", {
-            ((i,), (j,)): c * one for (i, j), c in t.coeffs.items() if c != 0
-        })
-    groups = {}
-    for key, c in t.coeffs.items():
-        groups.setdefault(key[-2:], {})[key[:-2]] = c
-    out = {}
-    for last, prefix in groups.items():
-        head = psi_hat_r(QExtVector(f"V*V.{r - 1}", prefix), shape, r - 1, q)
-        for k, v in theta_hat_r(head, QExtVector("V*V.1", {last: 1}), shape, q).coeffs.items():
-            out[k] = out.get(k, 0) + v
-    return QExtVector(f"Wedge.{r}", {k: v for k, v in out.items() if v != 0})
+    one = (-q) ** 0  # the sign of a one-letter wedge, in the scalar type of q
+    image = QExtVector("Wedge.1", {
+        ((i,), (j,)): c * one for (i, j), c in ws[0].coeffs.items() if c != 0
+    })
+    for s in range(1, r):
+        image = theta_hat_r(image, ws[s], shape, q, weights if s == r - 1 else None)
+    return QExtVector(f"Wedge.{r}", image.coeffs)
 
 
 def phi_hat_r(i_set, j: int, q):
@@ -375,7 +360,8 @@ def theta_hat_r(
 ) -> QExtVector:
     """Theta_hat_r: Wedge^{r-1} (x) Wedge^{r-1} (x) V (x) V* -> Wedge^r (x)
     Wedge^r, multiplying through the braided middle factor.  Given a set of
-    GL_n ``weights``, only the terms of a weight in it are formed."""
+    GL_n ``weights``, only the terms of a weight in it are formed.  An empty
+    u, whose r is unknown, maps to an empty "Wedge.?" vector."""
     some_key = next(iter(u.coeffs), None)
     if some_key is None:
         return QExtVector("Wedge.?", {})
@@ -472,16 +458,6 @@ def _principal_report(identity, shape, r, sigma, q, tilde, image, constant):
     return difference_report(identity, params, _is_exact(q), differences)
 
 
-def _psi_image(w: QExtVector, shape: GrassmannShape, r: int, q) -> QExtVector:
-    """psi_hat_r(w^{(x) r}), folding w in one factor at a time; the last
-    fold forms only the terms whose weight lies on the orbit of (1^r): the
-    image of the rest has no principal term."""
-    image = psi_hat_r(w, shape, 1, q)
-    for s in range(2, r + 1):
-        image = theta_hat_r(image, w, shape, q, _orbit_weights(shape, r) if s == r else None)
-    return image
-
-
 def intertwiner_check(
     shape: GrassmannShape, r: int, sigma: int, q, tilde: bool = False
 ) -> VerificationReport:
@@ -489,7 +465,7 @@ def intertwiner_check(
     power of the fixed vector equals the closed-form constant times u_r."""
     return _principal_report(
         "intertwiner-principal-constant", shape, r, sigma, q, tilde,
-        lambda w: _psi_image(w, shape, r, q), psi_constant,
+        lambda w: psi_hat_r([w] * r, shape, q, _orbit_weights(shape, r)), psi_constant,
     )
 
 

@@ -9,7 +9,9 @@ rational tensors, for every (n, l, r) with n <= 7.  Each entry is the
 sha256 of the ``repr`` of the images' sorted items, so the exact
 ``Fraction`` values and their types are pinned.  The digests were recorded
 from the braiding of the whole tensor power, before Psi_hat_r was built by
-folding Theta_hat_r.  Print fresh digests with
+folding Theta_hat_r: they are the whole-tensor reference that the fold over
+a factor list is checked against, Psi_hat_r(w^{(x) r}) as the fold of
+[w] * r and a random tensor's image by linearity.  Print fresh digests with
 ``PYTHONPATH=src python tests/test_intertwiner_pins.py``, and the float
 residuals of ``tests/data/vector_residuals.json`` by adding ``residuals``.
 """
@@ -28,7 +30,6 @@ from bcq.qgrass import (
     QExtVector,
     intertwiner_check,
     psi_hat_r,
-    tensor_power,
     theta_constant_check,
     theta_hat_r,
     u_tilde_vector,
@@ -89,6 +90,15 @@ def _random_wedge(rng, n, r):
     })
 
 
+def _psi_by_linearity(t, shape, r, q):
+    """Psi_hat_r(t) = sum_K c_K Psi_hat_r(K's basis factors), t = sum_K c_K K."""
+    out = QExtVector(f"Wedge.{r}", {})
+    for key, c in t.coeffs.items():
+        factors = [QExtVector("V*V.1", {key[s : s + 2]: 1}) for s in range(0, 2 * r, 2)]
+        out += psi_hat_r(factors, shape, q).scale(c)
+    return out
+
+
 def _images(n, l, r):
     """The exact images pinned for one (n, l, r), as sorted item lists."""
     shape = GrassmannShape(n, l)
@@ -97,11 +107,11 @@ def _images(n, l, r):
     for q in QS:
         for sigma in (0, 1, 2):
             for w in w_vectors(shape, sigma, q):
-                out.append(psi_hat_r(tensor_power(w, r), shape, r, q))
+                out.append(psi_hat_r([w] * r, shape, q))
                 if r >= 2:
                     for u in (u_vector(shape, r - 1), u_tilde_vector(shape, r - 1, q)):
                         out.append(theta_hat_r(u, w, shape, q))
-        out.append(psi_hat_r(_random_tensor(rng, n, r), shape, r, q))
+        out.append(_psi_by_linearity(_random_tensor(rng, n, r), shape, r, q))
         if r >= 2:
             w = QExtVector("V*V.1", _random_tensor(rng, n, 1).coeffs)
             out.append(theta_hat_r(_random_wedge(rng, n, r - 1), w, shape, q))

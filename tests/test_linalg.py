@@ -9,7 +9,6 @@ import pytest
 from bcq.linalg import (
     _inv,
     _is_exact,
-    flip_matrix,
     integer_matrix,
     mat_identity,
     mat_inverse,
@@ -169,15 +168,6 @@ def test_kron_shape_and_values():
 def test_transpose_and_diff():
     a = [[F(1), F(2)], [F(3), F(4)]]
     assert dense(mat_transpose(sparse(a))) == [[F(1), F(3)], [F(2), F(4)]]
-
-
-def test_flip_matrix_swaps_tensor_factors():
-    n = 2
-    f = flip_matrix(n)
-    # P(e_0 (x) e_1) = e_1 (x) e_0
-    v = sparse([[0], [1], [0], [0]])  # e_0 (x) e_1
-    assert dense(mat_mul(f, v), 1) == [[0], [0], [1], [0]]
-    assert mat_mul(f, f) == mat_identity(n * n)
 
 
 def test_partial_transpose_involution():

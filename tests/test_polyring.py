@@ -38,6 +38,16 @@ def test_constructors_and_zero():
     assert m.terms == {(-1, 2): F(5)}
 
 
+def test_scalar_operands_and_repr():
+    x = LaurentPoly(1, {(1,): 1})
+    assert x.__eq__(1) is NotImplemented and (x == 1) is False
+    assert x + 2 == 2 + x == LaurentPoly(1, {(1,): 1, (0,): 2})
+    assert 3 * x == LaurentPoly(1, {(1,): 3})
+    assert repr(LaurentPoly.zero(2)) == "LaurentPoly(0)"
+    p = LaurentPoly(2, {(1, 0): F(1, 2), (-1, 2): 3})
+    assert repr(p) == "LaurentPoly(3*x^(-1, 2) + Fraction(1, 2)*x^(1, 0))"
+
+
 def test_known_square():
     x = LaurentPoly(1, {(1,): 1})
     xinv = LaurentPoly(1, {(-1,): 1})

@@ -11,7 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ORACLES = {
-    "tensor_power": "builds w^{(x)r} for the pinned Psi_hat_r images",
     "wedge": "the reference for the tabled qgrass._wedge",
     "dominance_leq": "the oracle of the dominant_downset closure test",
     "natural_map": "the inverse of flat_map, kept for the spherical functions",
@@ -32,6 +31,11 @@ def _names(node, strings=False) -> set:
     return out
 
 
+def readme_python_blocks() -> list:
+    """The source of every ``python`` code block in README.md."""
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
 def unreferenced() -> set:
     """Public definitions in src/bcq, module-level functions and classes and
     the methods of classes, that nothing but their own body reads (a class's
@@ -48,7 +52,7 @@ def unreferenced() -> set:
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         outside |= _names(ast.parse(path.read_text()), strings=True)
-    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+    for block in readme_python_blocks():
         outside |= _names(ast.parse(block))
     definitions = {}  # public definition -> the parts that are its own body
     for stmt, part, _ in units:
@@ -69,3 +73,11 @@ def test_every_public_definition_has_a_caller():
     flagged = unreferenced()
     assert flagged - set(ORACLES) == set(), "public names only tests call"
     assert set(ORACLES) - flagged == set(), "an oracle now has a caller: drop it from ORACLES"
+
+
+def test_readme_python_tour_runs():
+    # a signature change the tour still uses fails here, not in a reader's shell
+    blocks = readme_python_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

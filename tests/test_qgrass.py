@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bcq import qgrass
 from bcq.linalg import (
-    flip_matrix,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -24,7 +23,6 @@ from bcq.qgrass import (
     QExtVector,
     _orbit_weights,
     _partial_transpose_inverse,
-    _psi_image,
     _u,
     _wedge,
     _weight,
@@ -48,7 +46,6 @@ from bcq.qgrass import (
     refalt_check,
     reflection_check,
     spherical_multiplicity,
-    tensor_power,
     theta_constant,
     theta_constant_check,
     theta_hat_r,
@@ -108,8 +105,9 @@ def _assert_matrices_match(a, b, exact):
 def test_r_matrix_identities(q):
     exact = isinstance(q, F)
     for n in (2, 3, 4, 5):
-        p = flip_matrix(n)
+        p = [{j * n + i: 1} for i in range(n) for j in range(n)]  # P(e_i (x) e_j) = e_j (x) e_i
         identity = mat_identity(n * n)
+        assert mat_mul(p, p) == identity
         r, rm = r_matrix(n, q), r_minus(n, q)
         # R^+ = P R P = R^T
         assert r_plus(n, q) == mat_mul(mat_mul(p, r), p) == mat_transpose(r)
@@ -336,7 +334,7 @@ def test_tabled_projections_match_direct_powers(monkeypatch, q):
         out = []
         for r, sigma in itertools.product((1, 2, 3), (0, 1)):
             w = w_vectors(shape, sigma, q)[0]
-            out.append(psi_hat_r(tensor_power(w, r), shape, r, q).coeffs)
+            out.append(psi_hat_r([w] * r, shape, q).coeffs)
             if r >= 2:
                 out.append(theta_hat_r(u_vector(shape, r - 1), w, shape, q).coeffs)
         return out
@@ -378,7 +376,7 @@ def test_intertwiner_small():
 def test_psi_image_of_u_like_vector_has_expected_weight():
     shape = GrassmannShape(4, 2)
     w, w_tilde, w_inf = w_vectors(shape, 0, Q)
-    image = psi_hat_r(tensor_power(w, 2), shape, 2, Q)
+    image = psi_hat_r([w, w], shape, Q)
     assert image.space == "Wedge.2"
     assert any(c != 0 for c in image.coeffs.values())
 
@@ -435,7 +433,9 @@ def test_phi_keeps_the_weight():
 
 
 def _assert_psi_keeps_weight(key):
-    image = psi_hat_r(QExtVector("V*V", {key: 1}), GrassmannShape(6, 3), len(key) // 2, Q)
+    factors = [QExtVector("V*V.1", {key[s : s + 2]: 1}) for s in range(0, len(key), 2)]
+    image = psi_hat_r(factors, GrassmannShape(6, 3), Q)
+    assert image.space == f"Wedge.{len(factors)}"  # also when the image is 0
     assert _wedge_weights(image) <= {_key_weight(key)}, key
 
 
@@ -472,10 +472,12 @@ def _criterion_03_cases():
 
 
 def test_pruned_psi_principal_term_matches_the_full_one():
+    # the full images are pinned against the whole tensor power in
+    # test_intertwiner_pins.py
     for shape, r, sigma, tilde in _criterion_03_cases():
         w = w_vectors(shape, sigma, Q)[1 if tilde else 0]
-        full = principal_term(psi_hat_r(tensor_power(w, r), shape, r, Q), shape, r)
-        pruned = principal_term(_psi_image(w, shape, r, Q), shape, r)
+        full = principal_term(psi_hat_r([w] * r, shape, Q), shape, r)
+        pruned = principal_term(psi_hat_r([w] * r, shape, Q, _orbit_weights(shape, r)), shape, r)
         assert list(pruned.coeffs.items()) == list(full.coeffs.items()), (shape, r, sigma, tilde)
         assert [type(c) for c in pruned.coeffs.values()] == [type(c) for c in full.coeffs.values()]
         assert pruned.coeffs
@@ -655,8 +657,7 @@ def test_gelfand_n7_l3_bound3():
 @pytest.mark.parametrize("build, message", [
     (lambda: QExtVector("V*V.1", {}) + QExtVector("Wedge.1", {}), "space mismatch"),
     (lambda: u_vector(GrassmannShape(4, 2), 3), "r must satisfy 1 <= r <= l"),
-    (lambda: psi_hat_r(QExtVector("V*V", {}), GrassmannShape(4, 2), 0, Q),
-     "r must satisfy 1 <= r <= l"),
+    (lambda: psi_hat_r([], GrassmannShape(4, 2), Q), "r must satisfy 1 <= r <= l"),
     # u in Wedge^2 (x) Wedge^2 would map to Wedge^3, past l = 2
     (lambda: theta_hat_r(QExtVector("Wedge.2", {((1, 2), (3, 4)): 1}),
                          QExtVector("V*V.1", {(1, 1): 1}), GrassmannShape(4, 2), Q),

@@ -168,6 +168,33 @@ def test_is_spherical():
     assert not is_spherical(WeightVector((1, 0, 0, 0), "A"), shape)
 
 
+def test_dominance_of_a_weights_needs_equal_totals():
+    # (1, 0) <= (2, 0) prefix by prefix, but the totals differ
+    assert not dominance_leq(WeightVector((1, 0), "A"), WeightVector((2, 0), "A"))
+    assert dominance_leq(WeightVector((1, 1), "A"), WeightVector((2, 0), "A"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dominance_leq(WeightVector((1, 0), "A"), bc_weight(1, 0)),
+     "dominance_leq requires the same lattice and length"),
+    (lambda: weyl_orbit(WeightVector((1, 0), "A")), "weyl_orbit is defined on the BC lattice"),
+    (lambda: natural_map(bc_weight(1, 0, 0, -1), GrassmannShape(4, 2)),
+     "natural_map needs an A-weight of length n"),
+    (lambda: natural_map(WeightVector((1, 0, 0, 0), "A"), GrassmannShape(4, 2)),
+     "(1, 0, 0, 0) is not of spherical form for GrassmannShape(n=4, l=2)"),
+    (lambda: flat_map(WeightVector((1, 0), "A"), GrassmannShape(4, 2)),
+     "flat_map needs a BC-weight of length l"),
+    (lambda: is_spherical(WeightVector((1, 0, -1), "A"), GrassmannShape(4, 2)),
+     "is_spherical needs an A-weight of length n"),
+    (lambda: is_spherical(WeightVector((0, 1, 0, -1), "A"), GrassmannShape(4, 2)),
+     "is_spherical requires a dominant weight"),
+])
+def test_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_dominant_downset_frozen():
     assert dominant_downset((2, 1)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
 
