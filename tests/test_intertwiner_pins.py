@@ -14,6 +14,11 @@ a factor list is checked against, Psi_hat_r(w^{(x) r}) as the fold of
 [w] * r and a random tensor's image by linearity.  Print fresh digests with
 ``PYTHONPATH=src python tests/test_intertwiner_pins.py``, and the float
 residuals of ``tests/data/vector_residuals.json`` by adding ``residuals``.
+
+The ``Fraction`` term-by-term Theta_hat_r that Theta_hat_r replaced with
+its integer-scaled terms is kept here as ``_theta_reference``, and the
+images on float coefficients at an exact q, which keep the unscaled terms,
+are pinned by ``FLOAT_PINS`` (print them by adding ``float``).
 """
 
 import hashlib
@@ -28,6 +33,7 @@ import pytest
 
 from bcq.qgrass import (
     QExtVector,
+    _orbit_weights,
     intertwiner_check,
     psi_hat_r,
     theta_constant_check,
@@ -118,6 +124,123 @@ def _images(n, l, r):
     return [sorted(v.coeffs.items()) for v in out]
 
 
+def _sgn(i_set, j_set, q):
+    """sgn(I;J): 0 on overlap, else (-q)^{#{(i, j) in I x J : i > j}}."""
+    if set(i_set) & set(j_set):
+        return 0
+    return (-q) ** sum(i > j for i in i_set for j in j_set)
+
+
+def _phi_reference(i_set, j, q):
+    """The braiding v*_I (x) v_j -> V (x) Wedge^{r-1}(V*), each sign one power of -q."""
+    i_set = tuple(sorted(i_set))
+    if j not in i_set:
+        return [((j, i_set), 1)]
+    qi = F(1) / q if isinstance(q, (int, F)) else 1 / q
+    rest = tuple(x for x in i_set if x != j)
+    out = [((j, i_set), qi)]
+    denom = _sgn(rest, (j,), q)
+    for m in range(1, j):
+        num = _sgn(rest, (m,), q)
+        if num != 0:
+            out.append(((m, tuple(sorted(rest + (m,)))), -(q - qi) * num / denom))
+    return out
+
+
+def _theta_reference(u, w, shape, q, weights=None):
+    """Theta_hat_r with each term c d e s_v s_d a product of scalars, summed
+    per key in the order the terms are met."""
+    some_key = next(iter(u.coeffs), None)
+    if some_key is None:
+        return QExtVector("Wedge.?", {})
+    out = {}
+    for (i_set, j_set), c in u.coeffs.items():
+        for (s, t), d in w.coeffs.items():
+            weight = [0] * shape.n
+            for i in i_set + (s,):
+                weight[i - 1] += 1
+            for j in j_set + (t,):
+                weight[j - 1] -= 1
+            if weights is not None and tuple(weight) not in weights:
+                continue
+            for (m, k_set), e in _phi_reference(j_set, s, q):
+                sv, sd = _sgn(i_set, (m,), q), _sgn((t,), k_set, q)
+                if sv != 0 and sd != 0:
+                    key = (tuple(sorted(i_set + (m,))), tuple(sorted((t,) + k_set)))
+                    out[key] = out.get(key, 0) + c * d * e * sv * sd
+    return QExtVector(f"Wedge.{len(some_key[0]) + 1}", {k: v for k, v in out.items() if v != 0})
+
+
+def _psi_reference(ws, shape, q, weights=None):
+    """Psi_hat_r as the fold of ``_theta_reference`` over the factors ws."""
+    one = (-q) ** 0
+    image = QExtVector("Wedge.1", {((i,), (j,)): c * one for (i, j), c in ws[0].coeffs.items() if c != 0})
+    for s in range(1, len(ws)):
+        image = _theta_reference(image, ws[s], shape, q, weights if s == len(ws) - 1 else None)
+    return QExtVector(f"Wedge.{len(ws)}", image.coeffs)
+
+
+def _random_factor(rng, n, kind=_random_rational):
+    """A random element of V (x) V*, 12 terms drawn by ``kind``."""
+    return QExtVector("V*V.1", {(rng.randint(1, n), rng.randint(1, n)): kind(rng) for _ in range(12)})
+
+
+@pytest.mark.parametrize("q", QS + (2, -1))
+def test_theta_and_psi_match_the_fraction_reference(q):
+    # an int q still reaches qgrass; its terms stay ints where both factors are
+    for n, l, r in _cases():
+        shape = GrassmannShape(n, l)
+        rng = random.Random(f"reference {n} {l} {r}")
+        for weights in (None, _orbit_weights(shape, r)):
+            for kind in (_random_rational, lambda rng: rng.randint(-3, 3)):
+                ws = [_random_factor(rng, n, kind) for _ in range(r)]
+                assert repr(psi_hat_r(ws, shape, q, weights)) == repr(_psi_reference(ws, shape, q, weights))
+                if r >= 2:
+                    u, w = _random_wedge(rng, n, r - 1), ws[-1]
+                    want = _theta_reference(u, w, shape, q, weights)
+                    assert repr(theta_hat_r(u, w, shape, q, weights)) == repr(want), (n, l, r, q)
+                    u = u_vector(shape, r - 1)
+                    want = _theta_reference(u, w, shape, q, weights)
+                    assert repr(theta_hat_r(u, w, shape, q, weights)) == repr(want), (n, l, r, q)
+
+
+FLOAT_PINS = {
+    "1/2": "2e51d2285168d686777ab44bdcd09372432db0e9b57d67d1c25ec813f4e526c5",
+    "-3/5": "2ea36e3874cef6624c6e3145e624b42d5f595fc0c7860a218f1c66c3620269b5",
+}
+
+
+def _float_coefficient(rng):
+    return float(_random_rational(rng))
+
+
+def float_digest(q) -> str:
+    """sha256 of the float.hex images of Psi_hat_r and Theta_hat_r at the
+    exact q on float coefficients, or float and exact ones mixed."""
+    out = []
+    for n, l, r in _cases():
+        shape = GrassmannShape(n, l)
+        rng = random.Random(f"float {n} {l} {r}")
+        for weights in (None, _orbit_weights(shape, r)):
+            ws = [_random_factor(rng, n, _float_coefficient) for _ in range(r)]
+            out.append(psi_hat_r(ws, shape, q, weights))
+            if r >= 2:
+                out.append(psi_hat_r([_random_factor(rng, n)] + ws[1:], shape, q, weights))
+                u = QExtVector(f"Wedge.{r - 1}", {
+                    k: float(c) for k, c in _random_wedge(rng, n, r - 1).coeffs.items()
+                })
+                out.append(theta_hat_r(u, ws[-1], shape, q, weights))
+                out.append(theta_hat_r(u, _random_factor(rng, n), shape, q, weights))
+                out.append(theta_hat_r(_random_wedge(rng, n, r - 1), ws[-1], shape, q, weights))
+    images = [sorted((k, float.hex(v)) for k, v in image.coeffs.items()) for image in out]
+    return hashlib.sha256(repr(images).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-3, 5)])
+def test_float_coefficients_at_an_exact_q_keep_every_bit(q):
+    assert float_digest(q) == FLOAT_PINS[str(q)]
+
+
 def digest(n, l, r) -> str:
     return hashlib.sha256(repr(_images(n, l, r)).encode()).hexdigest()
 
@@ -155,6 +278,10 @@ def test_float_vector_residuals_keep_every_bit():
 if __name__ == "__main__":
     if sys.argv[1:] == ["residuals"]:
         print(json.dumps(float_residuals(), indent=1))
+        sys.exit()
+    if sys.argv[1:] == ["float"]:
+        for q in (F(1, 2), F(-3, 5)):
+            print(f'    "{q}": "{float_digest(q)}",')
         sys.exit()
     print("PINS = {")
     for case in _cases():
