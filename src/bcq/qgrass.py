@@ -23,8 +23,10 @@ reference vectors u_r, u~_r, w^sigma, w~^sigma, w^infty whose
 principal-term constants are verified exactly.  The braiding is natural, so
 Psi_hat_r(x (x) y) = Theta_hat_r(Psi_hat_{r-1}(x) (x) y) for y in V (x) V*:
 Psi_hat_r takes its factors w_1, ..., w_r in V (x) V* as a list and folds
-them, Psi_hat_1 on w_1 and then Theta_hat_s with w_s, so phi_hat_r is the
-only braiding rule and a general tensor maps by linearity.
+Theta_hat_s with w_s from 1 in Wedge^0 (x) Wedge^0, so phi_hat_r is the
+only braiding rule and a general tensor maps by linearity.  Like an exact
+matrix check, Theta_hat_r at an exact q scales each factor family to
+integers once, multiplies each term as integers and divides once per key.
 
 Every vector-side map keeps the GL_n weight, the weight of v_I (x) v*_J
 being 1_I - 1_J: phi_hat_r sends v*_I (x) v_j to v_j (x) v*_I plus, for j
@@ -48,6 +50,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .linalg import (
@@ -238,20 +241,9 @@ def _inversions(i_set, j_set):
     return count
 
 
-def qsgn(i_set, j_set, q):
-    """sgn(I;J): 0 on overlap, else (-q)^{#{(i,j) in IxJ : i > j}}."""
-    count = _inversions(i_set, j_set)
-    return 0 if count is None else (-q) ** count
-
-
-def wedge(i_tuple, j_tuple, q):
-    """v_I ^ v_J = sgn(I;J) v_{I u J}; returns (coefficient, sorted union)."""
-    return _wedge(i_tuple, j_tuple, [(-q) ** k for k in range(len(i_tuple) * len(j_tuple) + 1)])
-
-
 def _wedge(i_tuple, j_tuple, signs):
-    """``wedge`` with (-q)^k read as signs[k]; the intertwiner checks table
-    [(-q)^k for k < n] once, enough for a set in [1, n] against one index."""
+    """v_I ^ v_J = sgn(I;J) v_{I u J} as (sgn(I;J), sorted union), (0, None) if I
+    and J meet; sgn(I;J) = (-q)^k, k = #{(i,j) in IxJ : i > j}, read as signs[k]."""
     count = _inversions(i_tuple, j_tuple)
     s = 0 if count is None else signs[count]
     if s == 0:
@@ -322,36 +314,34 @@ def u_tilde_vector(shape: GrassmannShape, r: int, q) -> QExtVector:
 
 def psi_hat_r(ws, shape: GrassmannShape, q, weights=None) -> QExtVector:
     """The composed braiding and wedge projections on w_1 (x) ... (x) w_r,
-    ``ws`` = [w_1, ..., w_r] in V (x) V*: Psi_hat_1(v_i (x) v*_j) =
-    v_(i) (x) v*_(j) on w_1, then Theta_hat_s with w_s for s = 2, ..., r,
-    the ``weights`` of ``theta_hat_r`` passed to the last fold only."""
+    ``ws`` = [w_1, ..., w_r] in V (x) V*: Theta_hat_s with w_s for s = 1,
+    ..., r, from 1 = (-q)^0 in Wedge^0 (x) Wedge^0, so Psi_hat_1(v_i (x)
+    v*_j) = v_(i) (x) v*_(j); the ``weights`` of ``theta_hat_r`` are passed
+    to the last fold only, and only for r >= 2."""
     r = len(ws)
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
-    one = (-q) ** 0  # the sign of a one-letter wedge, in the scalar type of q
-    image = QExtVector("Wedge.1", {
-        ((i,), (j,)): c * one for (i, j), c in ws[0].coeffs.items() if c != 0
-    })
-    for s in range(1, r):
-        image = theta_hat_r(image, ws[s], shape, q, weights if s == r - 1 else None)
+    image = QExtVector("Wedge.0", {((), ()): (-q) ** 0})
+    for s, w in enumerate(ws):
+        image = theta_hat_r(image, w, shape, q, weights if s == r - 1 > 0 else None)
     return QExtVector(f"Wedge.{r}", image.coeffs)
 
 
-def phi_hat_r(i_set, j: int, q):
+def phi_hat_r(i_set, j: int, q, signs):
     """The braiding Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*):
-    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j."""
+    list of ((vector_index, dual_subset), coeff) for input v*_I (x) v_j,
+    each sign (-q)^k read as signs[k] for k < |I|."""
     i_set = tuple(sorted(i_set))
     if j not in i_set:
         return [((j, i_set), 1)]
     qi = _inv(q)
     rest = tuple(x for x in i_set if x != j)
     out = [((j, i_set), qi)]
-    denom = qsgn(rest, (j,), q)
+    denom = signs[_inversions(rest, (j,))]
     for m in range(1, j):
-        num = qsgn(rest, (m,), q)
-        if num == 0:
-            continue
-        out.append(((m, tuple(sorted(rest + (m,)))), -(q - qi) * num / denom))
+        count = _inversions(rest, (m,))
+        if count is not None:
+            out.append(((m, tuple(sorted(rest + (m,)))), -(q - qi) * signs[count] / denom))
     return out
 
 
@@ -359,31 +349,47 @@ def theta_hat_r(
     u: QExtVector, w: QExtVector, shape: GrassmannShape, q, weights=None
 ) -> QExtVector:
     """Theta_hat_r: Wedge^{r-1} (x) Wedge^{r-1} (x) V (x) V* -> Wedge^r (x)
-    Wedge^r, multiplying through the braided middle factor.  Given a set of
-    GL_n ``weights``, only the terms of a weight in it are formed.  An empty
-    u, whose r is unknown, maps to an empty "Wedge.?" vector."""
+    Wedge^r, multiplying through the braided middle factor, for u in
+    Wedge.{r-1} and w in V*V.1 with indices in [1, n].  Given a set of GL_n
+    ``weights``, only the terms of a weight in it are formed.  An empty u,
+    whose r is unknown, maps to an empty "Wedge.?" vector.  A term c d e s_v
+    s_d multiplies coefficients of u, w and phi_hat_r (tabled per (J, s))
+    and two signs.  At a ``Fraction`` q with exact u and w, each family is
+    scaled to integers once and each key's integer sum divided once; else
+    (a float, or an int q) the unscaled terms multiply in that order."""
     some_key = next(iter(u.coeffs), None)
     if some_key is None:
         return QExtVector("Wedge.?", {})
-    r = len(some_key[0]) + 1
-    if not 2 <= r <= shape.l:
-        raise ValueError("need 2 <= r <= l")
-    out = {}
-    signs = [(-q) ** k for k in range(shape.n)]
-    for (i_set, j_set), c in u.coeffs.items():
-        for (s, t), d in w.coeffs.items():
-            if weights is not None and _weight(i_set + (s,), j_set + (t,), shape.n) not in weights:
+    n, r = shape.n, len(some_key[0]) + 1
+    if not 1 <= r <= shape.l:
+        raise ValueError("r must satisfy 1 <= r <= l")
+    for v, space in ((u, f"Wedge.{r - 1}"), (w, "V*V.1")):
+        indices = (x for key in v.coeffs for x in (key if space == "V*V.1" else key[0] + key[1]))
+        if v.space != space or not all(isinstance(x, int) and 1 <= x <= n for x in indices):
+            raise ValueError(f"need a {space} vector with indices in [1, n]")
+    pairs = [(a, b) for a in u.coeffs for b in w.coeffs
+             if weights is None or _weight(a[0] + b[:1], a[1] + b[1:], n) in weights]
+    signs = {k: (-q) ** k for k in range(n)}
+    keys = list(dict.fromkeys((a[1], b[0]) for a, b in pairs))
+    exact = isinstance(q, Fraction) and all(
+        _is_exact(x) for v in (u, w) for x in v.coeffs.values())
+    ((us,), (ws,), (sg,)), (su, sw, ss) = zip(
+        *(_scaled([x], exact) for x in (u.coeffs, w.coeffs, signs)))
+    es, se = _scaled([dict(phi_hat_r(*key, q, signs)) for key in keys], exact)
+    phis, out = dict(zip(keys, es)), {}
+    for (i_set, j_set), (s, t) in pairs:
+        cd = us[i_set, j_set] * ws[s, t]
+        for (m, k_set), e in phis[j_set, s].items():
+            sv, i2 = _wedge(i_set, (m,), sg)
+            if sv == 0:
                 continue
-            for (m, k_set), e in phi_hat_r(j_set, s, q):
-                sv, i2 = _wedge(i_set, (m,), signs)
-                if sv == 0:
-                    continue
-                sd, j2 = _wedge((t,), k_set, signs)
-                if sd == 0:
-                    continue
-                key = (i2, j2)
-                out[key] = out.get(key, 0) + c * d * e * sv * sd
-    return QExtVector(f"Wedge.{r}", {k: v for k, v in out.items() if v != 0})
+            sd, j2 = _wedge((t,), k_set, sg)
+            if sd == 0:
+                continue
+            out[i2, j2] = out.get((i2, j2), 0) + cd * e * sv * sd
+    scale = su * sw * se * ss * ss
+    out = {k: Fraction(v, scale) if exact else v for k, v in out.items() if v != 0}
+    return QExtVector(f"Wedge.{r}", out)
 
 
 def _weight(vectors, duals, n: int) -> tuple:
@@ -439,19 +445,15 @@ def theta_constant(r: int, sigma: int, l: int, q, tilde: bool = False):
     return -_constant_base(sigma, l, q, tilde) * _q2_integer(r, q)
 
 
-def _u(shape: GrassmannShape, r: int, q, tilde: bool) -> QExtVector:
-    """u~_r for the tilde vectors, u_r otherwise."""
-    return u_tilde_vector(shape, r, q) if tilde else u_vector(shape, r)
-
-
 def _principal_report(identity, shape, r, sigma, q, tilde, image, constant):
-    """Principal term of ``image(w)``, for w = w^sigma (or w~^sigma), equals
-    ``constant(r, sigma, l, q, tilde)`` times u_r (or u~_r)."""
+    """Principal term of ``image(w, u)``, for w = w^sigma and u(k) = u_k (or
+    w~^sigma and u~_k), equals ``constant(r, sigma, l, q, tilde)`` u(r)."""
 
     def differences():
         w = w_vectors(shape, sigma, q)[1 if tilde else 0]
-        target = _u(shape, r, q, tilde).scale(constant(r, sigma, shape.l, q, tilde))
-        got = principal_term(image(w), shape, r)
+        u = (lambda k: u_tilde_vector(shape, k, q)) if tilde else (lambda k: u_vector(shape, k))
+        target = u(r).scale(constant(r, sigma, shape.l, q, tilde))
+        got = principal_term(image(w, u), shape, r)
         return (got - target).coeffs.values()
 
     params = {"n": shape.n, "l": shape.l, "r": r, "sigma": sigma, "q": str(q), "tilde": tilde}
@@ -465,7 +467,7 @@ def intertwiner_check(
     power of the fixed vector equals the closed-form constant times u_r."""
     return _principal_report(
         "intertwiner-principal-constant", shape, r, sigma, q, tilde,
-        lambda w: psi_hat_r([w] * r, shape, q, _orbit_weights(shape, r)), psi_constant,
+        lambda w, u: psi_hat_r([w] * r, shape, q, _orbit_weights(shape, r)), psi_constant,
     )
 
 
@@ -476,10 +478,7 @@ def theta_constant_check(
     -q^sigma (1-q^{2r})/(1-q^2) u_r (and the tilde analog)."""
     return _principal_report(
         "theta-principal-constant", shape, r, sigma, q, tilde,
-        lambda w: theta_hat_r(
-            _u(shape, r - 1, q, tilde), w, shape, q, _orbit_weights(shape, r)
-        ),
-        theta_constant,
+        lambda w, u: theta_hat_r(u(r - 1), w, shape, q, _orbit_weights(shape, r)), theta_constant,
     )
 
 

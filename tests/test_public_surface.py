@@ -11,7 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ORACLES = {
-    "wedge": "the reference for the tabled qgrass._wedge",
     "dominance_leq": "the oracle of the dominant_downset closure test",
     "natural_map": "the inverse of flat_map, kept for the spherical functions",
 }

@@ -23,7 +23,6 @@ from bcq.qgrass import (
     QExtVector,
     _orbit_weights,
     _partial_transpose_inverse,
-    _u,
     _wedge,
     _weight,
     branching_coeffs,
@@ -37,7 +36,6 @@ from bcq.qgrass import (
     principal_term,
     psi_constant,
     psi_hat_r,
-    qsgn,
     qybe_check,
     r_matrix,
     r_minus,
@@ -49,9 +47,9 @@ from bcq.qgrass import (
     theta_constant,
     theta_constant_check,
     theta_hat_r,
+    u_tilde_vector,
     u_vector,
     w_vectors,
-    wedge,
 )
 from bcq.polyring import LaurentPoly, peel, schur
 from bcq.weights import GrassmannShape, WeightVector, is_spherical
@@ -300,12 +298,20 @@ def test_float_residuals_keep_every_bit():
     assert {key: float.hex(x) for key, x in got.items()} == FLOAT_RESIDUALS
 
 
-def _qsgn_oracle(i_set, j_set, q):
-    """sgn(I;J) from two frozensets and one power of -q, as first written."""
+def qsgn(i_set, j_set, q):
+    """sgn(I;J) = (-q)^{#{(i,j) in IxJ : i > j}}, 0 on overlap: the oracle
+    of the signs qgrass reads from a table, from two frozensets and one
+    power of -q, as first written."""
     i_set, j_set = frozenset(i_set), frozenset(j_set)
     if i_set & j_set:
         return 0
     return (-q) ** sum(1 for i in i_set for j in j_set if i > j)
+
+
+def wedge(i_tuple, j_tuple, q):
+    """v_I ^ v_J = sgn(I;J) v_{I u J} as (coefficient, sorted union), the
+    table of qgrass._wedge holding every power of -q it may read."""
+    return _wedge(i_tuple, j_tuple, [(-q) ** k for k in range(len(i_tuple) * len(j_tuple) + 1)])
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-3, 5), 0.3])
@@ -316,9 +322,7 @@ def test_tabled_q_signs_match_the_powers(q):
     subsets = [c for k in range(6) for c in itertools.combinations(range(1, 7), k)]
     for i_set, j in itertools.product(subsets, range(1, 7)):
         for a, b in ((i_set, (j,)), ((j,), i_set)):
-            want = _qsgn_oracle(a, b, q)
-            got = qsgn(a, b, q)
-            assert got == want and type(got) is type(want), (a, b)
+            want = qsgn(a, b, q)
             union = tuple(sorted(a + b)) if want != 0 else None
             for pair in (wedge(a, b, q), _wedge(a, b, signs)):
                 assert pair == (want, union) and type(pair[0]) is type(want), (a, b)
@@ -327,7 +331,9 @@ def test_tabled_q_signs_match_the_powers(q):
 @pytest.mark.parametrize("q", [F(1, 2), F(-3, 5), 0.3])
 def test_tabled_projections_match_direct_powers(monkeypatch, q):
     # psi_hat_r and theta_hat_r with their table of (-q)^k against the same
-    # maps with each sign formed as one power of -q
+    # maps with each sign formed as one power of -q: in phi_hat_r, and in
+    # the wedges, times the scale of theta_hat_r's table (its entry
+    # signs[0] = (-q)^0 s; s = 1 unscaled)
     shape = GrassmannShape(6, 3)
 
     def images():
@@ -340,11 +346,16 @@ def test_tabled_projections_match_direct_powers(monkeypatch, q):
         return out
 
     def direct(i_tuple, j_tuple, signs):
-        s = _qsgn_oracle(i_tuple, j_tuple, q)
+        s = qsgn(i_tuple, j_tuple, q) * signs[0]
         return (0, None) if s == 0 else (s, tuple(sorted(i_tuple + j_tuple)))
 
-    tabled = images()
+    class Powers:
+        def __getitem__(self, k):
+            return (-q) ** k
+
+    tabled, phi = images(), qgrass.phi_hat_r
     monkeypatch.setattr(qgrass, "_wedge", direct)
+    monkeypatch.setattr(qgrass, "phi_hat_r", lambda i_set, j, q, signs: phi(i_set, j, q, Powers()))
     assert images() == tabled
 
 
@@ -360,8 +371,9 @@ def test_qsgn_and_wedge():
 
 def test_phi_hat_r_on_singletons():
     # phi(v*_i (x) v_j) = q^{-delta_ij} v_j (x) v*_i + correction on i = j
-    assert dict(phi_hat_r((2,), 2, Q)) == {(2, (2,)): 1 / Q, (1, (1,)): 1 / Q - Q}
-    assert dict(phi_hat_r((1,), 2, Q)) == {(2, (1,)): 1}
+    signs = [(-Q) ** k for k in range(6)]
+    assert dict(phi_hat_r((2,), 2, Q, signs)) == {(2, (2,)): 1 / Q, (1, (1,)): 1 / Q - Q}
+    assert dict(phi_hat_r((1,), 2, Q, signs)) == {(2, (1,)): 1}
 
 
 def test_intertwiner_small():
@@ -426,7 +438,7 @@ def test_phi_keeps_the_weight():
     for size in (1, 2):
         for i_set in itertools.combinations(range(1, 7), size):
             for j in range(1, 7):
-                image = phi_hat_r(i_set, j, Q)
+                image = phi_hat_r(i_set, j, Q, [(-Q) ** k for k in range(6)])
                 assert {_weight((m,), k_set, 6) for (m, k_set), _ in image} == {
                     _weight((j,), i_set, 6)
                 }
@@ -487,7 +499,7 @@ def test_pruned_theta_principal_term_matches_the_full_one():
     shape = GrassmannShape(6, 3)
     for r, sigma, tilde in itertools.product((2, 3), (0, 1), (False, True)):
         w = w_vectors(shape, sigma, Q)[1 if tilde else 0]
-        u = _u(shape, r - 1, Q, tilde)
+        u = u_tilde_vector(shape, r - 1, Q) if tilde else u_vector(shape, r - 1)
         full = principal_term(theta_hat_r(u, w, shape, Q), shape, r)
         pruned = principal_term(theta_hat_r(u, w, shape, Q, _orbit_weights(shape, r)), shape, r)
         assert list(pruned.coeffs.items()) == list(full.coeffs.items()), (r, sigma, tilde)
@@ -661,8 +673,28 @@ def test_gelfand_n7_l3_bound3():
     # u in Wedge^2 (x) Wedge^2 would map to Wedge^3, past l = 2
     (lambda: theta_hat_r(QExtVector("Wedge.2", {((1, 2), (3, 4)): 1}),
                          QExtVector("V*V.1", {(1, 1): 1}), GrassmannShape(4, 2), Q),
-     "need 2 <= r <= l"),
+     "r must satisfy 1 <= r <= l"),
     (lambda: qgrass._r(1, Q, Q), "n must be >= 2"),
+    # a Wedge^1 vector as a factor: its keys were read as nested (i, j) pairs
+    (lambda: psi_hat_r([u_vector(GrassmannShape(6, 3), 1)], GrassmannShape(6, 3), Q),
+     "need a V*V.1 vector with indices in [1, n]"),
+    # w tagged Wedge.1: its tuple keys were compared with ints (TypeError)
+    (lambda: theta_hat_r(u_vector(GrassmannShape(6, 3), 1), u_vector(GrassmannShape(6, 3), 1),
+                         GrassmannShape(6, 3), Q),
+     "need a V*V.1 vector with indices in [1, n]"),
+    # a u of n = 7 at n = 6: its image held terms with index 7
+    (lambda: theta_hat_r(u_vector(GrassmannShape(7, 3), 2), w_vectors(GrassmannShape(6, 3), 1, Q)[0],
+                         GrassmannShape(6, 3), Q),
+     "need a Wedge.2 vector with indices in [1, n]"),
+    (lambda: theta_hat_r(QExtVector("Wedge.1", {((0,), (1,)): 1}), QExtVector("V*V.1", {(1, 1): 1}),
+                         GrassmannShape(6, 3), Q),
+     "need a Wedge.1 vector with indices in [1, n]"),
+    (lambda: theta_hat_r(u_vector(GrassmannShape(6, 3), 2), QExtVector("V*V.1", {(1, 7): 1}),
+                         GrassmannShape(6, 3), Q),
+     "need a V*V.1 vector with indices in [1, n]"),
+    (lambda: theta_hat_r(QExtVector("Wedge.2", {((1,), (2,)): 1}), QExtVector("V*V.1", {(1, 1): 1}),
+                         GrassmannShape(6, 3), Q),
+     "need a Wedge.1 vector with indices in [1, n]"),
 ])
 def test_input_checks_name_the_fault(build, message):
     with pytest.raises(ValueError) as exc:
