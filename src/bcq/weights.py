@@ -136,16 +136,16 @@ def dominant_downset(lam: tuple) -> list:
     dominance (sorted by total, then lexicographically), as a fresh list.
 
     Dominance is not graded here: weights of smaller total are included.
+    Built entry by entry: mu_i runs over 0..min(mu_{i-1}, lam_1+...+lam_i - mu_1-...-mu_{i-1}).
     """
     return list(_downset(tuple(lam)))
 
 
 @lru_cache(maxsize=256)
 def _downset(lam: tuple) -> tuple:
-    if dominant_representative(lam) != lam:
-        raise ValueError(f"weight {lam} is not dominant: need lam_1 >= ... >= lam_l >= 0")
-    out = [
-        nu for nu in itertools.product(range(sum(lam), -1, -1), repeat=len(lam))
-        if dominant_representative(nu) == nu and _prefix_leq(nu, lam)
-    ]
+    if not lam or dominant_representative(lam) != lam:
+        raise ValueError(f"weight {lam} is not dominant: need l >= 1, lam_1 >= ... >= lam_l >= 0")
+    out = [()]
+    for bound in itertools.accumulate(lam):
+        out = [nu + (e,) for nu in out for e in range(min(nu[-1:] + (bound - sum(nu),)) + 1)]
     return tuple(sorted(out, key=lambda v: (sum(v), v)))

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bcq import GrassmannShape, grassmann_koornwinder_params
+from bcq import GrassmannShape, grassmann_koornwinder_params, koornwinder
 from bcq.awmeasure import norm_K
 from bcq.koornwinder import (
     EigenvalueCollisionError,
@@ -25,6 +25,7 @@ from bcq.koornwinder import (
     eigenvalue,
     koornwinder_poly,
 )
+from bcq.linalg import solve_linear
 from bcq.polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from bcq.qgrass import casimir_eigenvalue
 from bcq.weights import WeightVector, dominant_downset, flat_map
@@ -220,6 +221,44 @@ def test_collocation_skips_a_candidate_on_a_pole():
         assert dk_evaluate(poly, x, params) == e_lam * poly.evaluate(x), x
     with pytest.raises(ZeroDivisionError):
         dk_evaluate(poly, (F(257, 17), F(389, 17)), params)
+
+
+def test_collocation_retries_a_seed_whose_candidates_all_lie_on_poles(monkeypatch):
+    # x_1 = 1 zeroes the 1 - x_1^2 factor of both phi_1 denominators, so no
+    # seed-911 candidate gives a row and the next seed builds P_(2,1)
+    want = koornwinder_poly((2, 1), PARAMS2)
+    seeds = []
+
+    def on_poles(l, count, exact, seed):
+        seeds.append(seed)
+        points = _candidate_points(l, count, exact, seed)
+        return [(F(1),) + x[1:] for x in points] if seed == 911 else points
+
+    monkeypatch.setattr(koornwinder, "_candidate_points", on_poles)
+    assert koornwinder_poly((2, 1), PARAMS2) == want
+    assert seeds == [911, 912]
+
+
+def test_collocation_retries_after_a_singular_solve(monkeypatch):
+    want = koornwinder_poly((2, 1), PARAMS2)
+    calls = []
+
+    def singular_once(rows, rhs):
+        calls.append(len(rows))
+        if len(calls) == 1:
+            raise ZeroDivisionError("singular")
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(koornwinder, "solve_linear", singular_once)
+    assert koornwinder_poly((2, 1), PARAMS2) == want
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("build", [koornwinder_poly, norm_K, check_symmetries])
+def test_empty_weight_is_rejected(build):
+    # _collocate read the first entry of () and raised IndexError
+    with pytest.raises(ValueError, match=r"weight \(\) is not dominant: need l >= 1"):
+        build((), PARAMS2)
 
 
 def test_dk_evaluate_rejects_a_float_point_near_a_pole():

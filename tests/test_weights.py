@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from bcq.polyring import _orbit_sum
 from bcq.weights import (
     GrassmannShape,
     WeightVector,
+    _downset,
     dominance_leq,
     dominant_downset,
     dominant_representative,
@@ -223,3 +226,39 @@ def test_dominant_downset_ordering_and_closure():
         assert w.is_dominant
         assert dominance_leq(w, top)
     assert down[-1] == lam
+
+
+def searched_downset(lam) -> list:
+    """The downset by testing every tuple in {0, ..., |lam|}^l: the search
+    the prefix construction replaced, kept as its oracle."""
+    top = WeightVector(lam, "BC")
+    out = [
+        nu for nu in itertools.product(range(sum(lam), -1, -1), repeat=len(lam))
+        if dominant_representative(nu) == nu and dominance_leq(WeightVector(nu, "BC"), top)
+    ]
+    return sorted(out, key=lambda v: (sum(v), v))
+
+
+@pytest.mark.parametrize("l", range(1, 6))
+def test_dominant_downset_matches_the_search(l):
+    # every dominant lambda of length l and |lambda| <= 8, identical lists
+    weights = [lam for lam in itertools.combinations_with_replacement(range(8, -1, -1), l)
+               if sum(lam) <= 8]
+    assert weights
+    for lam in weights:
+        assert dominant_downset(lam) == searched_downset(lam), lam
+
+
+def test_dominant_downset_of_a_long_weight_is_quick():
+    # the search tested 9^8 tuples for these 9 weights; uncached here
+    start = time.perf_counter()
+    down = _downset.__wrapped__((1,) * 8)
+    assert time.perf_counter() - start < 1.0
+    assert down == tuple((1,) * k + (0,) * (8 - k) for k in range(9))
+
+
+@pytest.mark.parametrize("lam", [(), (1, -1)])
+def test_dominant_downset_rejects_a_weight_that_is_not_dominant(lam):
+    with pytest.raises(ValueError, match=rf"weight {re.escape(str(lam))} is not dominant: "
+                                         r"need l >= 1, lam_1 >= \.\.\. >= lam_l >= 0"):
+        dominant_downset(lam)
