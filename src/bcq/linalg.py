@@ -21,8 +21,8 @@ def _is_exact(x) -> bool:
 
 
 def _inv(x):
-    """1/x, exact (a ``Fraction``) when x is rational."""
-    return Fraction(1, 1) / x if _is_exact(x) else 1 / x
+    """1/x: a ``Fraction`` when x is rational, else the bits of ``1 / x``."""
+    return Fraction(1, 1) / x
 
 
 def integer_row(row):

@@ -1,7 +1,9 @@
 """Tests for the sparse matrix helpers and the dense exact solver."""
 
 import itertools
+import math
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -115,6 +117,24 @@ def test_exactness_test_and_inverse():
     assert _inv(2) == F(1, 2) and type(_inv(2)) is F
     assert _inv(F(-2, 3)) == F(-3, 2)
     assert _inv(0.5) == 2.0 and type(_inv(0.5)) is float
+
+
+def test_inverse_keeps_the_bits_of_a_float_division():
+    # Fraction(1, 1) / x divides as float or complex when x is one
+    rng = random.Random(5)
+    floats = [0.5, -3.0, 1e-320, -5e-324, 2.0 ** -1060, 1e300, math.inf, -math.inf, math.nan]
+    floats += [math.ldexp(rng.uniform(-1, 1), rng.randint(-1000, 1020)) for _ in range(2000)]
+    for x in floats + [complex(a, b) for a, b in zip(floats, reversed(floats))]:
+        got, want = _inv(x), 1 / x
+        assert type(got) is type(want)
+        parts = (got.real, got.imag, want.real, want.imag) if type(x) is complex else (got, want)
+        bits = [struct.pack("<d", v) for v in parts]
+        assert bits[: len(bits) // 2] == bits[len(bits) // 2 :], x
+    for zero in (0, F(0), 0.0, -0.0, 0j):
+        with pytest.raises(ZeroDivisionError):
+            _inv(zero)
+    for x, want in ((3, F(1, 3)), (-1, F(-1)), (F(-2, 3), F(-3, 2)), (F(7, 1), F(1, 7))):
+        assert _inv(x) == want and type(_inv(x)) is F
 
 
 def test_identity_and_mul():

@@ -737,6 +737,24 @@ def test_partial_transpose_inverse_stays_real(n):
         )
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(-3, 5), F(7, 3), 2, F(2)])
+def test_partial_transpose_inverse_is_the_crossed_r_matrix(n, q):
+    # crossing symmetry with D = diag(1, q^-2, ..., q^-2(n-1)):
+    # (R^{t1})^{-1} = ((D (x) 1) R^- (D^{-1} (x) 1))^{t1}, and
+    # ((R21^-)^{t1})^{-1} = ((D (x) 1) R^+ (D^{-1} (x) 1))^{t1}, exactly
+    d = [F(q) ** (-2 * (r // n)) for r in range(n * n)]
+
+    def crossed(m):
+        conjugated = [{c: d[r] * x / d[c] for c, x in row.items()} for r, row in enumerate(m)]
+        return partial_transpose_first(conjugated, n)
+
+    for m, partner in ((r_matrix(n, q), r_minus(n, q)), (r21_minus(n, q), r_plus(n, q))):
+        inv = _partial_transpose_inverse(partial_transpose_first(m, n), n)
+        assert all(type(x) in (int, F) for row in inv for x in row.values())
+        assert dense(inv) == dense(crossed(partner))
+
+
 # float.hex of the residuals at q = 0.3 and q = 1.7, recorded while every
 # check still built its own R-side factors.  Keys: (check, q, n, l, sigma).
 R_SIDE_RESIDUALS = {
