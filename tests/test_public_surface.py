@@ -1,8 +1,9 @@
 """Every public module-level function and class of ``bcq``, and every public
 method of a class, has a caller outside the tests: another part of
-``src/bcq``, the benchmark in ``perfbench/`` (the tracer names its layers in
-strings) or the README tour.  A helper that only tests call is dead
-surface, except for the few test oracles listed here with their reason."""
+``src/bcq``, the code of the benchmark in ``perfbench/`` or the README tour.
+A helper that only tests call is dead surface, except for the few test
+oracles listed here with their reason, and the names that only the tracer's
+layer strings in ``perfbench/tracing.py`` keep alive, listed with theirs."""
 
 import ast
 import re
@@ -15,19 +16,36 @@ ORACLES = {
     "natural_map": "the inverse of flat_map, kept for the spherical functions",
 }
 
+# traced by name in perfbench/tracing.py, so deleting one breaks its install;
+# no workload, reference or library code calls them
+TRACED_ONLY = {
+    "continuous_gram": "the Gram-matrix pins of test_measure_pins read it",
+    "dk_evaluate": "the direct D_K oracle of dk_apply and the exact eigen identity",
+    "from_generator_coords": "turns generator coordinates back into a polynomial",
+    "schur": "the Schur-polynomial oracle of the branching coefficients",
+    "spherical_multiplicity": "names the trivial block multiplicity that gelfand_check counts inline",
+    "w2_value": "the bit-for-bit oracle of the _w2_on_roots tables",
+    "weyl_orbit": "the WeightVector form of weyl_orbit_tuples the orbit tests read",
+}
 
-def _names(node, strings=False) -> set:
-    """Names read under node as a Name or an Attribute; with strings, also
-    the dotted parts of string constants."""
+
+def _names(node) -> set:
+    """Names read under node as a Name or an Attribute."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.update(sub.value.split("."))
     return out
+
+
+def traced_names() -> set:
+    """The dotted parts of the string constants of perfbench/tracing.py,
+    where the tracer names the callables of its layers."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {part for sub in ast.walk(tree) if isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str) for part in sub.value.split(".")}
 
 
 def readme_python_blocks() -> list:
@@ -50,7 +68,7 @@ def unreferenced() -> set:
                 units += [(stmt, part, _names(part)) for part in parts]
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        outside |= _names(ast.parse(path.read_text()), strings=True)
+        outside |= _names(ast.parse(path.read_text()))
     for block in readme_python_blocks():
         outside |= _names(ast.parse(block))
     definitions = {}  # public definition -> the parts that are its own body
@@ -70,8 +88,10 @@ def unreferenced() -> set:
 
 def test_every_public_definition_has_a_caller():
     flagged = unreferenced()
-    assert flagged - set(ORACLES) == set(), "public names only tests call"
+    assert flagged - set(ORACLES) - set(TRACED_ONLY) == set(), "public names only tests call"
     assert set(ORACLES) - flagged == set(), "an oracle now has a caller: drop it from ORACLES"
+    assert set(TRACED_ONLY) - flagged == set(), "a traced name now has a caller: drop it"
+    assert set(TRACED_ONLY) <= traced_names(), "a TRACED_ONLY name is not traced"
 
 
 def test_readme_python_tour_runs():
