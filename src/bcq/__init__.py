@@ -1,8 +1,8 @@
 """BC-type multivariable q-orthogonal polynomials.
 
 Koornwinder polynomials with their q-difference operator and full
-orthogonality measure, big and little q-Jacobi polynomials with Jackson-sum
-inner products and closed-form normalization constants, the limit
+orthogonality measure, big and little q-Jacobi polynomials with exact
+moment inner products and closed-form normalization constants, the limit
 transitions between the families, and the quantum-Grassmannian algebraic
 layer (R-matrix, reflection equations, q-exterior intertwiners, branching
 and the Gelfand property).

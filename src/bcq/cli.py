@@ -116,7 +116,7 @@ def _precision():
     if mode not in ("double", "extended"):
         raise ValueError("BCQ_PRECISION must be 'double' or 'extended'")
     if mode == "extended":
-        return QuadratureGrid(rel_tol=1e-12), SumTruncation(n_max=400, tail_tol=1e-16)
+        return QuadratureGrid(rel_tol=1e-12), SumTruncation(n_max=10_000)
     return QuadratureGrid(), SumTruncation()
 
 
@@ -144,13 +144,12 @@ def _params_doc(params, q_key: str) -> dict:
 def cmd_poly(args) -> int:
     _require(args, f"poly --family {args.family}", FAMILIES[args.family][1])
     lam = parse_weight(args.lam)
-    _grid, trunc = _precision()
     params = _params(args, args.family)
     if args.family == "koornwinder":
         poly, basis = koornwinder_poly_or_gram(lam, params), "signed-orbit-sums"
     else:
         jacobi_poly = big_jacobi_poly if args.family == "big" else little_jacobi_poly
-        poly, basis = jacobi_poly(lam, params, len(lam), trunc), "monomial-symmetric"
+        poly, basis = jacobi_poly(lam, params, len(lam)), "monomial-symmetric"
     doc = {"family": args.family, "lambda": list(lam), "basis": basis,
            "params": _params_doc(params, "q"), "polynomial": poly.to_json_dict()}
     print(json.dumps(doc, sort_keys=True))

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import _is_exact, integer_row, solve_linear
-from .polyring import LaurentPoly, expand_in_basis, gram_schmidt, rebuild_from_basis
+from .polyring import MAX_VARS, LaurentPoly, expand_in_basis, gram_schmidt, rebuild_from_basis
 from .qseries import check_base
 from .report import VerificationReport, timed_report
 from .weights import dominant_downset
@@ -346,6 +346,8 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
     """
     lam = tuple(lam)
     l = len(lam)
+    if l > MAX_VARS:  # before any orbit is built: the top one has l! 2^l entries
+        raise ValueError(f"variable count must be in [1,{MAX_VARS}]")
     if mode == "gram":
         from .awmeasure import full_inner
 

@@ -11,9 +11,9 @@ stays below ABS_TOL; a product that needs more than MAX_TERMS terms raises
 ``NonConvergenceError``.  Each entry point checks q in (0,1) with
 ``check_base``, the one q test of the package.
 
-``jackson_nodes`` is the one Jackson-sum rule of the package: points beta q^j
-with masses (1-q) beta q^j (Gasper & Rahman, section 1.11).  The inner
-products of ``qjacobi`` sum over it up to a cutoff fixed before summing.
+``jackson_nodes`` is the Jackson rule: points beta q^j with masses
+(1-q) beta q^j (Gasper & Rahman, section 1.11).  ``qjacobi`` sums its one
+measured mass mu_0 over the same points, term by term.
 """
 
 from __future__ import annotations

@@ -51,155 +51,155 @@ def _values(key):
 
 PINS = {
     ('big', 'norm', 2, 1): [
-        '0x1.e38906672ec9fp-1',
-        '0x1.754cb35d9396dp+1',
-        '0x1.dcdb7805b8bc2p-3',
+        '0x1.e38906672ec8dp-1',
+        '0x1.754cb35d93967p+1',
+        '0x1.dcdb7805b8bebp-3',
     ],
     ('big', 'norm', 2, 2): [
-        '0x1.98b74fe581353p-3',
-        '0x1.85c5ede9302bfp-1',
-        '0x1.850b3ffa9c313p-7',
+        '0x1.98b74fe58137ap-3',
+        '0x1.85c5ede9302c2p-1',
+        '0x1.850b3ffa9c349p-7',
     ],
     ('big', 'norm', 3, 1): [
-        '0x1.f8edce423d11bp-3',
-        '0x1.dcdb7805b8bb7p-3',
-        '0x1.f7303870ac2d2p-7',
+        '0x1.f8edce423d15ep-3',
+        '0x1.dcdb7805b8bebp-3',
+        '0x1.f7303870ac2f2p-7',
     ],
     ('big', 'norm', 3, 2): [
-        '0x1.998b77d309a13p-7',
-        '0x1.93da693bdd8b5p-9',
-        '0x1.86078ee850942p-15',
+        '0x1.998b77d309a94p-7',
+        '0x1.93da693bdd8c5p-9',
+        '0x1.86078ee850fc2p-15',
     ],
     ('big', 'normalization_check', 2, 1): [
-        '0x1.49ba9702afbb6p+8',
+        '0x1.49ba9702afbc8p+8',
     ],
     ('big', 'normalization_check', 2, 2): [
-        '0x1.98c1d48a430ffp+12',
+        '0x1.98c1d48a4310fp+12',
     ],
     ('big', 'normalization_check', 3, 1): [
-        '0x1.495af2cc98c14p+14',
+        '0x1.495af2cc98c26p+14',
     ],
     ('big', 'normalization_check', 3, 2): [
-        '0x1.0b4095d6166a4p+21',
+        '0x1.0b4095d6166ccp+21',
     ],
     ('big', 'poly', 2, 1): [
-        ((0, 0), '0x1.de675b57bc143p+1'),
+        ((0, 0), '0x1.de675b57bc146p+1'),
         ((1, 0), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.7b4293279a914p+3'),
-        ((1, 0), '0x1.7aed67da5cff7p+1'),
+        ((0, 0), '0x1.7b4293279a92bp+3'),
+        ((1, 0), '0x1.7aed67da5d00fp+1'),
         ((1, 1), '0x1.0000000000000p+0'),
-        ((0, 0), '-0x1.fe4bcaaf22ea0p-1'),
-        ((1, 0), '0x1.f7948afe9c0c3p+1'),
-        ((1, 1), '0x1.0000000000066p+0'),
+        ((0, 0), '-0x1.fe4bcaaf23aa0p-1'),
+        ((1, 0), '0x1.f7948afe9bfffp+1'),
+        ((1, 1), '0x1.0000000000000p+0'),
         ((2, 0), '0x1.0000000000000p+0'),
     ],
     ('big', 'poly', 2, 2): [
-        ((0, 0), '0x1.97a902ce1cc29p+1'),
+        ((0, 0), '0x1.97a902ce1cc30p+1'),
         ((1, 0), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.93f63bda718b4p+3'),
-        ((1, 0), '0x1.7aed67da5cf33p+1'),
+        ((0, 0), '0x1.93f63bda71966p+3'),
+        ((1, 0), '0x1.7aed67da5d00fp+1'),
         ((1, 1), '0x1.0000000000000p+0'),
-        ((0, 0), '-0x1.9f5d7dadc8800p-1'),
-        ((1, 0), '0x1.e70a9822d0340p+1'),
-        ((1, 1), '0x1.30c30c30c31c8p+0'),
+        ((0, 0), '-0x1.9f5d7dadca7c5p-1'),
+        ((1, 0), '0x1.e70a9822d0143p+1'),
+        ((1, 1), '0x1.30c30c30c30c3p+0'),
         ((2, 0), '0x1.0000000000000p+0'),
     ],
     ('big', 'poly', 3, 1): [
-        ((0, 0, 0), '0x1.f7948afe9bff7p+1'),
+        ((0, 0, 0), '0x1.f7948afe9bfffp+1'),
         ((1, 0, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.f66e12a7cd410p+3'),
-        ((1, 0, 0), '0x1.de675b57bbcf6p+1'),
+        ((0, 0, 0), '0x1.f66e12a7cd856p+3'),
+        ((1, 0, 0), '0x1.de675b57bc146p+1'),
         ((1, 1, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '-0x1.0c962a9adda90p+0'),
-        ((1, 0, 0), '0x1.fde4cdd1db69ap+1'),
-        ((1, 1, 0), '0x1.fffffffffdcebp-1'),
+        ((0, 0, 0), '-0x1.0c962a9acb60fp+0'),
+        ((1, 0, 0), '0x1.fde4cdd1dd988p+1'),
+        ((1, 1, 0), '0x1.0000000000000p+0'),
         ((2, 0, 0), '0x1.0000000000000p+0'),
     ],
     ('big', 'poly', 3, 2): [
-        ((0, 0, 0), '0x1.997a8a4a8b172p+1'),
+        ((0, 0, 0), '0x1.997a8a4a8b16ep+1'),
         ((1, 0, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.b2d26e1f60818p+3'),
-        ((1, 0, 0), '0x1.97a902ce1e513p+1'),
+        ((0, 0, 0), '0x1.b2d26e1f5f431p+3'),
+        ((1, 0, 0), '0x1.97a902ce1cc30p+1'),
         ((1, 1, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '-0x1.a00e4c5be1d20p-1'),
-        ((1, 0, 0), '0x1.e7953b5c25d0bp+1'),
-        ((1, 1, 0), '0x1.30c30c315abb3p+0'),
+        ((0, 0, 0), '-0x1.a00e4c6c3bf20p-1'),
+        ((1, 0, 0), '0x1.e7953b5b2f47dp+1'),
+        ((1, 1, 0), '0x1.30c30c30c30c3p+0'),
         ((2, 0, 0), '0x1.0000000000000p+0'),
     ],
     ('little', 'norm', 2, 1): [
-        '0x1.c46893b31ba66p-8',
-        '0x1.16a324bd9ad1dp-11',
-        '0x1.b686a00227714p-19',
+        '0x1.c46893b31ba67p-8',
+        '0x1.16a324bd9ad1ep-11',
+        '0x1.b686a00227716p-19',
     ],
     ('little', 'norm', 2, 2): [
-        '0x1.8ece2e3d61077p-12',
+        '0x1.8ece2e3d61075p-12',
         '0x1.2edc666b4b506p-15',
-        '0x1.7946d42f82993p-27',
+        '0x1.7946d42f82991p-27',
     ],
     ('little', 'norm', 3, 1): [
-        '0x1.f049eb69e9913p-12',
-        '0x1.b686a00227718p-19',
-        '0x1.ec6ddfce5422bp-27',
+        '0x1.f049eb69e9910p-12',
+        '0x1.b686a00227716p-19',
+        '0x1.ec6ddfce542f1p-27',
     ],
     ('little', 'norm', 3, 2): [
-        '0x1.98e6d0372940ap-20',
-        '0x1.897053424eb2fp-31',
-        '0x1.8543930ac8db3p-43',
+        '0x1.98e6d03729409p-20',
+        '0x1.897053424eb1ep-31',
+        '0x1.8543930215cebp-43',
     ],
     ('little', 'normalization_check', 2, 1): [
-        '0x1.248fb1df1869dp-4',
+        '0x1.248fb1df1869cp-4',
     ],
     ('little', 'normalization_check', 2, 2): [
-        '0x1.56a497e5c7778p-7',
+        '0x1.56a497e5c7779p-7',
     ],
     ('little', 'normalization_check', 3, 1): [
-        '0x1.4552167ccebcfp-14',
+        '0x1.4552167ccebcap-14',
     ],
     ('little', 'normalization_check', 3, 2): [
-        '0x1.e86f493b0a7c0p-35',
+        '0x1.e86f493b0a7bfp-35',
     ],
     ('little', 'poly', 2, 1): [
-        ((0, 0), '-0x1.3633b3488c173p+0'),
+        ((0, 0), '-0x1.3633b3488c176p+0'),
         ((1, 0), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.b7b6a87b19425p-1'),
-        ((1, 0), '-0x1.c4b73dfa9c1d9p-1'),
+        ((0, 0), '0x1.b7b6a87b197a1p-1'),
+        ((1, 0), '-0x1.c4b73dfa9c4b7p-1'),
         ((1, 1), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.4305d2d46b72cp-2'),
-        ((1, 0), '-0x1.4d6379094295cp+0'),
-        ((1, 1), '0x1.ffffffffffb87p-1'),
+        ((0, 0), '0x1.4305d2d46c31cp-2'),
+        ((1, 0), '-0x1.4d63790942c36p+0'),
+        ((1, 1), '0x1.0000000000000p+0'),
         ((2, 0), '0x1.0000000000000p+0'),
     ],
     ('little', 'poly', 2, 2): [
-        ((0, 0), '-0x1.0de2cfb229db1p+0'),
+        ((0, 0), '-0x1.0de2cfb229db2p+0'),
         ((1, 0), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.c178b8f2cd8fdp-1'),
-        ((1, 0), '-0x1.c4b73dfa9a6abp-1'),
+        ((0, 0), '0x1.c178b8f2cf8adp-1'),
+        ((1, 0), '-0x1.c4b73dfa9c4b7p-1'),
         ((1, 1), '0x1.0000000000000p+0'),
-        ((0, 0), '0x1.115c0a21b2e94p-2'),
-        ((1, 0), '-0x1.4420e0b017a79p+0'),
-        ((1, 1), '0x1.30c30c30b531fp+0'),
+        ((0, 0), '0x1.115c0a21ea121p-2'),
+        ((1, 0), '-0x1.4420e0b02572bp+0'),
+        ((1, 1), '0x1.30c30c30c30c3p+0'),
         ((2, 0), '0x1.0000000000000p+0'),
     ],
     ('little', 'poly', 3, 1): [
-        ((0, 0, 0), '-0x1.4d63790942c38p+0'),
+        ((0, 0, 0), '-0x1.4d63790942c36p+0'),
         ((1, 0, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.433854284771ep+0'),
-        ((1, 0, 0), '-0x1.3633b3489146fp+0'),
+        ((0, 0, 0), '0x1.4338542840b0cp+0'),
+        ((1, 0, 0), '-0x1.3633b3488c176p+0'),
         ((1, 1, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.61860ba37daeep-2'),
-        ((1, 0, 0), '-0x1.53563890979cdp+0'),
-        ((1, 1, 0), '0x1.00000001d3099p+0'),
+        ((0, 0, 0), '0x1.61860b9a37b8cp-2'),
+        ((1, 0, 0), '-0x1.5356388e5ec26p+0'),
+        ((1, 1, 0), '0x1.0000000000000p+0'),
         ((2, 0, 0), '0x1.0000000000000p+0'),
     ],
     ('little', 'poly', 3, 2): [
-        ((0, 0, 0), '-0x1.10dde2d7a5077p+0'),
+        ((0, 0, 0), '-0x1.10dde2d7a5079p+0'),
         ((1, 0, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.0ebf235a96db9p+0'),
-        ((1, 0, 0), '-0x1.0de2cfafd1b8fp+0'),
+        ((0, 0, 0), '0x1.0ebf235d16882p+0'),
+        ((1, 0, 0), '-0x1.0de2cfb229db2p+0'),
         ((1, 1, 0), '0x1.0000000000000p+0'),
-        ((0, 0, 0), '0x1.1525850fcb18cp-2'),
-        ((1, 0, 0), '-0x1.45050aa738d04p+0'),
-        ((1, 1, 0), '0x1.30c302ad37000p+0'),
+        ((0, 0, 0), '0x1.1525ad5445bb0p-2'),
+        ((1, 0, 0), '-0x1.450514b01321fp+0'),
+        ((1, 1, 0), '0x1.30c30c30c30c3p+0'),
         ((2, 0, 0), '0x1.0000000000000p+0'),
     ],
 }

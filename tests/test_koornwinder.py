@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -259,6 +260,16 @@ def test_empty_weight_is_rejected(build):
     # _collocate read the first entry of () and raised IndexError
     with pytest.raises(ValueError, match=r"weight \(\) is not dominant: need l >= 1"):
         build((), PARAMS2)
+
+
+@pytest.mark.parametrize("mode", ["triangular", "gram"])
+def test_too_many_variables_rejected_before_any_orbit(mode):
+    # a 9-entry weight spent about 31 s building signed-permutation orbits
+    # (9! 2^9 tuples for the top one) before LaurentPoly rejected 9 variables
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"variable count must be in \[1,8\]"):
+        koornwinder_poly((1,) * 9, PARAMS2, mode=mode)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dk_evaluate_rejects_a_float_point_near_a_pole():

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORACLES = {
     "dominance_leq": "the oracle of the dominant_downset closure test",
+    "jackson_nodes": "the node rule of the l-fold Jackson-sum oracles of the q-Jacobi inner products",
     "natural_map": "the inverse of flat_map, kept for the spherical functions",
 }
 

@@ -1,29 +1,36 @@
-"""Tests for multivariable big and little q-Jacobi polynomials."""
+"""Tests for multivariable big and little q-Jacobi polynomials.
+
+The library builds every inner product from exact one-variable moments; the
+l-fold Jackson sums it replaced live here as oracles: ``_gram_sums`` sums one
+S_l chamber of the product grid, streamed over the first coordinate, and
+``_gram_sums_node_by_node`` sums the full grid one point at a time.
+"""
 
 import math
 from fractions import Fraction as F
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product, repeat
+from operator import mul
 
 import pytest
 
 from bcq.polyring import (
     LaurentPoly,
+    chamber_values,
     expand_in_basis,
     monomial_symmetric,
     orbit_sum_W,
     require_invariant,
 )
-from bcq.qseries import jackson_nodes, qpochhammer
+from bcq.qseries import NonConvergenceError, _qpoch_finite, _qpoch_row, jackson_nodes, qpochhammer
 from bcq.qjacobi import (
     BigJacobiParams,
     LittleJacobiParams,
     SumTruncation,
     DEFAULT_TRUNCATION,
-    _gram_sums,
-    _grid_1d,
     big_inner,
     big_jacobi_poly,
-    big_weight_1d,
+    closed_form_little_constant,
     little_inner,
     little_jacobi_poly,
     norm_big,
@@ -213,6 +220,91 @@ def test_big_inner_is_the_one_variable_jackson_sum():
     assert abs(measured - expected) <= 1e-14 * abs(expected)
 
 
+# -- the l-fold Jackson sums, as oracles ----------------------------------------
+
+def big_weight_1d(x, params: BigJacobiParams):
+    """w_B(x) = (qx/c, -qx/d; q)_inf / (qax/c, -qbx/d; q)_inf."""
+    q, a, b, c, d = float(params.q), params.a, params.b, float(params.c), float(params.d)
+    n1, n2, d1, d2 = _qpoch_row([q * x / c, -q * x / d, q * a * x / c, -q * b * x / d], q)
+    return n1 * n2 / (d1 * d2)
+
+
+@lru_cache(maxsize=32)
+def _grid_1d(params, trunc: SumTruncation):
+    """The 1-D Jackson nodes of one coordinate and their masses mass*w_1d,
+    up to n = ``trunc.effective_n(q)``.  Little: the nodes of [0,1], x = q^j
+    with x^alpha = a^j.  Big: the nodes of [0,c] and of [0,-d], the latter
+    with masses negated, since int_{-d}^c = int_0^c - int_0^{-d}."""
+    q = float(params.q)
+    n = trunc.effective_n(q)
+    if isinstance(params, LittleJacobiParams):
+        a, b = float(params.a), float(params.b)
+        nodes = jackson_nodes(1, n, q)
+        num, den = (_qpoch_row([r * x for x, _ in nodes], q) for r in (q, q * b))
+        points = [(x, m * (u / v * a**j)) for j, ((x, m), u, v) in enumerate(zip(nodes, num, den))]
+    else:
+        c, d = float(params.c), float(params.d)
+        points = [(x, m * big_weight_1d(x, params)) for x, m in jackson_nodes(c, n, q)]
+        points += [(x, -m * big_weight_1d(x, params)) for x, m in jackson_nodes(-d, n, q)]
+    return tuple(zip(*points))
+
+
+@lru_cache(maxsize=32)
+def _pair_table(params, trunc: SumTruncation):
+    """pair[i][j] = (x - y) x^{2k-1} (q^{1-k} y/x; q)_{2k-1} at x = nodes[i], y = nodes[j]."""
+    q, k = float(params.q), params.k
+    nodes = _grid_1d(params, trunc)[0]
+    return [
+        [(x - y) * (x ** (2 * k - 1) * _qpoch_finite(q ** (1 - k) * (y / x), q, 2 * k - 1))
+         for y in nodes]
+        for x in nodes
+    ]
+
+
+def _chamber_weight_rows(u, pair, dim: int, lo: int = 0):
+    """prod_i u[s_i - lo] prod_{i<j} pair[s_i][s_j] over the chamber
+    lo <= s_1 < ... < s_dim < lo + len(u), one row per s_1."""
+    for s, (us, row) in enumerate(zip(u, pair[lo:]), lo):
+        v = list(map(mul, u[s - lo + 1 :], row[s + 1 :]))
+        if dim > 2:
+            v = list(chain.from_iterable(_chamber_weight_rows(v, pair, dim - 1, s + 1)))
+        yield list(map(mul, repeat(us), v))
+
+
+def _chamber_rows(params, trunc: SumTruncation, l: int, power):
+    """Per s_1: the pinned node, the powers over the nodes after it, and the
+    chamber weights, in the order of ``chamber_values``."""
+    nodes, masses = _grid_1d(params, trunc)
+    for s, weights in enumerate(_chamber_weight_rows(masses, _pair_table(params, trunc), l)):
+        if not weights:
+            return
+        tail = lru_cache(maxsize=None)(lambda e, s=s: power(e)[s + 1 :])
+        yield (nodes[s],), tail, weights
+
+
+def _gram_sums(polys, params, l: int, trunc: SumTruncation, pairs=None):
+    """<polys[i], polys[j]> of S_l-symmetric polynomials for the (i, j) of
+    ``pairs`` (default every one), 0.0 elsewhere: l! times the chamber sum,
+    streamed over s_1; at l = 1 one row over all nodes."""
+    for p in polys:
+        require_invariant(p, "S")
+    nodes, masses = _grid_1d(params, trunc)
+    power = lru_cache(maxsize=None)(lambda e: [x**e for x in nodes])
+    rows = [((), power, masses)] if l == 1 else _chamber_rows(params, trunc, l, power)
+    n = len(polys)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)] if pairs is None else pairs
+    sums = [[0.0] * n for _ in range(n)]
+    for fixed, tail, weights in rows:
+        vals = [chamber_values(p, tail, fixed, l - len(fixed)) for p in polys]
+        conj = {j: list(map(complex.conjugate, vals[j])) for j in {j for _, j in pairs}}
+        for i, j in pairs:
+            sums[i][j] += sum(map(mul, map(mul, vals[i], conj[j]), weights)).real
+    for i, j in pairs:
+        sums[i][j] *= math.factorial(l)
+        sums[j][i] = sums[i][j]
+    return sums
+
+
 def _gram_sums_node_by_node(polys, params, l, trunc):
     # the l-fold Jackson sums one grid point at a time: product of the 1-D
     # masses, Vandermonde times x_i^{2k-1} (q^{1-k} x_j/x_i; q)_{2k-1}, and
@@ -330,8 +422,9 @@ def test_big_inner_arity_mismatch_raises():
     ids=["x1", "unequal-orbit", "incomplete-orbit", "negative-l2", "negative-l1"],
 )
 def test_non_symmetric_input_rejected(poly):
-    # the Jackson sums run over one S_l chamber, right only for symmetric
-    # polynomials; with a negative exponent "W" accepts what "S" rejects
+    # the moment functional sums over the dominant exponents alone, right
+    # only for symmetric polynomials, and has no moment of a negative power;
+    # with a negative exponent "W" accepts what "S" rejects
     if any(min(e) < 0 for e in poly.terms):
         require_invariant(poly, "W")
     one = LaurentPoly.const(poly.nvars, 1)
@@ -340,5 +433,48 @@ def test_non_symmetric_input_rejected(poly):
             inner(poly, one, params)
         with pytest.raises(ValueError):
             inner(one, poly, params)
-    with pytest.raises(ValueError):
-        _gram_sums([one, poly], LITTLE, poly.nvars, DEFAULT_TRUNCATION)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "params",
+    [
+        LittleJacobiParams(0.5, 1 / 3, 0.25),
+        BigJacobiParams(0.05, 0.04, 1.0, 4.0, 0.25),
+        BigJacobiParams(1.0 * _Z, -4.0 * _Z.conjugate(), 1.0, 4.0, 0.25),
+    ],
+    ids=["little", "big", "big-complex"],
+)
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_inner_products_match_the_l_fold_jackson_sum(l, params, k):
+    # the moment functional against the l-fold chamber sum over nodes up to
+    # q^n <= tail_tol: each axis drops a tail of about tail_tol q / (1 - q),
+    # so l axes and the float sums' rounding bound the gap
+    params = type(params)(**{**vars(params), "k": k})
+    inner = little_inner if isinstance(params, LittleJacobiParams) else big_inner
+    lams = [(0,) * l, (1,) + (0,) * (l - 1), (1,) * l, (2,) + (0,) * (l - 1), (3,) + (1,) * (l - 1)]
+    polys = [monomial_symmetric(lam, l) for lam in lams]
+    polys.append(
+        monomial_symmetric((2,) + (0,) * (l - 1), l) * (1.5 - 0.5j)
+        + monomial_symmetric((1,) * l, l) * 0.25j
+    )
+    want = _gram_sums(polys, params, l, DEFAULT_TRUNCATION)
+    tol = l * DEFAULT_TRUNCATION.tail_tol + 1e-14
+    for i, p in enumerate(polys):
+        for j, r in enumerate(polys):
+            scale = (want[i][i] * want[j][j]) ** 0.5
+            assert abs(inner(p, r, params) - want[i][j]) <= tol * scale, (i, j)
+
+
+F1 = LittleJacobiParams(3.5, 0.5, 0.25, 1)
+
+
+def test_mu0_sum_takes_its_length_from_the_term_ratio():
+    # F1: the terms of mu_0 fall by a q = 0.875, not by q = 0.25; the q^n
+    # cutoff stopped after 25 terms, 3.65% short of the closed form
+    report = normalization_check(F1, 1)
+    assert report.passed and report.residual < 1e-14
+    assert report.detail["target"] == closed_form_little_constant(F1, 1)
+    # the same sum past a cap of 200 terms raises instead of truncating
+    with pytest.raises(NonConvergenceError, match="more than 200 Jackson terms"):
+        normalization_check(F1, 1, SumTruncation(n_max=200))
