@@ -12,19 +12,17 @@ from every other E_mu there; on a collision, mode "gram" runs
 ``polyring.gram_schmidt`` with the Gram matrix of ``awmeasure.full_inner``,
 and ``koornwinder_poly_or_gram`` is the one place that falls back to it.
 
-One collocation loop serves every linear system: at generic points x, the
-orbit sums m~_mu(x) and their images (D_K m~_mu)(x) give one row per point;
-as many points as unknowns fix the solution and two held-out points check
-it.  Both come from per-coordinate tables y_{i,k} = x_i^k + x_i^{-k} and one
-phi_j^+- pair per coordinate (also the pole test: a point where it cannot be
-formed is skipped), summed over the distinct permutations of each weight.
-Exact parameters solve for P_lambda directly, with one right-hand side:
-sum_{mu != lambda} c_mu r_mu(x) = -r_lambda(x), r_mu = den(E_lambda) D_K m~_mu
-- num(E_lambda) m~_mu.  Their rows are integers, each divided by its content,
-and the held-out check is exact; it replaces a check of the D_K diagonal, as
-with a wrong E_lambda no polynomial solves the rows.  Float parameters still
-collocate the whole D_K matrix, one column per orbit sum, and back-substitute
-along the downset; ``dk_apply`` collocates the one column of its argument.
+One collocation loop serves every linear system: at generic points x, one
+per W-orbit, the orbit sums m~_mu(x) and their images (D_K m~_mu)(x), built
+from tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per coordinate
+(whose failure skips x as a pole), give one row per point; as many points as
+unknowns fix the solution and two held-out points check it.  Exact
+parameters collocate at small int points and solve the integer rows
+r_mu = den(E_lambda) D_K m~_mu - num(E_lambda) m~_mu for P_lambda directly,
+with the one right-hand side -r_lambda; with a wrong E_lambda no polynomial
+solves them, so the exact held-out check also checks the D_K diagonal.  Float
+parameters collocate the whole D_K matrix and back-substitute along the
+downset; ``dk_apply`` collocates the one column of its argument.
 """
 
 from __future__ import annotations
@@ -156,24 +154,29 @@ def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
     return total
 
 
-# (l, exact, seed) -> the candidate points made so far and the state that continues them
-_point_stream = lru_cache(maxsize=64)(lambda l, exact, seed: ([], random.Random(seed)))
+# (l, exact, seed) -> the points made so far, their W-orbits and the state that continues them
+_point_stream = lru_cache(maxsize=64)(lambda l, exact, seed: ([], set(), random.Random(seed)))
+# (nu, exact) -> nu's distinct permutations as (coordinate, exponent) pairs, zeros only if exact
+_weight_perms = lru_cache(maxsize=512)(lambda nu, exact: tuple(
+    tuple((i, k) for i, k in enumerate(pi) if k or exact)
+    for pi in sorted(set(itertools.permutations(nu)))
+))
 
 
 def _candidate_points(l: int, count: int, exact: bool, seed: int):
-    """The first count of a deterministic sequence of generic evaluation
-    points away from each other's W-orbits; a point may lie on a pole.  Each
-    sequence is extended on demand and kept per (l, exact, seed)."""
-    made, rng = _point_stream(l, exact, seed)
+    """The first count of a deterministic sequence of generic points, each on
+    a W-orbit (sorted |x|) of its own with distinct |x_i|; one may lie on a
+    pole.  Exact coordinates are ints in 2..max(59, 2k - 1), k the points made
+    before, so no stream runs out of W-orbits.  Kept per (l, exact, seed)."""
+    made, orbits, rng = _point_stream(l, exact, seed)
     while len(made) < count:
         if exact:
-            x = tuple(
-                Fraction(rng.randrange(23, 400), rng.choice([7, 11, 13, 17, 19]))
-                for _ in range(l)
-            )
+            x = tuple(rng.randrange(2, max(60, 2 * len(made))) for _ in range(l))
         else:
             x = tuple(1.1 + 2.3 * rng.random() for _ in range(l))
-        if len(set(abs(v) for v in x)) == l:
+        orbit = tuple(sorted(map(abs, x)))
+        if len(set(orbit)) == l and orbit not in orbits:
+            orbits.add(orbit)
             made.append(x)
     return made[:count]
 
@@ -248,10 +251,7 @@ def _collocate(downset: list, params: KoornwinderParams, exact: bool, equations)
     downset; exact held-out rows clear each column of its denominators once.
     A point on a pole of D_K is skipped; up to 25 seeds of points are tried."""
     l = len(downset[0])
-    perms = []
-    for nu in downset:
-        distinct = sorted(set(itertools.permutations(nu)))
-        perms.append([[(i, k) for i, k in enumerate(pi) if k or exact] for pi in distinct])
+    perms = [_weight_perms(nu, exact) for nu in downset]
     degree = max(nu[0] for nu in downset)
     integers = exact and _integer_params(params)
     for attempt in range(25):

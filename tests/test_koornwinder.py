@@ -20,6 +20,7 @@ from bcq.koornwinder import (
     _orbit_rows,
     _phi_pair,
     _point_stream,
+    _weight_perms,
     check_symmetries,
     dk_apply,
     dk_evaluate,
@@ -211,17 +212,31 @@ def test_eigen_identity_exact_direct_evaluation():
             assert dk_evaluate(poly, x, PARAMS2) == e_lam * poly.evaluate(x), (lam, x)
 
 
-def test_collocation_skips_a_candidate_on_a_pole():
-    # q = (17/257)^2 puts the first seed-911 candidate, x_1 = 257/17, on the
-    # pole 1 - q x_1^2 = 0; the collocation must pass it by and still build
-    # an eigenpolynomial, checked here by direct evaluation
-    params = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(289, 66049), 1)
+def test_collocation_skips_a_candidate_on_a_pole(monkeypatch):
+    # q = 1/31^2 puts the first seed-911 candidate, x = (31, 26), on the pole
+    # 1 - q x_1^2 = 0; the collocation must pass it by and still build an
+    # eigenpolynomial from seed 911, checked here by direct evaluation
+    params = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 961), 1)
+    first = _candidate_points(2, 1, True, 911)[0]
+    assert first == (31, 26)
+    downset = dominant_downset((2, 1))
+    perms = [_weight_perms(nu, True) for nu in downset]
+    with pytest.raises(ZeroDivisionError):
+        _orbit_rows(first, perms, 2, params, _integer_params(params))
+    seeds = []
+
+    def recorded(l, count, exact, seed):
+        seeds.append(seed)
+        return _candidate_points(l, count, exact, seed)
+
+    monkeypatch.setattr(koornwinder, "_candidate_points", recorded)
     poly = koornwinder_poly((2, 1), params)
+    assert seeds == [911]
     e_lam = eigenvalue((2, 1), params)
     for x in [(F(5, 23), F(31, 29)), (F(44, 37), F(9, 41))]:
         assert dk_evaluate(poly, x, params) == e_lam * poly.evaluate(x), x
     with pytest.raises(ZeroDivisionError):
-        dk_evaluate(poly, (F(257, 17), F(389, 17)), params)
+        dk_evaluate(poly, first, params)
 
 
 def test_collocation_retries_a_seed_whose_candidates_all_lie_on_poles(monkeypatch):
@@ -503,21 +518,39 @@ def test_a_sign_flip_in_a_phi_factor_raises(monkeypatch, lam):
     assert caught.type is ArithmeticError
 
 
-def old_candidate_points(l, count, exact, seed):
-    """The candidate point generator before its points were cached."""
+def uncached_candidate_points(l, count, exact, seed):
+    """The candidate point generator without its cache: exact coordinates are
+    ints in 2..59, or 2..2k-1 once k > 30 points are made, and a point is
+    dropped when two of its |x_i| are equal or when an earlier point has the
+    same sorted |x| tuple (the same W-orbit)."""
     rng = random.Random(seed)
-    made = 0
-    while made < count:
+    made, orbits = [], set()
+    while len(made) < count:
+        top = max(60, 2 * len(made))
+        x = tuple(rng.randrange(2, top) if exact else 1.1 + 2.3 * rng.random() for _ in range(l))
+        orbit = tuple(sorted(map(abs, x)))
+        if len(set(orbit)) == l and orbit not in orbits:
+            orbits.add(orbit)
+            made.append(x)
+    return made
+
+
+def fraction_candidate_points(l, count, exact, seed):
+    """The candidate points before they were small ints: exact coordinates
+    are Fractions 23/19..399/7, and a point is dropped only when two of its
+    |x_i| are equal."""
+    rng = random.Random(seed)
+    made = []
+    while len(made) < count:
         if exact:
             x = tuple(
                 F(rng.randrange(23, 400), rng.choice([7, 11, 13, 17, 19])) for _ in range(l)
             )
         else:
             x = tuple(1.1 + 2.3 * rng.random() for _ in range(l))
-        if len(set(abs(v) for v in x)) < l:
-            continue
-        made += 1
-        yield x
+        if len(set(abs(v) for v in x)) == l:
+            made.append(x)
+    return made
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -526,11 +559,67 @@ def test_cached_candidate_points_keep_each_seeds_sequence(exact):
     for l, seed in [(3, 911), (2, 915), (3, 911), (5, 911)]:
         for count in (4, 30, 12):  # shorter, then longer, then again shorter
             got = _candidate_points(l, count, exact, seed)
-            want = list(old_candidate_points(l, count, exact, seed))
+            want = uncached_candidate_points(l, count, exact, seed)
             assert [tuple(map(repr, x)) for x in got] == [tuple(map(repr, x)) for x in want]
+            assert all(type(v) is (int if exact else float) for x in got for v in x)
     got.clear()  # a caller may consume its list
     assert len(_candidate_points(5, 12, exact, 911)) == 12
     assert _point_stream.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_candidate_points_lie_on_distinct_w_orbits(l, exact):
+    # at l = 1 the ints 2..59 hold only 58 W-orbits, so the range must widen
+    for seed in (911, 912):
+        orbits = [tuple(sorted(map(abs, x))) for x in _candidate_points(l, 200, exact, seed)]
+        assert all(len(set(orbit)) == l for orbit in orbits)
+        assert len(set(orbits)) == 200, (l, exact, seed)
+
+
+@pytest.mark.parametrize("lam", [(10, 2), (20,)])
+def test_a_large_downset_builds_on_one_seed(monkeypatch, lam):
+    # (10,2) has 46 weights, so seed 911 must give 48 rows on 48 W-orbits;
+    # (20,) asks for 69 candidates, more than the 58 one-variable W-orbits
+    # of 2..59, so the range must widen
+    seeds = []
+
+    def recorded(l, count, exact, seed):
+        seeds.append(seed)
+        return _candidate_points(l, count, exact, seed)
+
+    monkeypatch.setattr(koornwinder, "_candidate_points", recorded)
+    got = koornwinder_poly(lam, PARAMS2)
+    assert seeds == [911]
+    monkeypatch.setattr(koornwinder, "_candidate_points", fraction_candidate_points)
+    assert got == koornwinder_poly(lam, PARAMS2)
+
+
+# the exact_koornwinder benchmark's weights, and its dk_apply weights
+BENCH_LAMBDAS = [
+    (1,), (2,), (3,), (4,),
+    (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 2),
+    (1, 0, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (3, 2, 1),
+    (1, 1, 1, 0), (2, 1, 1, 0),
+]
+BENCH_DK_LAMBDAS = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+def test_exact_builds_do_not_depend_on_the_points(monkeypatch):
+    # an exact system has one solution whatever its points: the Fraction
+    # points of the earlier generator give the identical coefficients
+    builds = [(lam, params) for params in (PARAMS2, PIN_SETS["GRASSMANN"]) for lam in BENCH_LAMBDAS]
+    builds += [((4, 2, 1), PARAMS2), ((3, 2, 1, 0), PARAMS2)]
+    polys = [koornwinder_poly(lam, params) for lam, params in builds]
+    images = [dk_apply(koornwinder_poly(lam, PARAMS2), PARAMS2) for lam in BENCH_DK_LAMBDAS]
+    monkeypatch.setattr(koornwinder, "_candidate_points", fraction_candidate_points)
+    for (lam, params), got in zip(builds, polys):
+        want = koornwinder_poly(lam, params)
+        assert all(type(c) in (int, F) for c in got.terms.values())
+        assert sorted(got.terms.items()) == sorted(want.terms.items()), (lam, params)
+    for lam, got in zip(BENCH_DK_LAMBDAS, images):
+        want = dk_apply(koornwinder_poly(lam, PARAMS2), PARAMS2)
+        assert sorted(got.terms.items()) == sorted(want.terms.items()), lam
 
 
 def test_dk_apply_of_fraction_coefficients_pinned_at_l_3():
