@@ -11,12 +11,12 @@ Three commands:
                   little parameters, fundamental spherical weights, Casimir
                   eigenvalues.
 
-Rational inputs are given as "p/q" strings, floats as decimals; any float
-input switches the computation to float mode.  Exit codes: 0 pass, 1
-verification failure, 2 invalid input, 3 numerical non-convergence.  The
-environment variable BCQ_PRECISION in {double, extended} selects the
-quadrature/truncation tightness.  Output is byte-deterministic for a fixed
-configuration.
+Rational inputs are given as "p/q" strings, floats as decimals; the
+Grassmann suites check a float exactly at its binary value (``exact:
+false``).  Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3
+numerical non-convergence.  The environment variable BCQ_PRECISION in
+{double, extended} selects the quadrature/truncation tightness.  Output is
+byte-deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def _grassmann_q(args):
     """--q of the Grassmann suites and table, where R^-, beta and the
     Koornwinder quadruple need q^{-1}."""
     q = parse_scalar(args.q)
-    if q == 0:
-        raise ValueError("the Grassmann suites need a nonzero --q")
+    if q == 0 or abs(q) == float("inf"):  # a Fraction is never inf, however large
+        raise ValueError("the Grassmann suites need a finite, nonzero --q")
     return q
 
 

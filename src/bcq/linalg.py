@@ -2,12 +2,12 @@
 
 Matrices are sparse: a list of rows, each a dict {column: nonzero entry}
 with ascending columns, so an R-matrix on C^n (x) C^n keeps its O(n^2)
-entries.  ``mat_mul`` sums each entry over t ascending, as a dense product
-skipping zero terms does; ``integer_matrix`` scales an exact matrix to
-integers.  ``solve_linear`` is dense (lists of lists): exact mode (``int``
-and ``Fraction`` entries) solves by integer-preserving Bareiss elimination,
-pivoting on the first nonzero entry, so no ``Fraction`` is normalised until
-the answer; float mode uses partial pivoting.
+entries.  The Grassmann checks multiply them as ``integer_matrix`` scales
+them, and ``mat_inverse`` is the tests' oracle.  ``solve_linear`` is dense
+(lists of lists): exact mode (``int`` and ``Fraction`` entries) solves by
+integer-preserving Bareiss elimination, pivoting on the first nonzero
+entry, so no ``Fraction`` is normalised until the answer; float mode uses
+partial pivoting.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ flip conjugates R^+ = PRP = R^T and (R21)^{-1} = P R^{-1} P = (R^-)^T
 the reflection equation R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 solved by
 the J-matrices, and the transposed linear equation solved by the tilde
 J-matrix.  The matrices are sparse (``bcq.linalg``), the R-side factors built
-once per (n, q) (``_r_side``).  An exact check scales each factor to integers
-once, before any product, so each side is an integer product M over S, the
-product of its scales, and compares M_lhs S_rhs with M_rhs S_lhs; a float
-check multiplies its unscaled factors in the order of a dense product.
+once per (n, q) (``_r_side``).  A check runs at the exact values of its
+inputs, a float at its binary value, and scales each factor to integers
+once, so each side is an integer product M over S, the product of its
+scales, and compares M_lhs S_rhs with M_rhs S_lhs, exact if the inputs are.
 
 Vector side: the q-exterior algebras on V = C^n and its dual, the braiding
 phi_hat_r: Wedge^{r-1}(V*) (x) V -> V (x) Wedge^{r-1}(V*), the intertwiner
@@ -24,9 +24,9 @@ principal-term constants are verified exactly.  The braiding is natural, so
 Psi_hat_r(x (x) y) = Theta_hat_r(Psi_hat_{r-1}(x) (x) y) for y in V (x) V*:
 Psi_hat_r takes its factors w_1, ..., w_r in V (x) V* as a list and folds
 Theta_hat_s with w_s from 1 in Wedge^0 (x) Wedge^0, so phi_hat_r is the
-only braiding rule and a general tensor maps by linearity.  Like an exact
-matrix check, Theta_hat_r at an exact q scales each factor family to
-integers once, multiplies each term as integers and divides once per key.
+only braiding rule and a general tensor maps by linearity.  Like a matrix
+check, Theta_hat_r scales each factor family to integers once, multiplies
+each term as integers and divides once per key, rounding once on a float.
 
 Every vector-side map keeps the GL_n weight, the weight of v_I (x) v*_J
 being 1_I - 1_J: phi_hat_r sends v*_I (x) v_j to v_j (x) v*_I plus, for j
@@ -58,7 +58,6 @@ from .linalg import (
     _is_exact,
     integer_matrix,
     mat_identity,
-    mat_inverse,
     mat_kron,
     mat_mul,
     mat_transpose,
@@ -73,25 +72,30 @@ from .weights import (
 )
 
 
-def _scaled(m, exact: bool):
-    """(M, s) with M = s m over the integers if ``exact``, else (m, 1)."""
-    return integer_matrix(m) if exact else (m, 1)
+def _at_exact_values(q, dicts):
+    """(q, dicts, exact): q and the values of the dicts at their exact
+    values, a float at its binary value, and whether all were exact."""
+    exact = _is_exact(q) and all(_is_exact(x) for d in dicts for x in d.values())
+    dicts = dicts if exact else [{k: Fraction(x) for k, x in d.items()} for d in dicts]
+    return Fraction(q), dicts, exact
 
 
-def _matrix_diffs(lhs, rhs):
+def _matrix_diffs(lhs, rhs, exact):
     """lhs S_rhs - rhs S_lhs on the nonzero positions, for the lists ``lhs``
     and ``rhs`` of (matrix, scale) factors of an identity, S the product of
-    a side's scales."""
+    a side's scales; unless ``exact``, lhs - rhs, each rounded once."""
     a, b = (reduce(mat_mul, [m for m, _ in side]) for side in (lhs, rhs))
     sa, sb = (math.prod(s for _, s in side) for side in (lhs, rhs))
-    return (x.get(j, 0) * sb - y.get(j, 0) * sa for x, y in zip(a, b) for j in x.keys() | y.keys())
+    diffs = (x.get(j, 0) * sb - y.get(j, 0) * sa for x, y in zip(a, b) for j in x.keys() | y.keys())
+    return diffs if exact else (d / (sa * sb) for d in diffs)
 
 
 def _matrix_report(identity: str, n: int, q, xs, sides) -> VerificationReport:
-    """lhs = rhs for the factor lists sides(exact), exact if q and the xs are."""
-    exact = _is_exact(q) and all(_is_exact(v) for x in xs for row in x for v in row.values())
+    """lhs = rhs for the factor lists sides(q, *xs) at the exact values of q and the n x n xs."""
     params = {"n": n, "q": str(q)}
-    return difference_report(identity, params, exact, lambda: _matrix_diffs(*sides(exact)))
+    q, rows, exact = _at_exact_values(q, [row for x in xs for row in x])
+    xs = [rows[i : i + n] for i in range(0, len(rows), n)]
+    return difference_report(identity, params, exact, lambda: _matrix_diffs(*sides(q, *xs), exact))
 
 
 # -- R-matrices and matrix equations --------------------------------------
@@ -137,8 +141,8 @@ def qybe_check(n: int, q) -> VerificationReport:
     R23 = 1 (x) R and R13 = P23 R12 P23, whose row (i, k, j) is row (i, j)
     of R with k kept in the middle of each column."""
 
-    def sides(exact):
-        (r, s), one = _scaled(r_matrix(n, q), exact), mat_identity(n)
+    def sides(q):
+        (r, s), one = integer_matrix(r_matrix(n, q)), mat_identity(n)
         r13 = [{(c // n) * n * n + k * n + c % n: v for c, v in r[i * n + j].items()}
                for i in range(n) for k in range(n) for j in range(n)]
         r12, r13, r23 = (mat_kron(r, one), s), (r13, s), (mat_kron(one, r), s)
@@ -184,44 +188,36 @@ def j_tilde_sigma(n: int, l: int, sigma: int, q):
 def reflection_check(x, n: int, q) -> VerificationReport:
     """R12 X1 R12^{-1} X2 = X2 R21^{-1} X1 R21 for an n x n sparse matrix X."""
 
-    def sides(exact):
-        (r, rm, rp, r21m), _ = _r_side(n, q, exact)
-        (m, s), one = _scaled(x, exact), mat_identity(n)
+    def sides(q, x):
+        (r, rm, rp, r21m), _ = _r_side(n, q)
+        (m, s), one = integer_matrix(x), mat_identity(n)
         x1, x2 = (mat_kron(m, one), s), (mat_kron(one, m), s)
         return [r, x1, rm, x2], [x2, r21m, x1, rp]
 
     return _matrix_report("reflection-equation", n, q, [x], sides)
 
 
-def _partial_transpose_inverse(m, n: int):
-    """Inverse of an n^2 x n^2 matrix that is diagonal away from the span of
-    the e_i (x) e_i basis vectors, the shape of every partial transpose of
-    an R-type matrix: an n x n block inverse plus reciprocals."""
-    diag = range(0, n * n, n + 1)  # the e_i (x) e_i
-    block = mat_inverse([{b: m[r][c] for b, c in enumerate(diag) if c in m[r]} for r in diag])
-    return [
-        {diag[b]: x for b, x in block[r // (n + 1)].items()} if r in diag else {r: _inv(row[r])}
-        for r, row in enumerate(m)
-    ]
-
-
-@lru_cache(maxsize=16, typed=True)
-def _r_side(n: int, q, exact: bool):
-    """(R, R^-, R^+, R21^-) and (a, a^{-1}, b, b^{-1}), a = (R21^-)^{t1}, b = R^{t1}, each
-    ``_scaled`` per (n, q, exact), shared so never mutated; typed, as F(1, 2) == 0.5."""
+@lru_cache(maxsize=16)
+def _r_side(n: int, q):
+    """(R, R^-, R^+, R21^-) and (a, a^{-1}, b, b^{-1}), a = (R21^-)^{t1}, b = R^{t1},
+    at an exact q, each scaled to integers once per (n, q), shared so never
+    mutated.  By crossing symmetry, b^{-1} = ((D (x) 1) R^- (D^{-1} (x) 1))^{t1}
+    and a^{-1} the same with R^+, for D = diag(1, q^-2, ..., q^-2(n-1))."""
     rs = r_matrix(n, q), r_minus(n, q), r_plus(n, q), r21_minus(n, q)
-    a, b = partial_transpose_first(rs[3], n), partial_transpose_first(rs[0], n)
-    ts = a, _partial_transpose_inverse(a, n), b, _partial_transpose_inverse(b, n)
-    return tuple(tuple(_scaled(m, exact) for m in ms) for ms in (rs, ts))
+    d = _inv(q * q)  # D (x) 1 scales row r by d^(r // n)
+    rm, rp = ([{c: x * d ** (r // n - c // n) for c, x in row.items()} for r, row in enumerate(m)]
+              for m in rs[1:3])
+    ts = (partial_transpose_first(m, n) for m in (rs[3], rp, rs[0], rm))
+    return tuple(tuple(integer_matrix(m) for m in ms) for ms in (rs, ts))
 
 
 def refalt_check(jt, js, n: int, q) -> VerificationReport:
     """Js_1 (R21^-)^{t1} Jt_2 ((R21^-)^{t1})^{-1}
     = R^{t1} Jt_2 (R^{t1})^{-1} Js_1, for n x n sparse matrices Jt, Js."""
 
-    def sides(exact):
-        _, (a, a_inv, b, b_inv) = _r_side(n, q, exact)
-        (ms, ss), (mt, st), one = _scaled(js, exact), _scaled(jt, exact), mat_identity(n)
+    def sides(q, jt, js):
+        _, (a, a_inv, b, b_inv) = _r_side(n, q)
+        (ms, ss), (mt, st), one = integer_matrix(js), integer_matrix(jt), mat_identity(n)
         js1, jt2 = (mat_kron(ms, one), ss), (mat_kron(one, mt), st)
         return [js1, a, jt2, a_inv], [b, jt2, b_inv, js1]
 
@@ -317,14 +313,17 @@ def psi_hat_r(ws, shape: GrassmannShape, q, weights=None) -> QExtVector:
     ``ws`` = [w_1, ..., w_r] in V (x) V*: Theta_hat_s with w_s for s = 1,
     ..., r, from 1 = (-q)^0 in Wedge^0 (x) Wedge^0, so Psi_hat_1(v_i (x)
     v*_j) = v_(i) (x) v*_(j); the ``weights`` of ``theta_hat_r`` are passed
-    to the last fold only, and only for r >= 2."""
+    to the last fold only, and only for r >= 2.  The folds run at the exact
+    values of q and the ws, and the result is rounded once unless all were."""
     r = len(ws)
     if not 1 <= r <= shape.l:
         raise ValueError("r must satisfy 1 <= r <= l")
+    q, coeffs, exact = _at_exact_values(q, [w.coeffs for w in ws])
     image = QExtVector("Wedge.0", {((), ()): (-q) ** 0})
-    for s, w in enumerate(ws):
+    for s, w in enumerate(QExtVector(w.space, c) for w, c in zip(ws, coeffs)):
         image = theta_hat_r(image, w, shape, q, weights if s == r - 1 > 0 else None)
-    return QExtVector(f"Wedge.{r}", image.coeffs)
+    out = image.coeffs if exact else {k: float(c) for k, c in image.coeffs.items()}
+    return QExtVector(f"Wedge.{r}", out)
 
 
 def phi_hat_r(i_set, j: int, q, signs):
@@ -354,9 +353,8 @@ def theta_hat_r(
     ``weights``, only the terms of a weight in it are formed.  An empty u,
     whose r is unknown, maps to an empty "Wedge.?" vector.  A term c d e s_v
     s_d multiplies coefficients of u, w and phi_hat_r (tabled per (J, s))
-    and two signs.  At a ``Fraction`` q with exact u and w, each family is
-    scaled to integers once and each key's integer sum divided once; else
-    (a float, or an int q) the unscaled terms multiply in that order."""
+    and two signs, each family scaled to integers once at the exact values
+    of q, u and w, and each key's sum divided once, rounded unless all were exact."""
     some_key = next(iter(u.coeffs), None)
     if some_key is None:
         return QExtVector("Wedge.?", {})
@@ -367,15 +365,13 @@ def theta_hat_r(
         indices = (x for key in v.coeffs for x in (key if space == "V*V.1" else key[0] + key[1]))
         if v.space != space or not all(isinstance(x, int) and 1 <= x <= n for x in indices):
             raise ValueError(f"need a {space} vector with indices in [1, n]")
-    pairs = [(a, b) for a in u.coeffs for b in w.coeffs
+    q, (uc, wc), exact = _at_exact_values(q, (u.coeffs, w.coeffs))
+    pairs = [(a, b) for a in uc for b in wc
              if weights is None or _weight(a[0] + b[:1], a[1] + b[1:], n) in weights]
     signs = {k: (-q) ** k for k in range(n)}
     keys = list(dict.fromkeys((a[1], b[0]) for a, b in pairs))
-    exact = isinstance(q, Fraction) and all(
-        _is_exact(x) for v in (u, w) for x in v.coeffs.values())
-    ((us,), (ws,), (sg,)), (su, sw, ss) = zip(
-        *(_scaled([x], exact) for x in (u.coeffs, w.coeffs, signs)))
-    es, se = _scaled([dict(phi_hat_r(*key, q, signs)) for key in keys], exact)
+    ((us,), (ws,), (sg,)), (su, sw, ss) = zip(*(integer_matrix([x]) for x in (uc, wc, signs)))
+    es, se = integer_matrix([dict(phi_hat_r(*key, q, signs)) for key in keys])
     phis, out = dict(zip(keys, es)), {}
     for (i_set, j_set), (s, t) in pairs:
         cd = us[i_set, j_set] * ws[s, t]
@@ -388,7 +384,7 @@ def theta_hat_r(
                 continue
             out[i2, j2] = out.get((i2, j2), 0) + cd * e * sv * sd
     scale = su * sw * se * ss * ss
-    out = {k: Fraction(v, scale) if exact else v for k, v in out.items() if v != 0}
+    out = {k: Fraction(v, scale) if exact else v / scale for k, v in out.items() if v != 0}
     return QExtVector(f"Wedge.{r}", out)
 
 
@@ -446,18 +442,19 @@ def theta_constant(r: int, sigma: int, l: int, q, tilde: bool = False):
 
 
 def _principal_report(identity, shape, r, sigma, q, tilde, image, constant):
-    """Principal term of ``image(w, u)``, for w = w^sigma and u(k) = u_k (or
-    w~^sigma and u~_k), equals ``constant(r, sigma, l, q, tilde)`` u(r)."""
+    """Principal term of ``image(w, u, q)``, w = w^sigma and u(k) = u_k (or w~^sigma
+    and u~_k), equals ``constant(r, sigma, l, q, tilde)`` u(r), at the exact q."""
+    params = {"n": shape.n, "l": shape.l, "r": r, "sigma": sigma, "q": str(q), "tilde": tilde}
+    exact, q = _is_exact(q), Fraction(q)
 
     def differences():
         w = w_vectors(shape, sigma, q)[1 if tilde else 0]
         u = (lambda k: u_tilde_vector(shape, k, q)) if tilde else (lambda k: u_vector(shape, k))
         target = u(r).scale(constant(r, sigma, shape.l, q, tilde))
-        got = principal_term(image(w, u), shape, r)
+        got = principal_term(image(w, u, q), shape, r)
         return (got - target).coeffs.values()
 
-    params = {"n": shape.n, "l": shape.l, "r": r, "sigma": sigma, "q": str(q), "tilde": tilde}
-    return difference_report(identity, params, _is_exact(q), differences)
+    return difference_report(identity, params, exact, differences)
 
 
 def intertwiner_check(
@@ -467,7 +464,7 @@ def intertwiner_check(
     power of the fixed vector equals the closed-form constant times u_r."""
     return _principal_report(
         "intertwiner-principal-constant", shape, r, sigma, q, tilde,
-        lambda w, u: psi_hat_r([w] * r, shape, q, _orbit_weights(shape, r)), psi_constant,
+        lambda w, u, q: psi_hat_r([w] * r, shape, q, _orbit_weights(shape, r)), psi_constant,
     )
 
 
@@ -478,7 +475,8 @@ def theta_constant_check(
     -q^sigma (1-q^{2r})/(1-q^2) u_r (and the tilde analog)."""
     return _principal_report(
         "theta-principal-constant", shape, r, sigma, q, tilde,
-        lambda w, u: theta_hat_r(u(r - 1), w, shape, q, _orbit_weights(shape, r)), theta_constant,
+        lambda w, u, q: theta_hat_r(u(r - 1), w, shape, q, _orbit_weights(shape, r)),
+        theta_constant,
     )
 
 

@@ -57,14 +57,15 @@ def timed_report(identity: str, params: dict, exact: bool, body) -> Verification
 def difference_report(identity: str, params: dict, exact: bool, differences):
     """Report ``differences()``, an iterable of lhs - rhs entries: exact mode
     passes iff every difference is zero, float mode iff the largest
-    |difference| (the residual) is below 1e-10."""
+    |difference| (the residual, reported as a float) is below 1e-10; the
+    Grassmann checks form their differences at float inputs' binary values."""
 
     def body():
         diffs = differences()
         if exact:
             return all(d == 0 for d in diffs), None, {}
         residual = max((abs(d) for d in diffs), default=0.0)
-        return residual < 1e-10, residual, {}
+        return residual < 1e-10, float(residual), {}
 
     return timed_report(identity, params, exact, body)
 

@@ -473,6 +473,33 @@ def test_grassmann_suites_reject_q_zero(capsys, suite):
     assert "nonzero --q" in err
 
 
+@pytest.mark.parametrize("q", ["1e400", "-1e400"])
+@pytest.mark.parametrize(
+    "suite", [("verify", "qybe", "--n", "2"),
+              ("verify", "reflection", "--n", "4", "--l", "2"),
+              ("verify", "intertwiner", "--n", "4", "--l", "2", "--r", "2"),
+              ("grassmann", "--n", "4", "--l", "1", "--sigma", "1", "--tau", "1")],
+)
+def test_grassmann_suites_reject_a_non_finite_q(capsys, suite, q):
+    # a float inf reached the float path and printed "residual": NaN, which
+    # is not JSON, and exited 1; its binary value does not exist
+    code, out, err = run(capsys, *suite, "--q", q)
+    assert code == 2
+    assert out == ""
+    assert "finite, nonzero --q" in err
+
+
+def test_float_q_intertwiner_runs_at_the_binary_value(capsys):
+    # the float path read 4.66e-10 on the tilde theta constant here and
+    # exited 1; every constant holds exactly at the binary value of 1.7
+    code, out, _ = run(capsys, "verify", "intertwiner", "--n", "7", "--l", "3", "--r", "3",
+                       "--sigma", "2", "--q", "1.7")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == 4
+    assert all(doc["exact"] is False and doc["residual"] == 0.0 for doc in docs)
+
+
 @pytest.mark.parametrize(
     "argv, weight", [(("poly", "--family", "koornwinder", "--lambda", "1,2"), "(1, 2)"),
                      (("verify", "symmetry", "--lambda", "1,-1"), "(1, -1)")],

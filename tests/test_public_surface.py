@@ -23,6 +23,7 @@ TRACED_ONLY = {
     "continuous_gram": "the Gram-matrix pins of test_measure_pins read it",
     "dk_evaluate": "the direct D_K oracle of dk_apply and the exact eigen identity",
     "from_generator_coords": "turns generator coordinates back into a polynomial",
+    "mat_inverse": "the linalg.matrix layer's inverse and the oracle of the crossed R-side inverses",
     "schur": "the Schur-polynomial oracle of the branching coefficients",
     "spherical_multiplicity": "names the trivial block multiplicity that gelfand_check counts inline",
     "w2_value": "the bit-for-bit oracle of the _w2_on_roots tables",
