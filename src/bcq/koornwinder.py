@@ -23,6 +23,16 @@ with the one right-hand side -r_lambda; with a wrong E_lambda no polynomial
 solves them, so the exact held-out check also checks the D_K diagonal.  Float
 parameters collocate the whole D_K matrix and back-substitute along the
 downset; ``dk_apply`` collocates the one column of its argument.
+
+Exact rows are memoised in two bounded ``lru_cache``s: the t-free tables y_k
+at x_j, q x_j and x_j/q per (x_j, q, degree), and per (x, degree, ordered
+integer tuple of ``_integer_params``) the y and g tables of x and the raw pair
+(m~_nu(x), D_K m~_nu(x)) of each nu asked for there, which repeat where one
+parameter set or one q serves several builds.  The content division stays
+per downset, so every row and P_lambda is the identical integer or Fraction.
+The key is not the params, whose five Fractions would be hashed at every
+lookup, nor invariant under permuting t0..t3: each set of
+``check_symmetries`` builds from its own rows.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ class KoornwinderParams:
         check_base(self.q, self.k)
         ts = self.tuple4
         complex_ts = [t for t in ts if isinstance(t, complex) and t.imag != 0]
-        if Counter(complex_ts) != Counter(t.conjugate() for t in complex_ts):
+        if complex_ts and Counter(complex_ts) != Counter(t.conjugate() for t in complex_ts):
             raise ValueError("complex parameters must occur in conjugate pairs")
         for a, b in itertools.combinations(ts, 2):
             prod = a * b
@@ -89,7 +99,7 @@ class KoornwinderParams:
 def _integer_params(params: KoornwinderParams):
     """(numerator, denominator) pairs of t0..t3, q, t and (unreduced) t0 t1 t2 t3."""
     pairs = [(v.numerator, v.denominator) for v in (*params.tuple4, params.q, params.t)]
-    return pairs[:4], pairs[4], pairs[5], tuple(map(math.prod, zip(*pairs[:4])))
+    return tuple(pairs[:4]), pairs[4], pairs[5], tuple(map(math.prod, zip(*pairs[:4])))
 
 
 def _phi_pair(x, j, params: KoornwinderParams, integers=()):
@@ -181,10 +191,20 @@ def _candidate_points(l: int, count: int, exact: bool, seed: int):
     return made[:count]
 
 
-def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
-    """m~_nu(x) and (D_K m~_nu)(x) for every nu; perms holds, per nu, its
-    distinct permutations as (coordinate, exponent) pairs (zeros only if
-    exact, i.e. given integers = _integer_params(params)).
+# (a, b, q_n, q_d, degree) -> y_k (y_0 = 1) at u/v = a/b = x_j, q x_j, x_j/q, times s (u v)^degree
+_power_tables = lru_cache(maxsize=1024)(lambda a, b, qn, qd, degree: tuple(
+    [(u ** (2 * k) + v ** (2 * k) if k else 1) * (u * v) ** (degree - k) * s
+     for k in range(degree + 1)]
+    for u, v, s in ((a, b, (qn * qd) ** degree), (a * qn, b * qd, 1), (a * qd, b * qn, 1))
+))
+# (x, degree, _integer_params(params)) -> [x's y and g tables, once made;
+# {nu: its raw pair (m~_nu(x), D_K m~_nu(x)), before the content division}]
+_point_memo = lru_cache(maxsize=512)(lambda x, degree, integers: [None, {}])
+
+
+def _orbit_rows(x, weights, degree, params: KoornwinderParams, integers):
+    """m~_nu(x) and (D_K m~_nu)(x) for every nu of weights, exact if given
+    integers = _integer_params(params).
 
     With y_{i,k} = x_i^k + x_i^{-k} (y_{i,0} = 1), m~_nu(x) is the sum over
     distinct permutations pi of nu of prod_i y_{i,pi_i}.  A shift in x_j
@@ -194,46 +214,44 @@ def _orbit_rows(x, perms, degree, params: KoornwinderParams, integers):
     Exact tables are integers on L_j = D+ D- w^degree (phi_j^+- = N+-/D+-,
     x_j = a/b, w = a b q_n q_d) divided by their gcd.  Every entry of both rows
     is then an integer times prod_j y_{j,0}; both rows are divided by their content.
+    Exact tables are kept in ``_power_tables`` and ``_point_memo``, float ones not.
     """
-    y, g = [], []
-    for j, xj in enumerate(x):
-        if integers:
-            (num_p, den_p), (num_m, den_m) = _phi_pair(x, j, params, integers)
-            qn, qd = integers[1]
-            a, b, c = xj.numerator, xj.denominator, (qn * qd) ** degree
-            # y_k (y_0 = 1) at u/v = x_j, q x_j, x_j/q, times s (u v)^degree = w^degree
-            here, up, down = (
-                [(u ** (2 * k) + v ** (2 * k) if k else 1) * (u * v) ** (degree - k) * s
-                 for k in range(degree + 1)]
-                for u, v, s in ((a, b, c), (a * qn, b * qd, 1), (a * qd, b * qn, 1))
-            )
-            plus, minus, scale = num_p * den_m, num_m * den_p, den_p * den_m
-            scaled = [h * scale for h in here]
-            scaled += [plus * (u - h) + minus * (d - h) for h, u, d in zip(here, up, down)]
-            divisor = math.gcd(*scaled)
-            scaled = [v // divisor for v in scaled]
-        else:
-            plus, minus = _phi_pair(x, j, params)
-            here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
-            up, down = xj * params.q, xj / params.q
-            scaled = here + [0] + [
-                plus * (up**k + up**-k - here[k]) + minus * (down**k + down**-k - here[k])
-                for k in range(1, degree + 1)
-            ]
-        y.append(scaled[: degree + 1])
-        g.append(scaled[degree + 1 :])
-    values, images = [], []
-    for nu_perms in perms:
-        value = image = 0
-        for perm in nu_perms:
-            prod, shifted = 1, 0
-            for i, k in perm:
-                shifted = shifted * y[i][k] + prod * g[i][k]
-                prod = prod * y[i][k]
-            value += prod
-            image += shifted
-        values.append(value)
-        images.append(image)
+    memo = _point_memo(x, degree, integers) if integers else [None, {}]
+    if memo[0] is None:
+        y, g = [], []
+        for j, xj in enumerate(x):
+            if integers:
+                (num_p, den_p), (num_m, den_m) = _phi_pair(x, j, params, integers)
+                here, up, down = _power_tables(xj.numerator, xj.denominator, *integers[1], degree)
+                plus, minus, scale = num_p * den_m, num_m * den_p, den_p * den_m
+                scaled = [h * scale for h in here]
+                scaled += [plus * (u - h) + minus * (d - h) for h, u, d in zip(here, up, down)]
+                divisor = math.gcd(*scaled)
+                scaled = [v // divisor for v in scaled]
+            else:
+                plus, minus = _phi_pair(x, j, params)
+                here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
+                up, down = xj * params.q, xj / params.q
+                scaled = here + [0] + [
+                    plus * (up**k + up**-k - here[k]) + minus * (down**k + down**-k - here[k])
+                    for k in range(1, degree + 1)
+                ]
+            y.append(scaled[: degree + 1])
+            g.append(scaled[degree + 1 :])
+        memo[0] = y, g
+    (y, g), pairs = memo
+    for nu in weights:
+        if nu not in pairs:
+            value = image = 0
+            for perm in _weight_perms(nu, bool(integers)):
+                prod, shifted = 1, 0
+                for i, k in perm:
+                    shifted = shifted * y[i][k] + prod * g[i][k]
+                    prod = prod * y[i][k]
+                value += prod
+                image += shifted
+            pairs[nu] = value, image
+    values, images = zip(*map(pairs.__getitem__, weights))
     if integers:
         divisor = math.gcd(*values, *images)
         values, images = ([v // divisor for v in vs] for vs in (values, images))
@@ -251,14 +269,13 @@ def _collocate(downset: list, params: KoornwinderParams, exact: bool, equations)
     downset; exact held-out rows clear each column of its denominators once.
     A point on a pole of D_K is skipped; up to 25 seeds of points are tried."""
     l = len(downset[0])
-    perms = [_weight_perms(nu, exact) for nu in downset]
     degree = max(nu[0] for nu in downset)
     integers = exact and _integer_params(params)
     for attempt in range(25):
         rows, rhs = [], []
         for x in _candidate_points(l, 3 * (len(downset) + 2), exact, seed=911 + attempt):
             try:
-                row, targets = equations(*_orbit_rows(x, perms, degree, params, integers))
+                row, targets = equations(*_orbit_rows(x, downset, degree, params, integers))
             except ZeroDivisionError:
                 continue  # x lies on a pole of D_K
             rows.append(row)
@@ -377,7 +394,7 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
 
         (sol,) = _collocate(downset, params, True, equations)
         lower = zip(reversed(downset[:-1]), reversed(sol))
-        return rebuild_from_basis({lam: 1, **{mu: c for mu, c in lower if c != 0}}, "W", l)
+        return rebuild_from_basis({lam: 1, **dict(lower)}, "W", l)
     # matrix[mu][nu]: coefficient of m~_nu in D_K m~_mu
     matrix = dict(zip(downset, _dk_columns(downset, [{mu: 1} for mu in downset], params, False)))
     coeffs = {lam: 1}

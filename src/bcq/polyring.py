@@ -335,8 +335,10 @@ def expand_in_basis(p: LaurentPoly, kind: str) -> dict:
 
 
 def rebuild_from_basis(coeffs: dict, kind: str, l: int) -> LaurentPoly:
-    """Sum of c * orbit sum of rep over (rep, c); distinct dominant reps have disjoint orbits."""
-    return LaurentPoly(l, {e: c for rep, c in coeffs.items() for e in _orbit_sum(rep, kind).terms})
+    """Sum of c * orbit sum of rep over (rep, c), read from the cached, disjoint orbit sums."""
+    out = LaurentPoly.zero(l)
+    out.terms = {e: c for rep, c in coeffs.items() if c != 0 for e in _orbit_sum(rep, kind).terms}
+    return out
 
 
 def gram_schmidt(lam, kind: str, gram) -> LaurentPoly:

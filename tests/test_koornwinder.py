@@ -20,7 +20,6 @@ from bcq.koornwinder import (
     _orbit_rows,
     _phi_pair,
     _point_stream,
-    _weight_perms,
     check_symmetries,
     dk_apply,
     dk_evaluate,
@@ -31,6 +30,18 @@ from bcq.linalg import solve_linear
 from bcq.polyring import LaurentPoly, expand_in_basis, orbit_sum_W, rebuild_from_basis
 from bcq.qgrass import casimir_eigenvalue
 from bcq.weights import WeightVector, dominant_downset, flat_map
+
+
+@pytest.fixture(autouse=True)
+def empty_row_caches():
+    # a build under a monkeypatched _phi_pair must form its own rows, and
+    # leave none behind for the builds after it
+    for cache in (koornwinder._point_memo, koornwinder._power_tables):
+        cache.cache_clear()
+    yield
+    for cache in (koornwinder._point_memo, koornwinder._power_tables):
+        cache.cache_clear()
+
 
 PARAMS2 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
 PARAMS1 = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
@@ -219,10 +230,8 @@ def test_collocation_skips_a_candidate_on_a_pole(monkeypatch):
     params = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 961), 1)
     first = _candidate_points(2, 1, True, 911)[0]
     assert first == (31, 26)
-    downset = dominant_downset((2, 1))
-    perms = [_weight_perms(nu, True) for nu in downset]
     with pytest.raises(ZeroDivisionError):
-        _orbit_rows(first, perms, 2, params, _integer_params(params))
+        _orbit_rows(first, dominant_downset((2, 1)), 2, params, _integer_params(params))
     seeds = []
 
     def recorded(l, count, exact, seed):
@@ -412,14 +421,10 @@ def test_dk_matrix_is_the_operator_off_the_engine_points(lam):
 @pytest.mark.parametrize("lam", [(3, 2, 1), (2, 1, 1, 0), (4, 2)])
 def test_exact_orbit_rows_have_content_one(lam):
     downset = dominant_downset(lam)
-    perms = [
-        [list(enumerate(pi)) for pi in sorted(set(itertools.permutations(nu)))]
-        for nu in downset
-    ]
     integers = _integer_params(PARAMS2)
     for x in _candidate_points(len(lam), 12, True, seed=911):
         try:
-            values, images = _orbit_rows(x, perms, lam[0], PARAMS2, integers)
+            values, images = _orbit_rows(x, downset, lam[0], PARAMS2, integers)
         except ZeroDivisionError:
             continue
         assert all(type(v) is int for v in values + images)
@@ -675,6 +680,44 @@ def test_symmetry_check_builds_each_permutation_once(monkeypatch):
     assert check_symmetries((1, 1), PARAMS2).passed
     assert len(params) == 25
     assert params.count(PARAMS2) == 1
+
+
+def recorded_phi_pairs(monkeypatch):
+    """The (x, integers) of every _phi_pair call from now on."""
+    calls = []
+    true_phi_pair = _phi_pair
+
+    def recorded(x, j, params, integers=()):
+        calls.append((tuple(x), integers))
+        return true_phi_pair(x, j, params, integers)
+
+    monkeypatch.setattr("bcq.koornwinder._phi_pair", recorded)
+    return calls
+
+
+def test_symmetry_check_forms_rows_for_each_parameter_order(monkeypatch):
+    # the row memo is keyed by the ordered parameters: each of the 25 sets
+    # (base, 23 permutations, sign flip) builds from point tables of its own
+    calls = recorded_phi_pairs(monkeypatch)
+    assert check_symmetries((1, 1), PARAMS2).passed
+    assert len({integers for _, integers in calls}) == 25
+
+
+def test_dk_apply_after_a_build_reuses_its_point_tables(monkeypatch):
+    # dk_apply's n + 2 rows need one point more than the build's n + 1; it
+    # forms the tables of that point only
+    calls = recorded_phi_pairs(monkeypatch)
+    poly = koornwinder_poly((2, 1), PARAMS2)
+    built = {x for x, _ in calls}
+    calls.clear()
+    assert dk_apply(poly, PARAMS2) == poly.scale(eigenvalue((2, 1), PARAMS2))
+    assert len({x for x, _ in calls}) == 1
+    assert not built & {x for x, _ in calls}
+
+
+def test_row_caches_are_bounded():
+    for cache in (koornwinder._point_memo, koornwinder._power_tables):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_symmetry_float_parameters_detect_a_difference(monkeypatch):

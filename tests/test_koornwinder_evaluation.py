@@ -16,18 +16,58 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bcq.koornwinder import KoornwinderParams, _integer_params, _phi_pair, koornwinder_poly
+from bcq import koornwinder
+from bcq.koornwinder import (
+    KoornwinderParams,
+    _integer_params,
+    _phi_pair,
+    dk_apply,
+    eigenvalue,
+    koornwinder_poly,
+)
+from bcq.weights import dominant_downset
 
 GENERIC = KoornwinderParams(F(1, 5), F(-1, 7), F(1, 3), F(-2, 7), F(1, 4), 1)
 SQUARE_T = KoornwinderParams(F(2, 9), F(-3, 11), F(1, 2), F(-1, 3), F(3, 7), 2)
-# every dominant lambda with |lambda| <= 4 and 1 <= l <= 3
-LAMBDAS = [
-    lam
-    for l in (1, 2, 3)
-    for lam in itertools.product(range(5), repeat=l)
-    if list(lam) == sorted(lam, reverse=True) and sum(lam) <= 4
-]
+THIRD = KoornwinderParams(F(3, 8), F(-2, 5), F(1, 6), F(-4, 9), F(2, 5), 1)
+# three rational sets, each at k = 1 and k = 2
+SETS = {
+    "GENERIC": GENERIC,
+    "GENERIC_K2": KoornwinderParams(*GENERIC.tuple4, GENERIC.q, 2),
+    "SQUARE_T_K1": KoornwinderParams(*SQUARE_T.tuple4, SQUARE_T.q, 1),
+    "SQUARE_T": SQUARE_T,
+    "THIRD": THIRD,
+    "THIRD_K2": KoornwinderParams(*THIRD.tuple4, THIRD.q, 2),
+}
+
+
+def dominant_weights(size, length):
+    """Every dominant lambda with |lambda| <= size and 1 <= l <= length."""
+    return [
+        lam
+        for l in range(1, length + 1)
+        for lam in itertools.product(range(size + 1), repeat=l)
+        if list(lam) == sorted(lam, reverse=True) and sum(lam) <= size
+    ]
+
+
+# every dominant lambda with |lambda| <= 6 and 1 <= l <= 4, those with
+# |lambda| <= 4 and l <= 3 first
+LAMBDAS = sorted(dominant_weights(6, 4), key=lambda lam: lam not in dominant_weights(4, 3))
+
+
+@pytest.fixture(autouse=True)
+def empty_row_caches():
+    # a build under a monkeypatched _phi_pair must form its own rows, and
+    # leave none behind for the builds after it
+    for cache in (koornwinder._point_memo, koornwinder._power_tables):
+        cache.cache_clear()
+    yield
+    for cache in (koornwinder._point_memo, koornwinder._power_tables):
+        cache.cache_clear()
 
 
 def pochhammer(a, q, n):
@@ -67,10 +107,34 @@ def assert_principal_value(lam, params):
     assert got == principal_value(lam, params), (lam, params)
 
 
-@pytest.mark.parametrize("params", [GENERIC, SQUARE_T], ids=["GENERIC", "SQUARE_T"])
+@pytest.mark.parametrize("params", list(SETS.values()), ids=list(SETS))
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_exact_build_matches_the_evaluation_formula(lam, params):
     assert_principal_value(lam, params)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.lists(st.sampled_from(sorted({F(n, d) for n in range(-9, 10) if n for d in range(2, 11)})),
+             min_size=4, max_size=4),
+    st.sampled_from([F(n, 10) for n in range(1, 10)]),
+    st.sampled_from([1, 2]),
+    st.sampled_from(dominant_weights(4, 3)),
+)
+def test_random_rational_sets_meet_the_evaluation_formula_and_e_lambda(ts, q, k, lam):
+    # the exact build against two checks apart from its own held-out points:
+    # P_lambda(rho) by the evaluation formula, and D_K P_lambda = E_lambda P_lambda
+    assume(all(a * b < 1 for a, b in itertools.combinations(ts, 2)))  # inside V_K
+    params = KoornwinderParams(*ts, q, k)
+    e_lam = eigenvalue(lam, params)
+    assume(all(eigenvalue(mu, params) != e_lam for mu in dominant_downset(lam)[:-1]))
+    try:
+        want = principal_value(lam, params)
+    except ZeroDivisionError:
+        assume(False)  # rho meets a pole of the formula
+    poly = koornwinder_poly(lam, params)
+    assert poly.evaluate(rho(len(lam), params)) == want, (lam, params)
+    assert dk_apply(poly, params) == poly.scale(e_lam), (lam, params)
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (2, 1, 1)])
