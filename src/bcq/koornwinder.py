@@ -16,23 +16,33 @@ One collocation loop serves every linear system: at generic points x, one
 per W-orbit, the orbit sums m~_mu(x) and their images (D_K m~_mu)(x), built
 from tables y_{i,k} = x_i^k + x_i^{-k} and one phi_j^+- pair per coordinate
 (whose failure skips x as a pole), give one row per point; as many points as
-unknowns fix the solution and two held-out points check it.  Exact
-parameters collocate at small int points and solve the integer rows
-r_mu = den(E_lambda) D_K m~_mu - num(E_lambda) m~_mu for P_lambda directly,
-with the one right-hand side -r_lambda; with a wrong E_lambda no polynomial
-solves them, so the exact held-out check also checks the D_K diagonal.  Float
-parameters collocate the whole D_K matrix and back-substitute along the
-downset; ``dk_apply`` collocates the one column of its argument.
+unknowns fix the solution and two held-out points check it.  One row engine
+serves every parameter set: ``_ratios`` reads t0..t3, q and t as
+(numerator, denominator) pairs, a float or complex value as (v, 1), and the
+tables and E_lambda are formed from the pairs alone.  One content rule
+scales them: an exact table or row is divided by its gcd, a float table by
+its largest |entry| and a float row by its largest |m~_nu(x)|, so the float
+rows are equilibrated and the 1e-7 of the float held-out check keeps its
+meaning.  Exact parameters collocate at small int points and solve the
+integer rows r_mu = den(E_lambda) D_K m~_mu - num(E_lambda) m~_mu for
+P_lambda directly, with the one right-hand side -r_lambda; with a wrong
+E_lambda no polynomial solves them, so the exact held-out check also checks
+the D_K diagonal.  Float parameters collocate the whole D_K matrix and
+back-substitute along the downset (their eigen rows fail the held-out check
+at the limit parameters t_L(eps)); ``dk_apply`` collocates the one column
+of its argument.
 
-Exact rows are memoised in two bounded ``lru_cache``s: the t-free tables y_k
-at x_j, q x_j and x_j/q per (x_j, q, degree), and per (x, degree, ordered
-integer tuple of ``_integer_params``) the y and g tables of x and the raw pair
-(m~_nu(x), D_K m~_nu(x)) of each nu asked for there, which repeat where one
-parameter set or one q serves several builds.  The content division stays
-per downset, so every row and P_lambda is the identical integer or Fraction.
-The key is not the params, whose five Fractions would be hashed at every
-lookup, nor invariant under permuting t0..t3: each set of
-``check_symmetries`` builds from its own rows.
+Rows are memoised, for float builds as for exact ones, in two bounded
+``lru_cache``s: the t-free tables y_k at x_j, q x_j and x_j/q per (x_j, q,
+degree), and per (x, degree, ordered pairs of ``_ratios``, exactness) the y
+and g tables of x and the raw pair (m~_nu(x), D_K m~_nu(x)) of each nu
+asked for there, which repeat where one parameter set or one q serves
+several builds.  Both keys tell exact from float (the table cache is
+typed), so an int and a float point of one value share no entry.  The
+content division stays per downset, so every exact row and P_lambda is the
+identical integer or Fraction.  The key is not the params, whose five
+Fractions would be hashed at every lookup, nor invariant under permuting
+t0..t3: each set of ``check_symmetries`` builds from its own rows.
 """
 
 from __future__ import annotations
@@ -96,68 +106,53 @@ class KoornwinderParams:
         return _is_exact(self.q) and all(_is_exact(t) for t in self.tuple4)
 
 
-def _integer_params(params: KoornwinderParams):
-    """(numerator, denominator) pairs of t0..t3, q, t and (unreduced) t0 t1 t2 t3."""
-    pairs = [(v.numerator, v.denominator) for v in (*params.tuple4, params.q, params.t)]
+def _ratio(v):
+    """(numerator, denominator) of an exact value; (v, 1) of a float or complex one."""
+    return (v.numerator, v.denominator) if _is_exact(v) else (v, 1)
+
+
+def _ratios(params: KoornwinderParams):
+    """``_ratio`` pairs of t0..t3, q, t and (unreduced) t0 t1 t2 t3."""
+    pairs = [_ratio(v) for v in (*params.tuple4, params.q, params.t)]
     return tuple(pairs[:4]), pairs[4], pairs[5], tuple(map(math.prod, zip(*pairs[:4])))
 
 
-def _phi_pair(x, j, params: KoornwinderParams, integers=()):
-    """(phi_j^+(x), phi_j^-(x)); raises ZeroDivisionError on a pole, where a
-    denominator factor is 0, or in floats within _POLE_TOL of 0.  Given
-    integers = _integer_params(params) and a rational x, each phi is an integer
-    (numerator, denominator) pair: with x_i = a_i/b_i, the monomials in a_i,
-    b_i under each factor cancel, up to q_d / (d_0 d_1 d_2 d_3 t_d^(2l-2))."""
-    if integers:
-        ts, (qn, qd), (tn, td), (_, f) = integers
-        x = [(v.numerator, v.denominator) for v in x]
-        a, b = x[j]
-        num_p = num_m = qd
-        for n, d in ts:
-            num_p *= d * b - n * a
-            num_m *= n * b - d * a
-        den = f * td ** (2 * len(x) - 2) * (b * b - a * a)
-        for ai, bi in x[:j] + x[j + 1 :]:
-            r, s, u, v = ai * a, bi * b, a * bi, ai * b  # x_i x_j = r/s, x_j/x_i = u/v
-            num_p *= (td * s - tn * r) * (td * v - tn * u)
-            num_m *= (tn * s - td * r) * (tn * v - td * u)
-            den *= (s - r) * (v - u)
-        den_p, den_m = den * (qd * b * b - qn * a * a), den * (qn * b * b - qd * a * a)
-        if den_p == 0 or den_m == 0:
-            raise ZeroDivisionError(f"phi_{j} has a pole at x")
-        return (num_p, den_p), (num_m, den_m)
-    q, t = params.q, params.t
-    xj = x[j]
-    xj2 = xj * xj
-    num_p = num_m = 1
-    for ti in params.tuple4:
-        num_p *= 1 - ti * xj
-        num_m *= ti - xj
-    poles = [1 - xj2, 1 - q * xj2, q - xj2]
-    den_p, den_m = poles[0] * poles[1], poles[0] * poles[2]
-    for xi in x[:j] + x[j + 1 :]:
-        a, b = xi * xj, xj / xi
-        num_p *= (1 - t * a) * (1 - t * b)
-        num_m *= (t - a) * (t - b)
-        poles += (1 - a, 1 - b)
-        den = poles[-2] * poles[-1]
-        den_p *= den
-        den_m *= den
-    # den_p is exact only if x and q are but some t_i is not; a 0 raises below
-    if not _is_exact(den_p) and min(map(abs, poles)) <= _POLE_TOL:
-        raise ZeroDivisionError(f"phi_{j} has a pole within {_POLE_TOL} of x")
-    return num_p / den_p, num_m / den_m
+def _phi_pair(x, j, ratios):
+    """(phi_j^+(x), phi_j^-(x)) as (numerator, denominator) pairs, given
+    ratios = _ratios(params): with x_i = a_i/b_i, the monomials in a_i, b_i
+    under each factor cancel, up to q_d / (d_0 d_1 d_2 d_3 t_d^(2l-2)).  Exact
+    x and parameters give integers, and a float enters as (v, 1).  Raises
+    ZeroDivisionError on a pole, where a denominator factor is within
+    _POLE_TOL of 0 (an integer factor is 0 or at least 1 in size)."""
+    ts, (qn, qd), (tn, td), (_, f) = ratios
+    x = [_ratio(v) for v in x]
+    a, b = x[j]
+    num_p = num_m = qd
+    for n, d in ts:
+        num_p *= d * b - n * a
+        num_m *= n * b - d * a
+    poles = [b * b - a * a]
+    for ai, bi in x[:j] + x[j + 1 :]:
+        r, s, u, v = ai * a, bi * b, a * bi, ai * b  # x_i x_j = r/s, x_j/x_i = u/v
+        num_p *= (td * s - tn * r) * (td * v - tn * u)
+        num_m *= (tn * s - td * r) * (tn * v - td * u)
+        poles += (s - r, v - u)
+    pole_p, pole_m = qd * b * b - qn * a * a, qn * b * b - qd * a * a
+    if min(map(abs, (pole_p, pole_m, *poles))) <= _POLE_TOL:
+        raise ZeroDivisionError(f"phi_{j} has a pole at x")
+    den = f * td ** (2 * len(x) - 2) * math.prod(poles)
+    return (num_p, den * pole_p), (num_m, den * pole_m)
 
 
 def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
     """(D_K p)(x) by direct rational-function evaluation (exact if x and params are)."""
     q = params.q
-    integers = params.is_exact and all(map(_is_exact, x)) and _integer_params(params)
+    ratios = _ratios(params)
     base = p.evaluate(x)
     total = 0
     for j in range(p.nvars):
-        phi = _phi_pair(x, j, params, integers)
-        plus, minus = (Fraction(*f) for f in phi) if integers else phi
+        plus, minus = (Fraction(n, d) if type(n) is type(d) is int else n / d
+                       for n, d in _phi_pair(x, j, ratios))
         up, down = list(x), list(x)
         up[j], down[j] = x[j] * q, x[j] / q
         total += plus * (p.evaluate(up) - base) + minus * (p.evaluate(down) - base)
@@ -166,10 +161,9 @@ def dk_evaluate(p: LaurentPoly, x, params: KoornwinderParams):
 
 # (l, exact, seed) -> the points made so far, their W-orbits and the state that continues them
 _point_stream = lru_cache(maxsize=64)(lambda l, exact, seed: ([], set(), random.Random(seed)))
-# (nu, exact) -> nu's distinct permutations as (coordinate, exponent) pairs, zeros only if exact
-_weight_perms = lru_cache(maxsize=512)(lambda nu, exact: tuple(
-    tuple((i, k) for i, k in enumerate(pi) if k or exact)
-    for pi in sorted(set(itertools.permutations(nu)))
+# nu -> nu's distinct permutations as (coordinate, exponent) pairs
+_weight_perms = lru_cache(maxsize=512)(lambda nu: tuple(
+    tuple(enumerate(pi)) for pi in sorted(set(itertools.permutations(nu)))
 ))
 
 
@@ -191,59 +185,54 @@ def _candidate_points(l: int, count: int, exact: bool, seed: int):
     return made[:count]
 
 
-# (a, b, q_n, q_d, degree) -> y_k (y_0 = 1) at u/v = a/b = x_j, q x_j, x_j/q, times s (u v)^degree
-_power_tables = lru_cache(maxsize=1024)(lambda a, b, qn, qd, degree: tuple(
-    [(u ** (2 * k) + v ** (2 * k) if k else 1) * (u * v) ** (degree - k) * s
+# (a, b, q_n, q_d, degree) -> y_k (y_0 = 1) at u/v = a/b = x_j, q x_j, x_j/q, times w^degree
+# (w = a b q_n q_d): integers at an int x_j and q.  Each w^(degree-k) is one product for all
+# three, so y_0(q x_j) - y_0(x_j) is 0 in floats too; typed, so an int and a float x_j of one
+# value share no tables
+_power_tables = lru_cache(maxsize=1024, typed=True)(lambda a, b, qn, qd, degree: tuple(
+    [(u ** (2 * k) + v ** (2 * k) if k else 1) * s**k * (a * b * qn * qd) ** (degree - k)
      for k in range(degree + 1)]
-    for u, v, s in ((a, b, (qn * qd) ** degree), (a * qn, b * qd, 1), (a * qd, b * qn, 1))
+    for u, v, s in ((a, b, qn * qd), (a * qn, b * qd, 1), (a * qd, b * qn, 1))
 ))
-# (x, degree, _integer_params(params)) -> [x's y and g tables, once made;
+# (x, degree, _ratios(params), exact) -> [x's y and g tables, once made;
 # {nu: its raw pair (m~_nu(x), D_K m~_nu(x)), before the content division}]
-_point_memo = lru_cache(maxsize=512)(lambda x, degree, integers: [None, {}])
+_point_memo = lru_cache(maxsize=512)(lambda x, degree, ratios, exact: [None, {}])
 
 
-def _orbit_rows(x, weights, degree, params: KoornwinderParams, integers):
-    """m~_nu(x) and (D_K m~_nu)(x) for every nu of weights, exact if given
-    integers = _integer_params(params).
+def _orbit_rows(x, weights, degree, ratios, exact: bool):
+    """m~_nu(x) and (D_K m~_nu)(x) for every nu of weights, given
+    ratios = _ratios(params), up to one factor per point; integers if exact.
 
     With y_{i,k} = x_i^k + x_i^{-k} (y_{i,0} = 1), m~_nu(x) is the sum over
     distinct permutations pi of nu of prod_i y_{i,pi_i}.  A shift in x_j
     changes only the factor of coordinate j, so D_K m~_nu(x) is the same
     sum with one factor at a time replaced by
     g_{j,k} = phi_j^+ (y_{j,k}(q x_j) - y_{j,k}) + phi_j^- (y_{j,k}(x_j/q) - y_{j,k}).
-    Exact tables are integers on L_j = D+ D- w^degree (phi_j^+- = N+-/D+-,
-    x_j = a/b, w = a b q_n q_d) divided by their gcd.  Every entry of both rows
-    is then an integer times prod_j y_{j,0}; both rows are divided by their content.
-    Exact tables are kept in ``_power_tables`` and ``_point_memo``, float ones not.
+    Both tables are taken on L_j = D+ D- w^degree (phi_j^+- = N+-/D+-,
+    x_j = a/b, w = a b q_n q_d, each a (v, 1) pair in floats) and divided by
+    their content: the gcd if exact, else the largest |entry|.  Every entry of
+    both rows is then a multiple of prod_j y_{j,0}, and both rows are divided
+    by the gcd of all their entries if exact, else by the largest |m~_nu(x)|.
+    The tables and raw rows are kept in ``_power_tables`` and ``_point_memo``.
     """
-    memo = _point_memo(x, degree, integers) if integers else [None, {}]
+    memo = _point_memo(x, degree, ratios, exact)
     if memo[0] is None:
         y, g = [], []
         for j, xj in enumerate(x):
-            if integers:
-                (num_p, den_p), (num_m, den_m) = _phi_pair(x, j, params, integers)
-                here, up, down = _power_tables(xj.numerator, xj.denominator, *integers[1], degree)
-                plus, minus, scale = num_p * den_m, num_m * den_p, den_p * den_m
-                scaled = [h * scale for h in here]
-                scaled += [plus * (u - h) + minus * (d - h) for h, u, d in zip(here, up, down)]
-                divisor = math.gcd(*scaled)
-                scaled = [v // divisor for v in scaled]
-            else:
-                plus, minus = _phi_pair(x, j, params)
-                here = [1] + [xj**k + xj**-k for k in range(1, degree + 1)]
-                up, down = xj * params.q, xj / params.q
-                scaled = here + [0] + [
-                    plus * (up**k + up**-k - here[k]) + minus * (down**k + down**-k - here[k])
-                    for k in range(1, degree + 1)
-                ]
-            y.append(scaled[: degree + 1])
-            g.append(scaled[degree + 1 :])
+            (num_p, den_p), (num_m, den_m) = _phi_pair(x, j, ratios)
+            here, up, down = _power_tables(*_ratio(xj), *ratios[1], degree)
+            plus, minus, scale = num_p * den_m, num_m * den_p, den_p * den_m
+            table = [h * scale for h in here]
+            table += [plus * (u - h) + minus * (d - h) for h, u, d in zip(here, up, down)]
+            table = _divided(table, math.gcd(*table) if exact else max(map(abs, table)), exact)
+            y.append(table[: degree + 1])
+            g.append(table[degree + 1 :])
         memo[0] = y, g
     (y, g), pairs = memo
     for nu in weights:
         if nu not in pairs:
             value = image = 0
-            for perm in _weight_perms(nu, bool(integers)):
+            for perm in _weight_perms(nu):
                 prod, shifted = 1, 0
                 for i, k in perm:
                     shifted = shifted * y[i][k] + prod * g[i][k]
@@ -252,10 +241,13 @@ def _orbit_rows(x, weights, degree, params: KoornwinderParams, integers):
                 image += shifted
             pairs[nu] = value, image
     values, images = zip(*map(pairs.__getitem__, weights))
-    if integers:
-        divisor = math.gcd(*values, *images)
-        values, images = ([v // divisor for v in vs] for vs in (values, images))
-    return values, images
+    divisor = math.gcd(*values, *images) if exact else max(map(abs, values))
+    return _divided(values, divisor, exact), _divided(images, divisor, exact)
+
+
+def _divided(entries, divisor, exact: bool):
+    """entries over divisor: exactly, a divisor of each, if exact, else in floats."""
+    return [v // divisor for v in entries] if exact else [v / divisor for v in entries]
 
 
 def _agrees(fit, target, exact: bool) -> bool:
@@ -270,12 +262,12 @@ def _collocate(downset: list, params: KoornwinderParams, exact: bool, equations)
     A point on a pole of D_K is skipped; up to 25 seeds of points are tried."""
     l = len(downset[0])
     degree = max(nu[0] for nu in downset)
-    integers = exact and _integer_params(params)
+    ratios = _ratios(params)
     for attempt in range(25):
         rows, rhs = [], []
         for x in _candidate_points(l, 3 * (len(downset) + 2), exact, seed=911 + attempt):
             try:
-                row, targets = equations(*_orbit_rows(x, downset, degree, params, integers))
+                row, targets = equations(*_orbit_rows(x, downset, degree, ratios, exact))
             except ZeroDivisionError:
                 continue  # x lies on a pole of D_K
             rows.append(row)
@@ -323,33 +315,25 @@ def dk_apply(p: LaurentPoly, params: KoornwinderParams) -> LaurentPoly:
     return rebuild_from_basis(image, "W", p.nvars)
 
 
-def _eigen_pair(lam, integers, top: int):
-    """E_lambda = num/den at exact parameters (integers = _integer_params(params)),
-    den = d_0 d_1 d_2 d_3 q_n^(top+1) q_d^top t_d^(2l-2) for any top >= max(lambda)."""
-    _, (a, b), (c, d), (e, f) = integers
+def _eigen_pair(lam, ratios, top: int):
+    """E_lambda = num/den, given ratios = _ratios(params) (integers at exact
+    parameters), den = d_0 d_1 d_2 d_3 q_n^(top+1) q_d^top t_d^(2l-2) for any
+    top >= max(lambda)."""
+    _, (a, b), (c, d), (e, f) = ratios
     l, num = len(lam), 0
     for j, lj in enumerate(lam):
         gap, rest = a**lj - b**lj, 2 * l - j - 2
         num += gap * e * b ** (top - lj + 1) * a**top * c**rest * d**j
         num -= gap * f * a ** (top - lj + 1) * b**top * c**j * d**rest
-    return num, f * a ** (top + 1) * b**top * d ** (2 * l - 2)
+    return num, f * a ** (top + 1) * b**top * d ** max(2 * l - 2, 0)
 
 
 def eigenvalue(lam, params: KoornwinderParams):
     """E_lambda = sum_j ( q^{-1} t0 t1 t2 t3 t^{2l-j-1}(q^{lam_j}-1)
-    + t^{j-1}(q^{-lam_j}-1) ), as ``_eigen_pair`` for exact parameters."""
+    + t^{j-1}(q^{-lam_j}-1) ) by ``_eigen_pair``, a Fraction at exact parameters."""
     lam = tuple(lam)
-    l = len(lam)
-    if params.is_exact and lam:
-        return Fraction(*_eigen_pair(lam, _integer_params(params), max(lam)))
-    q, t = params.q, params.t
-    t4 = params.t0 * params.t1 * params.t2 * params.t3
-    total = 0
-    qinv = 1 / q
-    for j, lj in enumerate(lam, 1):
-        total += qinv * t4 * t ** (2 * l - j - 1) * (q**lj - 1)
-        total += t ** (j - 1) * (qinv**lj - 1)
-    return total
+    num, den = _eigen_pair(lam, _ratios(params), max(lam, default=0))
+    return Fraction(num, den) if params.is_exact else num / den
 
 
 def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -> LaurentPoly:
@@ -376,13 +360,12 @@ def koornwinder_poly(lam, params: KoornwinderParams, mode: str = "triangular") -
     downset = dominant_downset(lam)
     exact = params.is_exact
     e_lam = eigenvalue(lam, params)
-    if exact:  # numerators over E_lambda's denominator, as max(mu) <= max(lambda)
-        integers, top = _integer_params(params), max(lam, default=0)
-        num_lam = _eigen_pair(lam, integers, top)[0]
+    # numerators over E_lambda's denominator, as max(mu) <= max(lambda)
+    ratios, top = _ratios(params), max(lam, default=0)
+    num_lam, den = _eigen_pair(lam, ratios, top)
+    bound = 0 if exact else _COLLISION_TOL * (abs(den) + abs(num_lam))
     for mu in downset[:-1]:  # lambda comes last
-        gap = (num_lam - _eigen_pair(mu, integers, top)[0] if exact
-               else abs(e_lam - eigenvalue(mu, params)))
-        if gap == 0 or (not exact and gap < _COLLISION_TOL * (1 + abs(e_lam))):
+        if abs(num_lam - _eigen_pair(mu, ratios, top)[0]) <= bound:
             raise EigenvalueCollisionError(f"E_{lam} collides with E_{mu}; use mode='gram'")
     if exact:
         # r_mu = den(E_lambda) D_K m~_mu - num(E_lambda) m~_mu

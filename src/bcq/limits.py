@@ -111,9 +111,9 @@ def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
     """Run ``measure(eps) -> (value, error)`` along the sweep.  A point whose
     construction raises ``ArithmeticError`` records NaN and counts as not
     constructed.  The check passes when every point was constructed, the
-    errors strictly decrease (vacuous at lambda = 0) and the last error is at
-    most ``tol``.  A norm target adds the values and the target to the
-    detail."""
+    errors strictly decrease (vacuous at lambda = 0) and the last error, the
+    residual (None without one), is at most ``tol``.  A norm target adds the
+    values and the target to the detail."""
 
     def body():
         errors, values, constructed = [], [], []
@@ -128,7 +128,7 @@ def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
             errors.append(error)
         finite = [e for e in errors if not math.isnan(e)]
         decreasing = all(a > b for a, b in zip(finite, finite[1:])) or sum(lam) == 0
-        final_err = finite[-1] if finite else float("inf")
+        final_err = finite[-1] if finite else None
         detail = {
             "epsilon": [float(e) for e in sweep.values],
             "values": values,
@@ -138,7 +138,8 @@ def _sweep_report(identity, params_doc, lam, sweep, measure, tol, target=None):
         }
         if target is None:
             del detail["values"], detail["target"]
-        return all(constructed) and decreasing and final_err <= tol, final_err, detail
+        passed = all(constructed) and decreasing and final_err is not None and final_err <= tol
+        return passed, final_err, detail
 
     return timed_report(identity, params_doc, False, body)
 

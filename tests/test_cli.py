@@ -420,6 +420,20 @@ def test_float_limit_at_l3_reports(capsys):
     assert json.loads(out)["identity"] == "limit-koornwinder-to-little"
 
 
+def test_sweep_without_a_constructed_point_prints_json(capsys):
+    # every eps hits the N_e cap at q = 99/100; the residual printed as the
+    # non-JSON "Infinity"
+    code, out, _ = run(capsys, "verify", "norm-limit", "--lambda", "1",
+                       "--a", "1/2", "--b", "1/3", "--q", "99/100")
+    assert code == 1
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["residual"] is None
+
+
 def test_overflowing_residue_mass_exit_3(capsys):
     code, out, err = run(capsys, "verify", "orthogonality", "--l", "1",
                          "--t", "3e7,1e-12,2e-12,-1e-12", "--q", "0.5")

@@ -16,10 +16,10 @@ from bcq.koornwinder import (
     KoornwinderParams,
     _candidate_points,
     _dk_columns,
-    _integer_params,
     _orbit_rows,
     _phi_pair,
     _point_stream,
+    _ratios,
     check_symmetries,
     dk_apply,
     dk_evaluate,
@@ -148,7 +148,7 @@ def test_eigenvalue_frozen():
 def test_integer_phi_pair_matches_the_fraction_formula():
     rng = random.Random(14)
     for p in EXACT_SETS:
-        integers = _integer_params(p)
+        ratios = _ratios(p)
         for l in (1, 2, 3, 4):
             for _ in range(5):
                 x = tuple(
@@ -161,7 +161,7 @@ def test_integer_phi_pair_matches_the_fraction_formula():
                         want = phi_oracle(x, j, p)
                     except ZeroDivisionError:
                         continue
-                    pair = _phi_pair(x, j, p, integers)
+                    pair = _phi_pair(x, j, ratios)
                     assert all(type(v) is int for f in pair for v in f)
                     assert tuple(F(*f) for f in pair) == want, (p, x, j)
 
@@ -182,7 +182,7 @@ def test_integer_phi_pair_matches_the_fraction_formula():
 def test_integer_phi_pair_raises_on_each_pole_factor(x, factor):
     # q = 1/4; in each case only the named factor of phi_0 is 0
     with pytest.raises(ZeroDivisionError):
-        _phi_pair(x, 0, PARAMS2, _integer_params(PARAMS2))
+        _phi_pair(x, 0, _ratios(PARAMS2))
     with pytest.raises(ZeroDivisionError):
         phi_oracle(x, 0, PARAMS2)
 
@@ -231,7 +231,7 @@ def test_collocation_skips_a_candidate_on_a_pole(monkeypatch):
     first = _candidate_points(2, 1, True, 911)[0]
     assert first == (31, 26)
     with pytest.raises(ZeroDivisionError):
-        _orbit_rows(first, dominant_downset((2, 1)), 2, params, _integer_params(params))
+        _orbit_rows(first, dominant_downset((2, 1)), 2, _ratios(params), True)
     seeds = []
 
     def recorded(l, count, exact, seed):
@@ -421,10 +421,10 @@ def test_dk_matrix_is_the_operator_off_the_engine_points(lam):
 @pytest.mark.parametrize("lam", [(3, 2, 1), (2, 1, 1, 0), (4, 2)])
 def test_exact_orbit_rows_have_content_one(lam):
     downset = dominant_downset(lam)
-    integers = _integer_params(PARAMS2)
+    ratios = _ratios(PARAMS2)
     for x in _candidate_points(len(lam), 12, True, seed=911):
         try:
-            values, images = _orbit_rows(x, downset, lam[0], PARAMS2, integers)
+            values, images = _orbit_rows(x, downset, lam[0], ratios, True)
         except ZeroDivisionError:
             continue
         assert all(type(v) is int for v in values + images)
@@ -508,10 +508,10 @@ def test_a_sign_flip_in_a_phi_factor_raises(monkeypatch, lam):
     # no longer a Laurent polynomial, so the held-out points reject every seed
     true_phi_pair = _phi_pair
 
-    def flipped(x, j, params, integers=()):
-        (num_p, den_p), minus = true_phi_pair(x, j, params, integers)
+    def flipped(x, j, ratios):
+        (num_p, den_p), minus = true_phi_pair(x, j, ratios)
         if j == 0:
-            (n0, d0), (a, b) = integers[0][0], (x[0].numerator, x[0].denominator)
+            (n0, d0), (a, b) = ratios[0][0], (x[0].numerator, x[0].denominator)
             num_p, den_p = num_p * (d0 * b + n0 * a), den_p * (d0 * b - n0 * a)
             if den_p == 0:
                 raise ZeroDivisionError("phi_0 has a pole at x")
@@ -683,13 +683,13 @@ def test_symmetry_check_builds_each_permutation_once(monkeypatch):
 
 
 def recorded_phi_pairs(monkeypatch):
-    """The (x, integers) of every _phi_pair call from now on."""
+    """The (x, ratios) of every _phi_pair call from now on."""
     calls = []
     true_phi_pair = _phi_pair
 
-    def recorded(x, j, params, integers=()):
-        calls.append((tuple(x), integers))
-        return true_phi_pair(x, j, params, integers)
+    def recorded(x, j, ratios):
+        calls.append((tuple(x), ratios))
+        return true_phi_pair(x, j, ratios)
 
     monkeypatch.setattr("bcq.koornwinder._phi_pair", recorded)
     return calls
@@ -700,7 +700,7 @@ def test_symmetry_check_forms_rows_for_each_parameter_order(monkeypatch):
     # (base, 23 permutations, sign flip) builds from point tables of its own
     calls = recorded_phi_pairs(monkeypatch)
     assert check_symmetries((1, 1), PARAMS2).passed
-    assert len({integers for _, integers in calls}) == 25
+    assert len({ratios for _, ratios in calls}) == 25
 
 
 def test_dk_apply_after_a_build_reuses_its_point_tables(monkeypatch):
@@ -745,6 +745,58 @@ def test_float_mode():
         for e in set(image.terms) | set(target.terms)
     )
     assert err < 1e-9
+
+
+# float sets (t0, t1, t2, t3, q) whose (2,1,0) and (2,1,1) builds were up to
+# 1.3e-7 and 4.0e-7 off the exact build, with (3,2,1) 8.3e-5 off at the last,
+# before one row engine served floats and equilibrated their rows
+FLOAT_SETS = [
+    (0.8, -0.1, 0.7, -0.7, 0.1),
+    (0.9, 0.7, 0.9, 0.8, 0.1),
+    (-0.2, 0.7, 0.4, -0.8, 0.2),
+    (0.2, -0.1, 0.3, -0.2, 0.25),
+    (0.3, -0.2, 0.15, -0.4, 0.4),
+]
+
+
+@pytest.mark.parametrize(
+    "lam, bound, sets",
+    [((2, 1, 0), 1e-7, FLOAT_SETS), ((2, 1, 1), 1e-7, FLOAT_SETS), ((3, 2, 1), 1e-5, FLOAT_SETS[-1:])],
+)
+def test_float_builds_match_the_exact_build_at_their_binary_values(lam, bound, sets):
+    # the largest coefficient error relative to the largest coefficient
+    for values in sets:
+        got = koornwinder_poly(lam, KoornwinderParams(*values)).terms
+        want = koornwinder_poly(lam, KoornwinderParams(*map(F, values))).terms
+        top = max(map(abs, want.values()))
+        err = max(abs(F(got.get(e, 0)) - want.get(e, 0)) for e in got.keys() | want.keys())
+        assert err < bound * top, (values, float(err / top))
+
+
+def test_a_second_float_build_reuses_its_point_tables(monkeypatch):
+    calls = recorded_phi_pairs(monkeypatch)
+    params = KoornwinderParams(0.3, -0.2, 0.15, -0.4, 0.4, 1)
+    first = koornwinder_poly((2, 1, 1), params)
+    assert calls
+    calls.clear()
+    assert koornwinder_poly((2, 1, 1), params) == first
+    assert calls == []
+
+
+def test_float_rows_share_no_cache_entry_with_exact_rows():
+    # an int point and a float point of one value are equal keys: the memo
+    # keys carry exactness and the power tables are typed, so float rows at
+    # exact parameters (as dk_apply forms for a float polynomial) never read
+    # an exact build's integer tables, nor the other way round
+    downset = dominant_downset((2, 1))
+    ratios = _ratios(PARAMS2)
+    caches = (koornwinder._point_memo, koornwinder._power_tables)
+    for x in _candidate_points(2, 4, True, seed=911):
+        for point, exact in ((x, True), (tuple(map(float, x)), False)):
+            hits = [cache.cache_info().hits for cache in caches]
+            values, images = _orbit_rows(point, downset, 2, ratios, exact)
+            assert [cache.cache_info().hits for cache in caches] == hits
+            assert {type(v) for v in values + images} == {int if exact else float}
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(1, 3)])

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from bcq import koornwinder
 from bcq.koornwinder import (
     KoornwinderParams,
-    _integer_params,
     _phi_pair,
     dk_apply,
     eigenvalue,
@@ -143,9 +142,9 @@ def test_a_sign_flip_in_a_phi_minus_numerator_fails_the_formula(monkeypatch, lam
     # longer a Laurent polynomial, so no build meets the formula
     true_phi_pair = _phi_pair
 
-    def flipped(x, j, params, integers=()):
-        plus, (num_m, den_m) = true_phi_pair(x, j, params, integers)
-        (n0, d0), (a, b) = integers[0][0], (x[j].numerator, x[j].denominator)
+    def flipped(x, j, ratios):
+        plus, (num_m, den_m) = true_phi_pair(x, j, ratios)
+        (n0, d0), (a, b) = ratios[0][0], (x[j].numerator, x[j].denominator)
         num_m, den_m = num_m * (n0 * b + d0 * a), den_m * (n0 * b - d0 * a)
         if den_m == 0:
             raise ZeroDivisionError(f"phi_{j} has a pole at x")
@@ -163,9 +162,9 @@ def test_the_formula_sees_a_fault_that_the_engine_cannot(monkeypatch, lam):
     # eigenpolynomial whose own held-out points agree, and only rho rejects it
     true_phi_pair = _phi_pair
 
-    def negated(x, j, params, integers=()):
-        other = KoornwinderParams(-params.t0, -params.t1, params.t2, params.t3, params.q, params.k)
-        return true_phi_pair(x, j, other, _integer_params(other))
+    def negated(x, j, ratios):
+        ((n0, d0), (n1, d1), *ts), *rest = ratios
+        return true_phi_pair(x, j, (((-n0, d0), (-n1, d1), *ts), *rest))
 
     monkeypatch.setattr("bcq.koornwinder._phi_pair", negated)
     got = koornwinder_poly(lam, GENERIC).evaluate(rho(len(lam), GENERIC))

@@ -1,5 +1,6 @@
 """Tests for the parameter degenerations and classical comparisons."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -114,6 +115,14 @@ def test_sweep_records_points_it_cannot_construct():
     assert all(math.isnan(e) for e in report.detail["errors"])
     assert report.passed is False
     assert sweep_csv(report).splitlines()[1:] == ["0.1,,nan,False", "0.001,,nan,False"]
+    # with no point built there is no last error: the residual was inf,
+    # which prints as the non-JSON "Infinity"
+    assert report.residual is None
+    assert json.loads(report.to_json(), parse_constant=reject_constant)["residual"] is None
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_grassmann_koornwinder_product_invariant():

@@ -19,9 +19,12 @@ type, of ``koornwinder_poly(lam, params, mode="gram")`` at ``IN`` and
 ``OUT1``; ``COLL`` has the eigenvalue collision E_(2,0) = E_(1,1), where
 ``norm_K`` takes the Gram route too.  The Gram-mode pins were recorded
 before the Koornwinder and q-Jacobi Gram-Schmidt builds were merged.  The
-pins were last recorded when the infinite q-products moved to a head
+pins were recorded again when the infinite q-products moved to a head
 product and Euler's tail (``qseries._euler_split``), which moved each group
-by at most 1.6e-15 of its largest entry.  Print fresh pins with
+by at most 1.6e-15 of its largest entry, and last when float Koornwinder
+builds moved to the row engine of exact builds, which moved 19 keys by at
+most 1.8e-13 of their group's largest entry (the ``norm_K`` keys by at most
+5.5e-14).  Print fresh pins with
 ``PYTHONPATH=src python tests/test_measure_pins.py``.
 """
 
@@ -86,130 +89,130 @@ def _values(key):
 PINS = {
     ('OUT1', 'full_inner', 1): [
         ('0x1.99fc012e62d57p+0', '-0x1.7c9783eb91591p-55'),
-        ('0x1.7800000000000p-48', '0x1.c3e7ae7705722p-54'),
-        ('0x1.4fa0000000000p-43', '-0x1.f7867c8d7f225p-53'),
-        ('0x1.b364691cf0680p+0', '-0x1.5b77619bb73e6p-56'),
-        ('-0x1.c1d0000000000p-42', '0x1.0f72ae90ecb48p-53'),
-        ('0x1.d9e23da276512p+0', '-0x1.6a78d4ac8a0e3p-56'),
+        ('0x1.3000000000000p-48', '0x1.c3e7ae7705726p-54'),
+        ('0x1.6600000000000p-44', '-0x1.02796ea4f4601p-52'),
+        ('0x1.b364691cf0682p+0', '-0x1.5b77619bb73eep-56'),
+        ('-0x1.cb20000000000p-43', '0x1.2ddbe1f6d57b7p-53'),
+        ('0x1.d9e23da276514p+0', '-0x1.6a78d4ac8acbap-56'),
     ],
     ('OUT1', 'norm_K', 1): [
-        ('0x1.0fdd7136af7f4p+0', '0x0.0p+0'),
-        ('0x1.27e64fd6e95c4p+0', '0x0.0p+0'),
+        ('0x1.0fdd7136af7f5p+0', '0x0.0p+0'),
+        ('0x1.27e64fd6e95c5p+0', '0x0.0p+0'),
     ],
     ('OUT1', 'gram', 1): [
         ('0x1.069a3b870f2f4p+0', '0x1.7c9783eb91591p-55'),
-        ('-0x1.28db513831f2fp-1', '0x1.c3e7ae7705722p-54'),
-        ('-0x1.c10d569206097p-2', '-0x1.f7867c8d7f225p-53'),
-        ('-0x1.28db513831f2fp-1', '-0x1.c3e7ae7705722p-54'),
-        ('0x1.1de8f6a08e6edp+0', '0x1.5b77619bb73e6p-56'),
-        ('-0x1.c43d8d0eb4b6cp-2', '0x1.0f72ae90ecb48p-53'),
-        ('-0x1.c10d569206097p-2', '0x1.f7867c8d7f225p-53'),
-        ('-0x1.c43d8d0eb4b6cp-2', '-0x1.0f72ae90ecb48p-53'),
-        ('0x1.845f0ec152ec1p+0', '0x1.6a78d4ac8a0e3p-56'),
+        ('-0x1.28db513831f36p-1', '0x1.c3e7ae7705726p-54'),
+        ('-0x1.c10d56920686bp-2', '-0x1.02796ea4f4601p-52'),
+        ('-0x1.28db513831f36p-1', '-0x1.c3e7ae7705726p-54'),
+        ('0x1.1de8f6a08e6f1p+0', '0x1.5b77619bb73eep-56'),
+        ('-0x1.c43d8d0eb4099p-2', '0x1.2ddbe1f6d57b7p-53'),
+        ('-0x1.c10d56920686bp-2', '0x1.02796ea4f4601p-52'),
+        ('-0x1.c43d8d0eb4099p-2', '-0x1.2ddbe1f6d57b7p-53'),
+        ('0x1.845f0ec152da5p+0', '0x1.6a78d4ac8acbap-56'),
     ],
     ('OUT1', 'full_inner', 2): [
         ('0x1.5ca402647e8f1p+2', '-0x1.ca05e1e4d5f20p-53'),
-        ('0x1.8500000000000p-44', '-0x1.0b01f9753933ep-54'),
-        ('0x1.4600000000000p-44', '-0x1.997b9a9e08b78p-51'),
-        ('-0x1.98c8000000000p-40', '-0x1.8ffbf29a3d948p-50'),
-        ('0x1.7b7678ae7d660p+2', '-0x1.950641493c990p-53'),
-        ('-0x1.4700000000000p-43', '0x1.e18531fc51fcdp-53'),
-        ('0x1.8c40000000000p-40', '0x1.351e0fa6fe21ap-52'),
-        ('0x1.92faa6d73fc64p+2', '-0x1.e37b1b9c90194p-54'),
-        ('-0x1.95b3255177fd0p-43', '-0x1.9249eaea886cep-52'),
-        ('0x1.8ca4bfc6ebc3cp+2', '-0x1.5625be374deccp-54'),
+        ('-0x1.ab00000000000p-44', '-0x1.0b01f975390ecp-54'),
+        ('0x1.4e00000000000p-45', '-0x1.a81b246c35adep-51'),
+        ('-0x1.2fb0000000000p-39', '-0x1.af041a426fbcfp-50'),
+        ('0x1.7b7678ae7d660p+2', '-0x1.950641493c91fp-53'),
+        ('-0x1.6c00000000000p-43', '0x1.19875ad32f2d6p-52'),
+        ('0x1.1128000000000p-39', '0x1.e6368aed7d480p-52'),
+        ('0x1.92faa6d73fc62p+2', '-0x1.e37b1b9c9014ap-54'),
+        ('-0x1.54c345fb36c38p-42', '-0x1.cdb1b026b9565p-52'),
+        ('0x1.8ca4bfc6ebc3ep+2', '-0x1.5625be374f3d3p-54'),
     ],
     ('OUT1', 'norm_K', 2): [
         ('0x1.16a1cfc14a4b5p+0', '0x0.0p+0'),
-        ('0x1.27e64fd6e95c1p+0', '0x0.0p+0'),
-        ('0x1.233f616f93b3bp+0', '0x0.0p+0'),
+        ('0x1.27e64fd6e95c0p+0', '0x0.0p+0'),
+        ('0x1.233f616f93b3cp+0', '0x0.0p+0'),
     ],
     ('OUT1', 'gram', 2): [
         ('0x1.9e7366356a4d1p+0', '0x1.827e03f732dcdp-54'),
-        ('-0x1.6a21c284c30e4p+0', '0x1.d9f5a4c6a3f2fp-53'),
-        ('0x1.7ddce5d89768ep+0', '-0x1.2a6add9d680e6p-51'),
-        ('-0x1.dabc3967c0e92p-1', '-0x1.60f2b00ac5d3bp-51'),
-        ('-0x1.6a21c284c30e4p+0', '-0x1.d9f5a4c6a3f2fp-53'),
-        ('0x1.5d2847f1a6412p+1', '0x1.3caf56cdb1f86p-54'),
-        ('-0x1.12c1c91397292p+1', '0x1.bf0c5426e3694p-52'),
-        ('-0x1.6710468778adfp-1', '0x1.6d3bf63cf1277p-51'),
-        ('0x1.7ddce5d89768ep+0', '0x1.2a6add9d680e6p-51'),
-        ('-0x1.12c1c91397292p+1', '-0x1.bf0c5426e3694p-52'),
-        ('0x1.7fd0a92afd1e2p+1', '0x1.53791ff13c743p-54'),
-        ('-0x1.16305e9020faap-40', '-0x1.46a1a98f34494p-51'),
-        ('-0x1.dabc3967c0e92p-1', '0x1.60f2b00ac5d3bp-51'),
-        ('-0x1.6710468778adfp-1', '-0x1.6d3bf63cf1277p-51'),
-        ('-0x1.16305e9020faap-40', '0x1.46a1a98f34494p-51'),
-        ('0x1.c1469615bee31p+1', '0x1.6dc162f4b3d46p-54'),
+        ('-0x1.6a21c284c31d6p+0', '0x1.d9f5a4c6a3fb6p-53'),
+        ('0x1.7ddce5d897670p+0', '-0x1.390f9b2ae2d99p-51'),
+        ('-0x1.dabc3967c1b64p-1', '-0x1.9b09b3b86c609p-51'),
+        ('-0x1.6a21c284c31d6p+0', '-0x1.d9f5a4c6a3fb6p-53'),
+        ('0x1.5d2847f1a64e7p+1', '0x1.3caf56cdb20a2p-54'),
+        ('-0x1.12c1c913972fep+1', '0x1.e7d2629a37ecep-52'),
+        ('-0x1.6710468777936p-1', '0x1.b5dada3b0388ap-51'),
+        ('0x1.7ddce5d897670p+0', '0x1.390f9b2ae2d99p-51'),
+        ('-0x1.12c1c913972fep+1', '-0x1.e7d2629a37ecep-52'),
+        ('0x1.7fd0a92afd1cdp+1', '0x1.53791ff13c710p-54'),
+        ('-0x1.916c94fc4537ap-40', '-0x1.7755c0e797974p-51'),
+        ('-0x1.dabc3967c1b64p-1', '0x1.9b09b3b86c609p-51'),
+        ('-0x1.6710468777936p-1', '-0x1.b5dada3b0388ap-51'),
+        ('-0x1.916c94fc4537ap-40', '0x1.7755c0e797974p-51'),
+        ('0x1.c1469615bef34p+1', '0x1.6dc162f4b4e40p-54'),
     ],
     ('OUT2', 'full_inner', 1): [
         ('0x1.76349e97783bfp+3', '-0x1.b87e334c78d8dp-54'),
-        ('0x1.d400000000000p-46', '-0x1.4280ab2427229p-50'),
-        ('-0x1.bf74000000000p-40', '-0x1.ac988c076ae0bp-49'),
-        ('0x1.c89b1c2748935p+1', '0x1.48fef79a8c0aap-55'),
-        ('-0x1.07f0000000000p-40', '0x1.577423206ac02p-52'),
-        ('0x1.2469eea6c4be8p+1', '0x1.903df9ca7a351p-57'),
+        ('0x1.7c00000000000p-46', '-0x1.4280ab2427227p-50'),
+        ('-0x1.cbb4000000000p-39', '-0x1.ac77b67724848p-49'),
+        ('0x1.c89b1c2748936p+1', '0x1.48fef79a8c0b9p-55'),
+        ('-0x1.09f4000000000p-39', '0x1.650ae50a6d026p-52'),
+        ('0x1.2469eea6c4be8p+1', '0x1.903df9ca77578p-57'),
     ],
     ('OUT2', 'norm_K', 1): [
-        ('0x1.385f1412f61acp-2', '0x0.0p+0'),
+        ('0x1.385f1412f61adp-2', '0x0.0p+0'),
         ('0x1.901704a2aded9p-3', '0x0.0p+0'),
     ],
     ('OUT2', 'gram', 1): [
         ('0x1.8ee9b4ef3b85bp+0', '-0x1.a8bf68b5cdd97p-54'),
-        ('-0x1.dc8df6fa718cfp+0', '0x1.9df2c4e15a6c6p-55'),
-        ('-0x1.417a30469b336p-3', '-0x1.e09268f8bfe99p-51'),
-        ('-0x1.dc8df6fa718cfp+0', '-0x1.9df2c4e15a6c6p-55'),
-        ('0x1.4edc9aad7f841p+1', '-0x1.bf55fa6ba7094p-55'),
-        ('-0x1.29c7f0fdfe134p-1', '0x1.e88021d5c7256p-51'),
-        ('-0x1.417a30469b336p-3', '0x1.e09268f8bfe99p-51'),
-        ('-0x1.29c7f0fdfe134p-1', '-0x1.e88021d5c7256p-51'),
-        ('0x1.c7cf125e8ae7bp+0', '-0x1.c393824ebd5d7p-57'),
+        ('-0x1.dc8df6fa718d1p+0', '0x1.9df2c4e15a6c4p-55'),
+        ('-0x1.417a304698cc4p-3', '-0x1.e00f12b7a67bbp-51'),
+        ('-0x1.dc8df6fa718d1p+0', '-0x1.9df2c4e15a6c4p-55'),
+        ('0x1.4edc9aad7f846p+1', '-0x1.bf55fa6ba709cp-55'),
+        ('-0x1.29c7f0fdff05fp-1', '0x1.ef4b82cac8cf2p-51'),
+        ('-0x1.417a304698cc4p-3', '0x1.e00f12b7a67bbp-51'),
+        ('-0x1.29c7f0fdff05fp-1', '-0x1.ef4b82cac8cf2p-51'),
+        ('0x1.c7cf125e8b4bcp+0', '-0x1.c393824eb9688p-57'),
     ],
     ('OUT2', 'full_inner', 2): [
         ('0x1.4db83ac080a9bp+6', '-0x1.e3f51585445cap-50'),
-        ('0x1.bf40000000000p-39', '0x1.70cd2424faf16p-50'),
-        ('0x1.03c0000000000p-39', '-0x1.c7a6799119c54p-48'),
-        ('0x1.a480000000000p-39', '-0x1.4fdc601f3e3b6p-46'),
-        ('0x1.ab6edd52826b1p+5', '-0x1.70f1375bbe4f7p-51'),
-        ('0x1.6790000000000p-39', '-0x1.f297d06d773b0p-47'),
-        ('0x1.1c20000000000p-38', '0x1.9685273ffbdc9p-45'),
-        ('0x1.04c6eeb281489p+4', '0x1.13fd2dccce599p-53'),
-        ('-0x1.0130000000000p-40', '-0x1.600f4740ccbd9p-47'),
-        ('0x1.7df452d93758cp+5', '-0x1.b48194be0c735p-51'),
+        ('-0x1.5d80000000000p-38', '0x1.70cd2424fb397p-50'),
+        ('-0x1.0560000000000p-38', '-0x1.c744079580eb3p-48'),
+        ('-0x1.b000000000000p-38', '-0x1.77ceb66efd4f0p-46'),
+        ('0x1.ab6edd52826b1p+5', '-0x1.70f1375bbef9ep-51'),
+        ('-0x1.6130000000000p-38', '-0x1.ed80bdb18508fp-47'),
+        ('-0x1.baa0000000000p-38', '0x1.9ba99a2e6bec3p-45'),
+        ('0x1.04c6eeb28148cp+4', '0x1.13fd2dcccf36cp-53'),
+        ('-0x1.f810000000000p-40', '-0x1.5d8bad14e0587p-47'),
+        ('0x1.7df452d93758bp+5', '-0x1.b48194be0bdbcp-51'),
     ],
     ('OUT2', 'norm_K', 2): [
         ('0x1.47e37aac636a7p-1', '0x0.0p+0'),
-        ('0x1.901704a2adee6p-3', '0x0.0p+0'),
-        ('0x1.25005bc016453p-1', '0x0.0p+0'),
+        ('0x1.901704a2adeebp-3', '0x0.0p+0'),
+        ('0x1.25005bc016452p-1', '0x0.0p+0'),
     ],
     ('OUT2', 'gram', 2): [
         ('0x1.38f2355f9210cp+0', '-0x1.632c94f2733a1p-54'),
-        ('-0x1.32d08814c3487p+1', '0x1.a0c12907a3a52p-55'),
-        ('0x1.7e4b0fcf78770p+1', '0x1.b05985466dc12p-54'),
-        ('-0x1.27b74d2f76a46p-2', '-0x1.5995f65ed6fc5p-48'),
-        ('-0x1.32d08814c3487p+1', '-0x1.a0c12907a3a52p-55'),
-        ('0x1.5ffa9ec859fc3p+2', '-0x1.77dfa30379607p-52'),
-        ('-0x1.b3f0742ede681p+2', '-0x1.7a468b147c386p-51'),
-        ('-0x1.449f35a4df752p+0', '0x1.830c12740cd76p-47'),
-        ('0x1.7e4b0fcf78770p+1', '-0x1.b05985466dc12p-54'),
-        ('-0x1.b3f0742ede681p+2', '0x1.7a468b147c386p-51'),
-        ('0x1.14766113f03f2p+3', '-0x1.0d8b1baaf9f28p-51'),
-        ('0x1.7c5b56acf4887p+0', '-0x1.defd83b80e5a0p-47'),
-        ('-0x1.27b74d2f76a46p-2', '0x1.5995f65ed6fc5p-48'),
-        ('-0x1.449f35a4df752p+0', '-0x1.830c12740cd76p-47'),
-        ('0x1.7c5b56acf4887p+0', '0x1.defd83b80e5a0p-47'),
-        ('0x1.3e3cdce2fb980p+2', '-0x1.8ddf146f7196ap-52'),
+        ('-0x1.32d08814c3598p+1', '0x1.a0c12907a358ep-55'),
+        ('0x1.7e4b0fcf789a6p+1', '0x1.a2dc1cfeb1f55p-54'),
+        ('-0x1.27b74d2f75e66p-2', '-0x1.5fde79c909527p-48'),
+        ('-0x1.32d08814c3598p+1', '-0x1.a0c12907a358ep-55'),
+        ('0x1.5ffa9ec85a1c4p+2', '-0x1.77dfa30379840p-52'),
+        ('-0x1.b3f0742edea68p+2', '-0x1.791845ce0048cp-51'),
+        ('-0x1.449f35a4dfe58p+0', '0x1.87ae0744e6d15p-47'),
+        ('0x1.7e4b0fcf789a6p+1', '-0x1.a2dc1cfeb1f55p-54'),
+        ('-0x1.b3f0742edea68p+2', '0x1.791845ce0048cp-51'),
+        ('0x1.14766113f0759p+3', '-0x1.0d8b1baafa284p-51'),
+        ('0x1.7c5b56acf5557p+0', '-0x1.e4cc67ec7d604p-47'),
+        ('-0x1.27b74d2f75e66p-2', '0x1.5fde79c909527p-48'),
+        ('-0x1.449f35a4dfe58p+0', '-0x1.87ae0744e6d15p-47'),
+        ('0x1.7c5b56acf5557p+0', '0x1.e4cc67ec7d604p-47'),
+        ('0x1.3e3cdce2fbb49p+2', '-0x1.8ddf146f71c2bp-52'),
     ],
     ('T_L', 'norm_K', 1): [
-        ('0x1.e847002b13f58p+14', '0x0.0p+0'),
-        ('0x1.8fbee24ca42dep+30', '0x0.0p+0'),
+        ('0x1.e847002b13f54p+14', '0x0.0p+0'),
+        ('0x1.8fbee24ca42dbp+30', '0x0.0p+0'),
     ],
     ('OUT1', 'normalization_check', 3): [
         ('0x1.e4075bdc98082p+4', '0x0.0p+0'),
     ],
     ('IN', 'norm_K', 3): [
-        ('0x1.e9cd5e7131214p-1', '0x0.0p+0'),
-        ('0x1.b29954887d138p-1', '0x0.0p+0'),
+        ('0x1.e9cd5e713120dp-1', '0x0.0p+0'),
+        ('0x1.b29954887d140p-1', '0x0.0p+0'),
     ],
     ('IN', 'gram_poly', 2): [
         ((1, 0), (0, 0), 'complex', '0x1.b8a7de6d1d61ep-3', '-0x1.a1aef2fde8d92p-54'),
@@ -254,25 +257,25 @@ PINS = {
     ],
     ('OUT3', 'norm_K', 2): [
         ('0x1.5ee8f12666924p+0', '0x0.0p+0'),
-        ('0x1.bd60e9e8e6dfbp+0', '0x0.0p+0'),
-        ('0x1.9fb0f9ecebafep+0', '0x0.0p+0'),
+        ('0x1.bd60e9e8e6df1p+0', '0x0.0p+0'),
+        ('0x1.9fb0f9ecebb04p+0', '0x0.0p+0'),
     ],
     ('OUT3', 'norm_K', 3): [
-        ('0x1.2f42952675c8ap+0', '0x0.0p+0'),
-        ('0x1.9fb0f9ecebafdp+0', '0x0.0p+0'),
+        ('0x1.2f42952675c89p+0', '0x0.0p+0'),
+        ('0x1.9fb0f9ecebaffp+0', '0x0.0p+0'),
     ],
     ('OUT3_K2', 'norm_K', 2): [
-        ('0x1.b7cab729f498ap-1', '0x0.0p+0'),
-        ('0x1.73a9857ea33b8p+0', '0x0.0p+0'),
-        ('0x1.ac6b4fa3319bap-1', '0x0.0p+0'),
+        ('0x1.b7cab729f498cp-1', '0x0.0p+0'),
+        ('0x1.73a9857ea33bbp+0', '0x0.0p+0'),
+        ('0x1.ac6b4fa3319b7p-1', '0x0.0p+0'),
     ],
     ('OUT3_K2', 'norm_K', 3): [
-        ('0x1.7a3aa8153ab6ep-1', '0x0.0p+0'),
-        ('0x1.b4cefffe62a1dp-1', '0x0.0p+0'),
+        ('0x1.7a3aa8153ab6cp-1', '0x0.0p+0'),
+        ('0x1.b4cefffe62a18p-1', '0x0.0p+0'),
     ],
     ('T_L4', 'norm_K', 2): [
-        ('0x1.3fabeac4f5cd9p+43', '0x0.0p+0'),
-        ('0x1.e55ac57a62b6ep+43', '0x0.0p+0'),
+        ('0x1.3fabeac4f5eaep+43', '0x0.0p+0'),
+        ('0x1.e55ac57a62bb8p+43', '0x0.0p+0'),
     ],
 }
 
