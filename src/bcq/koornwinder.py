@@ -107,13 +107,13 @@ class KoornwinderParams:
 
 
 def _ratio(v):
-    """(numerator, denominator) of an exact value; (v, 1) of a float or complex one."""
-    return (v.numerator, v.denominator) if _is_exact(v) else (v, 1)
+    """(numerator, denominator) of a Fraction; (v, 1) of an int, float or complex v."""
+    return (v.numerator, v.denominator) if isinstance(v, Fraction) else (v, 1)
 
 
 def _ratios(params: KoornwinderParams):
     """``_ratio`` pairs of t0..t3, q, t and (unreduced) t0 t1 t2 t3."""
-    pairs = [_ratio(v) for v in (*params.tuple4, params.q, params.t)]
+    pairs = list(map(_ratio, (*params.tuple4, params.q, params.t)))
     return tuple(pairs[:4]), pairs[4], pairs[5], tuple(map(math.prod, zip(*pairs[:4])))
 
 
@@ -125,7 +125,7 @@ def _phi_pair(x, j, ratios):
     ZeroDivisionError on a pole, where a denominator factor is within
     _POLE_TOL of 0 (an integer factor is 0 or at least 1 in size)."""
     ts, (qn, qd), (tn, td), (_, f) = ratios
-    x = [_ratio(v) for v in x]
+    x = list(map(_ratio, x))
     a, b = x[j]
     num_p = num_m = qd
     for n, d in ts:
