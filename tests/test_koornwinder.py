@@ -761,7 +761,8 @@ FLOAT_SETS = [
 
 @pytest.mark.parametrize(
     "lam, bound, sets",
-    [((2, 1, 0), 1e-7, FLOAT_SETS), ((2, 1, 1), 1e-7, FLOAT_SETS), ((3, 2, 1), 1e-5, FLOAT_SETS[-1:])],
+    [((2, 1, 0), 1e-7, FLOAT_SETS), ((2, 1, 1), 1e-7, FLOAT_SETS),
+     ((3, 2, 1), 1e-5, FLOAT_SETS[-1:])],
 )
 def test_float_builds_match_the_exact_build_at_their_binary_values(lam, bound, sets):
     # the largest coefficient error relative to the largest coefficient
